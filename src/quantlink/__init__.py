@@ -11,7 +11,7 @@ the distortion targets end to end by Monte Carlo (simulator).
 from ._version import __version__
 from .allocator import AllocationPlan, LatentStats, optimize_plan, target_distortion
 from .channel import ChannelRealization, TapProfile, exponential_pdp, realize_channel
-from .gaussian import Interval, q_function, std_normal_cdf, std_normal_pdf, truncated_moments
+from .gaussian import q_function, std_normal_cdf, std_normal_pdf
 from .library import QuantizerLibrary, build_library, load_library, save_library, sigma_max
 from .modem import ber_approx, demodulate, modulate, snr_threshold
 from .quantizer import (
@@ -35,11 +35,9 @@ __all__ = [
     "TapProfile",
     "exponential_pdp",
     "realize_channel",
-    "Interval",
     "q_function",
     "std_normal_cdf",
     "std_normal_pdf",
-    "truncated_moments",
     "QuantizerLibrary",
     "build_library",
     "load_library",

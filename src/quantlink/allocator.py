@@ -44,7 +44,6 @@ __all__ = [
     "BitMapping",
     "AllocationPlan",
     "target_distortion",
-    "distortion_bound",
     "minimum_bit_allocation",
     "allocate_power_modulation",
     "select_ber_target",
@@ -88,18 +87,13 @@ class LatentStats:
         return h.hexdigest()
 
 
-def target_distortion(sigma2: float) -> float:
-    """Element distortion target sigma^2 / (sigma^2 + 1)."""
-    if sigma2 < 0:
+def target_distortion(sigma2):
+    """Element distortion target sigma^2 / (sigma^2 + 1). Scalar or array."""
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    if np.any(sigma2 < 0):
         raise ValueError("sigma2 must be nonnegative")
-    return sigma2 / (sigma2 + 1.0)
-
-
-def distortion_bound(sigma2: float) -> float:
-    """Normalized (unit-variance) form of the target: 1 / (sigma^2 + 1)."""
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
-    return 1.0 / (sigma2 + 1.0)
+    out = sigma2 / (sigma2 + 1.0)
+    return out if out.ndim else float(out)
 
 
 @dataclass

@@ -187,10 +187,19 @@ def cmd_allocate(args) -> int:
     return 0
 
 
+_SIMULATE_KEYS = frozenset(
+    {"library", "source", "profile", "snr_db", "trials", "frames_per_realization",
+     "n_sc", "spacing_hz", "delta", "seed"}
+)
+
+
 def cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        unknown = sorted(set(doc) - _SIMULATE_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         src = sim.SyntheticSourceConfig(**doc.get("source", {}))
         cfg = sim.ExperimentConfig(
             source=src,

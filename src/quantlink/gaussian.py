@@ -10,18 +10,15 @@ at call sites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Interval",
     "std_normal_pdf",
     "std_normal_cdf",
     "inv_std_normal_cdf",
     "q_function",
     "inv_q_function",
-    "truncated_moments",
     "interval_moments",
 ]
 
@@ -31,20 +28,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # math.erfc is a correctly-rounded libm routine; absolute error is far below
 # the 1e-12 this library needs for 8-bit distortion comparisons.
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Half-open interval (lo, hi] of the real line; +-inf allowed at the ends."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if not self.lo < self.hi:
-            raise ValueError(f"interval requires lo < hi, got ({self.lo}, {self.hi}]")
 
 
 def std_normal_pdf(x):
@@ -123,8 +106,3 @@ def interval_moments(lo, hi):
     m2 = mass + t_lo - t_hi
     return mass, m1, m2
 
-
-def truncated_moments(iv: Interval) -> tuple[float, float, float]:
-    """Scalar (mass, m1, m2) of the unit Gaussian over one Interval."""
-    mass, m1, m2 = interval_moments(iv.lo, iv.hi)
-    return float(mass), float(m1), float(m2)

@@ -40,7 +40,7 @@ __all__ = [
     "serialize_library",
     "save_library",
     "load_library",
-    "min_bits_for_target",
+    "min_bits_vector",
     "sigma_max",
 ]
 
@@ -180,16 +180,14 @@ def _audit(lib: QuantizerLibrary) -> None:
             lib.warnings.append(
                 {"kind": "column-not-monotone", "eps_index": qi, "first_rise_b": int(rises[0]) + 1}
             )
-        if col.size >= 3:
-            second = np.diff(col, 2)
-            if np.any(second < -1e-12):
-                lib.warnings.append(
-                    {
-                        "kind": "column-not-convex",
-                        "eps_index": qi,
-                        "min_second_difference": float(second.min()),
-                    }
-                )
+        if not lib.column_is_convex(qi):
+            lib.warnings.append(
+                {
+                    "kind": "column-not-convex",
+                    "eps_index": qi,
+                    "min_second_difference": float(np.diff(col, 2).min()),
+                }
+            )
     for b in range(1, lib.b_max + 1):
         row = np.array([lib.distortion(b, qi) for qi in range(lib.epsilons.size)])
         if np.any(np.diff(row) < -1e-9):
@@ -201,32 +199,13 @@ def _audit(lib: QuantizerLibrary) -> None:
             lib.warnings.append({"kind": "gamma-increments-not-convex", "eps_index": qi})
 
 
-def min_bits_for_target(
-    lib: QuantizerLibrary, eps_index: int, sigma2: float, delta: float = DEFAULT_DELTA
-) -> int:
-    """Smallest bit depth meeting D(1; b, eps) <= 1/(sigma2 + 1).
-
-    Variances below `delta` are treated as negligible and get zero bits.
-    """
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
-    if sigma2 < delta:
-        return 0
-    bound = 1.0 / (sigma2 + 1.0)
-    col = lib.distortion_column(eps_index)
-    for b0, d in enumerate(col):
-        if d <= bound:
-            return b0 + 1
-    raise InfeasibleTargetError(
-        f"no bit depth <= {lib.b_max} reaches distortion {bound:.6g} "
-        f"(sigma2 = {sigma2:.6g}, eps index {eps_index})"
-    )
-
-
 def min_bits_vector(
     lib: QuantizerLibrary, eps_index: int, variances: np.ndarray, delta: float = DEFAULT_DELTA
 ) -> np.ndarray:
-    """Vectorized min_bits_for_target over a variance array."""
+    """Smallest bit depth per element meeting D(1; b, eps) <= 1/(sigma2 + 1).
+
+    Variances below `delta` are treated as negligible and get zero bits.
+    """
     variances = np.asarray(variances, dtype=np.float64)
     if np.any(variances < 0):
         raise ValueError("variances must be nonnegative")
@@ -247,8 +226,8 @@ def min_bits_vector(
 
 
 def sigma_max(lib: QuantizerLibrary) -> float:
-    """Largest source sigma for which every variance admits a feasible depth."""
-    d = lib.distortion(lib.b_max, lib.epsilons.size - 1)
+    """Largest source sigma for which every variance admits a feasible depth at every target."""
+    d = max(lib.distortion(lib.b_max, qi) for qi in range(lib.epsilons.size))
     return float(np.sqrt(1.0 / d - 1.0))
 
 
@@ -324,7 +303,7 @@ def load_library(path) -> QuantizerLibrary:
             )
         if list(doc["qam_bits"]) != list(modem.QAM_BITS):
             raise LibraryFormatError("QAM order set in file does not match this build")
-        epsilons = np.array([_unhex(s) for s in doc["epsilons"]])
+        epsilons = _validated_grid([_unhex(s) for s in doc["epsilons"]])
         design = DesignConfig(
             restarts=doc["design"]["restarts"],
             max_iters=doc["design"]["max_iters"],
@@ -344,6 +323,10 @@ def load_library(path) -> QuantizerLibrary:
                 normalized_distortion=_unhex(rec["distortion"]),
             )
             q.validate()
+            if not np.array_equal(q.designed_for, uniform_bsc(b, epsilons[rec["eps_index"]])):
+                raise LibraryFormatError(
+                    f"cell ({b},{rec['eps_index']}): flips disagree with the epsilon grid"
+                )
             if rec["active_count"] != q.active_count:
                 raise LibraryFormatError(f"cell ({b},{rec['eps_index']}): active_count mismatch")
             if abs(analytic_distortion(q, q.designed_for) - q.normalized_distortion) > 1e-10:

@@ -38,7 +38,6 @@ __all__ = [
     "uniform_bsc",
     "as_bsc_vector",
     "bsc_transition_matrix",
-    "transition_prob",
     "bsc_corrupt",
     "analytic_distortion",
     "optimal_regions",
@@ -86,20 +85,6 @@ def bsc_transition_matrix(flips) -> np.ndarray:
         bit = (diff >> (b - 1 - j)) & 1
         out *= np.where(bit == 1, flips[j], 1.0 - flips[j])
     return out
-
-
-def transition_prob(sent: int, received: int, flips) -> float:
-    """Probability that `sent` is received as `received` over the bit-flip channel."""
-    flips = as_bsc_vector(flips)
-    b = flips.shape[0]
-    for word, name in ((sent, "sent"), (received, "received")):
-        if not 0 <= word < (1 << b):
-            raise ValueError(f"{name} codeword {word} does not fit in {b} bits")
-    prob = 1.0
-    for j in range(b):
-        differ = ((sent ^ received) >> (b - 1 - j)) & 1
-        prob *= flips[j] if differ else 1.0 - flips[j]
-    return prob
 
 
 def bsc_corrupt(words: np.ndarray, flips, rng: np.random.Generator) -> np.ndarray:
@@ -288,6 +273,43 @@ def _validate_bit_depth(bit_depth: int) -> None:
         raise ValueError(f"bit depth must be in [1, {MAX_BIT_DEPTH}], got {bit_depth}")
 
 
+def _best_of_restarts(
+    bit_depth: int, flips: np.ndarray, base: np.ndarray, stream_key: tuple, cfg: DesignConfig,
+    extra_init_levels=None, trace: list | None = None,
+) -> ScalarQuantizer:
+    """Alternate from `base`, its jittered copies and any warm starts; keep the best.
+
+    Restart r >= 1 adds zero-mean noise of scale 0.3 / 2^b to `base`, drawn
+    from the stream (*stream_key, r).
+    """
+    inits = [base]
+    scale = 0.3 / (1 << bit_depth)
+    for r in range(1, cfg.restarts):
+        rng = stream_rng(*stream_key, r)
+        inits.append(base + rng.normal(0.0, scale, size=base.shape))
+    for extra in () if extra_init_levels is None else extra_init_levels:
+        extra = np.asarray(extra, dtype=np.float64)
+        if extra.shape != base.shape:
+            raise ValueError("warm-start levels need one entry per codeword")
+        inits.append(extra)
+    trans = bsc_transition_matrix(flips)
+    best = None
+    for init in inits:
+        cand = _alternate(init, trans, cfg, trace)
+        if best is None or cand[3] < best[3]:
+            best = cand
+    q = ScalarQuantizer(
+        bit_depth=bit_depth,
+        thresholds=best[0],
+        levels=best[2],
+        region_codewords=best[1],
+        designed_for=flips.copy(),
+        normalized_distortion=best[3],
+    )
+    q.validate()
+    return q
+
+
 _LM_CACHE: dict[tuple[int, DesignConfig], ScalarQuantizer] = {}
 
 
@@ -299,31 +321,12 @@ def design_lloyd_max(bit_depth: int, cfg: DesignConfig = DesignConfig()) -> Scal
     """
     _validate_bit_depth(bit_depth)
     key = (bit_depth, cfg)
-    if key in _LM_CACHE:
-        return _LM_CACHE[key]
-    base = _quantile_levels(bit_depth)
-    inits = [base]
-    scale = 0.3 / (1 << bit_depth)
-    for r in range(1, cfg.restarts):
-        rng = stream_rng("design-lm", cfg.seed, bit_depth, r)
-        inits.append(base + rng.normal(0.0, scale, size=base.shape))
-    trans = bsc_transition_matrix(np.zeros(bit_depth))
-    best = None
-    for init in inits:
-        cand = _alternate(init, trans, cfg, None)
-        if best is None or cand[3] < best[3]:
-            best = cand
-    q = ScalarQuantizer(
-        bit_depth=bit_depth,
-        thresholds=best[0],
-        levels=best[2],
-        region_codewords=best[1],
-        designed_for=np.zeros(bit_depth),
-        normalized_distortion=best[3],
-    )
-    q.validate()
-    _LM_CACHE[key] = q
-    return q
+    if key not in _LM_CACHE:
+        _LM_CACHE[key] = _best_of_restarts(
+            bit_depth, np.zeros(bit_depth), _quantile_levels(bit_depth),
+            ("design-lm", cfg.seed, bit_depth), cfg,
+        )
+    return _LM_CACHE[key]
 
 
 def design_channel_optimized(
@@ -349,43 +352,21 @@ def design_channel_optimized(
     if flips.shape[0] != bit_depth:
         raise ValueError("flip vector length must equal bit depth")
     lm = design_lloyd_max(bit_depth, cfg)
-    inits = [lm.levels]
-    scale = 0.3 / (1 << bit_depth)
     fingerprint = flips.tobytes().hex()
-    for r in range(1, cfg.restarts):
-        rng = stream_rng("design-cosq", cfg.seed, bit_depth, fingerprint, r)
-        inits.append(lm.levels + rng.normal(0.0, scale, size=lm.levels.shape))
-    if extra_init_levels is not None:
-        for extra in extra_init_levels:
-            extra = np.asarray(extra, dtype=np.float64)
-            if extra.shape != lm.levels.shape:
-                raise ValueError("warm-start levels need one entry per codeword")
-            inits.append(extra)
-    trans = bsc_transition_matrix(flips)
-    best = None
-    for init in inits:
-        cand = _alternate(init, trans, cfg, trace)
-        if best is None or cand[3] < best[3]:
-            best = cand
-    q = ScalarQuantizer(
-        bit_depth=bit_depth,
-        thresholds=best[0],
-        levels=best[2],
-        region_codewords=best[1],
-        designed_for=flips.copy(),
-        normalized_distortion=best[3],
+    return _best_of_restarts(
+        bit_depth, flips, lm.levels, ("design-cosq", cfg.seed, bit_depth, fingerprint), cfg,
+        extra_init_levels, trace,
     )
-    q.validate()
-    return q
 
 
 def quantize(y, mean: float, std: float, q: ScalarQuantizer):
     """Map samples to sent codewords through the affine-normalized quantizer.
 
     Regions are half-open on the right, so a sample exactly on a threshold
-    falls in the region to its left. Scalar in, scalar out; arrays vectorize.
+    falls in the region to its left. Scalar in, scalar out; arrays vectorize,
+    and mean/std may be per-sample arrays.
     """
-    if not std > 0:
+    if not np.all(np.asarray(std) > 0):
         raise ValueError("std must be positive")
     ybar = (np.asarray(y, dtype=np.float64) - mean) / std
     idx = np.searchsorted(q.thresholds, ybar, side="left")
@@ -394,8 +375,8 @@ def quantize(y, mean: float, std: float, q: ScalarQuantizer):
 
 
 def dequantize(codeword, mean: float, std: float, q: ScalarQuantizer):
-    """Reconstruction for received codewords: std * level + mean."""
-    if not std > 0:
+    """Reconstruction for received codewords: std * level + mean (per-sample arrays allowed)."""
+    if not np.all(np.asarray(std) > 0):
         raise ValueError("std must be positive")
     cw = np.asarray(codeword)
     if np.any(cw < 0) or np.any(cw >= (1 << q.bit_depth)):

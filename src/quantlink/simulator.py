@@ -32,6 +32,7 @@ from .allocator import (
     target_distortion,
 )
 from .library import DEFAULT_DELTA, QuantizerLibrary, sigma_max
+from .quantizer import dequantize, quantize
 from .rng import stream_rng
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "ExperimentConfig",
     "draw_stats",
     "sample_latents",
-    "generate_latents",
     "run_trial",
     "run_experiment",
     "measure_link_ber",
@@ -115,16 +115,6 @@ def sample_latents(stats: LatentStats, clip_3sigma: bool, rng: np.random.Generat
     return y
 
 
-def generate_latents(
-    cfg: SyntheticSourceConfig, sigma_max_value: float, rng: np.random.Generator | None = None
-) -> tuple[LatentStats, np.ndarray]:
-    """Draw stats and one sample vector in a single call."""
-    if rng is None:
-        rng = stream_rng("source", cfg.seed)
-    stats = draw_stats(cfg, sigma_max_value, rng)
-    return stats, sample_latents(stats, cfg.clip_3sigma, rng)
-
-
 @dataclass
 class TrialResult:
     per_element_sq_error: np.ndarray
@@ -179,7 +169,7 @@ def run_trial(
         raise ValueError("plan was built for a different channel realization")
 
     n = stats.n
-    targets = np.array([target_distortion(v) for v in stats.variances])
+    targets = target_distortion(stats.variances)
     bits = plan.bits
     widths = bits.astype(np.int64)
     starts = np.concatenate(([0], np.cumsum(widths)))[:-1]
@@ -203,9 +193,7 @@ def run_trial(
     for b in np.unique(widths[widths > 0]):
         sel = np.flatnonzero(widths == b)
         q = lib.quantizer(int(b), plan.eps_index)
-        ybar = (y[sel] - stats.means[sel]) / std[sel]
-        idx = np.searchsorted(q.thresholds, ybar, side="left")
-        codewords[sel] = q.region_codewords[idx]
+        codewords[sel] = quantize(y[sel], stats.means[sel], std[sel], q)
     sent = widths > 0
     tx_bits = _bits_from_words(codewords[sent], widths[sent], b_lat, starts[sent])
 
@@ -253,7 +241,7 @@ def run_trial(
         grp = widths[sel] == b
         q = lib.quantizer(int(b), plan.eps_index)
         ids = sel[grp]
-        yhat[ids] = q.levels[rx_words[grp]] * std[ids] + stats.means[ids]
+        yhat[ids] = dequantize(rx_words[grp], stats.means[ids], std[ids], q)
 
     return TrialResult(
         per_element_sq_error=np.square(y - yhat),
@@ -313,7 +301,7 @@ def run_experiment(
     profile = chan.parse_profile_ref(cfg.profile_ref)
     smax = sigma_max(lib)
     stats = draw_stats(cfg.source, smax, stream_rng("source", cfg.seed, cfg.source.seed))
-    targets = np.array([target_distortion(v) for v in stats.variances])
+    targets = target_distortion(stats.variances)
     checked = stats.variances >= cfg.delta
     digest = cfg.digest()
 

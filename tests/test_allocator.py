@@ -11,7 +11,6 @@ from quantlink.allocator import (
     OperatingPoint,
     allocate_power_modulation,
     build_bit_mapping,
-    distortion_bound,
     minimum_bit_allocation,
     optimize_plan,
     refine_bit_allocation,
@@ -33,9 +32,11 @@ def test_target_distortion_values():
     assert target_distortion(0.0) == 0.0
     assert target_distortion(1.0) == 0.5
     assert target_distortion(3.0) == 0.75
-    assert distortion_bound(1.0) == 0.5
+    assert np.array_equal(target_distortion(np.array([0.0, 1.0, 3.0])), [0.0, 0.5, 0.75])
     with pytest.raises(ValueError):
         target_distortion(-0.1)
+    with pytest.raises(ValueError):
+        target_distortion(np.array([1.0, -0.1]))
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,17 @@ def test_simulate_bad_config_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_simulate_rejects_misspelled_key(tiny_lib_dir, tmp_path, capsys):
+    cfg = {"library": str(tiny_lib_dir / "library.json"), "source": {"n_latents": 8}, "trails": 1, "n_sc": 8}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(out_dir))
+    assert code == 2
+    assert "trails" in err
+    assert not out_dir.exists()
+
+
 def test_ber_check_smoke(tiny_lib_dir, capsys):
     code, out, _ = _run(
         capsys,

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -11,7 +14,6 @@ from quantlink.library import (
     default_epsilon_grid,
     load_library,
     log_uniform_grid,
-    min_bits_for_target,
     min_bits_vector,
     save_library,
     serialize_library,
@@ -21,6 +23,9 @@ from quantlink.quantizer import DesignConfig
 from quantlink.rng import stream_rng
 
 ONE_BIT_D_05 = 0.48433798438225906
+# sha256 of serialize_library(build_library()); a deliberate change to the
+# default library bytes updates this constant and says why in CHANGES.md
+DEFAULT_LIBRARY_SHA256 = "66975a80a1efbb8a2921df16ee29d1ffc7fa7b3477336ac274c5f8ece844513a"
 
 
 def test_default_grid_shape():
@@ -60,12 +65,13 @@ def test_row_monotone_in_target(small_lib):
 
 
 def test_min_bits_examples(small_lib):
-    assert min_bits_for_target(small_lib, 1, 0.1, 0.4) == 0  # negligible variance
-    assert min_bits_for_target(small_lib, 1, 1.0, 0.4) == 1  # 0.4843 <= 0.5
+    assert min_bits_vector(small_lib, 1, [0.1], 0.4)[0] == 0  # negligible variance
+    assert min_bits_vector(small_lib, 1, [1.0], 0.4)[0] == 1  # 0.4843 <= 0.5
     smax2 = sigma_max(small_lib) ** 2
-    assert min_bits_for_target(small_lib, small_lib.epsilons.size - 1, smax2 * 0.999, 0.4) == small_lib.b_max
+    last = small_lib.epsilons.size - 1
+    assert min_bits_vector(small_lib, last, [smax2 * 0.999], 0.4)[0] == small_lib.b_max
     with pytest.raises(InfeasibleTargetError):
-        min_bits_for_target(small_lib, small_lib.epsilons.size - 1, smax2 * 1.5, 0.4)
+        min_bits_vector(small_lib, last, [smax2 * 1.5], 0.4)
 
 
 def test_min_bits_vector_matches_scalar(small_lib):
@@ -73,8 +79,12 @@ def test_min_bits_vector_matches_scalar(small_lib):
     smax2 = sigma_max(small_lib) ** 2
     v = rng.uniform(0.0, smax2, size=300)
     vec = min_bits_vector(small_lib, 0, v, 0.4)
+    col = small_lib.distortion_column(0)
     for i, s2 in enumerate(v):
-        assert vec[i] == min_bits_for_target(small_lib, 0, float(s2), 0.4)
+        expected = 0
+        if s2 >= 0.4:
+            expected = next(b for b in range(1, small_lib.b_max + 1) if col[b - 1] <= 1.0 / (s2 + 1.0))
+        assert vec[i] == expected
 
 
 def test_sigma_max_feasibility_sweep(small_lib):
@@ -84,6 +94,17 @@ def test_sigma_max_feasibility_sweep(small_lib):
     for qi in range(small_lib.epsilons.size):
         bits = min_bits_vector(small_lib, qi, v, 0.4)  # raises if infeasible
         assert np.all(bits <= small_lib.b_max)
+
+
+def test_sigma_max_takes_worst_column(small_lib):
+    lib = copy.deepcopy(small_lib)
+    worst = lib.distortion(lib.b_max, lib.epsilons.size - 1) * 1.1
+    lib.cells[(lib.b_max, 0)] = dataclasses.replace(lib.quantizer(lib.b_max, 0), normalized_distortion=worst)
+    assert sigma_max(lib) == np.sqrt(1.0 / worst - 1.0)
+    assert sigma_max(lib) < sigma_max(small_lib)
+    smax2 = sigma_max(lib) ** 2
+    for qi in range(lib.epsilons.size):
+        min_bits_vector(lib, qi, [smax2 * 0.999], 0.4)  # raises if infeasible
 
 
 def test_sigma_max_algebra():
@@ -133,6 +154,32 @@ def test_load_rejects_tampered_distortion(tmp_path, small_lib):
     path.write_text(json.dumps(doc))
     with pytest.raises(LibraryFormatError, match="distortion"):
         load_library(path)
+
+
+def test_load_rejects_flips_off_grid(tmp_path, small_lib):
+    path = tmp_path / "lib.json"
+    save_library(small_lib, path)
+    doc = json.loads(path.read_text())
+    cell = next(c for c in doc["cells"] if c["eps_index"] == 0)
+    cell["flips"] = [small_lib.epsilons[1].hex()] * cell["b"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(LibraryFormatError, match="flips"):
+        load_library(path)
+
+
+def test_load_rejects_bad_epsilon_grid(tmp_path, small_lib):
+    path = tmp_path / "lib.json"
+    save_library(small_lib, path)
+    doc = json.loads(path.read_text())
+    doc["epsilons"] = doc["epsilons"][::-1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(LibraryFormatError, match="strictly increasing"):
+        load_library(path)
+
+
+def test_default_library_bytes_are_pinned(default_lib):
+    digest = hashlib.sha256(serialize_library(default_lib).encode("utf-8")).hexdigest()
+    assert digest == DEFAULT_LIBRARY_SHA256
 
 
 def test_rebuild_is_byte_identical(small_lib):

@@ -15,7 +15,6 @@ from quantlink.quantizer import (
     optimal_levels,
     optimal_regions,
     quantize,
-    transition_prob,
     uniform_bsc,
 )
 from quantlink.rng import stream_rng
@@ -36,15 +35,10 @@ def one_bit_closed_form(eps: float) -> float:
 
 
 def test_transition_prob_examples():
-    assert transition_prob(0b01, 0b01, [0.0, 0.0]) == 1.0
-    assert transition_prob(0b00, 0b11, [0.1, 0.1]) == pytest.approx(0.01, abs=1e-15)
+    assert bsc_transition_matrix([0.0, 0.0])[0b01, 0b01] == 1.0
+    assert bsc_transition_matrix([0.1, 0.1])[0b00, 0b11] == pytest.approx(0.01, abs=1e-15)
     # bits 2 and 3 differ: (1-0.05) * 0.1 * 0.2
-    assert transition_prob(0b010, 0b001, [0.05, 0.1, 0.2]) == pytest.approx(0.019, abs=1e-15)
-
-
-def test_transition_prob_rejects_wide_words():
-    with pytest.raises(ValueError):
-        transition_prob(4, 0, [0.1, 0.1])
+    assert bsc_transition_matrix([0.05, 0.1, 0.2])[0b010, 0b001] == pytest.approx(0.019, abs=1e-15)
 
 
 @settings(max_examples=60, deadline=None)

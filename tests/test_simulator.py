@@ -10,7 +10,6 @@ from quantlink.simulator import (
     ExperimentConfig,
     SyntheticSourceConfig,
     draw_stats,
-    generate_latents,
     report_rows_to_csv,
     run_experiment,
     run_trial,
@@ -52,12 +51,6 @@ def test_sample_latents_clipping():
     dev = np.abs(ys - 2.0)
     assert dev.max() <= 3.0 + 1e-12
     assert dev.max() == pytest.approx(3.0, abs=1e-6)  # the clip boundary is hit
-
-
-def test_generate_latents_composes(small_lib):
-    cfg = SyntheticSourceConfig(n_latents=16, seed=5)
-    stats, y = generate_latents(cfg, sigma_max(small_lib))
-    assert stats.n == 16 and y.shape == (16,)
 
 
 def test_frac_negligible_controls_small_variances(small_lib):
