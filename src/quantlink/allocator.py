@@ -20,6 +20,25 @@ symbol capacity is granted bit by bit to the element with the largest
 marginal weighted-distortion reduction. Whatever capacity remains after every
 element saturates is padded with pseudo-random dummy bits so the resource-grid
 accounting stays exact.
+
+Both greedy loops are merges of per-item cost sequences, one per subcarrier
+(loading) or per element (refinement). When every sequence is monotone in the
+direction the greedy consumes it, the greedy order is the sorted order of all
+(item, step) costs, ties broken by item index and then step (Hughes-Hartogs
+loading equals one ascending sort of its increments; J. Campello, "Practical
+bit loading for DMT", ICC 1999). So:
+
+  * loading sorts every power increment once and takes the longest prefix
+    whose running sum (accumulated in the loop's order, so bit for bit the
+    same) fits the budget, when the SNR-threshold increments are
+    nondecreasing under an exact float test;
+  * refinement takes the `residual` largest marginal gains in one sort, when
+    the decrements D(b) - D(b + 1) are nonincreasing under an exact float
+    test (not `column_is_convex`, whose tolerance admits columns where the
+    sorted order and the greedy differ).
+
+Where a check fails, the original one-step-at-a-time loop (`_greedy_loading`,
+`_greedy_refinement`) runs instead; tests use those loops as the reference.
 """
 
 from __future__ import annotations
@@ -33,7 +52,7 @@ import numpy as np
 
 from ._version import __version__
 from .channel import ChannelRealization
-from .library import DEFAULT_DELTA, QuantizerLibrary, min_bits_vector
+from .library import DEFAULT_DELTA, QuantizerLibrary, gamma_increments_convex, min_bits_vector
 from .modem import QAM_BITS
 from .rng import stream_seed
 
@@ -73,8 +92,8 @@ class LatentStats:
         self.variances = np.asarray(self.variances, dtype=np.float64)
         if self.means.shape != self.variances.shape or self.means.ndim != 1:
             raise ValueError("means and variances must be 1-D vectors of equal length")
-        if np.any(self.variances < 0):
-            raise ValueError("variances must be nonnegative")
+        if not np.all(np.isfinite(self.variances) & (self.variances >= 0)):
+            raise ValueError("variances must be finite and nonnegative")
 
     @property
     def n(self) -> int:
@@ -126,16 +145,37 @@ def allocate_power_modulation(
     """Greedy modulation/power loading of one OFDM symbol.
 
     gamma_steps[s] is the SNR threshold for modulation QAM_BITS[s-1], with
-    gamma_steps[0] = 0 for silence. Returns (modulations, powers, bits/symbol).
+    gamma_steps[0] = 0 for silence, strictly increasing. Returns
+    (modulations, powers, bits/symbol).
     """
     if not p_tot > 0:
         raise ValueError("p_tot must be positive")
     if gamma_steps.shape[0] != len(QAM_BITS) + 1 or gamma_steps[0] != 0.0:
         raise ValueError("gamma_steps must be [0, gamma(QPSK), ..., gamma(256-QAM)]")
+    if not np.all(np.diff(gamma_steps) > 0):
+        raise ValueError("gamma_steps must be strictly increasing")
     inv_gain = channel.noise_var / np.square(np.abs(channel.gains))
-    n_sc = channel.n_sc
-    steps = np.zeros(n_sc, dtype=np.int64)
     increments = np.diff(gamma_steps)  # per modulation step
+    if gamma_increments_convex(gamma_steps):
+        cost = (increments[None, :] * inv_gain[:, None]).ravel()  # [subcarrier, step], row-major
+        # the flat index already orders (subcarrier, step), so a stable sort on
+        # cost is np.lexsort((step, subcarrier, cost))
+        order = np.argsort(cost, kind="stable")
+        cost = cost[order]
+        fits = np.isfinite(cost) & (np.cumsum(cost) <= p_tot)
+        taken = fits.size if fits.all() else int(fits.argmin())
+        steps = np.bincount(order[:taken] // increments.size, minlength=channel.n_sc)
+    else:
+        steps = _greedy_loading(inv_gain, increments, p_tot)
+    modulations = steps * 2
+    # silent subcarriers carry zero power even when their gain is exactly zero
+    powers = np.where(steps > 0, gamma_steps[steps] * inv_gain, 0.0)
+    return modulations, powers, int(modulations.sum())
+
+
+def _greedy_loading(inv_gain: np.ndarray, increments: np.ndarray, p_tot: float) -> np.ndarray:
+    """Steps per subcarrier, one cheapest increment at a time (any increment table)."""
+    steps = np.zeros(inv_gain.size, dtype=np.int64)
     delta_p = increments[0] * inv_gain
     used = 0.0
     while True:
@@ -145,11 +185,8 @@ def allocate_power_modulation(
             break
         used += cost
         steps[k] += 1
-        delta_p[k] = increments[steps[k]] * inv_gain[k] if steps[k] < len(QAM_BITS) else np.inf
-    modulations = steps * 2
-    # silent subcarriers carry zero power even when their gain is exactly zero
-    powers = np.where(steps > 0, gamma_steps[steps] * inv_gain, 0.0)
-    return modulations, powers, int(modulations.sum())
+        delta_p[k] = increments[steps[k]] * inv_gain[k] if steps[k] < increments.size else np.inf
+    return steps
 
 
 def select_ber_target(points: list[OperatingPoint]) -> tuple[int, int]:
@@ -198,19 +235,37 @@ def refine_bit_allocation(
     if residual < 0:
         raise ValueError("capacity below the current bit total")
     col = np.concatenate(([1.0], lib.distortion_column(eps_index)))  # col[b] = D(1; b)
-    eligible = (bits >= 1) & (bits < lib.b_max)
-    gain = np.where(eligible, stats.variances * (col[bits] - col[np.minimum(bits + 1, lib.b_max)]), -np.inf)
+    dec = col[:-1] - col[1:]  # dec[b] = D(b) - D(b + 1), the gain of growing from depth b
+    if not np.all(np.diff(dec[1:]) <= 0):
+        return _greedy_refinement(bits, stats.variances, col, lib.b_max, residual)
+    elements = np.flatnonzero((bits >= 1) & (bits < lib.b_max))
+    depth = np.arange(lib.b_max)
+    # candidates in (element, depth) order, so a stable sort on -gain is
+    # np.lexsort((depth, element, -gain))
+    row, b = np.nonzero(depth[None, :] >= bits[elements, None])
+    gain = stats.variances[elements[row]] * dec[b]
+    granted = np.argsort(-gain, kind="stable")[:residual]
+    bits += np.bincount(elements[row[granted]], minlength=bits.size)
+    return bits, residual - granted.size
+
+
+def _greedy_refinement(
+    bits: np.ndarray, variances: np.ndarray, col: np.ndarray, b_max: int, residual: int
+) -> tuple[np.ndarray, int]:
+    """refine_bit_allocation one bit per round (any distortion column); edits bits."""
+    eligible = (bits >= 1) & (bits < b_max)
+    gain = np.where(eligible, variances * (col[bits] - col[np.minimum(bits + 1, b_max)]), -np.inf)
     while residual > 0:
         if not np.any(eligible):
             break
         i = int(np.argmax(gain))
         bits[i] += 1
         residual -= 1
-        if bits[i] >= lib.b_max:
+        if bits[i] >= b_max:
             eligible[i] = False
             gain[i] = -np.inf
         else:
-            gain[i] = stats.variances[i] * (col[bits[i]] - col[bits[i] + 1])
+            gain[i] = variances[i] * (col[bits[i]] - col[bits[i] + 1])
     return bits, residual
 
 

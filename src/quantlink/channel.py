@@ -133,6 +133,8 @@ class ChannelRealization:
         self.gains = np.asarray(self.gains, dtype=np.complex128)
         if self.gains.ndim != 1 or self.gains.size < 1:
             raise ValueError("gains must be a nonempty vector")
+        if not np.all(np.isfinite(self.gains)):
+            raise ValueError("gains must be finite")
         if not self.noise_var > 0:
             raise ValueError("noise_var must be positive")
 

@@ -197,6 +197,8 @@ def cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("the top level must be a JSON object")
         unknown = sorted(set(doc) - _SIMULATE_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")

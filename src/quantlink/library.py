@@ -42,6 +42,7 @@ __all__ = [
     "load_library",
     "min_bits_vector",
     "sigma_max",
+    "gamma_increments_convex",
 ]
 
 FORMAT_VERSION = 1
@@ -91,6 +92,11 @@ class QuantizerLibrary:
     gamma_thresholds has shape (len(QAM_BITS), len(epsilons)).
     warnings collects build-time diagnostic records (nonconvex columns etc.),
     which are informational, not failures.
+
+    The object is immutable once its digest has been read: digest() hashes
+    the serialized library on its first call and returns that hash from then
+    on. Derive a changed library with dataclasses.replace, which starts
+    without a cached digest.
     """
 
     b_max: int
@@ -100,6 +106,7 @@ class QuantizerLibrary:
     gamma_thresholds: np.ndarray
     warnings: list[dict] = field(default_factory=list)
     format_version: int = FORMAT_VERSION
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def quantizer(self, bit_depth: int, eps_index: int) -> ScalarQuantizer:
         return self.cells[(bit_depth, self._check_index(eps_index))]
@@ -122,7 +129,9 @@ class QuantizerLibrary:
         return float(self.gamma_thresholds[modem.QAM_BITS.index(m), self._check_index(eps_index)])
 
     def digest(self) -> str:
-        return hashlib.sha256(serialize_library(self).encode("utf-8")).hexdigest()
+        if self._digest is None:
+            self._digest = hashlib.sha256(serialize_library(self).encode("utf-8")).hexdigest()
+        return self._digest
 
     def _check_index(self, eps_index: int) -> int:
         if not 0 <= eps_index < self.epsilons.size:
@@ -193,10 +202,16 @@ def _audit(lib: QuantizerLibrary) -> None:
         if np.any(np.diff(row) < -1e-9):
             lib.warnings.append({"kind": "row-not-monotone", "b": b})
     for qi in range(lib.epsilons.size):
-        g = lib.gamma_thresholds[:, qi]
-        inc = np.diff(np.concatenate(([0.0], g)))
-        if np.any(np.diff(inc) < 0):
+        if not gamma_increments_convex(np.concatenate(([0.0], lib.gamma_thresholds[:, qi]))):
             lib.warnings.append({"kind": "gamma-increments-not-convex", "eps_index": qi})
+
+
+def gamma_increments_convex(gamma_steps: np.ndarray) -> bool:
+    """Exact float test that the steps of [0, gamma(QPSK), ..., gamma(256-QAM)] never shrink.
+
+    The allocator's sorted loading equals the greedy only under this test.
+    """
+    return bool(np.all(np.diff(gamma_steps, 2) >= 0))
 
 
 def min_bits_vector(

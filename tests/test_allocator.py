@@ -1,9 +1,15 @@
+import dataclasses
+import hashlib
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quantlink import allocator
 from quantlink.allocator import (
     AllocationPlan,
     LatentStats,
@@ -20,8 +26,15 @@ from quantlink.allocator import (
     validate_plan,
 )
 from quantlink.channel import ChannelRealization, exponential_pdp, realize_channel
-from quantlink.library import sigma_max
+from quantlink.library import gamma_increments_convex, sigma_max
 from quantlink.rng import stream_rng
+from quantlink.simulator import SyntheticSourceConfig, draw_stats
+
+# sha256 over the serialize_plan documents of the default library's plans for
+# a 4096-latent log-uniform source on one exp-pdp(300) realization at 5, 10
+# and 15 dB; a deliberate change to plan bytes updates this constant and says
+# why in CHANGES.md
+DEFAULT_PLANS_SHA256 = "e407c89860e832602c4d258f672ab012560d2e2327d1e77bdb4834bb99cd49c0"
 
 
 def _gamma_steps(lib, qi):
@@ -42,6 +55,12 @@ def test_target_distortion_values():
 # ---------------------------------------------------------------------------
 # minimum bit allocation
 # ---------------------------------------------------------------------------
+
+
+def test_latent_stats_rejects_bad_variances():
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            LatentStats(np.zeros(2), np.array([1.0, bad]))
 
 
 def test_min_alloc_all_negligible(small_lib):
@@ -138,6 +157,85 @@ def test_loading_matches_exhaustive_on_small_instances(small_lib):
         p_tot = float(rng.uniform(0.5, 60) * n_sc)
         _, _, r = allocate_power_modulation(ch, p_tot, g)
         assert r == _exhaustive_rate(gains, p_tot, g)
+
+
+def test_loading_rejects_gamma_steps_not_strictly_increasing():
+    # a repeated threshold makes a zero increment, and 0 * inf is NaN on a
+    # zero-gain subcarrier
+    ch = ChannelRealization(np.array([0.0 + 0j, 1.0 + 0j, 0.5 + 0j]), 1.0, 30e3, 0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        allocate_power_modulation(ch, 100.0, np.array([0.0, 0.0, 1.0, 3.0, 6.0]))
+
+
+def _looped_loading(ch, p_tot, gamma_steps):
+    """allocate_power_modulation with the one-step-at-a-time loop forced."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocator, "gamma_increments_convex", lambda g: False)
+        return allocate_power_modulation(ch, p_tot, gamma_steps)
+
+
+def _assert_same_loading(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])  # bit for bit: no tolerance
+    assert got[2] == want[2]
+
+
+# dyadic steps keep every increment and its difference exact, so the sorted
+# path runs; equal picks make ties inside a subcarrier's step sequence
+_DYADIC_INCREMENTS = st.lists(
+    st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]), min_size=4, max_size=4
+).map(sorted)
+# repeated magnitudes make ties across subcarriers; 0 is a dead subcarrier
+_GAIN_MAGNITUDES = st.sampled_from([0.0, 0.25, 0.5, 0.8, 1.0, 1.3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mags=st.lists(_GAIN_MAGNITUDES, min_size=1, max_size=12),
+    increments=_DYADIC_INCREMENTS,
+    noise_var=st.sampled_from([1.0, 0.7]),
+    budget=st.one_of(
+        st.floats(min_value=1e-3, max_value=2e3, allow_nan=False),
+        st.integers(min_value=0, max_value=48),  # index of a cumulative-sum boundary
+    ),
+)
+def test_sorted_loading_equals_greedy_loop(mags, increments, noise_var, budget):
+    gamma_steps = np.concatenate(([0.0], np.cumsum(increments)))
+    assert gamma_increments_convex(gamma_steps)
+    ch = ChannelRealization(np.array(mags, dtype=np.complex128), noise_var, 30e3, 0)
+    if isinstance(budget, int):
+        with np.errstate(divide="ignore"):
+            inv_gain = noise_var / np.square(np.abs(ch.gains))
+        cost = np.sort((np.diff(gamma_steps)[None, :] * inv_gain[:, None]).ravel())
+        spent = np.cumsum(cost[np.isfinite(cost)])
+        budget = float(spent[min(budget, spent.size - 1)]) if spent.size else 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _assert_same_loading(
+            allocate_power_modulation(ch, budget, gamma_steps), _looped_loading(ch, budget, gamma_steps)
+        )
+
+
+def test_sorted_loading_equals_greedy_loop_on_library_rows(small_lib):
+    rng = stream_rng("sorted-loading", 0)
+    for _ in range(40):
+        n_sc = int(rng.integers(1, 64))
+        gains = (rng.standard_normal(n_sc) + 1j * rng.standard_normal(n_sc)) / np.sqrt(2)
+        ch = ChannelRealization(gains, 1.0, 30e3, 0)
+        g = _gamma_steps(small_lib, int(rng.integers(small_lib.epsilons.size)))
+        assert gamma_increments_convex(g)
+        p_tot = float(rng.uniform(0.1, 80.0) * n_sc)
+        _assert_same_loading(allocate_power_modulation(ch, p_tot, g), _looped_loading(ch, p_tot, g))
+
+
+def test_nonconvex_increments_take_the_loop():
+    # increments (1, 0.5, 1.5, 3): the sorted prefix would grant both cheap
+    # second steps, the greedy must first buy a first step
+    g = np.array([0.0, 1.0, 1.5, 3.0, 6.0])
+    assert not gamma_increments_convex(g)
+    ch = ChannelRealization(np.array([1.0 + 0j, np.sqrt(1 / 0.9) + 0j]), 1.0, 30e3, 0)
+    got = allocate_power_modulation(ch, 1.0, g)
+    assert list(got[0]) == [0, 2]
+    _assert_same_loading(got, _looped_loading(ch, 1.0, g))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +351,85 @@ def test_refine_matches_brute_force(small_lib):
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def _column_lib(col):
+    """Stand-in library with one distortion column (D(1), ..., D(b_max))."""
+    col = np.asarray(col, dtype=np.float64)
+    return SimpleNamespace(b_max=col.size, distortion_column=lambda qi: col)
+
+
+def _looped_refinement(lib, variances, bits, residual, qi=0):
+    col = np.concatenate(([1.0], lib.distortion_column(qi)))
+    return allocator._greedy_refinement(np.array(bits, dtype=np.int64), variances, col, lib.b_max, residual)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    decrements=st.lists(
+        st.sampled_from([1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]), min_size=1, max_size=8
+    ).map(lambda d: sorted(d, reverse=True)),
+    data=st.data(),
+)
+def test_top_k_refinement_equals_greedy_loop(decrements, data):
+    # dyadic decrements keep D(b) - D(b + 1) exact, so the top-k path runs
+    col = 1.0 - np.cumsum(decrements)
+    b_max = col.size
+    lib = _column_lib(col)
+    n = data.draw(st.integers(1, 10))
+    # repeated variances make ties across elements
+    variances = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5]), min_size=n, max_size=n)))
+    bits = np.array(data.draw(st.lists(st.integers(0, b_max), min_size=n, max_size=n)), dtype=np.int64)
+    headroom = int(np.sum(np.where(bits >= 1, b_max - bits, 0)))
+    residual = data.draw(st.integers(0, headroom + 5))  # past the headroom leaves dummies
+    stats = LatentStats(np.zeros(n), variances)
+    got_bits, got_dummy = refine_bit_allocation(lib, stats, bits, 0, int(bits.sum()) + residual)
+    want_bits, want_dummy = _looped_refinement(lib, variances, bits, residual)
+    assert np.array_equal(got_bits, want_bits)
+    assert got_dummy == want_dummy
+
+
+def test_top_k_refinement_equals_greedy_loop_on_library_columns(small_lib):
+    rng = stream_rng("top-k-refine", 0)
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        variances = np.exp(rng.uniform(np.log(0.05), np.log(sigma_max(small_lib) ** 2), n))
+        stats = LatentStats(np.zeros(n), variances)
+        qi = int(rng.integers(small_lib.epsilons.size))
+        bits, total = minimum_bit_allocation(small_lib, stats, qi, 0.4)
+        residual = int(rng.integers(0, 3 * n))
+        want = _looped_refinement(small_lib, variances, bits, residual, qi)
+        got = refine_bit_allocation(small_lib, stats, bits, qi, total + residual)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def _lib_with_column(lib, col):
+    cells = dict(lib.cells)
+    for b, d in enumerate(col, start=1):
+        cells[(b, 0)] = dataclasses.replace(cells[(b, 0)], normalized_distortion=d)
+    return dataclasses.replace(lib, cells=cells)
+
+
+@pytest.mark.parametrize(
+    "col, variances, want",
+    [
+        # the second bit is worth more than the first: top-k would split the
+        # two bits, the greedy gives both to the element with the larger
+        # first gain
+        ((0.6, 0.5, 0.0), (1.0, 1.2), [1, 3]),
+        # non-convex by 2^-44 only, which column_is_convex's 1e-12 tolerance
+        # admits; the tie on the first bit goes to element 0, whose second bit
+        # then beats element 1's first
+        ((0.5, 0.375, 0.25 - 2.0**-44), (1.0, 1.0), [3, 1]),
+    ],
+)
+def test_nonconvex_column_takes_the_loop(small_lib, col, variances, want):
+    lib = _lib_with_column(small_lib, col)
+    stats = LatentStats(np.zeros(2), np.array(variances))
+    bits = np.array([1, 1])
+    refined, dummy = refine_bit_allocation(lib, stats, bits, 0, 4)
+    assert list(refined) == want and dummy == 0
+    assert np.array_equal(refined, _looped_refinement(lib, stats.variances, bits, 2)[0])
+
+
 # ---------------------------------------------------------------------------
 # bit mapping
 # ---------------------------------------------------------------------------
@@ -322,6 +499,16 @@ def test_plan_refinement_never_decreases_bits(small_lib):
     plan = optimize_plan(small_lib, stats, ch, p_tot)
     floor_bits, _ = minimum_bit_allocation(small_lib, stats, plan.eps_index, 0.4)
     assert np.all(plan.bits >= floor_bits)
+
+
+def test_default_plan_bytes_are_pinned(default_lib):
+    stats = draw_stats(SyntheticSourceConfig(n_latents=4096), sigma_max(default_lib), stream_rng("source", 0, 0))
+    ch = realize_channel(exponential_pdp(300.0), 512, 30e3, seed=0)
+    h = hashlib.sha256()
+    for snr_db in (5.0, 10.0, 15.0):
+        plan = optimize_plan(default_lib, stats, ch, 512 * 10.0 ** (snr_db / 10.0))
+        h.update(serialize_plan(plan).encode("utf-8"))
+    assert h.hexdigest() == DEFAULT_PLANS_SHA256
 
 
 def test_plan_infeasible_when_power_hopeless(small_lib):

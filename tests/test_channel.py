@@ -161,6 +161,9 @@ def test_end_to_end_ber_ties_channel_to_modem():
 def test_realization_validation():
     with pytest.raises(ValueError):
         ChannelRealization(np.array([1 + 0j]), 0.0, 30e3, 0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelRealization(np.array([1 + 0j, bad]), 1.0, 30e3, 0)
     with pytest.raises(ValueError):
         realize_channel(flat_profile(), n_sc=0)
 

@@ -204,9 +204,11 @@ def test_simulate_smoke_and_determinism(tiny_lib_dir, tmp_path, capsys):
 
 def test_simulate_bad_config_exit_2(tmp_path, capsys):
     cfg_path = tmp_path / "broken.json"
-    cfg_path.write_text("{not json")
-    code, _, err = _run(capsys, "simulate", "--config", str(cfg_path))
-    assert code == 2
+    for text in ("{not json", "[]"):
+        cfg_path.write_text(text)
+        code, _, err = _run(capsys, "simulate", "--config", str(cfg_path))
+        assert code == 2
+        assert "bad experiment config" in err
 
 
 def test_simulate_rejects_misspelled_key(tiny_lib_dir, tmp_path, capsys):

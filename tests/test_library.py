@@ -182,6 +182,32 @@ def test_default_library_bytes_are_pinned(default_lib):
     assert digest == DEFAULT_LIBRARY_SHA256
 
 
+def test_digest_is_computed_once_per_object(small_lib, monkeypatch):
+    import quantlink.library as library_module
+
+    calls = []
+    real = library_module.serialize_library
+
+    def counting(lib):
+        calls.append(lib)
+        return real(lib)
+
+    monkeypatch.setattr(library_module, "serialize_library", counting)
+    lib = dataclasses.replace(small_lib)
+    want = hashlib.sha256(real(lib).encode("utf-8")).hexdigest()
+    assert lib.digest() == want
+    assert lib.digest() == want
+    assert len(calls) == 1
+
+    # a derived library starts without the cached digest
+    cells = dict(lib.cells)
+    cells[(1, 0)], cells[(1, 1)] = cells[(1, 1)], cells[(1, 0)]
+    swapped = dataclasses.replace(lib, cells=cells)
+    assert swapped.digest() == hashlib.sha256(real(swapped).encode("utf-8")).hexdigest()
+    assert swapped.digest() != want
+    assert len(calls) == 2
+
+
 def test_rebuild_is_byte_identical(small_lib):
     again = build_library(3, [0.01, 0.05], DesignConfig(restarts=4, seed=7))
     assert serialize_library(again) == serialize_library(small_lib)
