@@ -82,10 +82,17 @@ class NoFeasibleRateError(Exception):
 
 @dataclass
 class LatentStats:
-    """Per-element Gaussian parameters driving allocation and synthesis."""
+    """Per-element Gaussian parameters driving allocation and synthesis.
+
+    The object is immutable once its digest has been read: digest() hashes
+    the means and variances on its first call and returns that hash from
+    then on. Derive changed stats with dataclasses.replace, which starts
+    without a cached digest.
+    """
 
     means: np.ndarray
     variances: np.ndarray
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=np.float64)
@@ -100,10 +107,12 @@ class LatentStats:
         return int(self.means.size)
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.means.tobytes())
-        h.update(self.variances.tobytes())
-        return h.hexdigest()
+        if self._digest is None:
+            h = hashlib.sha256()
+            h.update(self.means.tobytes())
+            h.update(self.variances.tobytes())
+            self._digest = h.hexdigest()
+        return self._digest
 
 
 def target_distortion(sigma2):
@@ -296,8 +305,10 @@ class BitMapping:
 def build_bit_mapping(modulations: np.ndarray, t_sym: int) -> BitMapping:
     modulations = np.asarray(modulations, dtype=np.int64)
     active = np.flatnonzero(modulations > 0)
-    sc_once = np.repeat(active, modulations[active])
-    pos_once = np.concatenate([np.arange(m) for m in modulations[active]]) if active.size else np.zeros(0, dtype=np.int64)
+    counts = modulations[active]
+    sc_once = np.repeat(active, counts)
+    # bit position within each active subcarrier: 0..m-1, subcarrier after subcarrier
+    pos_once = np.arange(sc_once.size) - np.repeat(np.cumsum(counts) - counts, counts)
     r_sym = sc_once.size
     return BitMapping(
         symbol=np.repeat(np.arange(t_sym), r_sym),

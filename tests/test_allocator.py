@@ -63,6 +63,29 @@ def test_latent_stats_rejects_bad_variances():
             LatentStats(np.zeros(2), np.array([1.0, bad]))
 
 
+def test_stats_digest_is_computed_once_per_object(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(allocator, "hashlib", SimpleNamespace(sha256=counting))
+    stats = LatentStats(np.arange(3.0), np.array([0.5, 1.0, 2.0]))
+    want = hashlib.sha256(stats.means.tobytes() + stats.variances.tobytes()).hexdigest()
+    assert stats.digest() == want
+    assert stats.digest() == want
+    assert len(calls) == 1
+
+    # derived stats start without the cached digest
+    scaled = dataclasses.replace(stats, variances=2.0 * stats.variances)
+    assert scaled.digest() == hashlib.sha256(
+        scaled.means.tobytes() + scaled.variances.tobytes()
+    ).hexdigest()
+    assert scaled.digest() != want
+    assert len(calls) == 2
+
+
 def test_min_alloc_all_negligible(small_lib):
     stats = LatentStats(np.zeros(5), np.full(5, 0.2))
     bits, total = minimum_bit_allocation(small_lib, stats, 0, 0.4)
@@ -441,6 +464,15 @@ def test_mapping_single_qpsk_subcarrier():
     assert list(mapping.subcarrier) == [1, 1]
     assert list(mapping.position) == [0, 1]
     assert list(mapping.symbol) == [0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from((0, 2, 4, 6, 8)), max_size=40), st.integers(1, 3))
+def test_mapping_positions_count_up_per_subcarrier(modulations, t_sym):
+    mapping = build_bit_mapping(np.array(modulations, dtype=np.int64), t_sym)
+    per_symbol = [pos for m in modulations for pos in range(m)]
+    assert mapping.position.dtype == np.int64
+    assert mapping.position.tolist() == per_symbol * t_sym
 
 
 def test_mapping_is_bijection():

@@ -177,6 +177,18 @@ def test_load_rejects_bad_epsilon_grid(tmp_path, small_lib):
         load_library(path)
 
 
+def test_load_rejects_non_integer_design_counts(tmp_path, small_lib):
+    path = tmp_path / "lib.json"
+    save_library(small_lib, path)
+    for key, bad in (("restarts", 10.0), ("restarts", True), ("max_iters", 200.0), ("seed", 1.5)):
+        doc = json.loads(path.read_text())
+        doc["design"][key] = bad
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(doc))
+        with pytest.raises(LibraryFormatError, match=f"{key} must be an int"):
+            load_library(bad_path)
+
+
 def test_default_library_bytes_are_pinned(default_lib):
     digest = hashlib.sha256(serialize_library(default_lib).encode("utf-8")).hexdigest()
     assert digest == DEFAULT_LIBRARY_SHA256

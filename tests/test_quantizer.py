@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sst
 
+import quantlink.quantizer as quantizer_module
 from quantlink.quantizer import (
     DesignConfig,
+    _line_coefficients,
+    _optimal_regions,
+    _pairwise_regions,
     analytic_distortion,
     bsc_corrupt,
     bsc_transition_matrix,
@@ -140,6 +144,110 @@ def test_converged_design_drops_useless_codewords_and_matches_scan():
         assert set(np.unique(chosen)) == set(q.region_codewords.tolist())
 
 
+def _region_lines(b: int, kind: str, seed: int, eps):
+    """Lines (a, b) of a region update, from designer-like levels or degenerate on purpose.
+
+    levels:     random levels through a flip channel (noiseless, useless or in between)
+    repeated:   the split warm start of the previous bit depth, np.repeat(levels, 2)
+    ties:       some slopes set equal to, or one ulp off, another line's slope
+    concurrent: a hull with one more line through some of its vertices, on the
+                vertex up to rounding or an ulp below it, and the rest well above
+    """
+    n = 1 << b
+    rng = stream_rng("envelope-lines", seed)
+    if kind == "concurrent":
+        # each extra line through a vertex makes three cuts within a few ulps
+        m = max(2, n // 2)
+        slopes = np.sort(rng.normal(0.0, 1.0, m))
+        vertices = np.sort(rng.normal(0.0, 1.0, m - 1))
+        offsets = np.concatenate(([0.0], np.cumsum(2.0 * np.diff(slopes) * vertices)))
+        cuts = np.diff(offsets) / (2.0 * np.diff(slopes))
+        at = rng.choice(m - 1, size=min(m - 1, n - m), replace=False)
+        extra = rng.uniform(slopes[:-1], slopes[1:])[at]
+        through = offsets[at] - 2.0 * slopes[at] * cuts[at] + 2.0 * extra * cuts[at]
+        through = np.where(rng.random(at.size) < 0.5, through, np.nextafter(through, -np.inf))
+        above = rng.uniform(slopes[0], slopes[-1], n - m - at.size)
+        lifted = np.max(offsets) + 1.0 + 4.0 * np.max(np.abs(slopes)) * (1.0 + np.max(np.abs(cuts)))
+        perm = rng.permutation(n)
+        a = np.concatenate((slopes, extra, above))
+        b2 = np.concatenate((offsets, through, np.full(above.size, lifted)))
+        return a[perm], b2[perm]
+    levels = rng.normal(0.0, 1.5, n)
+    if kind == "repeated" and b > 1:
+        levels = np.repeat(np.sort(levels[: n // 2]), 2)
+    if eps is None:
+        eps = 10.0 ** rng.uniform(-6.0, np.log10(0.4))
+    a, b2 = _line_coefficients(levels, bsc_transition_matrix(uniform_bsc(b, eps)))
+    if kind == "ties":
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = rng.integers(n, size=2)
+            a[j] = a[i] if rng.random() < 0.5 else np.nextafter(a[i], rng.choice([-np.inf, np.inf]))
+            if rng.random() < 0.5:
+                b2[j] = b2[i]
+    return a, b2
+
+
+region_lines = st.builds(
+    _region_lines,
+    b=st.integers(min_value=1, max_value=8),
+    kind=st.sampled_from(("levels", "repeated", "ties", "concurrent")),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    eps=st.sampled_from((0.0, 0.5, None)),  # None: log-uniform in [1e-6, 0.4]
+)
+
+
+def _hex_lines(slopes, offsets):
+    return np.array(slopes), np.array([float.fromhex(x) for x in offsets])
+
+
+@settings(max_examples=300, deadline=None)
+@given(region_lines)
+# three lines through one vertex up to rounding, where the adjacent-pair cut
+# is not the pairwise minimum (found by a random search over such clusters):
+# the middle line on the hull with an interval a few ulps wide ...
+@example(_hex_lines(
+    [-1.15, -0.11, 0.37, 0.3],
+    ["0x0.0p+0", "0x1.8a0902de00d1bp-1", "0x1.1ff2e48e8a71ep+0", "0x1.4p+3"],
+))
+# ... or above the envelope by a few ulps
+@example(_hex_lines(
+    [-0.53, 0.05, 0.43, -0.39],
+    ["0x0.0p+0", "0x1.ab9f559b3d07dp-1", "0x1.61e4f765fd8aep+0", "0x1.4p+3"],
+))
+# a cut that overflows: the pairwise code drops the second line
+@example((np.array([0.0, 1e-300]), np.array([0.0, 1e10])))
+def test_envelope_regions_equal_pairwise_bit_for_bit(lines):
+    a, b2 = lines
+    with np.errstate(over="ignore"):  # the overflow example
+        thresholds, codewords = _optimal_regions(a, b2)
+        want_thresholds, want_codewords = _pairwise_regions(a, b2)
+    assert thresholds.dtype == want_thresholds.dtype
+    assert thresholds.tobytes() == want_thresholds.tobytes()
+    assert codewords.dtype == want_codewords.dtype
+    assert codewords.tobytes() == want_codewords.tobytes()
+
+
+def test_near_tie_takes_the_pairwise_fallback(monkeypatch):
+    calls = []
+
+    def counting(a, b2):
+        calls.append(a)
+        return _pairwise_regions(a, b2)
+
+    monkeypatch.setattr(quantizer_module, "_pairwise_regions", counting)
+    optimal_regions([-1.0, -0.25, 0.25, 1.0], [0.0, 0.0])
+    assert not calls
+    # the two leftmost slopes are one ulp apart; every vertex is well
+    # separated (cuts about -5, -0.5 and 0.5), so only the tie margin declines
+    a = np.array([-1.0, np.nextafter(-1.0, 0.0), 0.0, 1.0])
+    b2 = np.array([0.0, -10.0 * 2.0**-53, -1.0, 0.0])
+    thresholds, codewords = _optimal_regions(a, b2)
+    assert len(calls) == 1
+    want_thresholds, want_codewords = _pairwise_regions(a, b2)
+    assert thresholds.tobytes() == want_thresholds.tobytes()
+    assert codewords.tolist() == want_codewords.tolist() == [0, 1, 2, 3]
+
+
 # ---------------------------------------------------------------------------
 # level update
 # ---------------------------------------------------------------------------
@@ -252,6 +360,13 @@ def test_design_cached_distortion_consistent():
     assert analytic_distortion(q, q.designed_for) == pytest.approx(
         q.normalized_distortion, abs=1e-10
     )
+
+
+def test_design_config_rejects_non_int_counts():
+    for bad in ({"restarts": 3.0}, {"restarts": True}, {"max_iters": 200.0}, {"seed": 1.5}):
+        with pytest.raises(ValueError, match="must be an int"):
+            DesignConfig(**bad)
+    assert DesignConfig(restarts=3, max_iters=5, seed=0).restarts == 3
 
 
 def test_design_rejects_bad_depth():
