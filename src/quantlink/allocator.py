@@ -319,7 +319,13 @@ def build_bit_mapping(modulations: np.ndarray, t_sym: int) -> BitMapping:
 
 @dataclass
 class AllocationPlan:
-    """Everything the transmitter and receiver need for one coherence block."""
+    """Everything the transmitter and receiver need for one coherence block.
+
+    A plan is immutable once it has been run: the first run_trial call builds
+    the plan's frame layout (bit-depth groups, bit-to-symbol gathers, pad
+    bits) and every later frame reuses it. Derive a changed plan with
+    dataclasses.replace, which starts without a layout.
+    """
 
     eps_index: int
     epsilon_star: float
@@ -332,6 +338,8 @@ class AllocationPlan:
     seed: int
     digests: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
+    # simulator._FrameLayout, filled by the plan's first run_trial call
+    _frame_layout: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def b_lat(self) -> int:

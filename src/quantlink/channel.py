@@ -168,14 +168,18 @@ def realize_channel(
 
 
 def transmit_symbols(s, p, h, noise_var: float, rng: np.random.Generator):
-    """Received samples sqrt(p) h s + CN(0, noise_var) noise; broadcasts over arrays."""
+    """Received samples sqrt(p) h s + CN(0, noise_var) noise; broadcasts over arrays.
+
+    The noise is drawn row by row along the last axis, real row then imaginary
+    row, so a (t, n) call consumes rng exactly like t sequential 1-D calls.
+    """
     s = np.asarray(s, dtype=np.complex128)
     p = np.asarray(p, dtype=np.float64)
     if np.any(p < 0):
         raise ValueError("power must be nonnegative")
-    noise = np.sqrt(noise_var / 2.0) * (
-        rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
-    )
+    z = rng.standard_normal(s.shape[:-1] + (2,) + s.shape[-1:])
+    re, im = (z[..., 0, :], z[..., 1, :]) if s.ndim else z
+    noise = np.sqrt(noise_var / 2.0) * (re + 1j * im)
     return np.sqrt(p) * np.asarray(h, dtype=np.complex128) * s + noise
 
 

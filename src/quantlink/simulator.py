@@ -5,6 +5,17 @@ QAM modulation, per-subcarrier fading plus noise, equalization, hard-decision
 demodulation, inverse mapping and dequantization, and records per-element
 squared errors alongside realized per-subcarrier bit error rates.
 
+A plan serves every frame of its coherence block, so what depends on the plan
+alone is built once, on the plan's first trial, and kept on the plan: the
+bit-depth groups, the payload bit -> (element, shift) map that packs codewords
+into the bit stream and unpacks received bits with one reduceat, the pad bits,
+and per active modulation order the subcarriers, powers and a
+(t_sym, subcarriers, m) gather of stream indices. Nothing of the channel
+realization is kept; its gains and noise variance are read every frame. Each
+frame then makes one transmit, equalize and demodulate call per active
+modulation order, covering all OFDM symbols at once; the noise is drawn
+symbol by symbol, so the result equals a symbol-by-symbol loop bit for bit.
+
 An experiment fixes one source (its per-element means and variances), then
 sweeps SNR points and channel realizations; each trial gets its transmission
 plan from the allocator. Every random stream is derived from the experiment
@@ -135,20 +146,53 @@ class TrialResult:
             )
 
 
-def _words_from_bits(bits: np.ndarray, owner_starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    words = np.zeros(owner_starts.size, dtype=np.int64)
-    for j in range(int(widths.max(initial=0))):
-        has = widths > j
-        words[has] = (words[has] << 1) | bits[owner_starts[has] + j]
-    return words
+@dataclass(frozen=True)
+class _FrameLayout:
+    """The part of the trial chain that depends on the plan alone.
+
+    groups holds (bit depth, element indices, their ranks among the sent
+    elements); payload bit k carries bit shift[k] of element owner[k]'s
+    codeword, and starts[j] is the first payload bit of sent element j. The
+    stream is the payload followed by the plan's pad bits. orders holds, per
+    active modulation order m, (m, subcarriers, powers, gather), where
+    gather[t, k, c] is the stream index of bit position c on subcarrier k of
+    OFDM symbol t (most significant bit first).
+    """
+
+    groups: tuple
+    owner: np.ndarray
+    shift: np.ndarray
+    starts: np.ndarray
+    pad: np.ndarray
+    orders: tuple
 
 
-def _bits_from_words(words: np.ndarray, widths: np.ndarray, total: int, starts: np.ndarray) -> np.ndarray:
-    out = np.zeros(total, dtype=np.int64)
-    for j in range(int(widths.max(initial=0))):
-        has = widths > j
-        out[starts[has] + j] = (words[has] >> (widths[has] - 1 - j)) & 1
-    return out
+def _build_frame_layout(plan: AllocationPlan) -> _FrameLayout:
+    widths = plan.bits.astype(np.int64)
+    sent = np.flatnonzero(widths > 0)
+    rank = np.cumsum(widths > 0) - 1
+    groups = []
+    for b in np.unique(widths[sent]):
+        ids = np.flatnonzero(widths == b)
+        groups.append((int(b), ids, rank[ids]))
+    counts = widths[sent]
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(sent, counts)
+    # bit j of a w-bit word (MSB first) is the word shifted right by w - 1 - j
+    shift = np.repeat(starts + counts - 1, counts) - np.arange(owner.size)
+
+    dummy_rng = np.random.Generator(np.random.PCG64(plan_dummy_seed(plan)))
+    pad = dummy_rng.integers(0, 2, size=plan.dummy_bits)
+
+    mapping = plan.mapping
+    slots = np.zeros((plan.t_sym, plan.modulations.size, max(modem.QAM_BITS)), dtype=np.int64)
+    slots[mapping.symbol, mapping.subcarrier, mapping.position] = np.arange(mapping.total_bits)
+    orders = []
+    for m in modem.QAM_BITS:
+        sc = np.flatnonzero(plan.modulations == m)
+        if sc.size:
+            orders.append((m, sc, plan.powers[sc], slots[:, sc, :m]))
+    return _FrameLayout(tuple(groups), owner, shift, starts, pad, tuple(orders))
 
 
 def run_trial(
@@ -163,18 +207,18 @@ def run_trial(
     """Send one latent vector through the full link under a fixed plan."""
     if y.shape != stats.means.shape:
         raise ValueError("sample vector shape must match stats")
+    if plan.digests.get("library") not in (None, lib.digest()):
+        raise ValueError("plan was built for a different quantizer library")
     if plan.digests.get("stats") not in (None, stats.digest()):
         raise ValueError("plan was built for different latent stats")
     if plan.digests.get("channel_seed") not in (None, realization.seed):
         raise ValueError("plan was built for a different channel realization")
 
-    n = stats.n
     targets = target_distortion(stats.variances)
-    bits = plan.bits
-    widths = bits.astype(np.int64)
-    starts = np.concatenate(([0], np.cumsum(widths)))[:-1]
-    b_lat = int(widths.sum())
+    b_lat = plan.b_lat
     yhat = stats.means.copy()
+    err_per_sc = np.zeros(realization.n_sc)
+    bits_per_sc = np.zeros(realization.n_sc)
 
     if plan.is_empty or b_lat == 0:
         return TrialResult(
@@ -182,66 +226,40 @@ def run_trial(
             per_element_target=targets,
             bits_sent=0,
             t_sym=0,
-            realized_errors_per_subcarrier=np.zeros(realization.n_sc),
-            realized_bits_per_subcarrier=np.zeros(realization.n_sc),
+            realized_errors_per_subcarrier=err_per_sc,
+            realized_bits_per_subcarrier=bits_per_sc,
             seed=seed,
         )
 
+    layout = plan._frame_layout
+    if layout is None:
+        layout = plan._frame_layout = _build_frame_layout(plan)
+
     # quantize elements sharing a bit depth together (same normalized quantizer)
     std = np.sqrt(stats.variances)
-    codewords = np.zeros(n, dtype=np.int64)
-    for b in np.unique(widths[widths > 0]):
-        sel = np.flatnonzero(widths == b)
-        q = lib.quantizer(int(b), plan.eps_index)
-        codewords[sel] = quantize(y[sel], stats.means[sel], std[sel], q)
-    sent = widths > 0
-    tx_bits = _bits_from_words(codewords[sent], widths[sent], b_lat, starts[sent])
+    codewords = np.zeros(stats.n, dtype=np.int64)
+    for b, ids, _ in layout.groups:
+        q = lib.quantizer(b, plan.eps_index)
+        codewords[ids] = quantize(y[ids], stats.means[ids], std[ids], q)
+    stream = np.concatenate(((codewords[layout.owner] >> layout.shift) & 1, layout.pad))
 
-    dummy_rng = np.random.Generator(np.random.PCG64(plan_dummy_seed(plan)))
-    stream = np.concatenate((tx_bits, dummy_rng.integers(0, 2, size=plan.dummy_bits)))
-
-    mapping = plan.mapping
-    total = mapping.total_bits
-    rx_stream = np.zeros(total, dtype=np.int64)
-    err_per_sc = np.zeros(realization.n_sc)
-    bits_per_sc = np.zeros(realization.n_sc)
-
-    # per modulation order: gather bit indices per RE once, reuse each symbol
-    sym_of_bit = mapping.symbol
-    for m in modem.QAM_BITS:
-        sc_m = np.flatnonzero(plan.modulations == m)
-        if sc_m.size == 0:
-            continue
-        first_sym = sym_of_bit == 0
-        gather = np.zeros((sc_m.size, m), dtype=np.int64)
-        for col in range(m):
-            pick = first_sym & np.isin(mapping.subcarrier, sc_m) & (mapping.position == col)
-            gather[:, col] = np.flatnonzero(pick)
-        h = realization.gains[sc_m]
-        p = plan.powers[sc_m]
-        table = modem.constellation(m)
+    # one transmit per modulation order, covering every OFDM symbol at once
+    rx_stream = np.zeros(stream.size, dtype=np.int64)
+    for m, sc, p, gather in layout.orders:
         shifts = np.arange(m - 1, -1, -1)
-        r_sym = total // plan.t_sym
-        for t in range(plan.t_sym):
-            g = gather + t * r_sym
-            words = (stream[g] << shifts).sum(axis=1)
-            s = table.points[words]
-            r = chan.transmit_symbols(s, p, h, realization.noise_var, rng)
-            rx_words = modem.demodulate(chan.equalize(r, p, h), m)
-            for col in range(m):
-                rx_stream[g[:, col]] = (rx_words >> (m - 1 - col)) & 1
-            nerr = _POPCOUNT[np.asarray(words ^ rx_words)]
-            err_per_sc[sc_m] += nerr
-            bits_per_sc[sc_m] += m
+        h = realization.gains[sc]
+        words = stream[gather] @ (1 << shifts)
+        s = modem.constellation(m).points[words]
+        r = chan.transmit_symbols(s, p, h, realization.noise_var, rng)
+        rx_words = modem.demodulate(chan.equalize(r, p, h), m)
+        rx_stream[gather] = (rx_words[..., None] >> shifts) & 1
+        err_per_sc[sc] += _POPCOUNT[words ^ rx_words].sum(axis=0)
+        bits_per_sc[sc] += m * plan.t_sym
 
-    rx_payload = rx_stream[:b_lat]
-    rx_words = _words_from_bits(rx_payload, starts[sent], widths[sent])
-    sel = np.flatnonzero(sent)
-    for b in np.unique(widths[sent]):
-        grp = widths[sel] == b
-        q = lib.quantizer(int(b), plan.eps_index)
-        ids = sel[grp]
-        yhat[ids] = dequantize(rx_words[grp], stats.means[ids], std[ids], q)
+    rx_words = np.add.reduceat(rx_stream[:b_lat] << layout.shift, layout.starts)
+    for b, ids, ranks in layout.groups:
+        q = lib.quantizer(b, plan.eps_index)
+        yhat[ids] = dequantize(rx_words[ranks], stats.means[ids], std[ids], q)
 
     return TrialResult(
         per_element_sq_error=np.square(y - yhat),

@@ -111,6 +111,33 @@ def test_transmit_zero_power_is_pure_noise():
     assert abs(np.mean(np.abs(r) ** 2) - 2.0) < 0.02
 
 
+def test_transmit_batches_symbols_row_by_row():
+    # a (t, n) call draws its noise exactly like t sequential 1-D calls
+    t, n = 5, 7
+    s = np.exp(2j * np.pi * stream_rng("txb-s", 0).random((t, n)))
+    p = np.linspace(0.5, 3.0, n)
+    h = np.exp(1j * np.linspace(0.1, 2.0, n)) * np.linspace(0.2, 1.5, n)
+    batched = transmit_symbols(s, p, h, 0.8, stream_rng("txb", 1))
+    rng = stream_rng("txb", 1)
+    rows = [transmit_symbols(s[k], p, h, 0.8, rng) for k in range(t)]
+    assert batched.shape == (t, n)
+    assert batched.tobytes() == np.stack(rows).tobytes()
+
+    # a 1-D call: n real draws, then n imaginary draws
+    rng = stream_rng("txb", 2)
+    want = np.sqrt(p) * h * s[0] + np.sqrt(0.4) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    assert transmit_symbols(s[0], p, h, 0.8, stream_rng("txb", 2)).tobytes() == want.tobytes()
+
+    # a 0-d call: one real draw, then one imaginary draw, like a length-1 call
+    rng = stream_rng("txb", 3)
+    got = transmit_symbols(s[0, 0], 2.0, h[0], 0.8, rng)
+    want = transmit_symbols(s[0, :1], 2.0, h[0], 0.8, stream_rng("txb", 3))
+    assert np.ndim(got) == 0 and complex(got) == complex(want[0])
+    after_two = stream_rng("txb", 3)
+    after_two.standard_normal(2)
+    assert rng.standard_normal() == after_two.standard_normal()
+
+
 def test_empirical_snr_matches_configured():
     rng = stream_rng("snr", 0)
     n = 1_000_000

@@ -97,6 +97,27 @@ def test_partition_moments_sum(thresholds):
     assert float(np.sum(m2)) == pytest.approx(1.0, abs=1e-10)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=-12, max_value=12, allow_nan=False), min_size=0, max_size=12
+    ),
+    st.floats(min_value=-1, max_value=1, allow_nan=False),
+)
+def test_vector_moments_equal_scalar_calls_bit_for_bit(thresholds, offset):
+    # adjacent intervals share their edge evaluations; any other intervals
+    # take the general path; both must equal one call per interval exactly
+    cuts = np.sort(np.asarray(thresholds + [-0.0, 0.0], dtype=float))
+    partition = (np.concatenate(([-np.inf], cuts)), np.concatenate((cuts, [np.inf])))
+    shifted = (partition[0] + offset, partition[1])
+    for lo, hi in (partition, shifted):
+        got = interval_moments(lo, hi)
+        for i in range(lo.size):
+            want = interval_moments(float(lo[i]), float(hi[i]))
+            for g, w in zip(got, want):
+                assert g[i].tobytes() == np.float64(w).tobytes()
+
+
 def test_squared_error_integral_identity():
     # int (y - R)^2 phi over (a, b] == m2 - 2 R m1 + R^2 mass
     rng = np.random.default_rng(5)

@@ -1,6 +1,10 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
+from quantlink import simulator
 from quantlink.allocator import LatentStats, optimize_plan, validate_plan
 from quantlink.channel import exponential_pdp, realize_channel
 from quantlink.library import sigma_max
@@ -166,6 +170,47 @@ def test_trial_rejects_mismatched_channel(small_lib):
         run_trial(stats, y, plan, small_lib, other, stream_rng("n", 3))
 
 
+def test_trial_rejects_mismatched_library(small_lib):
+    stats, ch, plan = _setup_plan(small_lib)
+    cells = dict(small_lib.cells)
+    cells[(1, 0)], cells[(1, 1)] = cells[(1, 1)], cells[(1, 0)]
+    other = dataclasses.replace(small_lib, cells=cells)
+    y = sample_latents(stats, True, stream_rng("y", 3))
+    with pytest.raises(ValueError, match="library"):
+        run_trial(stats, y, plan, other, ch, stream_rng("n", 3))
+
+
+def test_frame_layout_is_built_once_per_plan(small_lib, monkeypatch):
+    calls = []
+    real = simulator._build_frame_layout
+
+    def counting(plan):
+        calls.append(plan)
+        return real(plan)
+
+    monkeypatch.setattr(simulator, "_build_frame_layout", counting)
+    stats, ch, plan = _setup_plan(small_lib, n=64, n_sc=16, snr_db=6.0, seed=33)
+    errors = 0.0
+    for f in range(3):
+        y = sample_latents(stats, True, stream_rng("yl", f))
+        res = run_trial(stats, y, plan, small_lib, ch, stream_rng("nl", f))
+        errors += res.realized_errors_per_subcarrier.sum()
+    assert len(calls) == 1
+    assert errors > 0
+
+    # the layout holds nothing of the realization: the noise is read per frame
+    ch.noise_var = 1e-30
+    res = run_trial(stats, y, plan, small_lib, ch, stream_rng("nl", 3))
+    assert res.realized_errors_per_subcarrier.sum() == 0
+    assert len(calls) == 1
+
+    # a derived plan starts without a layout
+    derived = dataclasses.replace(plan, seed=plan.seed + 1)
+    assert derived._frame_layout is None and plan._frame_layout is not None
+    run_trial(stats, y, derived, small_lib, ch, stream_rng("nl", 4))
+    assert len(calls) == 2 and calls[1] is derived
+
+
 def test_trial_mean_error_matches_analytic(small_lib):
     stats, ch, plan = _setup_plan(small_lib, n=24, n_sc=16, snr_db=14.0, seed=21)
     col = np.concatenate(([1.0], small_lib.distortion_column(plan.eps_index)))
@@ -239,3 +284,87 @@ def test_experiment_csv_shape(small_lib):
     lines = text.strip().split("\n")
     assert len(lines) == 3
     assert lines[0].startswith("snr_db,trials,frames,")
+
+
+_TRIAL_ARRAYS = (
+    "per_element_sq_error",
+    "per_element_target",
+    "realized_errors_per_subcarrier",
+    "realized_bits_per_subcarrier",
+)
+
+# sha256 over two consecutive frames of each TrialResult array (dtype string,
+# then raw bytes), taken from a symbol-by-symbol trial chain, which the batched
+# chain reproduces bit for bit. Keys: (n_latents, n_sc, snr_db, seed, var_hi); values: the
+# plan's (t_sym, dummy_bits, modulation orders) and one digest per array.
+_PINNED_TRIALS = {
+    # several OFDM symbols and three modulation orders, no pad bits
+    (200, 16, 10.0, 6, None): (
+        (3, 0, (0, 2, 4, 6)),
+        {
+            "per_element_sq_error": "a5ff67990b794e25fc577ab17d823355ecd82fd67d8f82b4b4aa1771ae2d4f61",
+            "per_element_target": "688c7676adc4bef668ee98ea912cd9ac2c0ff0696a370a80193b149b1ef27264",
+            "realized_errors_per_subcarrier": "8091497862f2af258e01d0d735a41e9f699821e45eda12c54b7ca34ea106bc09",
+            "realized_bits_per_subcarrier": "5a67badecc398a7b1440d8e30fbc3599aa6dffbfb2d809041f46b1e4748dceab",
+        },
+    ),
+    # two symbols whose grid is topped up with pad bits
+    (200, 16, 12.0, 0, None): (
+        (2, 38, (6, 8)),
+        {
+            "per_element_sq_error": "de37d1ccef4d56c50545ffa78609547914c0eb8810208f8298c2161c69db805f",
+            "per_element_target": "451a2863dce9f669b91027ca12e2b2e1f74d74e3cf33502e280eb62622fb5e9c",
+            "realized_errors_per_subcarrier": "e7c42a130d7fc03c08d2e77019798484511a44ad026097f240835d159197a836",
+            "realized_bits_per_subcarrier": "0ca8f29d111adaf8030ee6151ca8ed2a1a68cfdcbfcd85164468f9cbccbcbca7",
+        },
+    ),
+    # a one-symbol plan
+    (24, 16, 14.0, 21, None): (
+        (1, 30, (0, 2, 4, 6)),
+        {
+            "per_element_sq_error": "8e2fe2c124468b5cd87a593dcf92cb8a7c6c861d49bdd49e8c19b88af4269875",
+            "per_element_target": "219b7e34210eb3ba5aa67232777b57399b27829aafd3341a9c49dddc2e4c0b7b",
+            "realized_errors_per_subcarrier": "2f608f45df9fc19f669b866f4b4bb2bd48f92ef94a4fb4d9771a2792ecfed8f1",
+            "realized_bits_per_subcarrier": "0219962ad6991683acd99167bc64a956e3da82191ad65028731cf0a8092e06b5",
+        },
+    ),
+    # every element negligible: the empty plan
+    (8, 16, 10.0, 3, 0.3): (
+        (0, 0, (0,)),
+        {
+            "per_element_sq_error": "77150726ef9849f755fd75a93e44e55c6ad4198c7c33e86a62afb78e26c81ca3",
+            "per_element_target": "1c1211562f26e2818d078c29299b7e40b0f106c988573ec9f47294e95e94dd8d",
+            "realized_errors_per_subcarrier": "ddf083fb3c895d1bc63dbc4a013ebde1e781f961acfcf930a67d1938da2d92e7",
+            "realized_bits_per_subcarrier": "ddf083fb3c895d1bc63dbc4a013ebde1e781f961acfcf930a67d1938da2d92e7",
+        },
+    ),
+}
+
+
+def _pinned_trial_digests(lib, n, n_sc, snr_db, seed, var_hi):
+    rng = stream_rng("pin", seed)
+    hi = sigma_max(lib) ** 2 if var_hi is None else var_hi
+    stats = LatentStats(
+        rng.uniform(-1.0, 1.0, size=n), np.exp(rng.uniform(np.log(1e-3), np.log(hi), size=n))
+    )
+    ch = realize_channel(exponential_pdp(300.0), n_sc, 30e3, seed=seed)
+    plan = optimize_plan(lib, stats, ch, n_sc * 10 ** (snr_db / 10.0), seed=seed)
+    shape = (plan.t_sym, plan.dummy_bits, tuple(sorted(set(plan.modulations.tolist()))))
+    hashes = {name: hashlib.sha256() for name in _TRIAL_ARRAYS}
+    for frame in range(2):
+        y = sample_latents(stats, True, stream_rng("pin-y", seed, frame))
+        res = run_trial(stats, y, plan, lib, ch, stream_rng("pin-n", seed, frame), seed=seed)
+        assert (res.bits_sent, res.t_sym, res.seed) == (plan.b_lat, plan.t_sym, seed)
+        assert type(res.bits_sent) is int and type(res.t_sym) is int
+        for name in _TRIAL_ARRAYS:
+            arr = getattr(res, name)
+            hashes[name].update(arr.dtype.str.encode() + arr.tobytes())
+    return shape, {name: h.hexdigest() for name, h in hashes.items()}
+
+
+@pytest.mark.parametrize("key", list(_PINNED_TRIALS))
+def test_trial_outputs_are_pinned(small_lib, key):
+    want_shape, want = _PINNED_TRIALS[key]
+    shape, got = _pinned_trial_digests(small_lib, *key)
+    assert shape == want_shape
+    assert got == want
