@@ -1,44 +1,55 @@
 """Cross-layer allocation: bit depths, BER target, modulation and power, bit mapping.
 
-For each candidate BER target on the library grid, two independent solves run:
+A plan runs in three steps.
 
-  * source side: each latent element gets the smallest bit depth whose library
-    distortion meets its variance-derived bound 1/(sigma^2 + 1); variances
-    below the negligibility threshold get zero bits.
+  * Rate every BER target on the library grid at once. For target q, b_lat[q]
+    is the total of the per-element minimum bit depths: each element gets the
+    smallest depth whose library distortion meets its variance-derived bound
+    1/(sigma^2 + 1), and variances below the negligibility threshold get zero
+    bits. r_sym[q] is the bits per OFDM symbol of greedy loading: starting
+    from silence, the subcarrier with the cheapest power increment for one
+    modulation step (QPSK -> 16 -> 64 -> 256-QAM) is raised until the next
+    increment no longer fits the power budget. Power per subcarrier is pinned
+    to hit the BER target exactly given its gain, so the per-bit flip
+    probability matches the quantizer design point. Under a convex
+    SNR-threshold table this greedy is exactly optimal.
 
-  * channel side: greedy loading over one OFDM symbol. Starting from silence,
-    the subcarrier with the cheapest power increment for one modulation step
-    (QPSK -> 16 -> 64 -> 256-QAM) is raised until the next increment no longer
-    fits the power budget. Power per subcarrier is pinned to hit the BER
-    target exactly given its gain, so the per-bit flip probability matches the
-    quantizer design point. Under a convex SNR-threshold table this greedy is
-    exactly optimal.
+  * Select the target minimizing b_lat / r_sym (ties to the smaller target);
+    the symbol count is the ceiling of that ratio. Only this target's bit
+    depths, modulations and powers are then built, by the same per-target
+    functions (minimum_bit_allocation, allocate_power_modulation) that define
+    b_lat and r_sym.
 
-The target minimizing required-bits / bits-per-symbol wins (ties to the
-smaller target), the symbol count is the ceiling of that ratio, and leftover
-symbol capacity is granted bit by bit to the element with the largest
-marginal weighted-distortion reduction. Whatever capacity remains after every
-element saturates is padded with pseudo-random dummy bits so the resource-grid
-accounting stays exact.
+  * Grant leftover symbol capacity bit by bit to the element with the largest
+    marginal weighted-distortion reduction. Whatever capacity remains after
+    every element saturates is padded with pseudo-random dummy bits so the
+    resource-grid accounting stays exact.
 
-Both greedy loops are merges of per-item cost sequences, one per subcarrier
-(loading) or per element (refinement). When every sequence is monotone in the
-direction the greedy consumes it, the greedy order is the sorted order of all
-(item, step) costs, ties broken by item index and then step (Hughes-Hartogs
-loading equals one ascending sort of its increments; J. Campello, "Practical
-bit loading for DMT", ICC 1999). So:
+The rating needs no per-target arrays. On an exactly nonincreasing distortion
+column, an element's minimum depth is 1 + #{b : D(b) > bound}, so b_lat[q] is
+the checked-element count plus one searchsorted of column q into the sorted
+bounds. The greedy loading and refinement loops are merges of per-item cost
+sequences, one per subcarrier (loading) or per element (refinement). When
+every sequence is monotone in the direction the greedy consumes it, the greedy
+order is the sorted order of all (item, step) costs, ties broken by item index
+and then step (Hughes-Hartogs loading equals one ascending sort of its
+increments; J. Campello, "Practical bit loading for DMT", ICC 1999). So:
 
-  * loading sorts every power increment once and takes the longest prefix
-    whose running sum (accumulated in the loop's order, so bit for bit the
-    same) fits the budget, when the SNR-threshold increments are
-    nondecreasing under an exact float test;
-  * refinement takes the `residual` largest marginal gains in one sort, when
-    the decrements D(b) - D(b + 1) are nonincreasing under an exact float
-    test (not `column_is_convex`, whose tolerance admits columns where the
-    sorted order and the greedy differ).
+  * loading takes the longest prefix of the sorted power increments whose
+    running sum (accumulated in the loop's order, so bit for bit the same)
+    fits the budget, when the SNR-threshold increments are nondecreasing
+    under an exact float test. Equal costs leave the running sums unchanged,
+    so r_sym needs only the sorted values, for every target in one sort;
+  * refinement grants the `residual` largest marginal gains, found by one
+    partition plus the tie group at the cut taken in (element, depth) order,
+    when the decrements D(b) - D(b + 1) are nonincreasing under an exact
+    float test (not `column_is_convex`, whose tolerance admits columns where
+    the sorted order and the greedy differ).
 
-Where a check fails, the original one-step-at-a-time loop (`_greedy_loading`,
-`_greedy_refinement`) runs instead; tests use those loops as the reference.
+Where a check fails, the original computation runs for that target:
+min_bits_vector for b_lat, the one-step-at-a-time loop (`_greedy_loading`)
+for r_sym, and `_greedy_refinement` for the refinement. Tests use those as
+the reference.
 """
 
 from __future__ import annotations
@@ -59,7 +70,6 @@ from .rng import stream_seed
 __all__ = [
     "NoFeasibleRateError",
     "LatentStats",
-    "OperatingPoint",
     "BitMapping",
     "AllocationPlan",
     "target_distortion",
@@ -124,22 +134,6 @@ def target_distortion(sigma2):
     return out if out.ndim else float(out)
 
 
-@dataclass
-class OperatingPoint:
-    """Joint outcome of the two solves for one candidate BER target."""
-
-    eps_index: int
-    bits: np.ndarray
-    b_lat: int
-    modulations: np.ndarray
-    powers: np.ndarray
-    r_sym: int
-
-    @property
-    def feasible(self) -> bool:
-        return self.r_sym > 0
-
-
 def minimum_bit_allocation(
     lib: QuantizerLibrary, stats: LatentStats, eps_index: int, delta: float = DEFAULT_DELTA
 ) -> tuple[np.ndarray, int]:
@@ -167,19 +161,37 @@ def allocate_power_modulation(
     increments = np.diff(gamma_steps)  # per modulation step
     if gamma_increments_convex(gamma_steps):
         cost = (increments[None, :] * inv_gain[:, None]).ravel()  # [subcarrier, step], row-major
-        # the flat index already orders (subcarrier, step), so a stable sort on
-        # cost is np.lexsort((step, subcarrier, cost))
-        order = np.argsort(cost, kind="stable")
-        cost = cost[order]
-        fits = np.isfinite(cost) & (np.cumsum(cost) <= p_tot)
+        ordered = np.sort(cost)
+        fits = np.isfinite(ordered) & (np.cumsum(ordered) <= p_tot)
         taken = fits.size if fits.all() else int(fits.argmin())
-        steps = np.bincount(order[:taken] // increments.size, minlength=channel.n_sc)
+        # the flat index orders (subcarrier, step), the greedy's tie order
+        granted = _smallest(cost, taken, ordered[taken - 1] if taken else None)
+        steps = np.bincount(granted // increments.size, minlength=channel.n_sc)
     else:
         steps = _greedy_loading(inv_gain, increments, p_tot)
     modulations = steps * 2
     # silent subcarriers carry zero power even when their gain is exactly zero
     powers = np.where(steps > 0, gamma_steps[steps] * inv_gain, 0.0)
     return modulations, powers, int(modulations.sum())
+
+
+def _smallest(values: np.ndarray, k: int, kth: float | None = None) -> np.ndarray:
+    """Indices of the k smallest values, ties to the lower index, in index order.
+
+    The same set as np.argsort(values, kind="stable")[:k] for NaN-free values:
+    every value below the k-th smallest, then the first indices of the tie
+    group at it. kth, when given, is that k-th smallest value.
+    """
+    if k <= 0:
+        return np.zeros(0, dtype=np.intp)
+    if k >= values.size:
+        return np.arange(values.size)
+    if kth is None:
+        kth = np.partition(values, k - 1)[k - 1]
+    below = values < kth
+    ties = np.flatnonzero(values == kth)[: k - np.count_nonzero(below)]
+    below[ties] = True
+    return np.flatnonzero(below)
 
 
 def _greedy_loading(inv_gain: np.ndarray, increments: np.ndarray, p_tot: float) -> np.ndarray:
@@ -198,31 +210,28 @@ def _greedy_loading(inv_gain: np.ndarray, increments: np.ndarray, p_tot: float) 
     return steps
 
 
-def select_ber_target(points: list[OperatingPoint]) -> tuple[int, int]:
+def select_ber_target(b_lat, r_sym) -> tuple[int, int]:
     """Pick the grid target minimizing required-bits / bits-per-symbol.
 
-    Returns (eps_index, t_sym). A zero-bit source short-circuits to the
-    smallest target with t_sym = 0 (nothing to send). Ties in the ratio go to
-    the smaller target.
+    b_lat[q] and r_sym[q] are target q's minimum bit total and bits per OFDM
+    symbol. Returns (eps_index, t_sym). A zero-bit source short-circuits to
+    the smallest target with t_sym = 0 (nothing to send). Ties in the ratio go
+    to the smaller target.
     """
-    if not points:
-        raise ValueError("no operating points")
-    ordered = sorted(points, key=lambda p: p.eps_index)
-    if all(p.b_lat == 0 for p in ordered):
-        return ordered[0].eps_index, 0
-    best = None
-    best_ratio = math.inf
-    for p in ordered:
-        if not p.feasible:
-            continue
-        ratio = p.b_lat / p.r_sym
-        if ratio < best_ratio:
-            best, best_ratio = p, ratio
-    if best is None:
+    b_lat = np.asarray(b_lat, dtype=np.int64)
+    r_sym = np.asarray(r_sym, dtype=np.int64)
+    if b_lat.ndim != 1 or b_lat.size == 0 or b_lat.shape != r_sym.shape:
+        raise ValueError("need one (b_lat, r_sym) pair per target")
+    if not b_lat.any():
+        return 0, 0
+    feasible = r_sym > 0
+    if not feasible.any():
         raise NoFeasibleRateError(
             "no BER target achieves a positive symbol rate under the power budget"
         )
-    return best.eps_index, math.ceil(best.b_lat / best.r_sym)
+    ratio = np.where(feasible, b_lat / np.maximum(r_sym, 1), np.inf)
+    best = int(np.argmin(ratio))  # the first minimum: ties go to the smaller target
+    return best, math.ceil(int(b_lat[best]) / int(r_sym[best]))
 
 
 def refine_bit_allocation(
@@ -249,12 +258,12 @@ def refine_bit_allocation(
         return _greedy_refinement(bits, stats.variances, col, lib.b_max, residual)
     elements = np.flatnonzero((bits >= 1) & (bits < lib.b_max))
     depth = np.arange(lib.b_max)
-    # candidates in (element, depth) order, so a stable sort on -gain is
-    # np.lexsort((depth, element, -gain))
+    # candidates in (element, depth) order, the order in which the greedy
+    # breaks ties
     row, b = np.nonzero(depth[None, :] >= bits[elements, None])
     gain = stats.variances[elements[row]] * dec[b]
-    granted = np.argsort(-gain, kind="stable")[:residual]
-    bits += np.bincount(elements[row[granted]], minlength=bits.size)
+    granted = row[_smallest(-gain, residual)]  # the residual largest gains
+    bits += np.bincount(elements[granted], minlength=bits.size)
     return bits, residual - granted.size
 
 
@@ -362,17 +371,10 @@ def optimize_plan(
     delta: float = DEFAULT_DELTA,
     seed: int = 0,
 ) -> AllocationPlan:
-    """Full allocation pass: per-target solves, target selection, refinement, mapping."""
-    q_count = lib.epsilons.size
-    points: list[OperatingPoint] = []
-    for qi in range(q_count):
-        bits, b_lat = minimum_bit_allocation(lib, stats, qi, delta)
-        gamma_steps = np.concatenate(([0.0], lib.gamma_thresholds[:, qi]))
-        modulations, powers, r_sym = allocate_power_modulation(channel, p_tot, gamma_steps)
-        points.append(OperatingPoint(qi, bits, b_lat, modulations, powers, r_sym))
-
-    eps_index, t_sym = select_ber_target(points)
-    chosen = points[eps_index]
+    """Full allocation pass: rate every target, select, solve the winner, refine, map."""
+    gamma = np.vstack((np.zeros(lib.epsilons.size), lib.gamma_thresholds))  # column q: target q
+    b_lat, r_sym = _rate_targets(lib, stats, channel, p_tot, delta, gamma)
+    eps_index, t_sym = select_ber_target(b_lat, r_sym)
     digests = {
         "library": lib.digest(),
         "stats": stats.digest(),
@@ -393,31 +395,69 @@ def optimize_plan(
             digests=digests,
         )
 
-    capacity = t_sym * chosen.r_sym
-    bits, dummy = chosen.bits, capacity - chosen.b_lat
-    if capacity > chosen.b_lat:
-        bits, dummy = refine_bit_allocation(lib, stats, chosen.bits, eps_index, capacity)
-
-    diagnostics = {}
-    ceil_chosen = t_sym
-    for p in points:
-        if p.feasible and math.ceil(p.b_lat / p.r_sym) < ceil_chosen:
-            diagnostics["smaller_ceiling_at_eps_index"] = p.eps_index
-            break
+    bits, b_lat = minimum_bit_allocation(lib, stats, eps_index, delta)
+    modulations, powers, r_sym = allocate_power_modulation(channel, p_tot, gamma[:, eps_index])
+    capacity = t_sym * r_sym
+    dummy = capacity - b_lat
+    if capacity > b_lat:
+        bits, dummy = refine_bit_allocation(lib, stats, bits, eps_index, capacity)
 
     return AllocationPlan(
         eps_index=eps_index,
         epsilon_star=float(lib.epsilons[eps_index]),
         bits=bits,
-        modulations=chosen.modulations,
-        powers=chosen.powers,
+        modulations=modulations,
+        powers=powers,
         t_sym=t_sym,
         dummy_bits=int(dummy),
-        mapping=build_bit_mapping(chosen.modulations, t_sym),
+        mapping=build_bit_mapping(modulations, t_sym),
         seed=seed,
         digests=digests,
-        diagnostics=diagnostics,
     )
+
+
+def _rate_targets(
+    lib: QuantizerLibrary,
+    stats: LatentStats,
+    channel: ChannelRealization,
+    p_tot: float,
+    delta: float,
+    gamma: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(b_lat, r_sym) of every grid target, as the per-target functions give them.
+
+    gamma holds target q's [0, gamma(QPSK), ..., gamma(256-QAM)] in column q.
+    Raises what the first failing per-target call would raise, taking the
+    targets in order and, per target, the bit depths before the loading.
+    """
+    q_count = lib.epsilons.size
+    table = lib.distortion_table()  # [target, b - 1]
+    checked = stats.variances >= delta
+    bounds = np.sort(1.0 / (stats.variances[checked] + 1.0))
+    # an element is infeasible when its bound lies below every depth's distortion
+    infeasible = np.searchsorted(bounds, table.min(axis=1), "left") > 0
+    increments = np.diff(gamma, axis=0)  # [step, target]
+    steps_ok = gamma.shape[0] == len(QAM_BITS) + 1 and np.all(increments > 0)
+    if infeasible.any() or not p_tot > 0 or not steps_ok:
+        # the per-target calls, in the loop's order, raise the first error
+        for qi in range(q_count):
+            minimum_bit_allocation(lib, stats, qi, delta)
+            allocate_power_modulation(channel, p_tot, gamma[:, qi])
+
+    # on a nonincreasing column, depth - 1 counts the distortions above the bound
+    b_lat = bounds.size + np.searchsorted(bounds, table, "left").sum(axis=1)
+    for qi in np.flatnonzero(~np.all(np.diff(table, axis=1) <= 0, axis=1)):
+        b_lat[qi] = minimum_bit_allocation(lib, stats, qi, delta)[1]
+
+    inv_gain = channel.noise_var / np.square(np.abs(channel.gains))
+    cost = (increments.T[:, None, :] * inv_gain[None, :, None]).reshape(q_count, -1)
+    cost.sort(axis=1)
+    fits = np.isfinite(cost) & (np.cumsum(cost, axis=1) <= p_tot)
+    taken = np.where(fits.all(axis=1), fits.shape[1], fits.argmin(axis=1))
+    r_sym = 2 * taken  # each step adds 2 bits
+    for qi in np.flatnonzero(~gamma_increments_convex(gamma)):
+        r_sym[qi] = allocate_power_modulation(channel, p_tot, gamma[:, qi])[2]
+    return b_lat, r_sym
 
 
 def validate_plan(
@@ -428,6 +468,8 @@ def validate_plan(
     delta: float = DEFAULT_DELTA,
 ) -> None:
     """Check every structural plan invariant; raises ValueError on violation."""
+    if not np.all(np.isfinite(plan.powers) & (plan.powers >= 0)):
+        raise ValueError("powers must be finite and nonnegative")
     if plan.powers.sum() > p_tot + POWER_SLACK:
         raise ValueError("total power exceeds the budget")
     if plan.b_lat + plan.dummy_bits != plan.t_sym * plan.r_sym:
@@ -444,6 +486,8 @@ def validate_plan(
         )
         if np.unique(key).size != key.size:
             raise ValueError("mapping is not a bijection onto resource-element bit slots")
+    if np.any((plan.bits < 0) | (plan.bits > lib.b_max)):
+        raise ValueError(f"bit depth outside 0..{lib.b_max}")
     col = lib.distortion_column(plan.eps_index)
     checked = stats.variances >= delta
     bound = 1.0 / (stats.variances + 1.0)

@@ -119,6 +119,12 @@ class QuantizerLibrary:
         qi = self._check_index(eps_index)
         return np.array([self.cells[(b, qi)].normalized_distortion for b in range(1, self.b_max + 1)])
 
+    def distortion_table(self) -> np.ndarray:
+        """Every distortion column at once: row q is distortion_column(q)."""
+        cells, depths = self.cells, range(1, self.b_max + 1)
+        table = [cells[(b, qi)].normalized_distortion for qi in range(self.epsilons.size) for b in depths]
+        return np.array(table).reshape(self.epsilons.size, self.b_max)
+
     def column_is_convex(self, eps_index: int, tol: float = 1e-12) -> bool:
         col = self.distortion_column(eps_index)
         if col.size < 3:
@@ -201,17 +207,21 @@ def _audit(lib: QuantizerLibrary) -> None:
         row = np.array([lib.distortion(b, qi) for qi in range(lib.epsilons.size)])
         if np.any(np.diff(row) < -1e-9):
             lib.warnings.append({"kind": "row-not-monotone", "b": b})
-    for qi in range(lib.epsilons.size):
-        if not gamma_increments_convex(np.concatenate(([0.0], lib.gamma_thresholds[:, qi]))):
-            lib.warnings.append({"kind": "gamma-increments-not-convex", "eps_index": qi})
+    gamma = np.vstack((np.zeros(lib.epsilons.size), lib.gamma_thresholds))
+    for qi in np.flatnonzero(~gamma_increments_convex(gamma)):
+        lib.warnings.append({"kind": "gamma-increments-not-convex", "eps_index": int(qi)})
 
 
-def gamma_increments_convex(gamma_steps: np.ndarray) -> bool:
+def gamma_increments_convex(gamma_steps: np.ndarray):
     """Exact float test that the steps of [0, gamma(QPSK), ..., gamma(256-QAM)] never shrink.
 
-    The allocator's sorted loading equals the greedy only under this test.
+    gamma_steps is one such vector (returns a bool) or a table holding one per
+    column, axis 0 running over the modulation steps (returns a bool per
+    column). The allocator's sorted loading equals the greedy only under this
+    test.
     """
-    return bool(np.all(np.diff(gamma_steps, 2) >= 0))
+    ok = np.all(np.diff(gamma_steps, 2, axis=0) >= 0, axis=0)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def min_bits_vector(
@@ -222,15 +232,19 @@ def min_bits_vector(
     Variances below `delta` are treated as negligible and get zero bits.
     """
     variances = np.asarray(variances, dtype=np.float64)
-    if np.any(variances < 0):
+    if not np.all(variances >= 0):
         raise ValueError("variances must be nonnegative")
     col = lib.distortion_column(eps_index)
     bound = 1.0 / (variances + 1.0)
-    ok = col[None, :] <= bound[:, None]  # [element, b-1]
-    feasible = ok.any(axis=1)
-    bits = np.where(feasible, ok.argmax(axis=1) + 1, 0).astype(np.int64)
+    # an infeasible element gets depth b_max + 1 here
+    if np.all(np.diff(col) <= 0):
+        # on a nonincreasing column the depth is 1 + #{b : D(b) > bound}
+        bits = col.size + 1 - np.searchsorted(col[::-1], bound, "right").astype(np.int64)
+    else:
+        ok = col[None, :] <= bound[:, None]  # [element, b-1]
+        bits = np.where(ok.any(axis=1), ok.argmax(axis=1) + 1, col.size + 1).astype(np.int64)
     bits[variances < delta] = 0
-    bad = np.flatnonzero(~feasible & (variances >= delta))
+    bad = np.flatnonzero(bits > col.size)
     if bad.size:
         i = int(bad[0])
         raise InfeasibleTargetError(

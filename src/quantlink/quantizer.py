@@ -484,10 +484,13 @@ def quantize(y, mean: float, std: float, q: ScalarQuantizer):
     """
     if not np.all(np.asarray(std) > 0):
         raise ValueError("std must be positive")
-    ybar = (np.asarray(y, dtype=np.float64) - mean) / std
-    idx = np.searchsorted(q.thresholds, ybar, side="left")
-    out = q.region_codewords[idx]
+    out = _quantize_core(np.asarray(y, dtype=np.float64), mean, std, q)
     return out if np.ndim(y) else int(out)
+
+
+def _quantize_core(y: np.ndarray, mean, std, q: ScalarQuantizer) -> np.ndarray:
+    """quantize without its input check: the caller has made sure std > 0."""
+    return q.region_codewords[np.searchsorted(q.thresholds, (y - mean) / std, side="left")]
 
 
 def dequantize(codeword, mean: float, std: float, q: ScalarQuantizer):
@@ -497,5 +500,10 @@ def dequantize(codeword, mean: float, std: float, q: ScalarQuantizer):
     cw = np.asarray(codeword)
     if np.any(cw < 0) or np.any(cw >= (1 << q.bit_depth)):
         raise ValueError("codeword out of range for quantizer bit depth")
-    out = q.levels[cw] * std + mean
+    out = _dequantize_core(cw, mean, std, q)
     return out if np.ndim(codeword) else float(out)
+
+
+def _dequantize_core(codeword: np.ndarray, mean, std, q: ScalarQuantizer) -> np.ndarray:
+    """dequantize without its input checks: codewords are b-bit and std > 0."""
+    return q.levels[codeword] * std + mean

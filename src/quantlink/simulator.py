@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .allocator import (
     target_distortion,
 )
 from .library import DEFAULT_DELTA, QuantizerLibrary, sigma_max
-from .quantizer import dequantize, quantize
+from .quantizer import _dequantize_core, _quantize_core
 from .rng import stream_rng
 
 __all__ = [
@@ -156,7 +156,10 @@ class _FrameLayout:
     stream is the payload followed by the plan's pad bits. orders holds, per
     active modulation order m, (m, subcarriers, powers, gather), where
     gather[t, k, c] is the stream index of bit position c on subcarrier k of
-    OFDM symbol t (most significant bit first).
+    OFDM symbol t (most significant bit first). checked_stats is the digest
+    of the stats whose sent elements were checked to have sigma > 0, the one
+    input check the frame's quantizer calls skip; received words are b-bit by
+    construction.
     """
 
     groups: tuple
@@ -165,6 +168,7 @@ class _FrameLayout:
     starts: np.ndarray
     pad: np.ndarray
     orders: tuple
+    checked_stats: str | None = None
 
 
 def _build_frame_layout(plan: AllocationPlan) -> _FrameLayout:
@@ -234,13 +238,17 @@ def run_trial(
     layout = plan._frame_layout
     if layout is None:
         layout = plan._frame_layout = _build_frame_layout(plan)
+    if layout.checked_stats != stats.digest():
+        if not np.all(stats.variances[plan.bits > 0] > 0):
+            raise ValueError("std must be positive")
+        layout = plan._frame_layout = replace(layout, checked_stats=stats.digest())
 
     # quantize elements sharing a bit depth together (same normalized quantizer)
     std = np.sqrt(stats.variances)
     codewords = np.zeros(stats.n, dtype=np.int64)
     for b, ids, _ in layout.groups:
         q = lib.quantizer(b, plan.eps_index)
-        codewords[ids] = quantize(y[ids], stats.means[ids], std[ids], q)
+        codewords[ids] = _quantize_core(y[ids], stats.means[ids], std[ids], q)
     stream = np.concatenate(((codewords[layout.owner] >> layout.shift) & 1, layout.pad))
 
     # one transmit per modulation order, covering every OFDM symbol at once
@@ -259,7 +267,7 @@ def run_trial(
     rx_words = np.add.reduceat(rx_stream[:b_lat] << layout.shift, layout.starts)
     for b, ids, ranks in layout.groups:
         q = lib.quantizer(b, plan.eps_index)
-        yhat[ids] = dequantize(rx_words[ranks], stats.means[ids], std[ids], q)
+        yhat[ids] = _dequantize_core(rx_words[ranks], stats.means[ids], std[ids], q)
 
     return TrialResult(
         per_element_sq_error=np.square(y - yhat),

@@ -14,7 +14,6 @@ from quantlink.allocator import (
     AllocationPlan,
     LatentStats,
     NoFeasibleRateError,
-    OperatingPoint,
     allocate_power_modulation,
     build_bit_mapping,
     minimum_bit_allocation,
@@ -26,7 +25,7 @@ from quantlink.allocator import (
     validate_plan,
 )
 from quantlink.channel import ChannelRealization, exponential_pdp, realize_channel
-from quantlink.library import gamma_increments_convex, sigma_max
+from quantlink.library import InfeasibleTargetError, gamma_increments_convex, sigma_max
 from quantlink.rng import stream_rng
 from quantlink.simulator import SyntheticSourceConfig, draw_stats
 
@@ -261,37 +260,49 @@ def test_nonconvex_increments_take_the_loop():
     _assert_same_loading(got, _looped_loading(ch, 1.0, g))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, np.inf]), max_size=30),
+    data=st.data(),
+)
+def test_smallest_equals_stable_argsort_prefix(values, data):
+    # few distinct values make large tie groups at the cut
+    values = np.array(values)
+    k = data.draw(st.integers(0, values.size + 2))
+    got = allocator._smallest(values, k)
+    want = np.sort(np.argsort(values, kind="stable")[:k])
+    assert np.array_equal(got, want)
+    if 0 < k <= values.size:
+        assert np.array_equal(allocator._smallest(values, k, np.sort(values)[k - 1]), want)
+
+
 # ---------------------------------------------------------------------------
 # target selection
 # ---------------------------------------------------------------------------
 
 
-def _point(qi, b_lat, r_sym):
-    return OperatingPoint(qi, np.zeros(0, dtype=np.int64), b_lat, np.zeros(0, dtype=np.int64), np.zeros(0), r_sym)
-
-
 def test_select_single_feasible():
-    assert select_ber_target([_point(0, 100, 0), _point(1, 100, 50)]) == (1, 2)
+    assert select_ber_target([100, 100], [0, 50]) == (1, 2)
 
 
 def test_select_ratio_and_ceiling():
-    got = select_ber_target([_point(0, 100, 40), _point(1, 120, 60)])
+    got = select_ber_target([100, 120], [40, 60])
     assert got == (1, 2)  # 2.0 < 2.5
 
 
 def test_select_tie_prefers_smaller_target():
-    assert select_ber_target([_point(0, 100, 50), _point(1, 100, 50)])[0] == 0
-    # list order must not matter
-    assert select_ber_target([_point(1, 100, 50), _point(0, 100, 50)])[0] == 0
+    assert select_ber_target([100, 100], [50, 50])[0] == 0
+    # past an infeasible first target, the tie still goes to the smaller one
+    assert select_ber_target([100, 100, 100], [0, 50, 50])[0] == 1
 
 
 def test_select_zero_bits_empty_marker():
-    assert select_ber_target([_point(0, 0, 0), _point(1, 0, 10)]) == (0, 0)
+    assert select_ber_target([0, 0], [0, 10]) == (0, 0)
 
 
 def test_select_all_infeasible_raises():
     with pytest.raises(NoFeasibleRateError):
-        select_ber_target([_point(0, 5, 0), _point(1, 5, 0)])
+        select_ber_target([5, 5], [0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -573,3 +584,178 @@ def test_validate_plan_catches_bit_shortfall(small_lib):
     plan.bits = bad
     with pytest.raises(ValueError):
         validate_plan(plan, small_lib, stats, p_tot)
+
+
+def test_validate_plan_rejects_out_of_range_bit_depths(small_lib):
+    rng = stream_rng("plan-bad3", 0)
+    stats, ch, p_tot = _random_setup(small_lib, rng)
+    plan = optimize_plan(small_lib, stats, ch, p_tot)
+    i = int(np.flatnonzero(stats.variances >= 0.4)[0])
+    for depth in (-1, small_lib.b_max + 1):
+        bad = dataclasses.replace(plan, bits=plan.bits.copy())
+        bad.bits[i] = depth
+        bad.dummy_bits += int(plan.bits[i]) - depth  # keep the grid accounting exact
+        with pytest.raises(ValueError, match="bit depth outside"):
+            validate_plan(bad, small_lib, stats, p_tot)
+
+
+@pytest.mark.parametrize("power", [-1e-3, np.nan, np.inf])
+def test_validate_plan_rejects_bad_powers(small_lib, power):
+    rng = stream_rng("plan-bad4", 0)
+    stats, ch, p_tot = _random_setup(small_lib, rng)
+    plan = optimize_plan(small_lib, stats, ch, p_tot)
+    bad = dataclasses.replace(plan, powers=plan.powers.copy())
+    bad.powers[int(np.argmin(plan.powers))] = power
+    with pytest.raises(ValueError, match="powers must be finite and nonnegative"):
+        validate_plan(bad, small_lib, stats, p_tot)
+
+
+# ---------------------------------------------------------------------------
+# one-pass planning against one full solve per target
+# ---------------------------------------------------------------------------
+
+
+def _looped_plan(lib, stats, ch, p_tot, delta=0.4, seed=0):
+    """optimize_plan as a full bit-depth and loading solve for every target."""
+    points = []
+    for qi in range(lib.epsilons.size):
+        bits, b_lat = minimum_bit_allocation(lib, stats, qi, delta)
+        modulations, powers, r_sym = allocate_power_modulation(ch, p_tot, _gamma_steps(lib, qi))
+        points.append((bits, b_lat, modulations, powers, r_sym))
+    if all(p[1] == 0 for p in points):
+        eps_index, t_sym = 0, 0
+    else:
+        eps_index, best_ratio = None, math.inf
+        for qi, (_, b_lat, _, _, r_sym) in enumerate(points):
+            if r_sym > 0 and b_lat / r_sym < best_ratio:
+                eps_index, best_ratio = qi, b_lat / r_sym
+        if eps_index is None:
+            raise NoFeasibleRateError(
+                "no BER target achieves a positive symbol rate under the power budget"
+            )
+        t_sym = math.ceil(best_ratio)
+    digests = {"library": lib.digest(), "stats": stats.digest(), "channel_seed": ch.seed}
+    silent = np.zeros(ch.n_sc, dtype=np.int64)
+    if t_sym == 0:
+        bits, modulations, powers, dummy = np.zeros(stats.n, dtype=np.int64), silent, np.zeros(ch.n_sc), 0
+    else:
+        bits, b_lat, modulations, powers, r_sym = points[eps_index]
+        dummy = t_sym * r_sym - b_lat
+        if dummy > 0:
+            bits, dummy = refine_bit_allocation(lib, stats, bits, eps_index, t_sym * r_sym)
+    return AllocationPlan(
+        eps_index=eps_index,
+        epsilon_star=float(lib.epsilons[eps_index]),
+        bits=bits,
+        modulations=modulations,
+        powers=powers,
+        t_sym=t_sym,
+        dummy_bits=int(dummy),
+        mapping=build_bit_mapping(modulations, t_sym),
+        seed=seed,
+        digests=digests,
+    )
+
+
+def _outcome(plan_fn, *args, **kwargs):
+    """serialize_plan bytes of the plan, or the type and message of what was raised."""
+    try:
+        return serialize_plan(plan_fn(*args, **kwargs))
+    except (ValueError, InfeasibleTargetError, NoFeasibleRateError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_plans(lib, cases):
+    for stats, ch, p_tot in cases:
+        for scale in (0.02, 1.0, 30.0):
+            want = _outcome(_looped_plan, lib, stats, ch, p_tot * scale, seed=5)
+            assert _outcome(optimize_plan, lib, stats, ch, p_tot * scale, seed=5) == want
+
+
+def _plan_cases(lib, label, count, n=48, n_sc=24):
+    rng = stream_rng("one-pass", label)
+    return [_random_setup(lib, rng, n=n, n_sc=n_sc, snr_db=float(rng.uniform(-5, 25))) for _ in range(count)]
+
+
+def test_one_pass_plan_equals_per_target_solves_on_default_library(default_lib):
+    _assert_same_plans(default_lib, _plan_cases(default_lib, 0, 6, n=512, n_sc=128))
+
+
+def test_one_pass_plan_equals_per_target_solves_on_small_library(small_lib):
+    _assert_same_plans(small_lib, _plan_cases(small_lib, 1, 30))
+
+
+def test_one_pass_plan_equals_per_target_solves_on_non_monotone_column(small_lib):
+    # D(2) > D(1): min_bits_vector rates this target, and the refinement loops
+    lib = _lib_with_column(small_lib, (0.3, 0.35, 0.05))
+    assert np.any(np.diff(lib.distortion_column(0)) > 0)
+    _assert_same_plans(lib, _plan_cases(lib, 2, 30))
+
+
+def test_one_pass_plan_equals_per_target_solves_on_non_convex_gamma(small_lib):
+    # increments (1, 0.5, 1.5, 3): the loading loop rates this target
+    gamma = small_lib.gamma_thresholds.copy()
+    gamma[:, 0] = (1.0, 1.5, 3.0, 6.0)
+    lib = dataclasses.replace(small_lib, gamma_thresholds=gamma)
+    assert list(gamma_increments_convex(np.vstack((np.zeros(2), gamma)))) == [False, True]
+    _assert_same_plans(lib, _plan_cases(lib, 3, 30))
+
+
+def _straddling_variance(lib):
+    """A variance feasible at every target but the largest."""
+    worst = lib.distortion(lib.b_max, lib.epsilons.size - 1)
+    second = max(lib.distortion(lib.b_max, qi) for qi in range(lib.epsilons.size - 1))
+    assert second < worst
+    return 0.5 * ((1.0 / worst - 1.0) + (1.0 / second - 1.0))
+
+
+@pytest.mark.parametrize("p_tot", [100.0, 0.0, -1.0, 1e-9])
+@pytest.mark.parametrize("infeasible", [None, "largest", "all", "nothing to send"])
+def test_one_pass_plan_raises_what_per_target_solves_raise(small_lib, p_tot, infeasible):
+    variances = np.array([0.2, 1.0, 2.0])
+    if infeasible == "nothing to send":
+        variances[:] = 0.2
+    elif infeasible == "largest":
+        variances[1] = _straddling_variance(small_lib)
+    elif infeasible == "all":
+        variances[1] = 1e6
+    stats = LatentStats(np.zeros(3), variances)
+    ch = realize_channel(exponential_pdp(300.0), 8, 30e3, seed=2)
+    want = _outcome(_looped_plan, small_lib, stats, ch, p_tot)
+    assert _outcome(optimize_plan, small_lib, stats, ch, p_tot) == want
+    if infeasible is None and p_tot == 1e-9:
+        assert want[0] is NoFeasibleRateError
+    elif infeasible == "largest" and p_tot > 0:
+        assert want[0] is InfeasibleTargetError
+    elif infeasible != "all" and p_tot <= 0:
+        assert want == (ValueError, "p_tot must be positive")
+    elif infeasible == "nothing to send":
+        assert isinstance(want, str)
+
+
+def test_optimize_plan_calls_each_stage_once(small_lib, monkeypatch):
+    # the benchmark's layer figures wrap these module attributes
+    stages = (
+        "minimum_bit_allocation",
+        "allocate_power_modulation",
+        "select_ber_target",
+        "refine_bit_allocation",
+        "build_bit_mapping",
+    )
+    calls = {name: 0 for name in stages}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in stages:
+        monkeypatch.setattr(allocator, name, counting(name, getattr(allocator, name)))
+    rng = stream_rng("stage-calls", 0)
+    stats, ch, p_tot = _random_setup(small_lib, rng, snr_db=15.0)
+    plan = optimize_plan(small_lib, stats, ch, p_tot)
+    assert not plan.is_empty and plan.dummy_bits >= 0
+    assert plan.b_lat > minimum_bit_allocation(small_lib, stats, plan.eps_index)[1]  # refined
+    assert calls == {name: 1 for name in stages}

@@ -2,16 +2,21 @@ import copy
 import dataclasses
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quantlink import library
 from quantlink.library import (
     InfeasibleTargetError,
     LibraryFormatError,
     QuantizerLibrary,
     build_library,
     default_epsilon_grid,
+    gamma_increments_convex,
     load_library,
     log_uniform_grid,
     min_bits_vector,
@@ -85,6 +90,35 @@ def test_min_bits_vector_matches_scalar(small_lib):
         if s2 >= 0.4:
             expected = next(b for b in range(1, small_lib.b_max + 1) if col[b - 1] <= 1.0 / (s2 + 1.0))
         assert vec[i] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    col=st.lists(st.sampled_from([0.5, 0.25, 0.125, 0.0625]), min_size=1, max_size=6),
+    monotone=st.booleans(),
+    data=st.data(),
+)
+def test_min_bits_vector_matches_first_fitting_depth(col, monotone, data):
+    # dyadic columns with repeats; bounds 1 / (v + 1) land exactly on column values
+    col = np.array(sorted(col, reverse=True) if monotone else col)
+    lib = SimpleNamespace(b_max=col.size, distortion_column=lambda qi: col)
+    variances = st.sampled_from([0.0, 0.3, 1.0, 3.0, 7.0, 15.0, 20.0])
+    v = np.array(data.draw(st.lists(variances, min_size=1, max_size=12)))
+    want = []
+    for s2 in v:
+        fits = [b for b in range(1, col.size + 1) if col[b - 1] <= 1.0 / (s2 + 1.0)]
+        want.append(0 if s2 < 0.4 else (fits[0] if fits else None))
+    if None in want:
+        with pytest.raises(InfeasibleTargetError, match=f"element {want.index(None)}:"):
+            min_bits_vector(lib, 0, v, 0.4)
+    else:
+        got = min_bits_vector(lib, 0, v, 0.4)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_min_bits_vector_rejects_nan_variances(small_lib):
+    with pytest.raises(ValueError, match="nonnegative"):
+        min_bits_vector(small_lib, 0, [1.0, np.nan], 0.4)
 
 
 def test_sigma_max_feasibility_sweep(small_lib):
@@ -245,3 +279,25 @@ def test_convexity_report(small_lib):
         assert isinstance(small_lib.column_is_convex(qi), bool)
     kinds = {w["kind"] for w in small_lib.warnings}
     assert "column-not-monotone" not in kinds
+
+
+def test_distortion_table_rows_are_the_columns(small_lib):
+    table = small_lib.distortion_table()
+    assert table.shape == (small_lib.epsilons.size, small_lib.b_max)
+    for qi in range(small_lib.epsilons.size):
+        assert np.array_equal(table[qi], small_lib.distortion_column(qi))
+
+
+def test_gamma_increments_convex_takes_a_table_column_by_column(small_lib):
+    columns = [np.array([0.0, 1.0, 2.5, 4.0, 8.0]), np.array([0.0, 1.0, 1.5, 3.0, 6.0])]
+    assert [gamma_increments_convex(c) for c in columns] == [True, False]
+    assert type(gamma_increments_convex(columns[0])) is bool
+    assert gamma_increments_convex(np.stack(columns, axis=1)).tolist() == [True, False]
+    # the audit flags the columns the table test rejects
+    gamma = small_lib.gamma_thresholds.copy()
+    gamma[:, 1] = columns[1][1:]
+    lib = dataclasses.replace(small_lib, gamma_thresholds=gamma, warnings=[])
+    library._audit(lib)
+    assert [w for w in lib.warnings if w["kind"] == "gamma-increments-not-convex"] == [
+        {"kind": "gamma-increments-not-convex", "eps_index": 1}
+    ]

@@ -368,3 +368,22 @@ def test_trial_outputs_are_pinned(small_lib, key):
     shape, got = _pinned_trial_digests(small_lib, *key)
     assert shape == want_shape
     assert got == want
+
+
+def test_trial_checks_sent_std_once_per_stats(small_lib):
+    # with delta = 0 a zero-variance element is sent, and its quantizer has no scale
+    stats = LatentStats(np.zeros(4), np.array([0.0, 1.0, 2.0, 3.0]))
+    ch = realize_channel(exponential_pdp(300.0), 8, 30e3, seed=5)
+    plan = optimize_plan(small_lib, stats, ch, 8 * 100.0, delta=0.0)
+    assert plan.bits[0] > 0
+    y = sample_latents(stats, True, stream_rng("y", 5))
+    with pytest.raises(ValueError, match="std must be positive"):
+        run_trial(stats, y, plan, small_lib, ch, stream_rng("n", 5))
+
+    # a plan without a stats digest is re-checked whenever the stats change
+    good = LatentStats(np.zeros(4), np.array([0.5, 1.0, 2.0, 3.0]))
+    loose = dataclasses.replace(plan, digests={})
+    run_trial(good, y, loose, small_lib, ch, stream_rng("n", 6))
+    assert loose._frame_layout.checked_stats == good.digest()
+    with pytest.raises(ValueError, match="std must be positive"):
+        run_trial(stats, y, loose, small_lib, ch, stream_rng("n", 7))
