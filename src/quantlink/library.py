@@ -332,6 +332,9 @@ def load_library(path) -> QuantizerLibrary:
             )
         if list(doc["qam_bits"]) != list(modem.QAM_BITS):
             raise LibraryFormatError("QAM order set in file does not match this build")
+        b_max = doc["b_max"]
+        if not isinstance(b_max, int) or isinstance(b_max, bool) or b_max < 1:
+            raise LibraryFormatError(f"b_max must be an int >= 1, got {b_max!r}")
         epsilons = _validated_grid([_unhex(s) for s in doc["epsilons"]])
         design = DesignConfig(
             restarts=doc["design"]["restarts"],
@@ -340,9 +343,20 @@ def load_library(path) -> QuantizerLibrary:
             seed=doc["design"]["seed"],
         )
         gamma = np.array([[_unhex(s) for s in row] for row in doc["gamma_thresholds"]])
+        if gamma.shape != (len(modem.QAM_BITS), epsilons.size):
+            raise LibraryFormatError("gamma threshold table has wrong shape")
+        for m, row in zip(modem.QAM_BITS, gamma):
+            miss = np.abs(modem.ber_approx(m, row) - epsilons)
+            if not np.all(miss <= modem.SNR_THRESHOLD_TOL):
+                raise LibraryFormatError(
+                    f"gamma thresholds of {m}-bit QAM miss their BER targets "
+                    f"by up to {np.max(miss):.3g}"
+                )
         cells: dict[tuple[int, int], ScalarQuantizer] = {}
         for rec in doc["cells"]:
             b = rec["b"]
+            if (b, rec["eps_index"]) in cells:
+                raise LibraryFormatError(f"cell ({b},{rec['eps_index']}) appears twice")
             q = ScalarQuantizer(
                 bit_depth=b,
                 thresholds=np.array([_unhex(s) for s in rec["thresholds"]]),
@@ -364,7 +378,7 @@ def load_library(path) -> QuantizerLibrary:
                 )
             cells[(b, rec["eps_index"])] = q
         lib = QuantizerLibrary(
-            b_max=doc["b_max"],
+            b_max=b_max,
             epsilons=epsilons,
             cells=cells,
             design=design,
@@ -379,6 +393,4 @@ def load_library(path) -> QuantizerLibrary:
     expected = {(b, qi) for b in range(1, lib.b_max + 1) for qi in range(epsilons.size)}
     if set(lib.cells.keys()) != expected:
         raise LibraryFormatError("library grid is incomplete")
-    if gamma.shape != (len(modem.QAM_BITS), epsilons.size):
-        raise LibraryFormatError("gamma threshold table has wrong shape")
     return lib

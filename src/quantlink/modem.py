@@ -32,6 +32,7 @@ __all__ = [
     "demodulate",
     "ber_approx",
     "snr_threshold",
+    "SNR_THRESHOLD_TOL",
 ]
 
 QAM_BITS = (2, 4, 6, 8)  # QPSK through 256-QAM; 0 marks an inactive subcarrier
@@ -130,9 +131,10 @@ def ber_approx(m: int, gamma):
 
 
 _BRACKET = (1e-6, 1e6)
+SNR_THRESHOLD_TOL = 1e-10  # default largest |ber_approx(m, snr_threshold(m, t)) - t|
 
 
-def snr_threshold(m: int, target_ber: float, tol: float = 1e-10) -> float:
+def snr_threshold(m: int, target_ber: float, tol: float = SNR_THRESHOLD_TOL) -> float:
     """Symbol SNR at which `m`-bit QAM hits `target_ber`, by bisection.
 
     The returned gamma satisfies |ber_approx(m, gamma) - target_ber| <= tol.

@@ -10,14 +10,17 @@ squared error stops changing:
     terms cancel pairwise and each region is an interval of the lower envelope
     of lines. Codewords whose interval is empty are dropped from the send side
     for that iteration (they stay receivable and may reactivate later).
-    The envelope is one stack pass over the lines sorted by slope (the convex
-    hull trick), O(n log n) instead of the O(n^2) pairwise cuts. Its result
-    must be bit-identical to the pairwise code, whose threshold is a minimum
-    over all rivals that rounding can move by an ulp, so the pass carries a
-    certificate (slopes apart, vertices apart, every other line clear of the
-    envelope, with margins from the 3u rounding bound of a cut). Where the
-    certificate fails, 1.3 % of the calls of the default library build,
-    mostly on exact slope ties, the pairwise code runs instead.
+    The result must be bit-identical to the O(n^2) pairwise cuts, whose
+    threshold is a minimum over all rivals that rounding can move by an ulp,
+    so a candidate envelope is accepted only with a certificate (slopes
+    apart, vertices apart, every other line clear of the envelope, with
+    margins from the 3u rounding bound of a cut). The first candidate is the
+    previous iteration's regions, checked with a few vector operations; it
+    holds for 95 % of the updates of the default library build. Next comes
+    one stack pass over the lines sorted by slope (the convex hull trick),
+    with the losers of exact slope ties left out, since they can never set a
+    threshold. Where that fails too, 0.06 % of the updates, nearly all on a
+    near slope tie, the pairwise code runs instead.
 
   * level update: for fixed regions, each receivable codeword q gets the MMSE
     estimate of y given q, a ratio of flip-weighted truncated Gaussian moments.
@@ -214,15 +217,33 @@ _CUT_MARGIN = 16.0 * _UNIT_ROUNDOFF
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
-def _optimal_regions(a: np.ndarray, b2: np.ndarray):
+def _optimal_regions(a: np.ndarray, b2: np.ndarray, warm: np.ndarray | None = None):
     """Lower envelope of the lines -2 a_l y + b_l; returns (thresholds, codewords).
 
-    One stack pass over the lines sorted by a (the convex hull trick) gives
-    the hull lines h_0..h_k and their cuts T_i = (b_j - b_l) / (2 (a_j - a_l))
-    for l = h_i, j = h_{i+1}. The result must equal _pairwise_regions bit for
-    bit, whose threshold i is the minimum over every rival j of the same
-    formula, so the pass carries a certificate; when any part of it fails,
-    the pairwise code runs instead and its tie rules hold by construction.
+    The envelope is a candidate hull h_0..h_k (line indices by increasing
+    slope) with cuts T_i = (b_j - b_l) / (2 (a_j - a_l)) for l = h_i,
+    j = h_{i+1}. The result must equal _pairwise_regions bit for bit, whose
+    threshold i is the minimum over every rival j of the same formula, so a
+    candidate is accepted only with a certificate (_certified_cuts). Three
+    candidates are tried in turn:
+
+      * warm: the caller's hull, the previous iteration's region codewords of
+        the same design run. The designer mostly keeps its codeword set from
+        one iteration to the next, so this path usually answers, with no
+        sort and no Python loop;
+      * the stack pass over the lines sorted by a (the convex hull trick),
+        O(n) after an O(n log n) sort, with the losers of exact slope ties
+        left out;
+      * _pairwise_regions, whose tie rules hold by construction.
+
+    Exact slope ties: the pairwise rule makes every line of a tie group but
+    one inactive (the winner has the lowest b, then the lowest index). A
+    loser never moves another line's threshold either: its cut with any line
+    l has the same denominator fl(2 fl(a_w - a_l)) as the winner's, and its
+    numerator fl(b_j - b_l) is no smaller, since rounding is monotone. So it
+    is never strictly below the winner's cut where the pairwise code takes a
+    minimum, nor above it where it takes a maximum. The stack pass therefore
+    runs over the winners only, and the losers need no further check.
 
     Bound: each cut is three roundings away from the exact crossing of the
     two stored lines (two subtractions and a division; the doubling is
@@ -233,28 +254,53 @@ def _optimal_regions(a: np.ndarray, b2: np.ndarray):
     minimum is T_i. The checks, with margins of 16u (the 3u bound, the
     rounding of the check itself, and slack):
 
-      * sorted a strictly increasing by more than 4u relative: no exact tie
-        (where the pairwise tie rule decides) and no near tie;
+      * hull slopes increasing by more than 4u relative, so a near tie on
+        the hull falls back, and every other line's slope strictly between
+        a(h_0) and a(h_k), so h_0 and h_k hold the outer regions and no other
+        line ties with them. Lines off the hull need no slope margin: the
+        gap check below covers a near or exact tie with the hull;
       * every cut T_i finite, and zero or a normal float;
       * hull vertices separated: beta_{i+1} (T_{i+1} - T_i) > 16u (|T_i| +
         |T_{i+1}|) (beta_i + beta_{i+1}), beta_i = a(h_{i+1}) - a(h_i). The
         hull line h_{i+2} crosses h_i at t_i + (t_{i+1} - t_i) beta_{i+1} /
         (beta_i + beta_{i+1}), and no later hull line crosses it closer;
       * every other line j clear of the envelope at the vertex t_v its slope
-        falls into (a(h_v) < a_j < a(h_{v+1}), where j - envelope is least):
+        falls into (a(h_v) < a_j <= a(h_{v+1}), where j - envelope is least):
         gap > 16u (max_{i <= v} beta_i |T_i| + |b_j - b(h_v)| + 2 |a_j -
         a(h_v)| |T_v|). Then j crosses every hull line left of it far enough
-        from the vertex, and its own pairwise interval is empty.
+        from the vertex, and its own pairwise interval is empty. A line tied
+        exactly with h_{v+1} passes only if it lies clearly above it, as a
+        loser of the tie.
 
-    The pass is O(n) after an O(n log n) sort, and so is the certificate.
+    In a default library build the warm candidate answers 95.4 % of the
+    calls, the stack pass 4.5 % and the pairwise code 0.06 % (72 calls, 68
+    of them on a near tie on the hull).
     """
+    if warm is not None and warm.size:
+        off = np.ones(a.size, dtype=bool)
+        off[warm] = False
+        cut = _certified_cuts(a, b2, warm, off)
+        if cut is not None:
+            return cut, warm
     by_a = np.argsort(a, kind="stable")
-    sa = a[by_a]
-    sb = b2[by_a]
-    if not np.all(np.diff(sa) > _TIE_MARGIN * (np.abs(sa[:-1]) + np.abs(sa[1:]))):
+    if not np.all(np.diff(a[by_a]) > 0.0):
+        # exact ties: keep each group's winner, by lowest b and then index
+        by_a = np.lexsort((b2, a))
+        by_a = by_a[np.concatenate(([True], np.diff(a[by_a]) != 0.0))]
+    h = _stack_hull(a[by_a].tolist(), b2[by_a].tolist())
+    hull = by_a[h]
+    cut = _certified_cuts(a, b2, hull, np.delete(by_a, h))
+    if cut is None:
         return _pairwise_regions(a, b2)
-    slopes = sa.tolist()
-    offsets = sb.tolist()
+    return cut, hull
+
+
+def _stack_hull(slopes: list[float], offsets: list[float]) -> list[int]:
+    """Positions of the lower-envelope lines among lines of strictly increasing slope.
+
+    The top of the stack is popped while the new line cuts it at or left of
+    the top's own left cut.
+    """
     hull = [0]
     cuts: list[float] = []
     for j in range(1, len(slopes)):
@@ -269,27 +315,42 @@ def _optimal_regions(a: np.ndarray, b2: np.ndarray):
                 break
         hull.append(j)
         cuts.append(x)
-    h = np.array(hull)
-    cut = np.array(cuts)
+    return hull
+
+
+def _certified_cuts(a: np.ndarray, b2: np.ndarray, hull: np.ndarray, rest: np.ndarray):
+    """Cuts between neighbouring `hull` lines, or None unless they are the pairwise thresholds.
+
+    hull: candidate envelope lines, meant in increasing slope; rest: every
+    other line that can be active, as indices or a mask (see _optimal_regions
+    for the checks).
+    """
+    ah = a[hull]
+    beta = ah[1:] - ah[:-1]
+    if not (beta > _TIE_MARGIN * (np.abs(ah[:-1]) + np.abs(ah[1:]))).all():
+        return None
+    ar = a[rest]
+    if not ((ar > ah[0]).all() and (ar < ah[-1]).all()):
+        return None
+    bh = b2[hull]
+    cut = (bh[1:] - bh[:-1]) / (2.0 * beta)
     abs_cut = np.abs(cut)
-    beta = np.diff(sa[h])
     normal = np.isfinite(cut) & ((abs_cut >= _SMALLEST_NORMAL) | (cut == 0.0))
     separated = (
-        beta[1:] * np.diff(cut)
+        beta[1:] * (cut[1:] - cut[:-1])
         > _CUT_MARGIN * (abs_cut[:-1] + abs_cut[1:]) * (beta[:-1] + beta[1:])
     )
-    if not (np.all(normal) and np.all(separated)):
-        return _pairwise_regions(a, b2)
-    if h.size < sa.size:
-        rest = np.delete(np.arange(sa.size), h)
-        v = np.searchsorted(sa[h], sa[rest]) - 1
-        da = sa[rest] - sa[h[v]]
-        db = sb[rest] - sb[h[v]]
+    if not (normal.all() and separated.all()):
+        return None
+    if ar.size:
+        v = np.searchsorted(ah, ar) - 1
+        da = ar - ah[v]
+        db = b2[rest] - bh[v]
         gap = db - 2.0 * da * cut[v]
         reach = np.maximum.accumulate(beta * abs_cut)[v]
-        if not np.all(gap > _CUT_MARGIN * (reach + np.abs(db) + 2.0 * np.abs(da) * abs_cut[v])):
-            return _pairwise_regions(a, b2)
-    return cut, by_a[h]
+        if not (gap > _CUT_MARGIN * (reach + np.abs(db) + 2.0 * np.abs(da) * abs_cut[v])).all():
+            return None
+    return cut
 
 
 def optimal_regions(levels, flips):
@@ -352,8 +413,11 @@ class DesignConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        # an infinite tolerance would stop every design after two iterations
+        rel_tol = self.rel_tol
+        real = isinstance(rel_tol, (int, float)) and not isinstance(rel_tol, bool)
+        if not (real and 0 < rel_tol < np.inf):
+            raise ValueError(f"rel_tol must be a positive finite float, got {rel_tol!r}")
 
 
 def _alternate(init_levels, trans, cfg: DesignConfig, trace):
@@ -361,10 +425,12 @@ def _alternate(init_levels, trans, cfg: DesignConfig, trace):
     a, b2 = _line_coefficients(levels, trans)
     best = None
     prev = np.inf
+    codewords = None
     for _ in range(cfg.max_iters):
         # one moments pass per iteration and one (a, b) pair per set of
-        # levels: the distortion shares both with its neighbouring updates
-        thresholds, codewords = _optimal_regions(a, b2)
+        # levels: the distortion shares both with its neighbouring updates.
+        # The previous regions are the candidate hull of the next update.
+        thresholds, codewords = _optimal_regions(a, b2, codewords)
         moments = _region_moments(thresholds)
         levels = _optimal_levels(moments, codewords, trans)
         a, b2 = _line_coefficients(levels, trans)
@@ -372,7 +438,8 @@ def _alternate(init_levels, trans, cfg: DesignConfig, trace):
         if trace is not None:
             trace.append(dist)
         if best is None or dist < best[3]:
-            best = (thresholds.copy(), codewords.copy(), levels.copy(), dist)
+            # fresh arrays every iteration, never written to
+            best = (thresholds, codewords, levels, dist)
         if np.isfinite(prev) and abs(prev - dist) <= cfg.rel_tol * max(abs(dist), 1e-300):
             break
         prev = dist

@@ -223,6 +223,53 @@ def test_load_rejects_non_integer_design_counts(tmp_path, small_lib):
             load_library(bad_path)
 
 
+def _tampered(tmp_path, lib, edit):
+    path = tmp_path / "lib.json"
+    save_library(lib, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(doc))
+    return bad_path
+
+
+def test_load_rejects_repeated_cell(tmp_path, small_lib):
+    # a second record for one cell used to overwrite the first unnoticed
+    def repeat(doc):
+        doc["cells"].append(copy.deepcopy(doc["cells"][0]))
+
+    with pytest.raises(LibraryFormatError, match="appears twice"):
+        load_library(_tampered(tmp_path, small_lib, repeat))
+
+
+def test_load_rejects_empty_grid(tmp_path, small_lib):
+    def empty(doc):
+        doc["b_max"] = 0
+        doc["cells"] = []
+
+    with pytest.raises(LibraryFormatError, match="b_max"):
+        load_library(_tampered(tmp_path, small_lib, empty))
+
+
+def test_load_rejects_gamma_off_target(tmp_path, small_lib):
+    # 16-QAM at the first target, moved by one part in 10^4
+    def nudge(doc):
+        row = doc["gamma_thresholds"][1]
+        row[0] = (float.fromhex(row[0]) * (1.0 + 1e-4)).hex()
+
+    with pytest.raises(LibraryFormatError, match="4-bit QAM miss"):
+        load_library(_tampered(tmp_path, small_lib, nudge))
+
+
+def test_load_rejects_bad_rel_tol(tmp_path, small_lib):
+    for bad in ("inf", "nan", "-0x1.0p-30"):
+        def set_rel_tol(doc):
+            doc["design"]["rel_tol"] = bad
+
+        with pytest.raises(LibraryFormatError, match="rel_tol"):
+            load_library(_tampered(tmp_path, small_lib, set_rel_tol))
+
+
 def test_default_library_bytes_are_pinned(default_lib):
     digest = hashlib.sha256(serialize_library(default_lib).encode("utf-8")).hexdigest()
     assert digest == DEFAULT_LIBRARY_SHA256

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -200,31 +202,103 @@ def _hex_lines(slopes, offsets):
     return np.array(slopes), np.array([float.fromhex(x) for x in offsets])
 
 
+def _warm_candidate(kind, a, hull, seed):
+    """A candidate hull for _optimal_regions: the true `hull`, or a wrong one.
+
+    stale:       the hull of other lines with as many codewords
+    drop-first:  the hull without its first line (drop-last: its last)
+    unsorted:    two neighbouring hull lines swapped
+    extra:       the hull with one off-hull line inserted by slope
+    """
+    rng = stream_rng("warm-candidate", seed)
+    if kind == "stale":
+        return _pairwise_regions(*_region_lines(a.size.bit_length() - 1, "levels", seed, None))[1]
+    if kind == "drop-first":
+        return hull[1:]
+    if kind == "drop-last":
+        return hull[:-1]
+    if kind == "unsorted" and hull.size > 1:
+        i = int(rng.integers(hull.size - 1))
+        return np.concatenate((hull[:i], hull[i + 1 : i + 2], hull[i : i + 1], hull[i + 2 :]))
+    off = np.setdiff1d(np.arange(a.size), hull)
+    if kind == "extra" and off.size:
+        j = rng.choice(off)
+        return np.insert(hull, np.searchsorted(a[hull], a[j]), j)
+    return hull
+
+
+def _spy(name):
+    return mock.patch.object(quantizer_module, name, wraps=getattr(quantizer_module, name))
+
+
+warm_kinds = st.sampled_from((None, "hull", "stale", "drop-first", "drop-last", "unsorted", "extra"))
+
+
 @settings(max_examples=300, deadline=None)
-@given(region_lines)
+@given(region_lines, warm_kinds, st.integers(min_value=0, max_value=2**32 - 1))
 # three lines through one vertex up to rounding, where the adjacent-pair cut
 # is not the pairwise minimum (found by a random search over such clusters):
 # the middle line on the hull with an interval a few ulps wide ...
 @example(_hex_lines(
     [-1.15, -0.11, 0.37, 0.3],
     ["0x0.0p+0", "0x1.8a0902de00d1bp-1", "0x1.1ff2e48e8a71ep+0", "0x1.4p+3"],
-))
+), None, 0)
 # ... or above the envelope by a few ulps
 @example(_hex_lines(
     [-0.53, 0.05, 0.43, -0.39],
     ["0x0.0p+0", "0x1.ab9f559b3d07dp-1", "0x1.61e4f765fd8aep+0", "0x1.4p+3"],
-))
+), None, 0)
 # a cut that overflows: the pairwise code drops the second line
-@example((np.array([0.0, 1e-300]), np.array([0.0, 1e10])))
-def test_envelope_regions_equal_pairwise_bit_for_bit(lines):
+@example((np.array([0.0, 1e-300]), np.array([0.0, 1e10])), None, 0)
+@example((np.array([0.0, 1e-300]), np.array([0.0, 1e10])), "extra", 0)
+def test_envelope_regions_equal_pairwise_bit_for_bit(lines, warm_kind, seed):
     a, b2 = lines
     with np.errstate(over="ignore"):  # the overflow example
-        thresholds, codewords = _optimal_regions(a, b2)
         want_thresholds, want_codewords = _pairwise_regions(a, b2)
+        warm = None if warm_kind is None else _warm_candidate(warm_kind, a, want_codewords, seed)
+        with _spy("_stack_hull") as stack, _spy("_pairwise_regions") as pairwise:
+            thresholds, codewords = _optimal_regions(a, b2, warm)
     assert thresholds.dtype == want_thresholds.dtype
     assert thresholds.tobytes() == want_thresholds.tobytes()
     assert codewords.dtype == want_codewords.dtype
     assert codewords.tobytes() == want_codewords.tobytes()
+    if warm is not None and not np.array_equal(warm, want_codewords):
+        # a wrong candidate is rejected, and the update starts over
+        assert stack.called or pairwise.called
+
+
+def test_converged_design_iteration_takes_the_warm_path():
+    # a converged design's regions are the hull of its own levels' lines
+    for b, eps in ((3, 0.01), (5, 0.05), (6, 0.02)):
+        q = design_channel_optimized(b, uniform_bsc(b, eps), FAST)
+        a, b2 = _line_coefficients(q.levels, bsc_transition_matrix(q.designed_for))
+        with _spy("_stack_hull") as stack, _spy("_pairwise_regions") as pairwise:
+            thresholds, codewords = _optimal_regions(a, b2, q.region_codewords)
+        assert not stack.called and not pairwise.called
+        want_thresholds, want_codewords = _pairwise_regions(a, b2)
+        assert thresholds.tobytes() == want_thresholds.tobytes()
+        assert codewords.tobytes() == want_codewords.tobytes() == q.region_codewords.tobytes()
+
+
+def test_exact_slope_tie_keeps_the_stack_pass():
+    # the losers of an exact slope tie drop out before the stack pass
+    cases = 0
+    for b in (3, 5, 8):
+        for seed in range(40):
+            a, b2 = _region_lines(b, "ties", seed, None)
+            sa = np.sort(a)
+            gap = np.diff(sa)
+            near = (gap != 0.0) & ~(gap > 4.0 * 2.0**-53 * (np.abs(sa[:-1]) + np.abs(sa[1:])))
+            if not np.any(gap == 0.0) or np.any(near):
+                continue
+            cases += 1
+            with _spy("_pairwise_regions") as pairwise:
+                thresholds, codewords = _optimal_regions(a, b2)
+            assert not pairwise.called
+            want_thresholds, want_codewords = _pairwise_regions(a, b2)
+            assert thresholds.tobytes() == want_thresholds.tobytes()
+            assert codewords.tobytes() == want_codewords.tobytes()
+    assert cases >= 30
 
 
 def test_near_tie_takes_the_pairwise_fallback(monkeypatch):
@@ -360,6 +434,13 @@ def test_design_cached_distortion_consistent():
     assert analytic_distortion(q, q.designed_for) == pytest.approx(
         q.normalized_distortion, abs=1e-10
     )
+
+
+def test_design_config_rejects_bad_rel_tol():
+    for bad in (np.inf, np.nan, True, 0.0, -1e-9, "1e-9"):
+        with pytest.raises(ValueError, match="rel_tol"):
+            DesignConfig(rel_tol=bad)
+    assert DesignConfig(rel_tol=1e-6).rel_tol == 1e-6
 
 
 def test_design_config_rejects_non_int_counts():
