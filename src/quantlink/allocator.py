@@ -25,31 +25,38 @@ A plan runs in three steps.
     every element saturates is padded with pseudo-random dummy bits so the
     resource-grid accounting stays exact.
 
-The rating needs no per-target arrays. On an exactly nonincreasing distortion
-column, an element's minimum depth is 1 + #{b : D(b) > bound}, so b_lat[q] is
-the checked-element count plus one searchsorted of column q into the sorted
-bounds. The greedy loading and refinement loops are merges of per-item cost
-sequences, one per subcarrier (loading) or per element (refinement). When
-every sequence is monotone in the direction the greedy consumes it, the greedy
-order is the sorted order of all (item, step) costs, ties broken by item index
-and then step (Hughes-Hartogs loading equals one ascending sort of its
-increments; J. Campello, "Practical bit loading for DMT", ICC 1999). So:
+The rating needs no per-target arrays. The first depth whose distortion
+meets a bound is also the first whose running minimum min(D(1..b)) meets it,
+and the running minimum is nonincreasing, so on any distortion column an
+element's minimum depth is 1 + #{b : min(D(1..b)) > bound}, and b_lat[q] is
+the checked-element count plus one searchsorted of column q's running minimum
+into the sorted bounds.
 
+The greedy loading and refinement loops are merges of per-item cost sequences,
+one per subcarrier (loading) or per element (refinement), and each has a
+closed form:
+
+  * refinement grants the `residual` largest keys sigma_i^2 min(dec[b_i..b]),
+    the running minimum of each element's gain sequence, ties in (element,
+    depth) order (the merge argument is in refine_bit_allocation). This holds
+    on every distortion column, convex or not;
   * loading takes the longest prefix of the sorted power increments whose
     running sum (accumulated in the loop's order, so bit for bit the same)
     fits the budget, when the SNR-threshold increments are nondecreasing
-    under an exact float test. Equal costs leave the running sums unchanged,
-    so r_sym needs only the sorted values, for every target in one sort;
-  * refinement grants the `residual` largest marginal gains, found by one
-    partition plus the tie group at the cut taken in (element, depth) order,
-    when the decrements D(b) - D(b + 1) are nonincreasing under an exact
-    float test (not `column_is_convex`, whose tolerance admits columns where
-    the sorted order and the greedy differ).
+    under an exact float test: then the greedy order is the sorted order of
+    all (subcarrier, step) costs, ties by subcarrier and then step
+    (Hughes-Hartogs loading equals one ascending sort of its increments;
+    J. Campello, "Practical bit loading for DMT", ICC 1999). Equal costs leave
+    the running sums unchanged, so r_sym needs only the sorted values, for
+    every target in one sort.
 
-Where a check fails, the original computation runs for that target:
-min_bits_vector for b_lat, the one-step-at-a-time loop (`_greedy_loading`)
-for r_sym, and `_greedy_refinement` for the refinement. Tests use those as
-the reference.
+Where the increments are not convex, the one-step-at-a-time loop
+(`_greedy_loading`) rates and loads that target, and tests use it as the
+reference for the sorted path. Loading stops at the first increment that does
+not fit, so its result depends on the order in which the greedy takes items,
+not only on which: the closed form for such tables needs a stable argsort of
+running-maximum keys, several times slower than the sorted path that every
+library so far takes.
 """
 
 from __future__ import annotations
@@ -162,8 +169,7 @@ def allocate_power_modulation(
     if gamma_increments_convex(gamma_steps):
         cost = (increments[None, :] * inv_gain[:, None]).ravel()  # [subcarrier, step], row-major
         ordered = np.sort(cost)
-        fits = np.isfinite(ordered) & (np.cumsum(ordered) <= p_tot)
-        taken = fits.size if fits.all() else int(fits.argmin())
+        taken = int(_affordable(ordered, p_tot))
         # the flat index orders (subcarrier, step), the greedy's tie order
         granted = _smallest(cost, taken, ordered[taken - 1] if taken else None)
         steps = np.bincount(granted // increments.size, minlength=channel.n_sc)
@@ -173,6 +179,15 @@ def allocate_power_modulation(
     # silent subcarriers carry zero power even when their gain is exactly zero
     powers = np.where(steps > 0, gamma_steps[steps] * inv_gain, 0.0)
     return modulations, powers, int(modulations.sum())
+
+
+def _affordable(ordered: np.ndarray, p_tot: float) -> np.ndarray:
+    """Length of the longest prefix of ascending costs whose running sum fits p_tot.
+
+    Taken along the last axis, so a table of sorted rows gives one length per row.
+    """
+    fits = np.isfinite(ordered) & (np.cumsum(ordered, axis=-1) <= p_tot)
+    return np.where(fits.all(axis=-1), fits.shape[-1], fits.argmin(axis=-1))
 
 
 def _smallest(values: np.ndarray, k: int, kth: float | None = None) -> np.ndarray:
@@ -243,10 +258,25 @@ def refine_bit_allocation(
 ) -> tuple[np.ndarray, int]:
     """Spend residual symbol capacity on the largest marginal distortion reductions.
 
-    One bit per round goes to the element maximizing
-    sigma_i^2 (D(b_i) - D(b_i + 1)); ties break to the lowest index. Elements
-    already at b_max, and elements held at zero bits by the negligible-variance
-    relaxation, never grow. Returns (refined bits, dummy bit count).
+    Defined as the greedy that grants one bit per round to the element
+    maximizing sigma_i^2 (D(b_i) - D(b_i + 1)), ties to the lowest index.
+    Elements already at b_max, and elements held at zero bits by the
+    negligible-variance relaxation, never grow. Returns (refined bits, dummy
+    bit count).
+
+    The greedy merges one gain sequence per element, g_i(b) = sigma_i^2 dec[b]
+    for b = b_i..b_max - 1, taking the largest head each round. Key each gain
+    by its sequence's running minimum k_i(b) = min(g_i(b_i..b)). The greedy
+    takes gains in nonincreasing key order: the head h it takes has the
+    largest value, so k(h) = min(k(pred h), g(h)) is at least every other
+    head's key, which is at most that head's value and at most the key of h's
+    predecessor, the largest key when it was taken. When the keys reach k,
+    every head keyed k has value exactly k (where its running minimum first
+    hit k) and every other head a smaller one, so the lowest such element wins
+    and keeps winning through its gains keyed k before the next one starts.
+    So the greedy grants the `residual` largest keys, ties in (element, depth)
+    order, on any column. As sigma_i^2 >= 0 and rounding is monotone,
+    k_i(b) = sigma_i^2 min(dec[b_i..b]) exactly.
     """
     bits = np.asarray(bits, dtype=np.int64).copy()
     residual = capacity - int(bits.sum())
@@ -254,37 +284,24 @@ def refine_bit_allocation(
         raise ValueError("capacity below the current bit total")
     col = np.concatenate(([1.0], lib.distortion_column(eps_index)))  # col[b] = D(1; b)
     dec = col[:-1] - col[1:]  # dec[b] = D(b) - D(b + 1), the gain of growing from depth b
-    if not np.all(np.diff(dec[1:]) <= 0):
-        return _greedy_refinement(bits, stats.variances, col, lib.b_max, residual)
-    elements = np.flatnonzero((bits >= 1) & (bits < lib.b_max))
     depth = np.arange(lib.b_max)
-    # candidates in (element, depth) order, the order in which the greedy
-    # breaks ties
-    row, b = np.nonzero(depth[None, :] >= bits[elements, None])
-    gain = stats.variances[elements[row]] * dec[b]
-    granted = row[_smallest(-gain, residual)]  # the residual largest gains
+    # key[s, b] = min(dec[s..b]) for an element starting at depth s <= b
+    key = np.minimum.accumulate(np.where(depth >= depth[:, None], dec, np.inf), axis=1)
+    elements = np.flatnonzero((bits >= 1) & (bits < lib.b_max))
+    if 0 < residual < elements.size:
+        # at least `residual` keys (first gains) reach t, the residual-th
+        # largest first gain, so no key below t is granted; keys fall with
+        # depth, so an element whose first gain is below t gets no bit
+        first = stats.variances[elements] * dec[bits[elements]]
+        cut = elements.size - residual
+        elements = elements[first >= np.partition(first, cut)[cut]]
+    start = bits[elements]
+    # candidates in (element, depth) order, the greedy's tie order
+    row, b = np.nonzero(depth >= start[:, None])
+    gain = stats.variances[elements[row]] * key[start[row], b]
+    granted = row[_smallest(-gain, residual)]  # the residual largest keys
     bits += np.bincount(elements[granted], minlength=bits.size)
     return bits, residual - granted.size
-
-
-def _greedy_refinement(
-    bits: np.ndarray, variances: np.ndarray, col: np.ndarray, b_max: int, residual: int
-) -> tuple[np.ndarray, int]:
-    """refine_bit_allocation one bit per round (any distortion column); edits bits."""
-    eligible = (bits >= 1) & (bits < b_max)
-    gain = np.where(eligible, variances * (col[bits] - col[np.minimum(bits + 1, b_max)]), -np.inf)
-    while residual > 0:
-        if not np.any(eligible):
-            break
-        i = int(np.argmax(gain))
-        bits[i] += 1
-        residual -= 1
-        if bits[i] >= b_max:
-            eligible[i] = False
-            gain[i] = -np.inf
-        else:
-            gain[i] = variances[i] * (col[bits[i]] - col[bits[i] + 1])
-    return bits, residual
 
 
 @dataclass
@@ -431,11 +448,11 @@ def _rate_targets(
     targets in order and, per target, the bit depths before the loading.
     """
     q_count = lib.epsilons.size
-    table = lib.distortion_table()  # [target, b - 1]
+    floor = np.minimum.accumulate(lib.distortion_table(), axis=1)  # [target, b - 1]
     checked = stats.variances >= delta
     bounds = np.sort(1.0 / (stats.variances[checked] + 1.0))
     # an element is infeasible when its bound lies below every depth's distortion
-    infeasible = np.searchsorted(bounds, table.min(axis=1), "left") > 0
+    infeasible = np.searchsorted(bounds, floor[:, -1], "left") > 0
     increments = np.diff(gamma, axis=0)  # [step, target]
     steps_ok = gamma.shape[0] == len(QAM_BITS) + 1 and np.all(increments > 0)
     if infeasible.any() or not p_tot > 0 or not steps_ok:
@@ -444,17 +461,13 @@ def _rate_targets(
             minimum_bit_allocation(lib, stats, qi, delta)
             allocate_power_modulation(channel, p_tot, gamma[:, qi])
 
-    # on a nonincreasing column, depth - 1 counts the distortions above the bound
-    b_lat = bounds.size + np.searchsorted(bounds, table, "left").sum(axis=1)
-    for qi in np.flatnonzero(~np.all(np.diff(table, axis=1) <= 0, axis=1)):
-        b_lat[qi] = minimum_bit_allocation(lib, stats, qi, delta)[1]
+    # depth - 1 counts the running minima above the bound (see min_bits_vector)
+    b_lat = bounds.size + np.searchsorted(bounds, floor, "left").sum(axis=1)
 
     inv_gain = channel.noise_var / np.square(np.abs(channel.gains))
     cost = (increments.T[:, None, :] * inv_gain[None, :, None]).reshape(q_count, -1)
     cost.sort(axis=1)
-    fits = np.isfinite(cost) & (np.cumsum(cost, axis=1) <= p_tot)
-    taken = np.where(fits.all(axis=1), fits.shape[1], fits.argmin(axis=1))
-    r_sym = 2 * taken  # each step adds 2 bits
+    r_sym = 2 * _affordable(cost, p_tot)  # each step adds 2 bits
     for qi in np.flatnonzero(~gamma_increments_convex(gamma)):
         r_sym[qi] = allocate_power_modulation(channel, p_tot, gamma[:, qi])[2]
     return b_lat, r_sym

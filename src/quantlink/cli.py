@@ -134,6 +134,8 @@ def _load_stats(args, lib) -> LatentStats:
     if args.stats is not None:
         with open(args.stats, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"stats file {args.stats}: the top level must be a JSON object")
         return LatentStats(np.asarray(doc["means"]), np.asarray(doc["variances"]))
     src = sim.SyntheticSourceConfig(n_latents=args.n_latents, seed=args.source_seed)
     return sim.draw_stats(src, liblib.sigma_max(lib), stream_rng("source", args.seed, args.source_seed))

@@ -229,22 +229,20 @@ def min_bits_vector(
 ) -> np.ndarray:
     """Smallest bit depth per element meeting D(1; b, eps) <= 1/(sigma2 + 1).
 
-    Variances below `delta` are treated as negligible and get zero bits.
+    Variances below `delta` are treated as negligible and get zero bits. The
+    first depth with D(b) <= bound is also the first with min(D(1..b)) <=
+    bound, and that running minimum is nonincreasing, so on any column the
+    depth is 1 + #{b : min(D(1..b)) > bound}: one searchsorted.
     """
     variances = np.asarray(variances, dtype=np.float64)
     if not np.all(variances >= 0):
         raise ValueError("variances must be nonnegative")
-    col = lib.distortion_column(eps_index)
+    floor = np.minimum.accumulate(lib.distortion_column(eps_index))
     bound = 1.0 / (variances + 1.0)
     # an infeasible element gets depth b_max + 1 here
-    if np.all(np.diff(col) <= 0):
-        # on a nonincreasing column the depth is 1 + #{b : D(b) > bound}
-        bits = col.size + 1 - np.searchsorted(col[::-1], bound, "right").astype(np.int64)
-    else:
-        ok = col[None, :] <= bound[:, None]  # [element, b-1]
-        bits = np.where(ok.any(axis=1), ok.argmax(axis=1) + 1, col.size + 1).astype(np.int64)
+    bits = floor.size + 1 - np.searchsorted(floor[::-1], bound, "right").astype(np.int64)
     bits[variances < delta] = 0
-    bad = np.flatnonzero(bits > col.size)
+    bad = np.flatnonzero(bits > floor.size)
     if bad.size:
         i = int(bad[0])
         raise InfeasibleTargetError(
@@ -372,7 +370,8 @@ def load_library(path) -> QuantizerLibrary:
                 )
             if rec["active_count"] != q.active_count:
                 raise LibraryFormatError(f"cell ({b},{rec['eps_index']}): active_count mismatch")
-            if abs(analytic_distortion(q, q.designed_for) - q.normalized_distortion) > 1e-10:
+            # written as `not <=` so that a NaN distortion fails too
+            if not abs(analytic_distortion(q, q.designed_for) - q.normalized_distortion) <= 1e-10:
                 raise LibraryFormatError(
                     f"cell ({b},{rec['eps_index']}): stored distortion disagrees with parameters"
                 )

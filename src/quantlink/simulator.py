@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -293,6 +294,17 @@ class ExperimentConfig:
     spacing_hz: float = chan.DEFAULT_SPACING_HZ
     delta: float = DEFAULT_DELTA
     seed: int = 0
+
+    def __post_init__(self):
+        # a zero count would report a NaN mean distortion and no violations,
+        # and a string count would fail only after the library is loaded
+        for name in ("trials", "frames_per_realization"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        finite = [isinstance(s, (int, float)) and not isinstance(s, bool) and math.isfinite(s) for s in self.snr_db]
+        if not finite or not all(finite):
+            raise ValueError(f"snr_db must be a nonempty list of finite numbers, got {self.snr_db!r}")
 
     def digest(self) -> str:
         return hashlib.sha256(

@@ -156,15 +156,18 @@ def test_allocate_oversized_variance_exit_2(tiny_lib_dir, tmp_path, capsys):
 
 def test_allocate_malformed_stats_exit_2(tiny_lib_dir, tmp_path, capsys):
     stats = tmp_path / "stats.json"
-    stats.write_text(json.dumps({"means": [0.0]}))
-    code, _, err = _run(
-        capsys,
-        "allocate",
-        "--library", str(tiny_lib_dir / "library.json"),
-        "--stats", str(stats),
-        "--n-sc", "16", "--snr-db", "10", "--channel-seed", "5",
-    )
-    assert code == 2
+    # a top level that is not an object must be a bad-input exit, not a crash
+    for doc in ({"means": [0.0]}, []):
+        stats.write_text(json.dumps(doc))
+        code, _, err = _run(
+            capsys,
+            "allocate",
+            "--library", str(tiny_lib_dir / "library.json"),
+            "--stats", str(stats),
+            "--n-sc", "16", "--snr-db", "10", "--channel-seed", "5",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_allocate_infeasible_exit_3(tiny_lib_dir, tmp_path, capsys):
@@ -202,13 +205,33 @@ def test_simulate_smoke_and_determinism(tiny_lib_dir, tmp_path, capsys):
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
 
 
-def test_simulate_bad_config_exit_2(tmp_path, capsys):
+def test_simulate_bad_config_exit_2(tiny_lib_dir, tmp_path, capsys):
     cfg_path = tmp_path / "broken.json"
     for text in ("{not json", "[]"):
         cfg_path.write_text(text)
         code, _, err = _run(capsys, "simulate", "--config", str(cfg_path))
         assert code == 2
         assert "bad experiment config" in err
+    # a count below 1 would report a NaN mean and no violations, an empty SNR
+    # list a header-only CSV, and a string count would crash mid-run
+    base = {"library": str(tiny_lib_dir / "library.json"), "source": {"n_latents": 8}, "n_sc": 8, "trials": 1}
+    out_dir = tmp_path / "out"
+    for edit in (
+        {"trials": 0},
+        {"trials": -1},
+        {"trials": "200"},
+        {"trials": 2.0},
+        {"trials": True},
+        {"frames_per_realization": 0},
+        {"snr_db": []},
+        {"snr_db": [10.0, float("nan")]},
+        {"snr_db": [float("inf")]},
+    ):
+        cfg_path.write_text(json.dumps({**base, **edit}))
+        code, _, err = _run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(out_dir))
+        assert code == 2, edit
+        assert "bad experiment config" in err and next(iter(edit)) in err
+        assert not out_dir.exists()
 
 
 def test_simulate_rejects_misspelled_key(tiny_lib_dir, tmp_path, capsys):

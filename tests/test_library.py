@@ -77,6 +77,10 @@ def test_min_bits_examples(small_lib):
     assert min_bits_vector(small_lib, last, [smax2 * 0.999], 0.4)[0] == small_lib.b_max
     with pytest.raises(InfeasibleTargetError):
         min_bits_vector(small_lib, last, [smax2 * 1.5], 0.4)
+    # on a column that rises again, the first fitting depth, not a later one
+    rising = np.array([0.125, 0.0625, 0.5, 0.25, 0.0625])
+    lib = SimpleNamespace(b_max=rising.size, distortion_column=lambda qi: rising)
+    assert min_bits_vector(lib, 0, [3.0, 15.0], 0.4).tolist() == [1, 2]
 
 
 def test_min_bits_vector_matches_scalar(small_lib):
@@ -181,13 +185,15 @@ def test_load_rejects_version_mismatch(tmp_path, small_lib):
 
 
 def test_load_rejects_tampered_distortion(tmp_path, small_lib):
-    path = tmp_path / "lib.json"
-    save_library(small_lib, path)
-    doc = json.loads(path.read_text())
-    doc["cells"][0]["distortion"] = (0.123456).hex()
-    path.write_text(json.dumps(doc))
-    with pytest.raises(LibraryFormatError, match="distortion"):
-        load_library(path)
+    # a NaN passes a plain `> tol` check, and the planner's running minimum
+    # down the column would spread it to every deeper cell
+    for bad in (0.123456, np.nan, np.inf, -np.inf):
+        def tamper(doc):
+            cell = next(c for c in doc["cells"] if (c["b"], c["eps_index"]) == (2, 1))
+            cell["distortion"] = float(bad).hex()
+
+        with pytest.raises(LibraryFormatError, match="stored distortion"):
+            load_library(_tampered(tmp_path, small_lib, tamper))
 
 
 def test_load_rejects_flips_off_grid(tmp_path, small_lib):
