@@ -11,8 +11,9 @@ A plan runs in three steps.
     modulation step (QPSK -> 16 -> 64 -> 256-QAM) is raised until the next
     increment no longer fits the power budget. Power per subcarrier is pinned
     to hit the BER target exactly given its gain, so the per-bit flip
-    probability matches the quantizer design point. Under a convex
-    SNR-threshold table this greedy is exactly optimal.
+    probability matches the quantizer design point. Every library's
+    SNR-threshold steps never shrink, and under such steps this greedy is
+    exactly optimal.
 
   * Select the target minimizing b_lat / r_sym (ties to the smaller target);
     the symbol count is the ceiling of that ratio. Only this target's bit
@@ -42,21 +43,13 @@ closed form:
     on every distortion column, convex or not;
   * loading takes the longest prefix of the sorted power increments whose
     running sum (accumulated in the loop's order, so bit for bit the same)
-    fits the budget, when the SNR-threshold increments are nondecreasing
-    under an exact float test: then the greedy order is the sorted order of
-    all (subcarrier, step) costs, ties by subcarrier and then step
-    (Hughes-Hartogs loading equals one ascending sort of its increments;
-    J. Campello, "Practical bit loading for DMT", ICC 1999). Equal costs leave
-    the running sums unchanged, so r_sym needs only the sorted values, for
-    every target in one sort.
-
-Where the increments are not convex, the one-step-at-a-time loop
-(`_greedy_loading`) rates and loads that target, and tests use it as the
-reference for the sorted path. Loading stops at the first increment that does
-not fit, so its result depends on the order in which the greedy takes items,
-not only on which: the closed form for such tables needs a stable argsort of
-running-maximum keys, several times slower than the sorted path that every
-library so far takes.
+    fits the budget. The SNR-threshold steps never shrink under an exact float
+    test, an invariant of every QuantizerLibrary's table, so the greedy order
+    is the sorted order of all (subcarrier, step) costs, ties by subcarrier
+    and then step (Hughes-Hartogs loading equals one ascending sort of its
+    increments; J. Campello, "Practical bit loading for DMT", ICC 1999).
+    Equal costs leave the running sums unchanged, so r_sym needs only the
+    sorted values, for every target in one sort.
 """
 
 from __future__ import annotations
@@ -155,8 +148,11 @@ def allocate_power_modulation(
     """Greedy modulation/power loading of one OFDM symbol.
 
     gamma_steps[s] is the SNR threshold for modulation QAM_BITS[s-1], with
-    gamma_steps[0] = 0 for silence, strictly increasing. Returns
-    (modulations, powers, bits/symbol).
+    gamma_steps[0] = 0 for silence, strictly increasing, with steps that
+    never shrink (as in every library's table); other vectors raise
+    ValueError. Under such steps the greedy takes the longest affordable
+    prefix of all sorted increments. Returns (modulations, powers,
+    bits/symbol).
     """
     if not p_tot > 0:
         raise ValueError("p_tot must be positive")
@@ -164,17 +160,16 @@ def allocate_power_modulation(
         raise ValueError("gamma_steps must be [0, gamma(QPSK), ..., gamma(256-QAM)]")
     if not np.all(np.diff(gamma_steps) > 0):
         raise ValueError("gamma_steps must be strictly increasing")
+    if not gamma_increments_convex(gamma_steps):
+        raise ValueError("gamma_steps increments must never shrink")
     inv_gain = channel.noise_var / np.square(np.abs(channel.gains))
     increments = np.diff(gamma_steps)  # per modulation step
-    if gamma_increments_convex(gamma_steps):
-        cost = (increments[None, :] * inv_gain[:, None]).ravel()  # [subcarrier, step], row-major
-        ordered = np.sort(cost)
-        taken = int(_affordable(ordered, p_tot))
-        # the flat index orders (subcarrier, step), the greedy's tie order
-        granted = _smallest(cost, taken, ordered[taken - 1] if taken else None)
-        steps = np.bincount(granted // increments.size, minlength=channel.n_sc)
-    else:
-        steps = _greedy_loading(inv_gain, increments, p_tot)
+    cost = (increments[None, :] * inv_gain[:, None]).ravel()  # [subcarrier, step], row-major
+    ordered = np.sort(cost)
+    taken = int(_affordable(ordered, p_tot))
+    # the flat index orders (subcarrier, step), the greedy's tie order
+    granted = _smallest(cost, taken, ordered[taken - 1] if taken else None)
+    steps = np.bincount(granted // increments.size, minlength=channel.n_sc)
     modulations = steps * 2
     # silent subcarriers carry zero power even when their gain is exactly zero
     powers = np.where(steps > 0, gamma_steps[steps] * inv_gain, 0.0)
@@ -207,22 +202,6 @@ def _smallest(values: np.ndarray, k: int, kth: float | None = None) -> np.ndarra
     ties = np.flatnonzero(values == kth)[: k - np.count_nonzero(below)]
     below[ties] = True
     return np.flatnonzero(below)
-
-
-def _greedy_loading(inv_gain: np.ndarray, increments: np.ndarray, p_tot: float) -> np.ndarray:
-    """Steps per subcarrier, one cheapest increment at a time (any increment table)."""
-    steps = np.zeros(inv_gain.size, dtype=np.int64)
-    delta_p = increments[0] * inv_gain
-    used = 0.0
-    while True:
-        k = int(np.argmin(delta_p))  # ties go to the lowest subcarrier
-        cost = delta_p[k]
-        if not np.isfinite(cost) or used + cost > p_tot:
-            break
-        used += cost
-        steps[k] += 1
-        delta_p[k] = increments[steps[k]] * inv_gain[k] if steps[k] < increments.size else np.inf
-    return steps
 
 
 def select_ber_target(b_lat, r_sym) -> tuple[int, int]:
@@ -443,7 +422,8 @@ def _rate_targets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(b_lat, r_sym) of every grid target, as the per-target functions give them.
 
-    gamma holds target q's [0, gamma(QPSK), ..., gamma(256-QAM)] in column q.
+    gamma holds target q's [0, gamma(QPSK), ..., gamma(256-QAM)] in column q,
+    from the library, so its steps are positive and never shrink.
     Raises what the first failing per-target call would raise, taking the
     targets in order and, per target, the bit depths before the loading.
     """
@@ -453,9 +433,7 @@ def _rate_targets(
     bounds = np.sort(1.0 / (stats.variances[checked] + 1.0))
     # an element is infeasible when its bound lies below every depth's distortion
     infeasible = np.searchsorted(bounds, floor[:, -1], "left") > 0
-    increments = np.diff(gamma, axis=0)  # [step, target]
-    steps_ok = gamma.shape[0] == len(QAM_BITS) + 1 and np.all(increments > 0)
-    if infeasible.any() or not p_tot > 0 or not steps_ok:
+    if infeasible.any() or not p_tot > 0:
         # the per-target calls, in the loop's order, raise the first error
         for qi in range(q_count):
             minimum_bit_allocation(lib, stats, qi, delta)
@@ -465,11 +443,10 @@ def _rate_targets(
     b_lat = bounds.size + np.searchsorted(bounds, floor, "left").sum(axis=1)
 
     inv_gain = channel.noise_var / np.square(np.abs(channel.gains))
+    increments = np.diff(gamma, axis=0)  # [step, target]
     cost = (increments.T[:, None, :] * inv_gain[None, :, None]).reshape(q_count, -1)
     cost.sort(axis=1)
     r_sym = 2 * _affordable(cost, p_tot)  # each step adds 2 bits
-    for qi in np.flatnonzero(~gamma_increments_convex(gamma)):
-        r_sym[qi] = allocate_power_modulation(channel, p_tot, gamma[:, qi])[2]
     return b_lat, r_sym
 
 

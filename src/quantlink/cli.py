@@ -17,7 +17,7 @@ check failures, 2 bad arguments/config/paths, 3 infeasible allocation.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import dataclasses
 import json
 import sys
 
@@ -161,15 +161,19 @@ def cmd_allocate(args) -> int:
     except liblib.InfeasibleTargetError as exc:
         print(f"error: {exc} (variances must be clamped to sigma_max^2)", file=sys.stderr)
         return 2
-    doc = serialize_plan(plan)
+    if args.check:
+        # a plan that fails its check is not written
+        try:
+            validate_plan(plan, lib, stats, p_tot, args.delta)
+        except ValueError as exc:
+            print(f"error: plan check failed: {exc}", file=sys.stderr)
+            return 1
     if args.out is not None:
         try:
-            args.out.write_text(doc, encoding="utf-8")
+            args.out.write_text(serialize_plan(plan), encoding="utf-8")
         except OSError as exc:
             print(f"error: cannot write plan: {exc}", file=sys.stderr)
             return 2
-    if args.check:
-        validate_plan(plan, lib, stats, p_tot, args.delta)
     print(
         json.dumps(
             {
@@ -189,33 +193,23 @@ def cmd_allocate(args) -> int:
     return 0
 
 
-_SIMULATE_KEYS = frozenset(
-    {"library", "source", "profile", "snr_db", "trials", "frames_per_realization",
-     "n_sc", "spacing_hz", "delta", "seed"}
-)
-
-
 def cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("the top level must be a JSON object")
-        unknown = sorted(set(doc) - _SIMULATE_KEYS)
+        # the config's keys are ExperimentConfig's fields, which give the
+        # defaults, except that `profile` sets profile_ref and `library` and
+        # `source` are read apart
+        fields = {f.name for f in dataclasses.fields(sim.ExperimentConfig)} - {"source", "profile_ref"}
+        unknown = sorted(set(doc) - fields - {"library", "source", "profile"})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        src = sim.SyntheticSourceConfig(**doc.get("source", {}))
-        cfg = sim.ExperimentConfig(
-            source=src,
-            profile_ref=doc.get("profile", "exp-pdp(300)"),
-            snr_db=tuple(doc.get("snr_db", (5.0, 10.0, 15.0))),
-            trials=doc.get("trials", 200),
-            frames_per_realization=doc.get("frames_per_realization", 1),
-            n_sc=doc.get("n_sc", chan.DEFAULT_N_SC),
-            spacing_hz=doc.get("spacing_hz", chan.DEFAULT_SPACING_HZ),
-            delta=doc.get("delta", liblib.DEFAULT_DELTA),
-            seed=doc.get("seed", 0),
-        )
+        settings = {key: doc[key] for key in fields & set(doc)}
+        if "profile" in doc:
+            settings["profile_ref"] = doc["profile"]
+        cfg = sim.ExperimentConfig(source=sim.SyntheticSourceConfig(**doc.get("source", {})), **settings)
         lib = liblib.load_library(doc["library"])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, liblib.LibraryFormatError) as exc:
         print(f"error: bad experiment config: {exc}", file=sys.stderr)

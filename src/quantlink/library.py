@@ -88,10 +88,18 @@ def _validated_grid(epsilons) -> np.ndarray:
 class QuantizerLibrary:
     """Immutable-by-convention container for the designed grid.
 
-    cells maps (bit depth, epsilon index) to a ScalarQuantizer;
-    gamma_thresholds has shape (len(QAM_BITS), len(epsilons)).
-    warnings collects build-time diagnostic records (nonconvex columns etc.),
-    which are informational, not failures.
+    cells maps (bit depth, epsilon index) to a ScalarQuantizer.
+    gamma_thresholds[s, q] is the SNR at which QAM_BITS[s] hits target q. The
+    table is checked on construction, so every build, load and
+    dataclasses.replace passes through the check: it has shape
+    (len(QAM_BITS), len(epsilons)), is finite, meets each target to within
+    modem.SNR_THRESHOLD_TOL, and per target its steps [0, gamma(QPSK), ...,
+    gamma(256-QAM)] start positive and never shrink. The allocator's sorted
+    loading is the greedy only under that last condition, which holds for
+    every target below 0.34476 and fails above it. warnings collects
+    build-time records about the distortion grid only (non-monotone or
+    nonconvex columns, rows not monotone in the target), which are
+    informational, not failures.
 
     The object is immutable once its digest has been read: digest() hashes
     the serialized library on its first call and returns that hash from then
@@ -107,6 +115,9 @@ class QuantizerLibrary:
     warnings: list[dict] = field(default_factory=list)
     format_version: int = FORMAT_VERSION
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_gamma(self.gamma_thresholds, self.epsilons)
 
     def quantizer(self, bit_depth: int, eps_index: int) -> ScalarQuantizer:
         return self.cells[(bit_depth, self._check_index(eps_index))]
@@ -152,16 +163,19 @@ def build_library(
 ) -> QuantizerLibrary:
     """Design every grid cell and the SNR-threshold table.
 
-    Columns are warm-started from the previous depth (levels duplicated), so
-    distortion cannot rise with b. Emits warning records for any nonconvex
-    distortion column, any column/row ordering anomaly, and any epsilon whose
-    QAM SNR increments are not convex in the modulation order.
+    The threshold table is computed and checked first, so a grid the planner
+    cannot load fails before any cell is designed. Columns are warm-started
+    from the previous depth (levels duplicated), so distortion cannot rise
+    with b. Emits warning records for any nonconvex distortion column and any
+    column/row ordering anomaly.
     """
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
     grid = _validated_grid(default_epsilon_grid() if epsilons is None else epsilons)
+    gamma = np.array([[modem.snr_threshold(m, float(eps)) for eps in grid] for m in modem.QAM_BITS])
+    _check_gamma(gamma, grid)
+
     cells: dict[tuple[int, int], ScalarQuantizer] = {}
-    warnings: list[dict] = []
     for qi, eps in enumerate(grid):
         prev: ScalarQuantizer | None = None
         for b in range(1, b_max + 1):
@@ -170,19 +184,7 @@ def build_library(
             cells[(b, qi)] = q
             prev = q
 
-    gamma = np.empty((len(modem.QAM_BITS), grid.size))
-    for mi, m in enumerate(modem.QAM_BITS):
-        for qi, eps in enumerate(grid):
-            gamma[mi, qi] = modem.snr_threshold(m, float(eps))
-
-    lib = QuantizerLibrary(
-        b_max=b_max,
-        epsilons=grid,
-        cells=cells,
-        design=cfg,
-        gamma_thresholds=gamma,
-        warnings=warnings,
-    )
+    lib = QuantizerLibrary(b_max=b_max, epsilons=grid, cells=cells, design=cfg, gamma_thresholds=gamma)
     _audit(lib)
     return lib
 
@@ -207,9 +209,32 @@ def _audit(lib: QuantizerLibrary) -> None:
         row = np.array([lib.distortion(b, qi) for qi in range(lib.epsilons.size)])
         if np.any(np.diff(row) < -1e-9):
             lib.warnings.append({"kind": "row-not-monotone", "b": b})
-    gamma = np.vstack((np.zeros(lib.epsilons.size), lib.gamma_thresholds))
-    for qi in np.flatnonzero(~gamma_increments_convex(gamma)):
-        lib.warnings.append({"kind": "gamma-increments-not-convex", "eps_index": int(qi)})
+
+
+def _check_gamma(gamma, epsilons) -> None:
+    """Raise ValueError unless gamma is a threshold table for the targets epsilons.
+
+    The invariant of QuantizerLibrary.gamma_thresholds, in the order checked:
+    shape (len(QAM_BITS), len(epsilons)), finite, a positive first step
+    gamma(QPSK), steps that never shrink (gamma_increments_convex, per
+    target), and |ber_approx(m, gamma) - target| <= SNR_THRESHOLD_TOL.
+    """
+    gamma = np.asarray(gamma, dtype=np.float64)
+    shape = (len(modem.QAM_BITS), np.size(epsilons))
+    if gamma.shape != shape:
+        raise ValueError(f"gamma threshold table has wrong shape {gamma.shape}, expected {shape}")
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError("gamma thresholds must be finite")
+    if not np.all(gamma[0] > 0):
+        raise ValueError("gamma thresholds need a positive first step gamma(QPSK)")
+    shrinks = np.flatnonzero(~gamma_increments_convex(np.vstack((np.zeros(shape[1]), gamma))))
+    if shrinks.size:
+        qi = int(shrinks[0])
+        raise ValueError(f"gamma threshold steps shrink at target {float(epsilons[qi])!r} (eps index {qi})")
+    for m, row in zip(modem.QAM_BITS, gamma):
+        miss = np.abs(modem.ber_approx(m, row) - epsilons)
+        if not np.all(miss <= modem.SNR_THRESHOLD_TOL):
+            raise ValueError(f"gamma thresholds of {m}-bit QAM miss their BER targets by up to {np.max(miss):.3g}")
 
 
 def gamma_increments_convex(gamma_steps: np.ndarray):
@@ -218,7 +243,7 @@ def gamma_increments_convex(gamma_steps: np.ndarray):
     gamma_steps is one such vector (returns a bool) or a table holding one per
     column, axis 0 running over the modulation steps (returns a bool per
     column). The allocator's sorted loading equals the greedy only under this
-    test.
+    test, and every library's table passes it (see _check_gamma).
     """
     ok = np.all(np.diff(gamma_steps, 2, axis=0) >= 0, axis=0)
     return bool(ok) if ok.ndim == 0 else ok
@@ -341,15 +366,6 @@ def load_library(path) -> QuantizerLibrary:
             seed=doc["design"]["seed"],
         )
         gamma = np.array([[_unhex(s) for s in row] for row in doc["gamma_thresholds"]])
-        if gamma.shape != (len(modem.QAM_BITS), epsilons.size):
-            raise LibraryFormatError("gamma threshold table has wrong shape")
-        for m, row in zip(modem.QAM_BITS, gamma):
-            miss = np.abs(modem.ber_approx(m, row) - epsilons)
-            if not np.all(miss <= modem.SNR_THRESHOLD_TOL):
-                raise LibraryFormatError(
-                    f"gamma thresholds of {m}-bit QAM miss their BER targets "
-                    f"by up to {np.max(miss):.3g}"
-                )
         cells: dict[tuple[int, int], ScalarQuantizer] = {}
         for rec in doc["cells"]:
             b = rec["b"]

@@ -138,9 +138,13 @@ def snr_threshold(m: int, target_ber: float, tol: float = SNR_THRESHOLD_TOL) -> 
     """Symbol SNR at which `m`-bit QAM hits `target_ber`, by bisection.
 
     The returned gamma satisfies |ber_approx(m, gamma) - target_ber| <= tol.
+    A target at or below tol raises ValueError: every gamma far enough up
+    the bracket would pass, so the answer would mean nothing.
     """
     if not 0.0 < target_ber < 0.5:
         raise ValueError(f"target BER must be in (0, 0.5), got {target_ber}")
+    if not target_ber > tol:
+        raise ValueError(f"target BER {target_ber} must exceed the tolerance {tol}")
     lo, hi = _BRACKET
     if not ber_approx(m, lo) > target_ber > ber_approx(m, hi):
         raise ValueError(

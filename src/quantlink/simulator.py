@@ -281,6 +281,15 @@ def run_trial(
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A finite real number; bools and strings are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Sweep definition: source, channel profile, SNR grid, trial counts."""
@@ -297,12 +306,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # a zero count would report a NaN mean distortion and no violations,
-        # and a string count would fail only after the library is loaded
-        for name in ("trials", "frames_per_realization"):
+        # a string would fail only after the library is loaded, and a string
+        # seed would run under a different config digest
+        for name in ("trials", "frames_per_realization", "n_sc"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-        finite = [isinstance(s, (int, float)) and not isinstance(s, bool) and math.isfinite(s) for s in self.snr_db]
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        for name in ("spacing_hz", "delta"):
+            value = getattr(self, name)
+            if not _is_finite(value) or value <= 0:
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        finite = [_is_finite(s) for s in self.snr_db]
         if not finite or not all(finite):
             raise ValueError(f"snr_db must be a nonempty list of finite numbers, got {self.snr_db!r}")
 

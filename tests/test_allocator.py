@@ -26,6 +26,7 @@ from quantlink.allocator import (
 )
 from quantlink.channel import ChannelRealization, exponential_pdp, realize_channel
 from quantlink.library import InfeasibleTargetError, gamma_increments_convex, sigma_max
+from quantlink.modem import QAM_BITS, snr_threshold
 from quantlink.rng import stream_rng
 from quantlink.simulator import SyntheticSourceConfig, draw_stats
 
@@ -190,10 +191,23 @@ def test_loading_rejects_gamma_steps_not_strictly_increasing():
 
 
 def _looped_loading(ch, p_tot, gamma_steps):
-    """allocate_power_modulation with the one-step-at-a-time loop forced."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(allocator, "gamma_increments_convex", lambda g: False)
-        return allocate_power_modulation(ch, p_tot, gamma_steps)
+    """allocate_power_modulation by its definition: one cheapest increment at a time."""
+    inv_gain = ch.noise_var / np.square(np.abs(ch.gains))
+    increments = np.diff(gamma_steps)
+    steps = np.zeros(ch.n_sc, dtype=np.int64)
+    delta_p = increments[0] * inv_gain
+    used = 0.0
+    while True:
+        k = int(np.argmin(delta_p))  # ties go to the lowest subcarrier
+        cost = delta_p[k]
+        if not np.isfinite(cost) or used + cost > p_tot:
+            break
+        used += cost
+        steps[k] += 1
+        delta_p[k] = increments[steps[k]] * inv_gain[k] if steps[k] < increments.size else np.inf
+    modulations = steps * 2
+    powers = np.where(steps > 0, gamma_steps[steps] * inv_gain, 0.0)
+    return modulations, powers, int(modulations.sum())
 
 
 def _assert_same_loading(got, want):
@@ -202,8 +216,9 @@ def _assert_same_loading(got, want):
     assert got[2] == want[2]
 
 
-# dyadic steps keep every increment and its difference exact, so the sorted
-# path runs; equal picks make ties inside a subcarrier's step sequence
+# dyadic steps keep every increment and its difference exact, so the steps
+# pass the exact never-shrink test; equal picks make ties inside a
+# subcarrier's step sequence
 _DYADIC_INCREMENTS = st.lists(
     st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]), min_size=4, max_size=4
 ).map(sorted)
@@ -249,15 +264,16 @@ def test_sorted_loading_equals_greedy_loop_on_library_rows(small_lib):
         _assert_same_loading(allocate_power_modulation(ch, p_tot, g), _looped_loading(ch, p_tot, g))
 
 
-def test_nonconvex_increments_take_the_loop():
+def test_loading_rejects_shrinking_increments():
     # increments (1, 0.5, 1.5, 3): the sorted prefix would grant both cheap
-    # second steps, the greedy must first buy a first step
+    # second steps where the greedy must first buy a first step, so such a
+    # vector is refused rather than loaded
     g = np.array([0.0, 1.0, 1.5, 3.0, 6.0])
     assert not gamma_increments_convex(g)
     ch = ChannelRealization(np.array([1.0 + 0j, np.sqrt(1 / 0.9) + 0j]), 1.0, 30e3, 0)
-    got = allocate_power_modulation(ch, 1.0, g)
-    assert list(got[0]) == [0, 2]
-    _assert_same_loading(got, _looped_loading(ch, 1.0, g))
+    assert list(_looped_loading(ch, 1.0, g)[0]) == [0, 2]
+    with pytest.raises(ValueError, match="never shrink"):
+        allocate_power_modulation(ch, 1.0, g)
 
 
 @settings(max_examples=200, deadline=None)
@@ -704,13 +720,14 @@ def test_one_pass_plan_equals_per_target_solves_on_non_monotone_column(small_lib
     _assert_same_plans(lib, _plan_cases(lib, 2, 30))
 
 
-def test_one_pass_plan_equals_per_target_solves_on_non_convex_gamma(small_lib):
-    # increments (1, 0.5, 1.5, 3): the loading loop rates this target
-    gamma = small_lib.gamma_thresholds.copy()
-    gamma[:, 0] = (1.0, 1.5, 3.0, 6.0)
-    lib = dataclasses.replace(small_lib, gamma_thresholds=gamma)
-    assert list(gamma_increments_convex(np.vstack((np.zeros(2), gamma)))) == [False, True]
-    _assert_same_plans(lib, _plan_cases(lib, 3, 30))
+def test_no_plan_on_shrinking_gamma_steps(small_lib):
+    # the thresholds of a target in [0.34476, 0.453) meet it, but their steps
+    # shrink; no library holds such a column, so no plan can be rated on one
+    grid = np.array([0.01, 0.35])
+    gamma = np.array([[snr_threshold(m, e) for e in grid] for m in QAM_BITS])
+    assert list(gamma_increments_convex(np.vstack((np.zeros(2), gamma)))) == [True, False]
+    with pytest.raises(ValueError, match="shrink at target 0.35"):
+        dataclasses.replace(small_lib, epsilons=grid, gamma_thresholds=gamma)
 
 
 def _straddling_variance(lib):

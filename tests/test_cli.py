@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from quantlink import cli
 from quantlink.cli import main
 
 
@@ -110,6 +111,24 @@ def test_allocate_and_check(tiny_lib_dir, tmp_path, capsys):
     assert doc["t_sym"] >= 1
 
 
+def test_allocate_failed_check_exit_1_and_no_plan(tiny_lib_dir, tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise ValueError("total power exceeds the budget")
+
+    monkeypatch.setattr(cli, "validate_plan", failing)
+    plan_path = tmp_path / "plan.json"
+    code, out, err = _run(
+        capsys,
+        "allocate",
+        "--library", str(tiny_lib_dir / "library.json"),
+        "--n-latents", "32", "--n-sc", "16", "--snr-db", "10",
+        "--channel-seed", "5", "--out", str(plan_path), "--check",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "total power exceeds the budget" in err
+    assert out == "" and not plan_path.exists()
+
+
 def test_allocate_deterministic(tiny_lib_dir, tmp_path, capsys):
     paths = []
     for name in ("a.json", "b.json"):
@@ -213,7 +232,8 @@ def test_simulate_bad_config_exit_2(tiny_lib_dir, tmp_path, capsys):
         assert code == 2
         assert "bad experiment config" in err
     # a count below 1 would report a NaN mean and no violations, an empty SNR
-    # list a header-only CSV, and a string count would crash mid-run
+    # list a header-only CSV, a string count or delta would crash mid-run, and
+    # a string seed would run under another config digest
     base = {"library": str(tiny_lib_dir / "library.json"), "source": {"n_latents": 8}, "n_sc": 8, "trials": 1}
     out_dir = tmp_path / "out"
     for edit in (
@@ -226,6 +246,19 @@ def test_simulate_bad_config_exit_2(tiny_lib_dir, tmp_path, capsys):
         {"snr_db": []},
         {"snr_db": [10.0, float("nan")]},
         {"snr_db": [float("inf")]},
+        {"delta": "0.4"},
+        {"delta": 0.0},
+        {"delta": -0.4},
+        {"delta": float("nan")},
+        {"n_sc": 0},
+        {"n_sc": 8.0},
+        {"n_sc": "8"},
+        {"spacing_hz": 0},
+        {"spacing_hz": "30e3"},
+        {"spacing_hz": float("inf")},
+        {"seed": "0"},
+        {"seed": 1.5},
+        {"seed": True},
     ):
         cfg_path.write_text(json.dumps({**base, **edit}))
         code, _, err = _run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(out_dir))
@@ -235,14 +268,16 @@ def test_simulate_bad_config_exit_2(tiny_lib_dir, tmp_path, capsys):
 
 
 def test_simulate_rejects_misspelled_key(tiny_lib_dir, tmp_path, capsys):
-    cfg = {"library": str(tiny_lib_dir / "library.json"), "source": {"n_latents": 8}, "trails": 1, "n_sc": 8}
-    cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out_dir = tmp_path / "out"
-    code, _, err = _run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(out_dir))
-    assert code == 2
-    assert "trails" in err
-    assert not out_dir.exists()
+    # profile_ref is the field's name, but the config calls it profile
+    for key in ("trails", "profile_ref"):
+        cfg = {"library": str(tiny_lib_dir / "library.json"), "source": {"n_latents": 8}, key: 1, "n_sc": 8}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        code, _, err = _run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(out_dir))
+        assert code == 2
+        assert "bad experiment config" in err and key in err
+        assert not out_dir.exists()
 
 
 def test_ber_check_smoke(tiny_lib_dir, capsys):

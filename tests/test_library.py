@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantlink import library
+from quantlink import library, modem
 from quantlink.library import (
     InfeasibleTargetError,
     LibraryFormatError,
@@ -24,7 +24,8 @@ from quantlink.library import (
     serialize_library,
     sigma_max,
 )
-from quantlink.quantizer import DesignConfig
+from quantlink.modem import QAM_BITS, snr_threshold
+from quantlink.quantizer import DesignConfig, analytic_distortion, uniform_bsc
 from quantlink.rng import stream_rng
 
 ONE_BIT_D_05 = 0.48433798438225906
@@ -346,11 +347,68 @@ def test_gamma_increments_convex_takes_a_table_column_by_column(small_lib):
     assert [gamma_increments_convex(c) for c in columns] == [True, False]
     assert type(gamma_increments_convex(columns[0])) is bool
     assert gamma_increments_convex(np.stack(columns, axis=1)).tolist() == [True, False]
-    # the audit flags the columns the table test rejects
+    # a library refuses the columns the table test rejects
     gamma = small_lib.gamma_thresholds.copy()
     gamma[:, 1] = columns[1][1:]
-    lib = dataclasses.replace(small_lib, gamma_thresholds=gamma, warnings=[])
-    library._audit(lib)
-    assert [w for w in lib.warnings if w["kind"] == "gamma-increments-not-convex"] == [
-        {"kind": "gamma-increments-not-convex", "eps_index": 1}
-    ]
+    with pytest.raises(ValueError, match="shrink at target 0.05 \\(eps index 1\\)"):
+        dataclasses.replace(small_lib, gamma_thresholds=gamma)
+
+
+# threshold tables a library refuses, each as a grid and a stand-in for
+# modem.snr_threshold; the real thresholds of 0.35 shrink, so the last case
+# is build_library(1, [0.35])
+_BAD_THRESHOLDS = {
+    "wrong shape": ((0.01, 0.05), lambda m, e: np.full(2, snr_threshold(m, e)), "wrong shape"),
+    "off target": ((0.01, 0.05), lambda m, e: snr_threshold(m, e) * (1.0 + 1e-4 * (m == 4)), "4-bit QAM miss"),
+    "not finite": ((0.01, 0.05), lambda m, e: np.nan if m == 6 else snr_threshold(m, e), "finite"),
+    "zero first step": ((0.01, 0.05), lambda m, e: 0.0 if m == 2 else snr_threshold(m, e), "first step"),
+    "shrinking step": ((0.35,), snr_threshold, "shrink at target 0.35"),
+}
+
+
+def _threshold_table(grid, threshold):
+    return np.array([[threshold(m, e) for e in grid] for m in QAM_BITS])
+
+
+def _never_designed(*args, **kwargs):
+    raise AssertionError("a cell was designed before the threshold table was checked")
+
+
+@pytest.mark.parametrize("defect", sorted(_BAD_THRESHOLDS))
+def test_build_rejects_bad_threshold_table_before_any_design(monkeypatch, defect):
+    grid, threshold, match = _BAD_THRESHOLDS[defect]
+    monkeypatch.setattr(modem, "snr_threshold", threshold)
+    monkeypatch.setattr(library, "design_channel_optimized", _never_designed)
+    with pytest.raises(ValueError, match=match):
+        build_library(1, grid)
+
+
+@pytest.mark.parametrize("defect", sorted(_BAD_THRESHOLDS))
+def test_replace_rejects_bad_threshold_table(small_lib, defect):
+    grid, threshold, match = _BAD_THRESHOLDS[defect]
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(small_lib, epsilons=np.array(grid), gamma_thresholds=_threshold_table(grid, threshold))
+
+
+def _retabled(small_lib, grid, threshold):
+    """Document edit moving small_lib to grid, its cells' flips and distortions along."""
+
+    def edit(doc):
+        doc["epsilons"] = [float(eps).hex() for eps in grid]
+        doc["cells"] = [c for c in doc["cells"] if c["eps_index"] < len(grid)]
+        for cell in doc["cells"]:
+            b, qi = cell["b"], cell["eps_index"]
+            flips = uniform_bsc(b, grid[qi])
+            cell["flips"] = [f.hex() for f in flips]
+            cell["distortion"] = analytic_distortion(small_lib.cells[(b, qi)], flips).hex()
+        table = _threshold_table(grid, threshold)
+        doc["gamma_thresholds"] = [[float(v).hex() for v in np.ravel(row)] for row in table]
+
+    return edit
+
+
+@pytest.mark.parametrize("defect", sorted(_BAD_THRESHOLDS))
+def test_load_rejects_bad_threshold_table(tmp_path, small_lib, defect):
+    grid, threshold, match = _BAD_THRESHOLDS[defect]
+    with pytest.raises(LibraryFormatError, match=match):
+        load_library(_tampered(tmp_path, small_lib, _retabled(small_lib, grid, threshold)))

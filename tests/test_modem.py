@@ -140,6 +140,18 @@ def test_snr_threshold_domain_errors():
         snr_threshold(2, 0.4999999)  # above the value at the bracket floor
 
 
+@pytest.mark.parametrize("target", [1e-10, 5e-11])
+def test_snr_threshold_rejects_target_within_tolerance(target):
+    # any gamma far enough up the bracket meets such a target to within tol:
+    # every order used to return the first midpoint, 500000.0000005
+    for m in QAM_BITS:
+        with pytest.raises(ValueError, match="must exceed the tolerance"):
+            snr_threshold(m, target)
+    # a tighter tolerance makes the same target meaningful again
+    g = snr_threshold(2, target, tol=target * 1e-3)
+    assert abs(ber_approx(2, g) - target) <= target * 1e-3
+
+
 def test_awgn_monte_carlo_against_model():
     from quantlink.simulator import measure_link_ber
 
