@@ -46,10 +46,11 @@ def _design_config(args) -> DesignConfig:
 
 
 def _add_design_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    default = DesignConfig()
+    p.add_argument("--restarts", type=int, default=default.restarts)
+    p.add_argument("--max-iters", type=int, default=default.max_iters)
+    p.add_argument("--rel-tol", type=float, default=default.rel_tol)
+    p.add_argument("--seed", type=int, default=default.seed)
 
 
 def _epsilon_grid(args) -> np.ndarray:
@@ -143,6 +144,7 @@ def _load_stats(args, lib) -> LatentStats:
 
 def cmd_allocate(args) -> int:
     try:
+        sim._check_positive_finite("delta", args.delta)
         lib = liblib.load_library(args.library)
         stats = _load_stats(args, lib)
         profile = chan.parse_profile_ref(args.profile)
@@ -296,13 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("allocate", help="build a transmission plan")
     p.add_argument("--library", type=Path, required=True)
     p.add_argument("--stats", type=Path, default=None)
-    p.add_argument("--n-latents", type=int, default=512)
-    p.add_argument("--source-seed", type=int, default=0)
-    p.add_argument("--profile", type=str, default="exp-pdp(300)")
+    p.add_argument("--n-latents", type=int, default=sim.SyntheticSourceConfig.n_latents)
+    p.add_argument("--source-seed", type=int, default=sim.SyntheticSourceConfig.seed)
+    p.add_argument("--profile", type=str, default=sim.ExperimentConfig.profile_ref)
     p.add_argument("--channel-seed", type=int, default=0)
     p.add_argument("--snr-db", type=float, default=10.0)
     p.add_argument("--n-sc", type=int, default=chan.DEFAULT_N_SC)
-    p.add_argument("--spacing-khz", type=float, default=30.0)
+    p.add_argument("--spacing-khz", type=float, default=chan.DEFAULT_SPACING_HZ / 1e3)
     p.add_argument("--delta", type=float, default=liblib.DEFAULT_DELTA)
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--check", action="store_true")

@@ -278,8 +278,13 @@ def min_bits_vector(
 
 
 def sigma_max(lib: QuantizerLibrary) -> float:
-    """Largest source sigma for which every variance admits a feasible depth at every target."""
-    d = max(lib.distortion(lib.b_max, qi) for qi in range(lib.epsilons.size))
+    """Largest source sigma for which every variance admits a feasible depth at every target.
+
+    A target's best reachable distortion is the smallest entry of its column,
+    the last entry of the running minimum the planner tests feasibility
+    against, so a column that rises again at b_max does not lower sigma_max.
+    """
+    d = lib.distortion_table().min(axis=1).max()
     return float(np.sqrt(1.0 / d - 1.0))
 
 

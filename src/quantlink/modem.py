@@ -59,11 +59,6 @@ class Constellation:
     points: np.ndarray  # complex, points[word] is the symbol for that word
     axis_levels: np.ndarray  # per-axis PAM coordinates by level index
     axis_bounds: np.ndarray  # decision boundaries between adjacent levels
-    scale: float
-
-    @property
-    def bits_per_axis(self) -> int:
-        return self.m // 2
 
 
 def _build(m: int) -> Constellation:
@@ -80,7 +75,7 @@ def _build(m: int) -> Constellation:
     ki = _gray_decode(gi)
     kq = _gray_decode(gq)
     points = coords[ki] + 1j * coords[kq]
-    return Constellation(m=m, points=points, axis_levels=coords, axis_bounds=bounds, scale=scale)
+    return Constellation(m=m, points=points, axis_levels=coords, axis_bounds=bounds)
 
 
 _TABLES: dict[int, Constellation] = {}

@@ -16,7 +16,11 @@ frame then makes one transmit, equalize and demodulate call per active
 modulation order, covering all OFDM symbols at once; the noise is drawn
 symbol by symbol, so the result equals a symbol-by-symbol loop bit for bit.
 
-An experiment fixes one source (its per-element means and variances), then
+An experiment fixes one source, which stands in for the per-element statistics
+a learned codec would supply: zero means and variances log-uniform on
+[VAR_LO, sigma_max^2], so every element is feasible at every BER target of the
+library; each drawn latent is clipped to +-3 sigma. Whether an element counts
+as negligible is decided by the experiment's delta alone. The experiment then
 sweeps SNR points and channel realizations; each trial gets its transmission
 plan from the allocator. Every random stream is derived from the experiment
 seed plus structured labels, so adding trials or SNR points never perturbs
@@ -61,70 +65,41 @@ __all__ = [
 ]
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+VAR_LO = 0.01  # smallest variance the synthetic source draws
 
 
 @dataclass
 class SyntheticSourceConfig:
     """Synthetic Gaussian latent source standing in for a learned codec.
 
-    variance_law: 'log-uniform' (var_lo, var_hi), 'fixed' (fixed_variances),
-    or 'heavy-tail' (Pareto-like spread capped by the library). An optional
-    frac_negligible forces that fraction of elements below the negligibility
-    threshold delta. mean_law: 'zero' or 'uniform' (mean_lo, mean_hi).
+    n_latents elements with zero means and variances log-uniform on
+    [VAR_LO, sigma_max^2]; seed labels the source's random stream. Both fields
+    must be ints (n_latents >= 1), so a bad value fails here, before a
+    library is loaded.
     """
 
     n_latents: int = 512
-    variance_law: str = "log-uniform"
-    var_lo: float = 0.01
-    var_hi: float | None = None  # None means the library's sigma_max^2
-    fixed_variances: tuple = ()
-    frac_negligible: float | None = None
-    delta: float = DEFAULT_DELTA
-    mean_law: str = "zero"
-    mean_lo: float = 0.0
-    mean_hi: float = 0.0
-    clip_3sigma: bool = True
     seed: int = 0
+
+    def __post_init__(self):
+        if not _is_int(self.n_latents) or self.n_latents < 1:
+            raise ValueError(f"n_latents must be an int >= 1, got {self.n_latents!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
 
 
 def draw_stats(cfg: SyntheticSourceConfig, sigma_max_value: float, rng: np.random.Generator) -> LatentStats:
-    """Draw per-element (mean, variance) pairs; variances are capped at sigma_max^2."""
-    n = cfg.n_latents
+    """Draw zero means and log-uniform variances on [VAR_LO, sigma_max^2]."""
     cap = sigma_max_value**2
-    hi = cap if cfg.var_hi is None else min(cfg.var_hi, cap)
-    if cfg.variance_law == "fixed":
-        variances = np.asarray(cfg.fixed_variances, dtype=np.float64)
-        if variances.size != n:
-            raise ValueError("fixed variance list length must equal n_latents")
-        variances = np.minimum(variances, cap)
-    elif cfg.variance_law == "log-uniform":
-        if not 0 < cfg.var_lo < hi:
-            raise ValueError("need 0 < var_lo < var_hi")
-        variances = np.exp(rng.uniform(np.log(cfg.var_lo), np.log(hi), size=n))
-    elif cfg.variance_law == "heavy-tail":
-        variances = np.minimum(cfg.var_lo * (1.0 + rng.pareto(1.5, size=n)), hi)
-    else:
-        raise ValueError(f"unknown variance law {cfg.variance_law!r}")
-    if cfg.frac_negligible is not None and cfg.variance_law != "fixed":
-        k = int(round(cfg.frac_negligible * n))
-        small = np.exp(rng.uniform(np.log(min(cfg.var_lo, cfg.delta * 0.999)), np.log(cfg.delta), size=k))
-        variances[:k] = np.minimum(small, cfg.delta * (1 - 1e-12))
-    if cfg.mean_law == "zero":
-        means = np.zeros(n)
-    elif cfg.mean_law == "uniform":
-        means = rng.uniform(cfg.mean_lo, cfg.mean_hi, size=n)
-    else:
-        raise ValueError(f"unknown mean law {cfg.mean_law!r}")
-    return LatentStats(means=means, variances=np.minimum(variances, cap))
+    variances = np.exp(rng.uniform(np.log(VAR_LO), np.log(cap), size=cfg.n_latents))
+    return LatentStats(means=np.zeros(cfg.n_latents), variances=np.minimum(variances, cap))
 
 
-def sample_latents(stats: LatentStats, clip_3sigma: bool, rng: np.random.Generator) -> np.ndarray:
-    """One latent vector y_i ~ N(mu_i, sigma_i^2), optionally clipped to +-3 sigma."""
+def sample_latents(stats: LatentStats, rng: np.random.Generator) -> np.ndarray:
+    """One latent vector y_i ~ N(mu_i, sigma_i^2), clipped to mu_i +- 3 sigma_i."""
     std = np.sqrt(stats.variances)
     y = stats.means + std * rng.standard_normal(stats.n)
-    if clip_3sigma:
-        y = np.clip(y, stats.means - 3.0 * std, stats.means + 3.0 * std)
-    return y
+    return np.clip(y, stats.means - 3.0 * std, stats.means + 3.0 * std)
 
 
 @dataclass
@@ -290,6 +265,11 @@ def _is_finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _check_positive_finite(name: str, value) -> None:
+    if not _is_finite(value) or value <= 0:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Sweep definition: source, channel profile, SNR grid, trial counts."""
@@ -315,9 +295,7 @@ class ExperimentConfig:
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
         for name in ("spacing_hz", "delta"):
-            value = getattr(self, name)
-            if not _is_finite(value) or value <= 0:
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+            _check_positive_finite(name, getattr(self, name))
         finite = [_is_finite(s) for s in self.snr_db]
         if not finite or not all(finite):
             raise ValueError(f"snr_db must be a nonempty list of finite numbers, got {self.snr_db!r}")
@@ -381,9 +359,7 @@ def run_experiment(
             t_syms.append(plan.t_sym)
             eps_stars.append(plan.epsilon_star)
             for frame in range(cfg.frames_per_realization):
-                y = sample_latents(
-                    stats, cfg.source.clip_3sigma, stream_rng("sample", cfg.seed, si, trial, frame)
-                )
+                y = sample_latents(stats, stream_rng("sample", cfg.seed, si, trial, frame))
                 res = run_trial(
                     stats,
                     y,

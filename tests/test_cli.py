@@ -1,17 +1,32 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quantlink import cli
+from quantlink import channel, cli, simulator
 from quantlink.cli import main
+from quantlink.quantizer import DesignConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def no_library_load(monkeypatch):
+    """Fail the test if a command loads its library before checking its input."""
+
+    def refuse(path):
+        raise AssertionError(f"library {path} loaded before the input was checked")
+
+    monkeypatch.setattr(cli.liblib, "load_library", refuse)
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +216,33 @@ def test_allocate_infeasible_exit_3(tiny_lib_dir, tmp_path, capsys):
     assert "rate" in err.lower()
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "0", "-0.4"])
+def test_allocate_rejects_bad_delta_before_loading(delta, no_library_load, capsys):
+    # a NaN delta would count every element as negligible and plan nothing
+    code, out, err = _run(capsys, "allocate", "--library", "lib.json", f"--delta={delta}")
+    assert code == 2 and out == ""
+    assert "delta must be a positive finite number" in err
+
+
+def test_allocate_rejects_zero_latents(tiny_lib_dir, capsys):
+    code, out, err = _run(capsys, "allocate", "--library", str(tiny_lib_dir / "library.json"), "--n-latents", "0")
+    assert code == 2 and out == ""
+    assert "n_latents must be an int >= 1" in err
+
+
+def test_parser_defaults_come_from_the_configs():
+    parser = cli.build_parser()
+    design = DesignConfig()
+    for argv in (["build-library"], ["design-quantizer", "--bits", "2", "--eps", "0.01"]):
+        args = parser.parse_args(argv)
+        assert cli._design_config(args) == design
+    args = parser.parse_args(["allocate", "--library", "lib.json"])
+    source = simulator.SyntheticSourceConfig()
+    assert args.spacing_khz * 1e3 == channel.DEFAULT_SPACING_HZ
+    assert args.profile == simulator.ExperimentConfig(source=source).profile_ref
+    assert (args.n_latents, args.source_seed) == (source.n_latents, source.seed)
+
+
 def test_simulate_smoke_and_determinism(tiny_lib_dir, tmp_path, capsys):
     cfg = {
         "library": str(tiny_lib_dir / "library.json"),
@@ -278,6 +320,47 @@ def test_simulate_rejects_misspelled_key(tiny_lib_dir, tmp_path, capsys):
         assert code == 2
         assert "bad experiment config" in err and key in err
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "source",
+    [{key: value} for key, value in (
+        ("variance_law", "fixed"), ("var_lo", 0.01), ("var_hi", 4.0), ("fixed_variances", [1.0]),
+        ("frac_negligible", 0.2), ("delta", 0.4), ("mean_law", "uniform"), ("mean_lo", -1.0),
+        ("mean_hi", 1.0), ("clip_3sigma", False),
+    )]
+    + [{"n_latents": v} for v in (0, -1, "512", True, 1.5)]
+    + [{"seed": v} for v in ("0", True, 1.5)],
+)
+def test_simulate_rejects_bad_source_before_loading(source, no_library_load, tmp_path, capsys):
+    # n_latents 0 used to report a NaN row and "512" to crash after the library was loaded
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"library": "lib.json", "source": source, "trials": 1}))
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(out_dir))
+    assert code == 2 and out == ""
+    assert "bad experiment config" in err and next(iter(source)) in err
+    assert not out_dir.exists()
+
+
+def test_readme_simulate_config_loads(tiny_lib_dir, tmp_path, capsys, monkeypatch):
+    # the README's config block is a valid config, so docs and keys cannot drift apart
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"`simulate` expects a JSON config:\s*```json\n(.*?)```", text, re.S)
+    doc = json.loads(block.group(1))
+    doc["library"] = str(tiny_lib_dir / "library.json")
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(doc))
+    seen = []
+    monkeypatch.setattr(cli.sim, "run_experiment", lambda cfg, lib, keep_trials: seen.append(cfg) or [])
+    code, _, err = _run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
+    assert code == 0, err
+    (cfg,) = seen
+    assert cfg.source == simulator.SyntheticSourceConfig(**doc["source"])
+    assert cfg.profile_ref == doc["profile"]
+    for key in ("n_sc", "spacing_hz", "trials", "seed"):
+        assert getattr(cfg, key) == doc[key]
+    assert list(cfg.snr_db) == doc["snr_db"]
 
 
 def test_ber_check_smoke(tiny_lib_dir, capsys):

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantlink import library, modem
+from quantlink.allocator import LatentStats, optimize_plan
+from quantlink.channel import exponential_pdp, realize_channel
 from quantlink.library import (
     InfeasibleTargetError,
     LibraryFormatError,
@@ -138,12 +140,36 @@ def test_sigma_max_feasibility_sweep(small_lib):
 def test_sigma_max_takes_worst_column(small_lib):
     lib = copy.deepcopy(small_lib)
     worst = lib.distortion(lib.b_max, lib.epsilons.size - 1) * 1.1
-    lib.cells[(lib.b_max, 0)] = dataclasses.replace(lib.quantizer(lib.b_max, 0), normalized_distortion=worst)
+    # raise the last two depths of column 0 together, so the column stays
+    # nonincreasing and its best reachable distortion is `worst`
+    for b in (lib.b_max - 1, lib.b_max):
+        lib.cells[(b, 0)] = dataclasses.replace(lib.quantizer(b, 0), normalized_distortion=worst)
     assert sigma_max(lib) == np.sqrt(1.0 / worst - 1.0)
     assert sigma_max(lib) < sigma_max(small_lib)
     smax2 = sigma_max(lib) ** 2
     for qi in range(lib.epsilons.size):
         min_bits_vector(lib, qi, [smax2 * 0.999], 0.4)  # raises if infeasible
+
+
+def test_sigma_max_reads_best_reachable_distortion(small_lib):
+    # the last column rises at b_max above every other column's best depth;
+    # its best reachable distortion is D(b_max - 1), not D(b_max)
+    last = small_lib.epsilons.size - 1
+    cells = dict(small_lib.cells)
+    cells[(small_lib.b_max, last)] = dataclasses.replace(
+        small_lib.quantizer(small_lib.b_max, last), normalized_distortion=0.35
+    )
+    lib = dataclasses.replace(small_lib, cells=cells)
+    best = small_lib.distortion(small_lib.b_max - 1, last)
+    assert best < 0.35 and lib.distortion_table().min(axis=1).max() == best
+    assert sigma_max(lib) == np.sqrt(1.0 / best - 1.0)
+    assert np.sqrt(1.0 / 0.35 - 1.0) < sigma_max(lib)  # the value D(b_max) gave
+    smax2 = sigma_max(lib) ** 2
+    for qi in range(lib.epsilons.size):
+        min_bits_vector(lib, qi, [smax2], 0.4)  # raises if infeasible
+    stats = LatentStats(np.zeros(2), np.array([smax2, 1.0]))
+    ch = realize_channel(exponential_pdp(300.0), 8, 30e3, seed=1)
+    assert optimize_plan(lib, stats, ch, 8 * 1e3).b_lat > 0
 
 
 def test_sigma_max_algebra():

@@ -3,10 +3,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantlink import simulator
 from quantlink.allocator import LatentStats, optimize_plan, validate_plan
 from quantlink.channel import exponential_pdp, realize_channel
+from quantlink.gaussian import q_function, std_normal_pdf
 from quantlink.library import sigma_max
 from quantlink.quantizer import dequantize, quantize
 from quantlink.rng import stream_rng
@@ -21,79 +24,50 @@ from quantlink.simulator import (
 )
 
 
-def test_draw_stats_fixed_law(small_lib):
-    cfg = SyntheticSourceConfig(n_latents=3, variance_law="fixed", fixed_variances=(0.0, 1.0, 2.0))
-    stats = draw_stats(cfg, sigma_max(small_lib), stream_rng("s", 0))
-    assert np.array_equal(stats.variances, [0.0, 1.0, 2.0])
-    y = sample_latents(stats, False, stream_rng("y", 0))
-    assert y[0] == stats.means[0]  # degenerate element reproduces its mean
+def test_source_fields_are_n_latents_and_seed():
+    # every other key is rejected; simulate's handling of them is in test_cli
+    assert [f.name for f in dataclasses.fields(SyntheticSourceConfig)] == ["n_latents", "seed"]
 
 
-def test_draw_stats_clamps_to_sigma_max(small_lib):
-    smax = sigma_max(small_lib)
-    cfg = SyntheticSourceConfig(n_latents=4, variance_law="fixed", fixed_variances=(0.1, 1.0, 99.0, 500.0))
-    stats = draw_stats(cfg, smax, stream_rng("s", 1))
-    assert np.all(stats.variances <= smax**2 + 1e-12)
+def test_unknown_laws_rejected():
+    # one law remains, so the law selectors are no longer fields
+    for key, law in (("variance_law", "log-uniform"), ("mean_law", "zero")):
+        with pytest.raises(TypeError, match=key):
+            SyntheticSourceConfig(n_latents=4, **{key: law})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    smax=st.floats(0.2, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_stats_clamps_to_sigma_max(n, smax, seed):
+    stats = draw_stats(SyntheticSourceConfig(n_latents=n), smax, stream_rng("s", seed))
+    assert stats.n == n and np.all(stats.means == 0.0)
+    assert np.all(stats.variances > 0) and np.all(stats.variances <= smax**2)
 
 
 def test_sample_latents_moments():
-    stats = LatentStats(np.array([1.0, -2.0]), np.array([0.5, 4.0]))
-    rng = stream_rng("mom", 0)
-    n = 20_000
-    draws = np.stack([sample_latents(stats, False, rng) for _ in range(n)])
-    for i in range(2):
-        se_var = stats.variances[i] * np.sqrt(2.0 / n) * 3
-        assert abs(draws[:, i].var(ddof=1) - stats.variances[i]) < se_var
-        se_mean = 3 * np.sqrt(stats.variances[i] / n)
-        assert abs(draws[:, i].mean() - stats.means[i]) < se_mean
+    # clipping at +-3 sigma leaves variance sigma^2 (1 - 6 phi(3) + 16 Q(3))
+    n = 2_000_000
+    mus, sigma2s = np.array([1.0, -2.0]), np.array([0.5, 4.0])
+    stats = LatentStats(np.repeat(mus, n), np.repeat(sigma2s, n))
+    devs = sample_latents(stats, stream_rng("mom", 0)).reshape(2, n) - mus[:, None]
+    clipped = sigma2s * (1.0 - 6.0 * std_normal_pdf(3.0) + 16.0 * q_function(3.0))
+    for dev, var in zip(devs, clipped):
+        assert abs(dev.var(ddof=1) - var) < 3 * var * np.sqrt(2.0 / n)
+        assert abs(dev.mean()) < 3 * np.sqrt(var / n)
 
 
 def test_sample_latents_clipping():
-    stats = LatentStats(np.array([2.0]), np.array([1.0]))
+    stats = LatentStats(np.array([2.0, 5.0]), np.array([1.0, 0.0]))
     rng = stream_rng("clip", 0)
-    ys = np.concatenate([sample_latents(stats, True, rng) for _ in range(20_000)])
-    dev = np.abs(ys - 2.0)
+    ys = np.stack([sample_latents(stats, rng) for _ in range(20_000)])
+    dev = np.abs(ys[:, 0] - 2.0)
     assert dev.max() <= 3.0 + 1e-12
     assert dev.max() == pytest.approx(3.0, abs=1e-6)  # the clip boundary is hit
-
-
-def test_frac_negligible_controls_small_variances(small_lib):
-    cfg = SyntheticSourceConfig(n_latents=200, frac_negligible=0.3, seed=2)
-    stats = draw_stats(cfg, sigma_max(small_lib), stream_rng("s", 2))
-    assert np.sum(stats.variances < cfg.delta) >= 60
-
-
-def test_heavy_tail_law_and_uniform_means(small_lib):
-    smax = sigma_max(small_lib)
-    cfg = SyntheticSourceConfig(
-        n_latents=400,
-        variance_law="heavy-tail",
-        var_lo=0.05,
-        mean_law="uniform",
-        mean_lo=-2.0,
-        mean_hi=2.0,
-        seed=8,
-    )
-    stats = draw_stats(cfg, smax, stream_rng("s", 8))
-    assert np.all(stats.variances >= 0.05) and np.all(stats.variances <= smax**2)
-    assert stats.variances.max() > 10 * np.median(stats.variances)  # heavy tail
-    assert np.all(stats.means >= -2.0) and np.all(stats.means <= 2.0)
-    assert np.ptp(stats.means) > 1.0
-
-
-def test_unknown_laws_rejected(small_lib):
-    with pytest.raises(ValueError, match="variance law"):
-        draw_stats(
-            SyntheticSourceConfig(n_latents=4, variance_law="nope"),
-            sigma_max(small_lib),
-            stream_rng("s", 9),
-        )
-    with pytest.raises(ValueError, match="mean law"):
-        draw_stats(
-            SyntheticSourceConfig(n_latents=4, mean_law="nope"),
-            sigma_max(small_lib),
-            stream_rng("s", 10),
-        )
+    assert np.all(ys[:, 1] == 5.0)  # a degenerate element reproduces its mean
 
 
 def _setup_plan(lib, n=40, n_sc=24, snr_db=12.0, seed=9):
@@ -111,7 +85,7 @@ def _setup_plan(lib, n=40, n_sc=24, snr_db=12.0, seed=9):
 def test_trial_noiseless_equals_pure_quantization(small_lib):
     stats, ch, plan = _setup_plan(small_lib)
     ch.noise_var = 1e-30
-    y = sample_latents(stats, True, stream_rng("y", 1))
+    y = sample_latents(stats, stream_rng("y", 1))
     res = run_trial(stats, y, plan, small_lib, ch, stream_rng("n", 1))
     assert res.realized_errors_per_subcarrier.sum() == 0
     expect = np.empty(stats.n)
@@ -138,7 +112,7 @@ def test_trial_noiseless_multi_symbol_round_trip(small_lib):
     plan = optimize_plan(small_lib, stats, ch, p_tot)
     assert plan.t_sym >= 3  # the point of this instance
     ch.noise_var = 1e-30
-    y = sample_latents(stats, True, stream_rng("ym", 1))
+    y = sample_latents(stats, stream_rng("ym", 1))
     res = run_trial(stats, y, plan, small_lib, ch, stream_rng("nm", 1))
     assert res.realized_errors_per_subcarrier.sum() == 0
     assert res.t_sym == plan.t_sym
@@ -157,7 +131,7 @@ def test_trial_zero_bit_elements_reconstruct_mean(small_lib):
     stats = LatentStats(np.array([3.0, 0.0]), np.array([0.2, 2.0]))
     ch = realize_channel(exponential_pdp(300.0), 8, 30e3, seed=3)
     plan = optimize_plan(small_lib, stats, ch, 8 * 10.0)
-    y = sample_latents(stats, True, stream_rng("y", 2))
+    y = sample_latents(stats, stream_rng("y", 2))
     res = run_trial(stats, y, plan, small_lib, ch, stream_rng("n", 2))
     assert res.per_element_sq_error[0] == pytest.approx((y[0] - 3.0) ** 2, abs=1e-12)
 
@@ -165,7 +139,7 @@ def test_trial_zero_bit_elements_reconstruct_mean(small_lib):
 def test_trial_rejects_mismatched_channel(small_lib):
     stats, ch, plan = _setup_plan(small_lib)
     other = realize_channel(exponential_pdp(300.0), ch.n_sc, 30e3, seed=4321)
-    y = sample_latents(stats, True, stream_rng("y", 3))
+    y = sample_latents(stats, stream_rng("y", 3))
     with pytest.raises(ValueError, match="channel"):
         run_trial(stats, y, plan, small_lib, other, stream_rng("n", 3))
 
@@ -175,7 +149,7 @@ def test_trial_rejects_mismatched_library(small_lib):
     cells = dict(small_lib.cells)
     cells[(1, 0)], cells[(1, 1)] = cells[(1, 1)], cells[(1, 0)]
     other = dataclasses.replace(small_lib, cells=cells)
-    y = sample_latents(stats, True, stream_rng("y", 3))
+    y = sample_latents(stats, stream_rng("y", 3))
     with pytest.raises(ValueError, match="library"):
         run_trial(stats, y, plan, other, ch, stream_rng("n", 3))
 
@@ -192,7 +166,7 @@ def test_frame_layout_is_built_once_per_plan(small_lib, monkeypatch):
     stats, ch, plan = _setup_plan(small_lib, n=64, n_sc=16, snr_db=6.0, seed=33)
     errors = 0.0
     for f in range(3):
-        y = sample_latents(stats, True, stream_rng("yl", f))
+        y = sample_latents(stats, stream_rng("yl", f))
         res = run_trial(stats, y, plan, small_lib, ch, stream_rng("nl", f))
         errors += res.realized_errors_per_subcarrier.sum()
     assert len(calls) == 1
@@ -218,7 +192,8 @@ def test_trial_mean_error_matches_analytic(small_lib):
     acc2 = np.zeros(stats.n)
     n_frames = 400
     for f in range(n_frames):
-        y = sample_latents(stats, False, stream_rng("ya", f))
+        # the analytic distortion assumes an unclipped Gaussian
+        y = stats.means + np.sqrt(stats.variances) * stream_rng("ya", f).standard_normal(stats.n)
         res = run_trial(stats, y, plan, small_lib, ch, stream_rng("na", f))
         acc += res.per_element_sq_error
         acc2 += res.per_element_sq_error**2
@@ -237,7 +212,7 @@ def test_trial_realized_ber_tracks_target(small_lib):
     errors = np.zeros(ch.n_sc)
     bits = np.zeros(ch.n_sc)
     for f in range(1200):
-        y = sample_latents(stats, True, stream_rng("yb", f))
+        y = sample_latents(stats, stream_rng("yb", f))
         res = run_trial(stats, y, plan, small_lib, ch, stream_rng("nb", f))
         errors += res.realized_errors_per_subcarrier
         bits += res.realized_bits_per_subcarrier
@@ -261,7 +236,7 @@ def test_experiment_composition_and_determinism(small_lib):
     stats = draw_stats(src, sigma_max(small_lib), stream_rng("source", 17, 4))
     ch = realize_channel(exponential_pdp(300.0), 16, 30e3, seed=0, rng=stream_rng("channel", 17, 0))
     plan = optimize_plan(small_lib, stats, ch, 16 * 10 ** 0.8, seed=17)
-    y = sample_latents(stats, True, stream_rng("sample", 17, 0, 0, 0))
+    y = sample_latents(stats, stream_rng("sample", 17, 0, 0, 0))
     res = run_trial(stats, y, plan, small_lib, ch, stream_rng("noise", 17, 0, 0, 0), seed=17)
     assert np.array_equal(reports[0].mean_distortion_per_element, res.per_element_sq_error)
     assert reports[0].mean_t_sym == plan.t_sym
@@ -352,7 +327,7 @@ def _pinned_trial_digests(lib, n, n_sc, snr_db, seed, var_hi):
     shape = (plan.t_sym, plan.dummy_bits, tuple(sorted(set(plan.modulations.tolist()))))
     hashes = {name: hashlib.sha256() for name in _TRIAL_ARRAYS}
     for frame in range(2):
-        y = sample_latents(stats, True, stream_rng("pin-y", seed, frame))
+        y = sample_latents(stats, stream_rng("pin-y", seed, frame))
         res = run_trial(stats, y, plan, lib, ch, stream_rng("pin-n", seed, frame), seed=seed)
         assert (res.bits_sent, res.t_sym, res.seed) == (plan.b_lat, plan.t_sym, seed)
         assert type(res.bits_sent) is int and type(res.t_sym) is int
@@ -376,7 +351,7 @@ def test_trial_checks_sent_std_once_per_stats(small_lib):
     ch = realize_channel(exponential_pdp(300.0), 8, 30e3, seed=5)
     plan = optimize_plan(small_lib, stats, ch, 8 * 100.0, delta=0.0)
     assert plan.bits[0] > 0
-    y = sample_latents(stats, True, stream_rng("y", 5))
+    y = sample_latents(stats, stream_rng("y", 5))
     with pytest.raises(ValueError, match="std must be positive"):
         run_trial(stats, y, plan, small_lib, ch, stream_rng("n", 5))
 
