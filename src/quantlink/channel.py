@@ -27,7 +27,6 @@ __all__ = [
     "TapProfile",
     "ChannelRealization",
     "exponential_pdp",
-    "flat_profile",
     "load_tap_profile",
     "tdl_c_profile",
     "parse_profile_ref",
@@ -64,11 +63,6 @@ class TapProfile:
         mean = float(self.powers @ self.delays_s)
         second = float(self.powers @ np.square(self.delays_s))
         return float(np.sqrt(max(second - mean**2, 0.0)))
-
-
-def flat_profile() -> TapProfile:
-    """Single-tap (flat fading) profile."""
-    return TapProfile(np.array([0.0]), np.array([1.0]), "flat")
 
 
 def exponential_pdp(rms_ns: float, n_taps: int = 13) -> TapProfile:

@@ -277,15 +277,29 @@ def min_bits_vector(
     return bits
 
 
+_SIGMA_ULPS = 64
+
+
 def sigma_max(lib: QuantizerLibrary) -> float:
     """Largest source sigma for which every variance admits a feasible depth at every target.
 
     A target's best reachable distortion is the smallest entry of its column,
     the last entry of the running minimum the planner tests feasibility
     against, so a column that rises again at b_max does not lower sigma_max.
+    The result is the largest float s whose square, taken as s * s or as
+    s ** 2 (libm's pow, which may round the other way), passes the planner's
+    own test D <= 1 / (s^2 + 1) on the worst target. sqrt(1/D - 1) can miss
+    that test by an ulp, so the floats within _SIGMA_ULPS ulps of it are
+    tested. Over 20 000 random D in (0, 0.94], which covers every supported
+    target (D <= 0.94 at b = 1), the answer lay at most 5 ulps away.
     """
     d = lib.distortion_table().min(axis=1).max()
-    return float(np.sqrt(1.0 / d - 1.0))
+    near = np.float64(np.sqrt(1.0 / d - 1.0))
+    # neighbouring floats have neighbouring bit patterns
+    bits = near.view(np.int64) + np.arange(-_SIGMA_ULPS, _SIGMA_ULPS + 1)
+    sigma = np.maximum(bits, 0).view(np.float64)
+    square = np.maximum(sigma * sigma, [s**2 for s in sigma.tolist()])
+    return float(sigma[d <= 1.0 / (square + 1.0)][-1])
 
 
 # ---------------------------------------------------------------------------

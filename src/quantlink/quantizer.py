@@ -15,24 +15,34 @@ squared error stops changing:
     so a candidate envelope is accepted only with a certificate (slopes
     apart, vertices apart, every other line clear of the envelope, with
     margins from the 3u rounding bound of a cut). The first candidate is the
-    previous iteration's regions, checked with a few vector operations; it
-    holds for 95 % of the updates of the default library build. Next comes
-    one stack pass over the lines sorted by slope (the convex hull trick),
-    with the losers of exact slope ties left out, since they can never set a
-    threshold. Where that fails too, 0.06 % of the updates, nearly all on a
-    near slope tie, the pairwise code runs instead.
+    previous iteration's regions, checked with a few vector operations; in
+    the default library build it holds for 95.4 % of the 120 582 updates.
+    Next comes one stack pass over the lines sorted by slope (the convex hull
+    trick), with the losers of exact slope ties left out, since they can
+    never set a threshold: 4.6 %, among them every start's first update.
+    Where that fails too, 0.06 % of the updates (72), nearly all on a near
+    slope tie, the pairwise code runs instead.
 
   * level update: for fixed regions, each receivable codeword q gets the MMSE
     estimate of y given q, a ratio of flip-weighted truncated Gaussian moments.
 
-One iteration takes one moments pass over its regions and one (a, b) pair
-per set of levels: the level update and the expected distortion share the
-moments, and the distortion and the next region update share (a, b).
-
 Both updates are individually optimal, but the design still records the best
-iterate seen and returns that, and runs from several initializations: the
-noiseless (Lloyd-Max) solution, jittered copies of it, and any caller-supplied
-warm starts.
+iterate seen and returns that, and runs from several starts: the noiseless
+(Lloyd-Max) solution, jittered copies of it, and any caller-supplied warm
+starts. The starts of one design run in lockstep, each with its own levels,
+regions and stop rule, and a start leaves when it stops. One lockstep
+iteration takes:
+
+  * one region certificate over every live start's previous regions, as a
+    batch padded to the widest hull (a start that fails it falls back alone);
+  * one moments pass over every live start's regions, back to back;
+  * per start, the level update, its (a, b) pair and its distortion. These
+    products stay per start, on the same operands as a start run alone, so
+    that they round the same: the design is bit for bit the one the starts
+    would give one after another.
+
+The level update and the expected distortion share the moments, and the
+distortion and the next region update share (a, b).
 
 Codewords are plain ints in [0, 2^b); bit j of a codeword (1-indexed, as seen
 by the per-bit flip vector) is the j-th most significant of its b bits.
@@ -40,6 +50,7 @@ by the per-bit flip vector) is the j-th most significant of its b bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +66,6 @@ __all__ = [
     "bsc_transition_matrix",
     "bsc_corrupt",
     "analytic_distortion",
-    "optimal_regions",
-    "optimal_levels",
     "design_channel_optimized",
     "design_lloyd_max",
     "quantize",
@@ -172,7 +181,7 @@ def _line_coefficients(levels: np.ndarray, trans: np.ndarray):
 
 def _expected_distortion(moments, region_codewords, a, b2) -> float:
     mass, m1, m2 = moments
-    return float(np.sum(m2) - 2.0 * (m1 @ a[region_codewords]) + mass @ b2[region_codewords])
+    return float(m2.sum() - 2.0 * (m1 @ a[region_codewords]) + mass @ b2[region_codewords])
 
 
 def analytic_distortion(q: ScalarQuantizer, flips) -> float:
@@ -217,23 +226,25 @@ _CUT_MARGIN = 16.0 * _UNIT_ROUNDOFF
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
-def _optimal_regions(a: np.ndarray, b2: np.ndarray, warm: np.ndarray | None = None):
-    """Lower envelope of the lines -2 a_l y + b_l; returns (thresholds, codewords).
+def _optimal_regions(a: np.ndarray, b2: np.ndarray, warm: list) -> list:
+    """Lower envelope of the lines -2 a_l y + b_l, row by row; returns [(thresholds, codewords)].
 
-    The envelope is a candidate hull h_0..h_k (line indices by increasing
-    slope) with cuts T_i = (b_j - b_l) / (2 (a_j - a_l)) for l = h_i,
-    j = h_{i+1}. The result must equal _pairwise_regions bit for bit, whose
-    threshold i is the minimum over every rival j of the same formula, so a
-    candidate is accepted only with a certificate (_certified_cuts). Three
-    candidates are tried in turn:
+    a, b2: (m, n), one row per region update; warm: per row, a candidate hull
+    or None. Each row's envelope is a candidate hull h_0..h_k (line indices by
+    increasing slope) with cuts T_i = (b_j - b_l) / (2 (a_j - a_l)) for
+    l = h_i, j = h_{i+1}. The result must equal _pairwise_regions bit for
+    bit, whose threshold i is the minimum over every rival j of the same
+    formula, so a candidate is accepted only with a certificate
+    (_certified_cuts). Three candidates are tried in turn:
 
       * warm: the caller's hull, the previous iteration's region codewords of
         the same design run. The designer mostly keeps its codeword set from
         one iteration to the next, so this path usually answers, with no
-        sort and no Python loop;
-      * the stack pass over the lines sorted by a (the convex hull trick),
-        O(n) after an O(n log n) sort, with the losers of exact slope ties
-        left out;
+        sort and no Python loop; one certificate serves all the rows;
+      * for a row without a warm hull or whose hull fails, on its own: the
+        stack pass over the lines sorted by a (the convex hull trick), O(n)
+        after an O(n log n) sort, with the losers of exact slope ties left
+        out;
       * _pairwise_regions, whose tie rules hold by construction.
 
     Exact slope ties: the pairwise rule makes every line of a tie group but
@@ -271,17 +282,22 @@ def _optimal_regions(a: np.ndarray, b2: np.ndarray, warm: np.ndarray | None = No
         from the vertex, and its own pairwise interval is empty. A line tied
         exactly with h_{v+1} passes only if it lies clearly above it, as a
         loser of the tie.
-
-    In a default library build the warm candidate answers 95.4 % of the
-    calls, the stack pass 4.5 % and the pairwise code 0.06 % (72 calls, 68
-    of them on a near tie on the hull).
     """
-    if warm is not None and warm.size:
-        off = np.ones(a.size, dtype=bool)
-        off[warm] = False
-        cut = _certified_cuts(a, b2, warm, off)
-        if cut is not None:
-            return cut, warm
+    out = [None] * len(warm)
+    rows = [r for r, hull in enumerate(warm) if hull is not None and hull.size]
+    if rows:
+        ok, cut = _certified_cuts(a[rows], b2[rows], [warm[r] for r in rows])
+        for i in np.flatnonzero(ok).tolist():
+            r = rows[i]
+            out[r] = cut[i, : warm[r].size - 1], warm[r]
+    for r, regions in enumerate(out):
+        if regions is None:
+            out[r] = _stack_regions(a[r], b2[r])
+    return out
+
+
+def _stack_regions(a: np.ndarray, b2: np.ndarray):
+    """One row's regions from the stack pass, or from _pairwise_regions where it is not certified."""
     by_a = np.argsort(a, kind="stable")
     if not np.all(np.diff(a[by_a]) > 0.0):
         # exact ties: keep each group's winner, by lowest b and then index
@@ -289,10 +305,13 @@ def _optimal_regions(a: np.ndarray, b2: np.ndarray, warm: np.ndarray | None = No
         by_a = by_a[np.concatenate(([True], np.diff(a[by_a]) != 0.0))]
     h = _stack_hull(a[by_a].tolist(), b2[by_a].tolist())
     hull = by_a[h]
-    cut = _certified_cuts(a, b2, hull, np.delete(by_a, h))
-    if cut is None:
+    rest = np.zeros(a.size, dtype=bool)
+    rest[by_a] = True
+    rest[hull] = False
+    ok, cut = _certified_cuts(a[None], b2[None], [hull], rest[None])
+    if not ok[0]:
         return _pairwise_regions(a, b2)
-    return cut, hull
+    return cut[0], hull
 
 
 def _stack_hull(slopes: list[float], offsets: list[float]) -> list[int]:
@@ -318,79 +337,78 @@ def _stack_hull(slopes: list[float], offsets: list[float]) -> list[int]:
     return hull
 
 
-def _certified_cuts(a: np.ndarray, b2: np.ndarray, hull: np.ndarray, rest: np.ndarray):
-    """Cuts between neighbouring `hull` lines, or None unless they are the pairwise thresholds.
+def _certified_cuts(a: np.ndarray, b2: np.ndarray, hulls: list, rest: np.ndarray | None = None):
+    """Cuts between neighbouring hull lines, row by row, and whether they are the pairwise thresholds.
 
-    hull: candidate envelope lines, meant in increasing slope; rest: every
-    other line that can be active, as indices or a mask (see _optimal_regions
-    for the checks).
+    a, b2: (m, n) lines, one row per region update; hulls: one candidate
+    envelope per row, meant in increasing slope; rest: (m, n) mask of the
+    other lines that can be active, by default every line off the hull.
+    Returns (ok, cut): row r is certified iff ok[r] (see _optimal_regions for
+    the checks), and then its thresholds are cut[r, :hulls[r].size - 1].
+
+    The hulls are ragged: each is padded with copies of its last line and
+    the padded pairs are masked out, so every row is checked on its own
+    lines only, with the same operations on the same operands as alone.
     """
-    ah = a[hull]
-    beta = ah[1:] - ah[:-1]
-    if not (beta > _TIE_MARGIN * (np.abs(ah[:-1]) + np.abs(ah[1:]))).all():
-        return None
-    ar = a[rest]
-    if not ((ar > ah[0]).all() and (ar < ah[-1]).all()):
-        return None
-    bh = b2[hull]
-    cut = (bh[1:] - bh[:-1]) / (2.0 * beta)
-    abs_cut = np.abs(cut)
-    normal = np.isfinite(cut) & ((abs_cut >= _SMALLEST_NORMAL) | (cut == 0.0))
-    separated = (
-        beta[1:] * (cut[1:] - cut[:-1])
-        > _CUT_MARGIN * (abs_cut[:-1] + abs_cut[1:]) * (beta[:-1] + beta[1:])
-    )
-    if not (normal.all() and separated.all()):
-        return None
-    if ar.size:
-        v = np.searchsorted(ah, ar) - 1
-        da = ar - ah[v]
-        db = b2[rest] - bh[v]
-        gap = db - 2.0 * da * cut[v]
-        reach = np.maximum.accumulate(beta * abs_cut)[v]
-        if not (gap > _CUT_MARGIN * (reach + np.abs(db) + 2.0 * np.abs(da) * abs_cut[v])).all():
-            return None
-    return cut
-
-
-def optimal_regions(levels, flips):
-    """Distortion-minimizing partition for fixed levels under the flip channel.
-
-    Returns (thresholds, region_codewords); codewords with empty regions are
-    excluded. Adjacent regions meet at the equal-conditional-distortion point.
-    """
-    levels = np.asarray(levels, dtype=np.float64)
-    flips = as_bsc_vector(flips)
-    if levels.shape[0] != (1 << flips.shape[0]):
-        raise ValueError("need one level per receivable codeword")
-    if not np.all(np.isfinite(levels)):
-        raise ValueError("levels must be finite")
-    return _optimal_regions(*_line_coefficients(levels, bsc_transition_matrix(flips)))
+    m, n = a.shape
+    size = np.array([hull.size for hull in hulls])
+    width = int(size.max())
+    row = np.arange(m)[:, None]
+    pad = np.minimum(np.arange(width), size[:, None] - 1) + (np.cumsum(size) - size)[:, None]
+    flat = np.concatenate(hulls).take(pad) + row * n  # into a.ravel(), row by row
+    if rest is None:
+        rest = np.ones(a.size, dtype=bool)
+        rest[flat] = False
+        rest = rest.reshape(a.shape)
+    pair = np.arange(width - 1) < size[:, None] - 1
+    ah = a.take(flat)
+    bh = b2.take(flat)
+    beta = ah[:, 1:] - ah[:, :-1]
+    ok = (~pair | (beta > _TIE_MARGIN * (np.abs(ah[:, :-1]) + np.abs(ah[:, 1:])))).all(axis=1)
+    ok &= (~rest | ((a > ah[:, :1]) & (a < ah[:, -1:]))).all(axis=1)
+    # a padded pair divides 0 by 0; its cut is never read
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cut = (bh[:, 1:] - bh[:, :-1]) / (2.0 * beta)
+        abs_cut = np.abs(cut)
+        normal = np.isfinite(cut) & ((abs_cut >= _SMALLEST_NORMAL) | (cut == 0.0))
+        separated = (
+            beta[:, 1:] * (cut[:, 1:] - cut[:, :-1])
+            > _CUT_MARGIN * (abs_cut[:, :-1] + abs_cut[:, 1:]) * (beta[:, :-1] + beta[:, 1:])
+        )
+        ok &= (~pair | normal).all(axis=1) & (~pair[:, 1:] | separated).all(axis=1)
+        if width > 1 and rest.any():
+            # Each row's vertex lookup in one searchsorted: the keys row + i slope
+            # sort by row and then by slope, so a line's key lands among its own
+            # row's hull, and v is the flat index of its vertex in ah (v - row
+            # in cut). A lookup off the row's pairs, clipped, comes only from a
+            # row that already failed or from a line outside `rest`.
+            keys = (row + 1j * ah).ravel()
+            v = np.searchsorted(keys, (row + 1j * a).ravel()).reshape(a.shape) - 1
+            vc = v - row
+            cut_v = cut.take(vc, mode="clip")
+            abs_cut_v = abs_cut.take(vc, mode="clip")
+            da = a - ah.take(v, mode="clip")
+            db = b2 - bh.take(v, mode="clip")
+            gap = db - 2.0 * da * cut_v
+            reach = np.maximum.accumulate(beta * abs_cut, axis=1).take(vc, mode="clip")
+            clear = gap > _CUT_MARGIN * (reach + np.abs(db) + 2.0 * np.abs(da) * abs_cut_v)
+            ok &= (~rest | clear).all(axis=1)
+    return ok, cut
 
 
 def _optimal_levels(moments, region_codewords, trans) -> np.ndarray:
-    mass, m1, _ = moments
-    p = trans[region_codewords, :]  # [region, received]
-    num = p.T @ m1
-    den = p.T @ mass
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den > 0.0)
-    return out
-
-
-def optimal_levels(thresholds, region_codewords, flips) -> np.ndarray:
     """MMSE reconstruction level for every receivable codeword.
 
     A codeword that cannot be received (zero posterior mass, only possible on
     a noiseless channel) gets level 0, the prior mean.
     """
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    if thresholds.size and not np.all(np.diff(thresholds) > 0):
-        raise ValueError("thresholds must be strictly increasing")
-    region_codewords = np.asarray(region_codewords, dtype=np.int64)
-    return _optimal_levels(
-        _region_moments(thresholds), region_codewords, bsc_transition_matrix(flips)
-    )
+    mass, m1, _ = moments
+    p = trans[region_codewords, :]  # [region, received]
+    num = p.T @ m1
+    den = p.T @ mass
+    out = np.zeros(num.shape)
+    np.divide(num, den, out=out, where=den > 0.0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -420,29 +438,62 @@ class DesignConfig:
             raise ValueError(f"rel_tol must be a positive finite float, got {rel_tol!r}")
 
 
-def _alternate(init_levels, trans, cfg: DesignConfig, trace):
-    levels = np.array(init_levels, dtype=np.float64)
-    a, b2 = _line_coefficients(levels, trans)
-    best = None
-    prev = np.inf
-    codewords = None
+_LEFT_EDGE = np.array([-np.inf])
+_RIGHT_EDGE = np.array([np.inf])
+
+
+def _alternate(inits: np.ndarray, trans, cfg: DesignConfig, trace) -> list:
+    """Alternate from every row of `inits` in lockstep; returns each start's best iterate.
+
+    A start leaves the live set when it meets the stop rule or reaches
+    max_iters, and its iterates are exactly those of a run on its own: one
+    region update serves the live starts, whose levels stay a row apart.
+    `trace` receives every start's distortions, start after start.
+    """
+    a = np.empty_like(inits)
+    b2 = np.empty_like(inits)
+    for r, levels in enumerate(inits):
+        a[r], b2[r] = _line_coefficients(levels, trans)
+    starts = len(inits)
+    best = [None] * starts
+    prev = [np.inf] * starts
+    hulls = [None] * starts
+    dists: list[list[float]] = [[] for _ in range(starts)]
+    live = list(range(starts))
     for _ in range(cfg.max_iters):
-        # one moments pass per iteration and one (a, b) pair per set of
-        # levels: the distortion shares both with its neighbouring updates.
-        # The previous regions are the candidate hull of the next update.
-        thresholds, codewords = _optimal_regions(a, b2, codewords)
-        moments = _region_moments(thresholds)
-        levels = _optimal_levels(moments, codewords, trans)
-        a, b2 = _line_coefficients(levels, trans)
-        dist = _expected_distortion(moments, codewords, a, b2)
-        if trace is not None:
-            trace.append(dist)
-        if best is None or dist < best[3]:
-            # fresh arrays every iteration, never written to
-            best = (thresholds, codewords, levels, dist)
-        if np.isfinite(prev) and abs(prev - dist) <= cfg.rel_tol * max(abs(dist), 1e-300):
+        # The previous regions are each start's candidate hull. One moments
+        # pass covers every live start: their edge vectors [-inf, thresholds,
+        # inf] back to back are adjacent intervals, with a junk interval
+        # (inf, -inf] between two starts.
+        regions = _optimal_regions(a[live], b2[live], [hulls[r] for r in live])
+        edges = np.concatenate([e for t, _ in regions for e in (_LEFT_EDGE, t, _RIGHT_EDGE)])
+        mass, m1, m2 = interval_moments(edges[:-1], edges[1:])
+        lo = 0
+        still = []
+        for r, (thresholds, codewords) in zip(live, regions):
+            hi = lo + codewords.size
+            moments = mass[lo:hi], m1[lo:hi], m2[lo:hi]
+            lo = hi + 1
+            # the level update, the (a, b) pair and the distortion run per
+            # start: a batched product would round differently
+            levels = _optimal_levels(moments, codewords, trans)
+            a_r, b2_r = _line_coefficients(levels, trans)
+            dist = _expected_distortion(moments, codewords, a_r, b2_r)
+            dists[r].append(dist)
+            if best[r] is None or dist < best[r][3]:
+                # fresh arrays every iteration, never written to
+                best[r] = (thresholds, codewords, levels, dist)
+            if math.isfinite(prev[r]) and abs(prev[r] - dist) <= cfg.rel_tol * max(abs(dist), 1e-300):
+                continue
+            prev[r] = dist
+            a[r], b2[r], hulls[r] = a_r, b2_r, codewords
+            still.append(r)
+        live = still
+        if not live:
             break
-        prev = dist
+    if trace is not None:
+        for d in dists:
+            trace.extend(d)
     return best
 
 
@@ -477,8 +528,7 @@ def _best_of_restarts(
         inits.append(extra)
     trans = bsc_transition_matrix(flips)
     best = None
-    for init in inits:
-        cand = _alternate(init, trans, cfg, trace)
+    for cand in _alternate(np.array(inits), trans, cfg, trace):
         if best is None or cand[3] < best[3]:
             best = cand
     q = ScalarQuantizer(

@@ -6,7 +6,6 @@ from quantlink.channel import (
     TapProfile,
     equalize,
     exponential_pdp,
-    flat_profile,
     load_tap_profile,
     parse_profile_ref,
     realize_channel,
@@ -54,6 +53,11 @@ def test_parse_profile_ref(tmp_path):
     prof = parse_profile_ref(str(path))
     assert prof.label == "two-tap"
     assert prof.delays_s[1] == pytest.approx(100e-9)
+
+
+def flat_profile():
+    """Single-tap (flat fading) profile."""
+    return TapProfile(np.array([0.0]), np.array([1.0]), "flat")
 
 
 def test_flat_profile_gives_constant_gain():

@@ -172,6 +172,30 @@ def test_sigma_max_reads_best_reachable_distortion(small_lib):
     assert optimize_plan(lib, stats, ch, 8 * 1e3).b_lat > 0
 
 
+@pytest.mark.parametrize("which", ["default", "small", "one-bit"])
+def test_sigma_max_is_the_largest_feasible_sigma(which, request):
+    lib = {
+        "default": lambda: request.getfixturevalue("default_lib"),
+        "small": lambda: request.getfixturevalue("small_lib"),
+        # sqrt(1/D - 1) is one ulp too large here: its square is infeasible
+        "one-bit": lambda: build_library(1, [0.05], DesignConfig(restarts=4, seed=7)),
+    }[which]()
+    smax = sigma_max(lib)
+    for square in (smax**2, smax * smax):
+        for qi in range(lib.epsilons.size):
+            min_bits_vector(lib, qi, [square], 0.4)  # raises if infeasible
+    worst = int(np.argmax(lib.distortion_table().min(axis=1)))
+    above = float(np.nextafter(smax, np.inf))
+    with pytest.raises(InfeasibleTargetError):
+        min_bits_vector(lib, worst, [above**2, above * above], 0.4)
+    if which == "default":
+        assert smax == 4.741190556636805  # the value every pinned sweep drew from
+    if which == "one-bit":
+        best = lib.distortion_table().min()
+        with pytest.raises(InfeasibleTargetError):
+            min_bits_vector(lib, 0, [np.sqrt(1.0 / best - 1.0) ** 2], 0.4)
+
+
 def test_sigma_max_algebra():
     # sqrt(1/D - 1) identities on synthetic values
     assert np.isclose(np.sqrt(1 / 0.5 - 1), 1.0)

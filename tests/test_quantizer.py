@@ -9,17 +9,20 @@ from scipy import stats as sst
 import quantlink.quantizer as quantizer_module
 from quantlink.quantizer import (
     DesignConfig,
+    ScalarQuantizer,
+    _certified_cuts,
+    _expected_distortion,
     _line_coefficients,
+    _optimal_levels,
     _optimal_regions,
     _pairwise_regions,
+    _region_moments,
     analytic_distortion,
     bsc_corrupt,
     bsc_transition_matrix,
     dequantize,
     design_channel_optimized,
     design_lloyd_max,
-    optimal_levels,
-    optimal_regions,
     quantize,
     uniform_bsc,
 )
@@ -63,8 +66,6 @@ def test_transition_rows_sum_to_one(flips):
 
 def _one_bit_quantizer(eps: float):
     shrink = (1.0 - 2.0 * eps) * HALF_NORMAL_MEAN
-    from quantlink.quantizer import ScalarQuantizer
-
     return ScalarQuantizer(
         bit_depth=1,
         thresholds=np.array([0.0]),
@@ -83,8 +84,6 @@ def test_analytic_distortion_one_bit():
 
 
 def test_all_zero_levels_gives_source_variance():
-    from quantlink.quantizer import ScalarQuantizer
-
     q = ScalarQuantizer(
         bit_depth=2,
         thresholds=np.array([-0.5, 0.0, 0.5]),
@@ -113,21 +112,32 @@ def test_noiseless_distortion_equals_per_region_second_moments():
 # ---------------------------------------------------------------------------
 
 
+def _regions(a, b2, warm=None):
+    """One row's region update: (thresholds, codewords)."""
+    return _optimal_regions(a[None], b2[None], [warm])[0]
+
+
+def regions_for_levels(levels, flips):
+    """Regions for fixed levels under the flip channel."""
+    levels = np.asarray(levels, dtype=np.float64)
+    return _regions(*_line_coefficients(levels, bsc_transition_matrix(flips)))
+
+
 def test_optimal_regions_noiseless_midpoint():
-    thresholds, codewords = optimal_regions([-0.8, 0.8], [0.0])
+    thresholds, codewords = regions_for_levels([-0.8, 0.8], [0.0])
     assert thresholds == pytest.approx([0.0], abs=1e-15)
     assert list(codewords) == [0, 1]
 
 
 def test_optimal_regions_duplicate_centroid_tie():
     # identical levels give identical (a, b); the lower codeword survives
-    thresholds, codewords = optimal_regions([0.3, 0.3], [0.0])
+    thresholds, codewords = regions_for_levels([0.3, 0.3], [0.0])
     assert thresholds.size == 0
     assert list(codewords) == [0]
 
 
 def test_optimal_regions_useless_channel_single_region():
-    thresholds, codewords = optimal_regions([-0.7, 0.7], [0.5])
+    thresholds, codewords = regions_for_levels([-0.7, 0.7], [0.5])
     assert thresholds.size == 0
     assert len(codewords) == 1
 
@@ -257,7 +267,7 @@ def test_envelope_regions_equal_pairwise_bit_for_bit(lines, warm_kind, seed):
         want_thresholds, want_codewords = _pairwise_regions(a, b2)
         warm = None if warm_kind is None else _warm_candidate(warm_kind, a, want_codewords, seed)
         with _spy("_stack_hull") as stack, _spy("_pairwise_regions") as pairwise:
-            thresholds, codewords = _optimal_regions(a, b2, warm)
+            thresholds, codewords = _regions(a, b2, warm)
     assert thresholds.dtype == want_thresholds.dtype
     assert thresholds.tobytes() == want_thresholds.tobytes()
     assert codewords.dtype == want_codewords.dtype
@@ -273,7 +283,7 @@ def test_converged_design_iteration_takes_the_warm_path():
         q = design_channel_optimized(b, uniform_bsc(b, eps), FAST)
         a, b2 = _line_coefficients(q.levels, bsc_transition_matrix(q.designed_for))
         with _spy("_stack_hull") as stack, _spy("_pairwise_regions") as pairwise:
-            thresholds, codewords = _optimal_regions(a, b2, q.region_codewords)
+            thresholds, codewords = _regions(a, b2, q.region_codewords)
         assert not stack.called and not pairwise.called
         want_thresholds, want_codewords = _pairwise_regions(a, b2)
         assert thresholds.tobytes() == want_thresholds.tobytes()
@@ -293,7 +303,7 @@ def test_exact_slope_tie_keeps_the_stack_pass():
                 continue
             cases += 1
             with _spy("_pairwise_regions") as pairwise:
-                thresholds, codewords = _optimal_regions(a, b2)
+                thresholds, codewords = _regions(a, b2)
             assert not pairwise.called
             want_thresholds, want_codewords = _pairwise_regions(a, b2)
             assert thresholds.tobytes() == want_thresholds.tobytes()
@@ -309,17 +319,78 @@ def test_near_tie_takes_the_pairwise_fallback(monkeypatch):
         return _pairwise_regions(a, b2)
 
     monkeypatch.setattr(quantizer_module, "_pairwise_regions", counting)
-    optimal_regions([-1.0, -0.25, 0.25, 1.0], [0.0, 0.0])
+    regions_for_levels([-1.0, -0.25, 0.25, 1.0], [0.0, 0.0])
     assert not calls
     # the two leftmost slopes are one ulp apart; every vertex is well
     # separated (cuts about -5, -0.5 and 0.5), so only the tie margin declines
     a = np.array([-1.0, np.nextafter(-1.0, 0.0), 0.0, 1.0])
     b2 = np.array([0.0, -10.0 * 2.0**-53, -1.0, 0.0])
-    thresholds, codewords = _optimal_regions(a, b2)
+    thresholds, codewords = _regions(a, b2)
     assert len(calls) == 1
     want_thresholds, want_codewords = _pairwise_regions(a, b2)
     assert thresholds.tobytes() == want_thresholds.tobytes()
     assert codewords.tolist() == want_codewords.tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 5, 8])
+def test_batched_certificate_equals_one_row_calls(b):
+    # rows with exact and near slope ties, lines through a vertex and plain
+    # designer lines, each with its true hull or a wrong candidate; the hulls
+    # are ragged, so the batch pads them
+    kinds = ("levels", "repeated", "ties", "concurrent")
+    candidates = ("hull", "stale", "drop-first", "drop-last", "unsorted", "extra")
+    a, b2, hulls = [], [], []
+    for i in range(24):
+        lines = _region_lines(b, kinds[i % 4], 1000 * b + i, None)
+        hull = _pairwise_regions(*lines)[1]
+        a.append(lines[0])
+        b2.append(lines[1])
+        hulls.append(_warm_candidate(candidates[i % 6], lines[0], hull, i))
+    a, b2 = np.array(a), np.array(b2)
+    # the stack pass's mask leaves out the losers of exact slope ties
+    rest = stream_rng("certificate-rest", b).random(a.shape) < 0.8
+    for r, hull in enumerate(hulls):
+        rest[r, hull] = False
+    accepted = 0
+    for mask in (None, rest):
+        ok, cut = _certified_cuts(a, b2, hulls, mask)
+        for r, hull in enumerate(hulls):
+            one = None if mask is None else mask[r : r + 1]
+            ok_r, cut_r = _certified_cuts(a[r : r + 1], b2[r : r + 1], [hull], one)
+            assert ok[r] == ok_r[0]
+            if ok_r[0]:
+                assert cut[r, : hull.size - 1].tobytes() == cut_r[0].tobytes()
+        accepted += int(ok.sum())
+    assert 0 < accepted < 2 * len(hulls)
+
+
+def test_pairwise_fallback_of_one_row_leaves_the_others(monkeypatch):
+    # row 2 has two slopes one ulp apart (as in the test above), so neither
+    # its warm hull nor its stack pass is certified
+    near = (
+        np.array([-1.0, np.nextafter(-1.0, 0.0), 0.0, 1.0]),
+        np.array([0.0, -10.0 * 2.0**-53, -1.0, 0.0]),
+    )
+    lines = [_region_lines(2, kind, seed, None) for kind, seed in (("levels", 1), ("repeated", 2))]
+    lines += [near] + [_region_lines(2, kind, seed, None) for kind, seed in (("concurrent", 8), ("levels", 4))]
+    a = np.array([x for x, _ in lines])
+    b2 = np.array([y for _, y in lines])
+    want = [_pairwise_regions(x, y) for x, y in lines]
+    calls = []
+
+    def counting(a, b2):
+        calls.append(a.copy())
+        return _pairwise_regions(a, b2)
+
+    monkeypatch.setattr(quantizer_module, "_pairwise_regions", counting)
+    for warm in ([w[1] for w in want], [None] * len(lines)):
+        calls.clear()
+        got = _optimal_regions(a, b2, warm)
+        assert len(calls) == 1 and calls[0].tobytes() == a[2].tobytes()
+        for r, (thresholds, codewords) in enumerate(got):
+            alone = _optimal_regions(a[r : r + 1], b2[r : r + 1], [warm[r]])[0]
+            assert thresholds.tobytes() == alone[0].tobytes() == want[r][0].tobytes()
+            assert codewords.tobytes() == alone[1].tobytes() == want[r][1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -327,26 +398,32 @@ def test_near_tie_takes_the_pairwise_fallback(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def levels_for_regions(thresholds, region_codewords, flips):
+    """MMSE levels for fixed regions under the flip channel."""
+    moments = _region_moments(np.asarray(thresholds, dtype=np.float64))
+    return _optimal_levels(moments, np.asarray(region_codewords), bsc_transition_matrix(flips))
+
+
 def test_optimal_levels_half_normal():
-    levels = optimal_levels([0.0], [0, 1], [0.0])
+    levels = levels_for_regions([0.0], [0, 1], [0.0])
     assert levels == pytest.approx([-HALF_NORMAL_MEAN, HALF_NORMAL_MEAN], abs=1e-12)
 
 
 def test_optimal_levels_shrink_with_flips():
-    levels = optimal_levels([0.0], [0, 1], [0.05])
+    levels = levels_for_regions([0.0], [0, 1], [0.05])
     assert levels == pytest.approx(
         [-0.9 * HALF_NORMAL_MEAN, 0.9 * HALF_NORMAL_MEAN], abs=1e-12
     )
 
 
 def test_optimal_levels_useless_channel_all_zero():
-    levels = optimal_levels([0.0], [0, 1], [0.5])
+    levels = levels_for_regions([0.0], [0, 1], [0.5])
     assert levels == pytest.approx([0.0, 0.0], abs=1e-15)
 
 
 def test_optimal_levels_unreceivable_codeword_gets_prior_mean():
     # noiseless channel, only codeword 1 of 2 bits is ever sent
-    levels = optimal_levels([], [1], [0.0, 0.0])
+    levels = levels_for_regions([], [1], [0.0, 0.0])
     assert levels[1] == pytest.approx(0.0, abs=1e-15)
     assert levels[0] == 0.0 and levels[2] == 0.0 and levels[3] == 0.0
 
@@ -420,6 +497,77 @@ def test_design_dominates_lloyd_max_under_channel():
                 co.normalized_distortion
                 <= analytic_distortion(lm, uniform_bsc(b, eps)) + 1e-12
             )
+
+
+def _reference_alternate(init_levels, trans, cfg, trace):
+    """One start's alternation, run to its end on its own."""
+    levels = np.array(init_levels, dtype=np.float64)
+    a, b2 = _line_coefficients(levels, trans)
+    best = None
+    prev = np.inf
+    codewords = None
+    for _ in range(cfg.max_iters):
+        thresholds, codewords = _regions(a, b2, codewords)
+        moments = _region_moments(thresholds)
+        levels = _optimal_levels(moments, codewords, trans)
+        a, b2 = _line_coefficients(levels, trans)
+        dist = _expected_distortion(moments, codewords, a, b2)
+        trace.append(dist)
+        if best is None or dist < best[3]:
+            best = (thresholds, codewords, levels, dist)
+        if np.isfinite(prev) and abs(prev - dist) <= cfg.rel_tol * max(abs(dist), 1e-300):
+            break
+        prev = dist
+    return best
+
+
+def _reference_best_of_restarts(bit_depth, flips, base, stream_key, cfg, extra_init_levels, trace):
+    """_best_of_restarts as a loop over the starts, one after another."""
+    inits = [base]
+    scale = 0.3 / (1 << bit_depth)
+    for r in range(1, cfg.restarts):
+        rng = stream_rng(*stream_key, r)
+        inits.append(base + rng.normal(0.0, scale, size=base.shape))
+    inits.extend(np.asarray(x, dtype=np.float64) for x in extra_init_levels or ())
+    trans = bsc_transition_matrix(flips)
+    best = None
+    lengths = []
+    for init in inits:
+        before = len(trace)
+        cand = _reference_alternate(init, trans, cfg, trace)
+        lengths.append(len(trace) - before)
+        if best is None or cand[3] < best[3]:
+            best = cand
+    return best, lengths
+
+
+@pytest.mark.parametrize("b", range(1, 7))
+def test_lockstep_design_equals_per_start_loop(b):
+    base = design_lloyd_max(b, FAST).levels
+    split = np.repeat(design_lloyd_max(b - 1, FAST).levels, 2) if b > 1 else np.array([-0.4, 0.9])
+    configs = (
+        DesignConfig(restarts=1, max_iters=60, seed=b),
+        DesignConfig(restarts=3, max_iters=12, seed=2),  # some starts stop at the cap
+        DesignConfig(restarts=10, max_iters=25, seed=3),
+    )
+    mixed = 0
+    for eps in (0.001, 0.02, 0.1):
+        flips = uniform_bsc(b, eps)
+        for cfg in configs:
+            for warm in (None, [split, base[::-1]]):
+                key = ("lockstep-reference", cfg.seed, b)
+                want_trace: list[float] = []
+                want, lengths = _reference_best_of_restarts(b, flips, base, key, cfg, warm, want_trace)
+                trace: list[float] = []
+                q = quantizer_module._best_of_restarts(b, flips, base, key, cfg, warm, trace)
+                assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
+                assert q.thresholds.tobytes() == want[0].tobytes()
+                assert q.region_codewords.tobytes() == want[1].tobytes()
+                assert q.levels.tobytes() == want[2].tobytes()
+                assert q.normalized_distortion == want[3]
+                mixed += len(set(lengths)) > 1
+    # starts that leave the lockstep at different iterations
+    assert mixed > 0
 
 
 def test_design_best_so_far_retention():
