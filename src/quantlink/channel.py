@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream_rng
+from .rng import standard_normal_rows, stream_rng
 
 __all__ = [
     "TapProfile",
@@ -161,17 +161,19 @@ def realize_channel(
     return ChannelRealization(phase @ g, noise_var, spacing_hz, seed)
 
 
-def transmit_symbols(s, p, h, noise_var: float, rng: np.random.Generator):
+def transmit_symbols(s, p, h, noise_var: float, rng):
     """Received samples sqrt(p) h s + CN(0, noise_var) noise; broadcasts over arrays.
 
     The noise is drawn row by row along the last axis, real row then imaginary
     row, so a (t, n) call consumes rng exactly like t sequential 1-D calls.
+    rng may also be a sequence of Generators, one per index of the leading
+    axis of s; each draws its own slice's noise as a call on that slice would.
     """
     s = np.asarray(s, dtype=np.complex128)
     p = np.asarray(p, dtype=np.float64)
     if np.any(p < 0):
         raise ValueError("power must be nonnegative")
-    z = rng.standard_normal(s.shape[:-1] + (2,) + s.shape[-1:])
+    z = standard_normal_rows(rng, s.shape[:-1] + (2,) + s.shape[-1:])
     re, im = (z[..., 0, :], z[..., 1, :]) if s.ndim else z
     noise = np.sqrt(noise_var / 2.0) * (re + 1j * im)
     return np.sqrt(p) * np.asarray(h, dtype=np.complex128) * s + noise

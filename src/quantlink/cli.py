@@ -247,6 +247,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ber_check(args) -> int:
+    # a count below 1 would still measure one symbol, and no target would
+    # print a bare header and pass
+    if args.bits_per_point < 1:
+        print(f"error: --bits-per-point must be >= 1, got {args.bits_per_point}", file=sys.stderr)
+        return 2
     if args.library is not None:
         try:
             lib = liblib.load_library(args.library)
@@ -256,6 +261,9 @@ def cmd_ber_check(args) -> int:
         targets = [float(e) for e in lib.epsilons]
     else:
         targets = [float(e) for e in args.eps]
+    if not targets:
+        print("error: no BER target to check; give --eps values or --library", file=sys.stderr)
+        return 2
     lines = ["m,target_ber,gamma_th,empirical_ber,rel_error,bits,seed,version"]
     worst = 0.0
     for m in modem.QAM_BITS:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -360,6 +361,9 @@ def save_library(lib: QuantizerLibrary, path) -> None:
 
 
 def load_library(path) -> QuantizerLibrary:
+    # an int would open a file descriptor (0 reads stdin)
+    if not isinstance(path, (str, os.PathLike)):
+        raise LibraryFormatError(f"library path must be a string or path, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stream_seed", "stream_rng"]
+__all__ = ["stream_seed", "stream_rng", "standard_normal_rows"]
 
 
 def stream_seed(*keys) -> int:
@@ -23,3 +23,22 @@ def stream_seed(*keys) -> int:
 
 def stream_rng(*keys) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(stream_seed(*keys))))
+
+
+def standard_normal_rows(rng, shape: tuple) -> np.ndarray:
+    """Standard normals of `shape` from one Generator or from one per row.
+
+    Given a sequence of Generators, the k-th fills row k of the leading axis,
+    in the order a call for that row's shape alone would draw, so a batch of
+    rows consumes each stream exactly as separate calls would.
+    """
+    z = np.empty(shape)
+    if isinstance(rng, np.random.Generator):
+        rng.standard_normal(out=z)
+        return z
+    rngs = list(rng)
+    if not z.ndim or len(rngs) != z.shape[0]:
+        raise ValueError(f"need one Generator per row of shape {shape}, got {len(rngs)}")
+    for g, row in zip(rngs, z):
+        g.standard_normal(out=row)
+    return z

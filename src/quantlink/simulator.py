@@ -7,14 +7,28 @@ squared errors alongside realized per-subcarrier bit error rates.
 
 A plan serves every frame of its coherence block, so what depends on the plan
 alone is built once, on the plan's first trial, and kept on the plan: the
-bit-depth groups, the payload bit -> (element, shift) map that packs codewords
-into the bit stream and unpacks received bits with one reduceat, the pad bits,
-and per active modulation order the subcarriers, powers and a
-(t_sym, subcarriers, m) gather of stream indices. Nothing of the channel
-realization is kept; its gains and noise variance are read every frame. Each
-frame then makes one transmit, equalize and demodulate call per active
-modulation order, covering all OFDM symbols at once; the noise is drawn
-symbol by symbol, so the result equals a symbol-by-symbol loop bit for bit.
+sent elements in bit-depth order (each depth a slice), the payload bit ->
+(element, shift) map that packs codewords into the bit stream and unpacks
+received bits with one reduceat, the pad bits, and per active modulation
+order the subcarriers, powers and a (t_sym, subcarriers, m) gather of stream
+indices. Nothing of the channel realization is kept; its gains and noise
+variance are read on every call.
+
+The frames of one coherence block share the plan and the realization, so
+run_experiment sends them through run_trial together, as a (frames, n)
+batch: each stage runs once per batch (quantize and dequantize once per bit
+depth, one transmit, equalize and demodulate call per active modulation
+order, covering every frame and OFDM symbol). A batch holds at most
+_BATCH_ENTRIES = 2^16 latents plus sent symbols (9 frames of 4096 latents
+sent in 5 OFDM symbols of 512 subcarriers): a whole 64-frame block would
+hold several MB more at once, and smaller batches give back part of the
+speed. One vector is the one-frame batch of the same code, which costs it
+a little over a per-vector chain (2-D operands). The bytes equal a
+frame-by-frame loop: every stage is elementwise or exact integer work, each
+frame's noise and samples come from its own Generator, which fills only its
+frame's rows in the order a call on that frame alone would draw (symbol by
+symbol), and the experiment adds each frame's squared errors into its sums
+one frame at a time, in frame order.
 
 An experiment fixes one source, which stands in for the per-element statistics
 a learned codec would supply: zero means and variances log-uniform on
@@ -48,8 +62,7 @@ from .allocator import (
     target_distortion,
 )
 from .library import DEFAULT_DELTA, QuantizerLibrary, sigma_max
-from .quantizer import _dequantize_core, _quantize_core
-from .rng import stream_rng
+from .rng import standard_normal_rows, stream_rng
 
 __all__ = [
     "SyntheticSourceConfig",
@@ -65,6 +78,9 @@ __all__ = [
 ]
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+# run_experiment sends a realization's frames through run_trial in batches of
+# at most this many latents plus sent symbols (at least one frame per batch)
+_BATCH_ENTRIES = 1 << 16
 VAR_LO = 0.01  # smallest variance the synthetic source draws
 
 
@@ -95,10 +111,15 @@ def draw_stats(cfg: SyntheticSourceConfig, sigma_max_value: float, rng: np.rando
     return LatentStats(means=np.zeros(cfg.n_latents), variances=np.minimum(variances, cap))
 
 
-def sample_latents(stats: LatentStats, rng: np.random.Generator) -> np.ndarray:
-    """One latent vector y_i ~ N(mu_i, sigma_i^2), clipped to mu_i +- 3 sigma_i."""
+def sample_latents(stats: LatentStats, rng) -> np.ndarray:
+    """One latent vector y_i ~ N(mu_i, sigma_i^2), clipped to mu_i +- 3 sigma_i.
+
+    Given a sequence of Generators instead of one, a (frames, n) batch: row f
+    is the vector rng[f] alone would give.
+    """
     std = np.sqrt(stats.variances)
-    y = stats.means + std * rng.standard_normal(stats.n)
+    shape = (stats.n,) if isinstance(rng, np.random.Generator) else (len(rng), stats.n)
+    y = stats.means + std * standard_normal_rows(rng, shape)
     return np.clip(y, stats.means - 3.0 * std, stats.means + 3.0 * std)
 
 
@@ -126,22 +147,30 @@ class TrialResult:
 class _FrameLayout:
     """The part of the trial chain that depends on the plan alone.
 
-    groups holds (bit depth, element indices, their ranks among the sent
-    elements); payload bit k carries bit shift[k] of element owner[k]'s
-    codeword, and starts[j] is the first payload bit of sent element j. The
-    stream is the payload followed by the plan's pad bits. orders holds, per
-    active modulation order m, (m, subcarriers, powers, gather), where
-    gather[t, k, c] is the stream index of bit position c on subcarrier k of
-    OFDM symbol t (most significant bit first). checked_stats is the digest
-    of the stats whose sent elements were checked to have sigma > 0, the one
-    input check the frame's quantizer calls skip; received words are b-bit by
-    construction.
+    order lists the sent elements grouped by bit depth (element order within
+    a depth), and groups holds (bit depth, first, end) of each depth's slice
+    of it, so a depth's quantizer runs on a slice. Payload bit k carries bit
+    shift[k] of the codeword at position owner[k] of order; starts[j] is the
+    first payload bit of the j-th sent element in element order, and
+    position i of order holds the by_depth[i]-th. Codewords are held as
+    `word`, the smallest unsigned type for the plan's deepest element (uint8
+    up to b = 8), and shift has that type too. The stream is the payload
+    followed by the plan's pad bits. orders holds, per active modulation order m,
+    (m, subcarriers, powers, gather, weights), where gather[t, k, c] is the
+    stream index of bit position c on subcarrier k of OFDM symbol t (most
+    significant bit first) and weights[c] is that position's place value.
+    checked_stats is the digest of the stats whose sent elements were
+    checked to have sigma > 0, the one input check the frame's quantizer
+    calls skip; received words are b-bit by construction.
     """
 
+    order: np.ndarray
     groups: tuple
+    word: np.dtype
     owner: np.ndarray
     shift: np.ndarray
     starts: np.ndarray
+    by_depth: np.ndarray
     pad: np.ndarray
     orders: tuple
     checked_stats: str | None = None
@@ -150,19 +179,21 @@ class _FrameLayout:
 def _build_frame_layout(plan: AllocationPlan) -> _FrameLayout:
     widths = plan.bits.astype(np.int64)
     sent = np.flatnonzero(widths > 0)
-    rank = np.cumsum(widths > 0) - 1
-    groups = []
-    for b in np.unique(widths[sent]):
-        ids = np.flatnonzero(widths == b)
-        groups.append((int(b), ids, rank[ids]))
     counts = widths[sent]
+    by_depth = np.argsort(counts, kind="stable")
+    depths, first = np.unique(counts[by_depth], return_index=True)
+    ends = np.append(first[1:], sent.size)
+    groups = tuple((int(b), int(lo), int(hi)) for b, lo, hi in zip(depths, first, ends))
+    place = np.empty_like(by_depth)
+    place[by_depth] = np.arange(sent.size)
     starts = np.cumsum(counts) - counts
-    owner = np.repeat(sent, counts)
+    owner = np.repeat(place, counts)
+    word = np.min_scalar_type((1 << int(counts.max(initial=1))) - 1)
     # bit j of a w-bit word (MSB first) is the word shifted right by w - 1 - j
-    shift = np.repeat(starts + counts - 1, counts) - np.arange(owner.size)
+    shift = (np.repeat(starts + counts - 1, counts) - np.arange(owner.size)).astype(word)
 
     dummy_rng = np.random.Generator(np.random.PCG64(plan_dummy_seed(plan)))
-    pad = dummy_rng.integers(0, 2, size=plan.dummy_bits)
+    pad = dummy_rng.integers(0, 2, size=plan.dummy_bits).astype(np.uint8)
 
     mapping = plan.mapping
     slots = np.zeros((plan.t_sym, plan.modulations.size, max(modem.QAM_BITS)), dtype=np.int64)
@@ -171,8 +202,9 @@ def _build_frame_layout(plan: AllocationPlan) -> _FrameLayout:
     for m in modem.QAM_BITS:
         sc = np.flatnonzero(plan.modulations == m)
         if sc.size:
-            orders.append((m, sc, plan.powers[sc], slots[:, sc, :m]))
-    return _FrameLayout(tuple(groups), owner, shift, starts, pad, tuple(orders))
+            weights = (1 << np.arange(m - 1, -1, -1)).astype(np.uint8)
+            orders.append((m, sc, plan.powers[sc], slots[:, sc, :m], weights))
+    return _FrameLayout(sent[by_depth], groups, word, owner, shift, starts, by_depth, pad, tuple(orders))
 
 
 def run_trial(
@@ -181,12 +213,23 @@ def run_trial(
     plan: AllocationPlan,
     lib: QuantizerLibrary,
     realization: chan.ChannelRealization,
-    rng: np.random.Generator,
+    rng,
     seed: int = 0,
 ) -> TrialResult:
-    """Send one latent vector through the full link under a fixed plan."""
-    if y.shape != stats.means.shape:
+    """Send latent vectors through the full link under a fixed plan.
+
+    y is one vector of shape (n,) with one Generator, or a (frames, n) batch
+    with a sequence of Generators, frame f's noise drawn from rng[f] alone.
+    One vector is the one-frame batch. For a batch, per_element_sq_error is
+    (frames, n) and the realized counts are summed over the frames, while
+    bits_sent and t_sym are per frame.
+    """
+    batch = y[None] if y.ndim == 1 else y
+    rngs = [rng] if y.ndim == 1 else list(rng)
+    if batch.ndim != 2 or batch.shape[1:] != stats.means.shape:
         raise ValueError("sample vector shape must match stats")
+    if len(rngs) != batch.shape[0]:
+        raise ValueError(f"need one Generator per frame, got {len(rngs)} for {batch.shape[0]}")
     if plan.digests.get("library") not in (None, lib.digest()):
         raise ValueError("plan was built for a different quantizer library")
     if plan.digests.get("stats") not in (None, stats.digest()):
@@ -194,23 +237,30 @@ def run_trial(
     if plan.digests.get("channel_seed") not in (None, realization.seed):
         raise ValueError("plan was built for a different channel realization")
 
-    targets = target_distortion(stats.variances)
-    b_lat = plan.b_lat
-    yhat = stats.means.copy()
-    err_per_sc = np.zeros(realization.n_sc)
-    bits_per_sc = np.zeros(realization.n_sc)
+    if plan.is_empty or plan.b_lat == 0:
+        yhat, errors, bits = stats.means, np.zeros(realization.n_sc), np.zeros(realization.n_sc)
+        bits_sent = t_sym = 0
+    else:
+        yhat, errors, bits = _send_frames(stats, batch, plan, lib, realization, rngs)
+        bits_sent, t_sym = plan.b_lat, plan.t_sym
+    sq_error = np.square(batch - yhat)
+    return TrialResult(
+        per_element_sq_error=sq_error[0] if y.ndim == 1 else sq_error,
+        per_element_target=target_distortion(stats.variances),
+        bits_sent=bits_sent,
+        t_sym=t_sym,
+        realized_errors_per_subcarrier=errors,
+        realized_bits_per_subcarrier=bits,
+        seed=seed,
+    )
 
-    if plan.is_empty or b_lat == 0:
-        return TrialResult(
-            per_element_sq_error=np.square(y - yhat),
-            per_element_target=targets,
-            bits_sent=0,
-            t_sym=0,
-            realized_errors_per_subcarrier=err_per_sc,
-            realized_bits_per_subcarrier=bits_per_sc,
-            seed=seed,
-        )
 
+def _send_frames(stats, y, plan, lib, realization, rngs):
+    """The chain for a (frames, n) batch of a plan that sends bits.
+
+    Returns the reconstructions, then the bit errors and the bits sent per
+    subcarrier, summed over the frames.
+    """
     layout = plan._frame_layout
     if layout is None:
         layout = plan._frame_layout = _build_frame_layout(plan)
@@ -219,41 +269,45 @@ def run_trial(
             raise ValueError("std must be positive")
         layout = plan._frame_layout = replace(layout, checked_stats=stats.digest())
 
-    # quantize elements sharing a bit depth together (same normalized quantizer)
-    std = np.sqrt(stats.variances)
-    codewords = np.zeros(stats.n, dtype=np.int64)
-    for b, ids, _ in layout.groups:
-        q = lib.quantizer(b, plan.eps_index)
-        codewords[ids] = _quantize_core(y[ids], stats.means[ids], std[ids], q)
-    stream = np.concatenate(((codewords[layout.owner] >> layout.shift) & 1, layout.pad))
+    frames, b_lat = y.shape[0], plan.b_lat
+    err_per_sc = np.zeros(realization.n_sc)
+    bits_per_sc = np.zeros(realization.n_sc)
 
-    # one transmit per modulation order, covering every OFDM symbol at once
-    rx_stream = np.zeros(stream.size, dtype=np.int64)
-    for m, sc, p, gather in layout.orders:
-        shifts = np.arange(m - 1, -1, -1)
+    # quantize the sent elements in depth order, each depth's quantizer on a
+    # slice; the quantizer's (y - mean) / std normalization runs once for all
+    order = layout.order
+    mean, std = stats.means[order], np.sqrt(stats.variances[order])
+    u = (np.take(y, order, axis=1) - mean) / std
+    codewords = np.empty(u.shape, dtype=layout.word)
+    for b, lo, hi in layout.groups:
+        q = lib.quantizer(b, plan.eps_index)
+        codewords[:, lo:hi] = q.region_codewords[np.searchsorted(q.thresholds, u[:, lo:hi], side="left")]
+    stream = np.empty((frames, b_lat + layout.pad.size), dtype=np.uint8)
+    stream[:, :b_lat] = (np.take(codewords, layout.owner, axis=1) >> layout.shift) & 1
+    stream[:, b_lat:] = layout.pad
+
+    # one transmit per modulation order, covering every frame and OFDM symbol
+    rx_stream = np.zeros_like(stream)
+    for m, sc, p, gather, weights in layout.orders:
         h = realization.gains[sc]
-        words = stream[gather] @ (1 << shifts)
+        words = np.take(stream, gather, axis=1) @ weights
         s = modem.constellation(m).points[words]
-        r = chan.transmit_symbols(s, p, h, realization.noise_var, rng)
-        rx_words = modem.demodulate(chan.equalize(r, p, h), m)
-        rx_stream[gather] = (rx_words[..., None] >> shifts) & 1
-        err_per_sc[sc] += _POPCOUNT[words ^ rx_words].sum(axis=0)
-        bits_per_sc[sc] += m * plan.t_sym
+        r = chan.transmit_symbols(s, p, h, realization.noise_var, rngs)
+        rx_words = modem.demodulate(chan.equalize(r, p, h), m).astype(np.uint8)
+        rx_stream[:, gather] = (rx_words[..., None] & weights) != 0
+        err_per_sc[sc] += _POPCOUNT[words ^ rx_words].sum(axis=(0, 1))
+        bits_per_sc[sc] += m * plan.t_sym * frames
 
-    rx_words = np.add.reduceat(rx_stream[:b_lat] << layout.shift, layout.starts)
-    for b, ids, ranks in layout.groups:
-        q = lib.quantizer(b, plan.eps_index)
-        yhat[ids] = _dequantize_core(rx_words[ranks], stats.means[ids], std[ids], q)
-
-    return TrialResult(
-        per_element_sq_error=np.square(y - yhat),
-        per_element_target=targets,
-        bits_sent=b_lat,
-        t_sym=plan.t_sym,
-        realized_errors_per_subcarrier=err_per_sc,
-        realized_bits_per_subcarrier=bits_per_sc,
-        seed=seed,
-    )
+    # received words back in depth order; levels slice by slice, then the
+    # quantizer's std * level + mean once for all
+    rx_words = np.add.reduceat(rx_stream[:, :b_lat] << layout.shift, layout.starts, axis=1, dtype=np.intp)
+    rx_words = np.take(rx_words, layout.by_depth, axis=1)
+    levels = np.empty(u.shape)
+    for b, lo, hi in layout.groups:
+        levels[:, lo:hi] = lib.quantizer(b, plan.eps_index).levels[rx_words[:, lo:hi]]
+    yhat = np.broadcast_to(stats.means, y.shape).copy()
+    yhat[:, order] = levels * std + mean
+    return yhat, err_per_sc, bits_per_sc
 
 
 def _is_int(value) -> bool:
@@ -358,30 +412,34 @@ def run_experiment(
             plan = optimize_plan(lib, stats, realization, p_tot, cfg.delta, seed=cfg.seed)
             t_syms.append(plan.t_sym)
             eps_stars.append(plan.epsilon_star)
-            for frame in range(cfg.frames_per_realization):
-                y = sample_latents(stats, stream_rng("sample", cfg.seed, si, trial, frame))
+            size = max(1, _BATCH_ENTRIES // (stats.n + plan.t_sym * cfg.n_sc))
+            for first in range(0, cfg.frames_per_realization, size):
+                frames = range(first, min(first + size, cfg.frames_per_realization))
+                y = sample_latents(stats, [stream_rng("sample", cfg.seed, si, trial, f) for f in frames])
                 res = run_trial(
                     stats,
                     y,
                     plan,
                     lib,
                     realization,
-                    stream_rng("noise", cfg.seed, si, trial, frame),
+                    [stream_rng("noise", cfg.seed, si, trial, f) for f in frames],
                     seed=cfg.seed,
                 )
-                sq_sum += res.per_element_sq_error
-                sq_sumsq += np.square(res.per_element_sq_error)
-                count += 1
-                if keep_trials:
-                    details.append(
-                        {
-                            "trial": trial,
-                            "frame": frame,
-                            "t_sym": plan.t_sym,
-                            "eps_star": plan.epsilon_star,
-                            "mean_sq_error": float(res.per_element_sq_error.mean()),
-                        }
-                    )
+                # frame by frame, in frame order, so the sums round as one frame at a time
+                for frame, sq_error in zip(frames, res.per_element_sq_error):
+                    sq_sum += sq_error
+                    sq_sumsq += np.square(sq_error)
+                    count += 1
+                    if keep_trials:
+                        details.append(
+                            {
+                                "trial": trial,
+                                "frame": frame,
+                                "t_sym": plan.t_sym,
+                                "eps_star": plan.epsilon_star,
+                                "mean_sq_error": float(sq_error.mean()),
+                            }
+                        )
         mean = sq_sum / count
         var = np.maximum(sq_sumsq / count - np.square(mean), 0.0)
         se = np.sqrt(var / count)
@@ -413,8 +471,11 @@ def measure_link_ber(
     """Empirical BER of Gray QAM through the transmit/equalize chain at SNR gamma.
 
     Uses unit channel gain and power `gamma` against unit-variance noise, which
-    is exactly the per-subcarrier model after equalization.
+    is exactly the per-subcarrier model after equalization. n_bits must be at
+    least 1; at least one symbol is sent.
     """
+    if n_bits < 1:
+        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
     n_sym = max(n_bits // m, 1)
     errors = 0
     done = 0

@@ -377,6 +377,44 @@ def test_ber_check_smoke(tiny_lib_dir, capsys):
     assert len(lines) == 1 + 4 * 2  # four orders x two grid targets
 
 
+@pytest.fixture
+def no_measurement(monkeypatch):
+    """Fail the test if ber-check measures a point before checking its input."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BER point was measured before the input was checked")
+
+    monkeypatch.setattr(cli.sim, "measure_link_ber", refuse)
+
+
+def test_ber_check_rejects_an_empty_target_list(no_measurement, capsys):
+    # used to print a bare header and exit 0 without checking anything
+    code, out, err = _run(capsys, "ber-check", "--eps", "--bits-per-point", "1000")
+    assert code == 2 and out == ""
+    assert "no BER target" in err
+
+
+@pytest.mark.parametrize("bits", ["0", "-5"])
+def test_ber_check_rejects_bit_counts_below_one(bits, no_measurement, no_library_load, capsys):
+    # used to measure one symbol, write the count into the bits column and exit 1
+    for extra in (("--eps", "0.01"), ("--library", "lib.json")):
+        code, out, err = _run(capsys, "ber-check", "--bits-per-point", bits, *extra)
+        assert code == 2 and out == ""
+        assert "--bits-per-point" in err
+
+
+@pytest.mark.parametrize("library", [0, 3, None, 1.5, ["lib.json"]])
+def test_simulate_rejects_a_library_that_is_not_a_path(library, tmp_path, capsys):
+    # an int used to be opened as a file descriptor: 0 read stdin and blocked on a terminal
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"library": library, "source": {"n_latents": 8}, "trials": 1, "n_sc": 8}))
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(out_dir))
+    assert code == 2 and out == ""
+    assert "bad experiment config" in err and "library path" in err
+    assert not out_dir.exists()
+
+
 def test_bad_subcommand_exit_2(capsys):
     assert main(["no-such-command"]) == 2
 

@@ -225,6 +225,19 @@ def test_load_rejects_truncated_file(tmp_path, small_lib):
         load_library(path)
 
 
+@pytest.mark.parametrize("path", [0, 7, True, None, b"lib.json"])
+def test_load_rejects_a_path_that_is_not_a_string_or_path(path):
+    # open() takes an int as a file descriptor, so 0 would read stdin
+    with pytest.raises(LibraryFormatError, match="library path"):
+        load_library(path)
+
+
+def test_load_takes_a_string_path(tmp_path, small_lib):
+    path = tmp_path / "lib.json"
+    save_library(small_lib, path)
+    assert load_library(str(path)).digest() == small_lib.digest()
+
+
 def test_load_rejects_version_mismatch(tmp_path, small_lib):
     path = tmp_path / "lib.json"
     save_library(small_lib, path)

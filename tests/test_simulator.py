@@ -1,20 +1,22 @@
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantlink import simulator
-from quantlink.allocator import LatentStats, optimize_plan, validate_plan
+from quantlink import channel, cli, modem, simulator
+from quantlink.allocator import LatentStats, optimize_plan, plan_dummy_seed, target_distortion, validate_plan
 from quantlink.channel import exponential_pdp, realize_channel
 from quantlink.gaussian import q_function, std_normal_pdf
-from quantlink.library import sigma_max
-from quantlink.quantizer import dequantize, quantize
+from quantlink.library import build_library, save_library, sigma_max
+from quantlink.quantizer import DesignConfig, _dequantize_core, _quantize_core, dequantize, quantize
 from quantlink.rng import stream_rng
 from quantlink.simulator import (
     ExperimentConfig,
+    ExperimentReport,
     SyntheticSourceConfig,
     draw_stats,
     report_rows_to_csv,
@@ -362,3 +364,345 @@ def test_trial_checks_sent_std_once_per_stats(small_lib):
     assert loose._frame_layout.checked_stats == good.digest()
     with pytest.raises(ValueError, match="std must be positive"):
         run_trial(stats, y, loose, small_lib, ch, stream_rng("n", 7))
+
+
+# ---------------------------------------------------------------------------
+# The per-frame chain that the batched one replaced, kept as the reference:
+# one latent vector and one Generator per call, and one call per frame.
+# ---------------------------------------------------------------------------
+
+
+def _reference_sample(stats, rng):
+    std = np.sqrt(stats.variances)
+    y = stats.means + std * rng.standard_normal(stats.n)
+    return np.clip(y, stats.means - 3.0 * std, stats.means + 3.0 * std)
+
+
+def _reference_transmit(s, p, h, noise_var, rng):
+    z = rng.standard_normal(s.shape[:-1] + (2,) + s.shape[-1:])
+    noise = np.sqrt(noise_var / 2.0) * (z[..., 0, :] + 1j * z[..., 1, :])
+    return np.sqrt(p) * h * s + noise
+
+
+def _reference_layout(plan):
+    """Per-depth element indices and ranks, the payload bit map and the pad bits."""
+    widths = plan.bits.astype(np.int64)
+    sent = np.flatnonzero(widths > 0)
+    rank = np.cumsum(widths > 0) - 1
+    groups = [(int(b), np.flatnonzero(widths == b), rank[widths == b]) for b in np.unique(widths[sent])]
+    counts = widths[sent]
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(sent, counts)
+    shift = np.repeat(starts + counts - 1, counts) - np.arange(owner.size)
+    pad = np.random.Generator(np.random.PCG64(plan_dummy_seed(plan))).integers(0, 2, size=plan.dummy_bits)
+    return groups, owner, shift, starts, pad
+
+
+def _reference_trial(stats, y, plan, lib, realization, rng, seed=0):
+    targets = target_distortion(stats.variances)
+    b_lat = plan.b_lat
+    yhat = stats.means.copy()
+    err_per_sc = np.zeros(realization.n_sc)
+    bits_per_sc = np.zeros(realization.n_sc)
+    if plan.is_empty or b_lat == 0:
+        return simulator.TrialResult(np.square(y - yhat), targets, 0, 0, err_per_sc, bits_per_sc, seed)
+
+    groups, owner, shift, starts, pad = _reference_layout(plan)
+    std = np.sqrt(stats.variances)
+    codewords = np.zeros(stats.n, dtype=np.int64)
+    for b, ids, _ in groups:
+        q = lib.quantizer(b, plan.eps_index)
+        codewords[ids] = _quantize_core(y[ids], stats.means[ids], std[ids], q)
+    stream = np.concatenate(((codewords[owner] >> shift) & 1, pad))
+
+    mapping = plan.mapping
+    slots = np.zeros((plan.t_sym, plan.modulations.size, 8), dtype=np.int64)
+    slots[mapping.symbol, mapping.subcarrier, mapping.position] = np.arange(mapping.total_bits)
+    rx_stream = np.zeros(stream.size, dtype=np.int64)
+    for m in modem.QAM_BITS:
+        sc = np.flatnonzero(plan.modulations == m)
+        if not sc.size:
+            continue
+        p, gather = plan.powers[sc], slots[:, sc, :m]
+        shifts = np.arange(m - 1, -1, -1)
+        h = realization.gains[sc]
+        words = stream[gather] @ (1 << shifts)
+        s = modem.constellation(m).points[words]
+        r = _reference_transmit(s, p, h, realization.noise_var, rng)
+        rx_words = modem.demodulate(channel.equalize(r, p, h), m)
+        rx_stream[gather] = (rx_words[..., None] >> shifts) & 1
+        err_per_sc[sc] += simulator._POPCOUNT[words ^ rx_words].sum(axis=0)
+        bits_per_sc[sc] += m * plan.t_sym
+
+    rx_words = np.add.reduceat(rx_stream[:b_lat] << shift, starts)
+    for b, ids, ranks in groups:
+        q = lib.quantizer(b, plan.eps_index)
+        yhat[ids] = _dequantize_core(rx_words[ranks], stats.means[ids], std[ids], q)
+    return simulator.TrialResult(
+        np.square(y - yhat), targets, b_lat, plan.t_sym, err_per_sc, bits_per_sc, seed
+    )
+
+
+def _reference_experiment(cfg, lib, keep_trials=False):
+    profile = channel.parse_profile_ref(cfg.profile_ref)
+    stats = draw_stats(cfg.source, sigma_max(lib), stream_rng("source", cfg.seed, cfg.source.seed))
+    targets = target_distortion(stats.variances)
+    checked = stats.variances >= cfg.delta
+    reports = []
+    for si, snr in enumerate(cfg.snr_db):
+        p_tot = cfg.n_sc * 10.0 ** (snr / 10.0)
+        sq_sum = np.zeros(stats.n)
+        sq_sumsq = np.zeros(stats.n)
+        t_syms, eps_stars, details, count = [], [], [], 0
+        for trial in range(cfg.trials):
+            realization = channel.realize_channel(
+                profile, cfg.n_sc, cfg.spacing_hz, seed=trial, rng=stream_rng("channel", cfg.seed, trial)
+            )
+            plan = optimize_plan(lib, stats, realization, p_tot, cfg.delta, seed=cfg.seed)
+            t_syms.append(plan.t_sym)
+            eps_stars.append(plan.epsilon_star)
+            for frame in range(cfg.frames_per_realization):
+                y = _reference_sample(stats, stream_rng("sample", cfg.seed, si, trial, frame))
+                res = _reference_trial(
+                    stats, y, plan, lib, realization, stream_rng("noise", cfg.seed, si, trial, frame), cfg.seed
+                )
+                sq_sum += res.per_element_sq_error
+                sq_sumsq += np.square(res.per_element_sq_error)
+                count += 1
+                if keep_trials:
+                    details.append(
+                        {
+                            "trial": trial,
+                            "frame": frame,
+                            "t_sym": plan.t_sym,
+                            "eps_star": plan.epsilon_star,
+                            "mean_sq_error": float(res.per_element_sq_error.mean()),
+                        }
+                    )
+        mean = sq_sum / count
+        var = np.maximum(sq_sumsq / count - np.square(mean), 0.0)
+        se = np.sqrt(var / count)
+        viol = checked & (mean > targets + 3.0 * se)
+        reports.append(
+            ExperimentReport(
+                snr_db=float(snr),
+                trials=cfg.trials,
+                frames=count,
+                mean_distortion_per_element=mean,
+                se_distortion_per_element=se,
+                per_element_target=targets,
+                checked=checked,
+                violation_rate=float(viol.sum() / max(checked.sum(), 1)),
+                mean_t_sym=float(np.mean(t_syms)),
+                mean_eps_star=float(np.mean(eps_stars)),
+                channel_label=profile.label,
+                config_digest=cfg.digest(),
+                seed=cfg.seed,
+                trial_details=details,
+            )
+        )
+    return reports
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def eight_bit_lib():
+    """One target up to b = 8, the deepest codeword that fits a byte."""
+    return build_library(8, [0.01], DesignConfig(restarts=1, max_iters=4))
+
+
+@pytest.fixture(scope="module")
+def nine_bit_lib():
+    """One target up to b = 9, so codewords outgrow a byte."""
+    return build_library(9, [0.01], DesignConfig(restarts=1, max_iters=4))
+
+
+# (library fixture, n, n_sc, snr_db, seed, variance cap or None for sigma_max^2)
+_BATCH_CASES = {
+    "three-orders-multi-symbol": ("small_lib", 200, 16, 10.0, 6, None),
+    "pad-bits": ("small_lib", 200, 16, 12.0, 0, None),
+    "one-symbol": ("small_lib", 24, 16, 14.0, 21, None),
+    "empty-plan": ("small_lib", 8, 16, 10.0, 3, 0.3),
+    "eight-bit-256qam": ("eight_bit_lib", 200, 16, 25.0, 2, None),
+    "nine-bit-words": ("nine_bit_lib", 200, 16, 30.0, 5, None),
+}
+
+
+def _batch_case(request, key):
+    lib_name, n, n_sc, snr_db, seed, var_hi = _BATCH_CASES[key]
+    lib = request.getfixturevalue(lib_name)
+    rng = stream_rng("batch", seed)
+    hi = sigma_max(lib) ** 2 if var_hi is None else var_hi
+    stats = LatentStats(
+        rng.uniform(-1.0, 1.0, size=n), np.exp(rng.uniform(np.log(1e-3), np.log(hi), size=n))
+    )
+    ch = realize_channel(exponential_pdp(300.0), n_sc, 30e3, seed=seed)
+    plan = optimize_plan(lib, stats, ch, n_sc * 10 ** (snr_db / 10.0), seed=seed)
+    return lib, stats, ch, plan
+
+
+@pytest.mark.parametrize("frames", [1, 5])
+@pytest.mark.parametrize("key", list(_BATCH_CASES))
+def test_batched_trial_equals_one_frame_reference(request, key, frames):
+    lib, stats, ch, plan = _batch_case(request, key)
+    if key in ("eight-bit-256qam", "nine-bit-words"):
+        assert plan.bits.max() == lib.b_max and plan.t_sym > 1 and 8 in plan.modulations
+    y = np.stack([_reference_sample(stats, stream_rng("by", key, f)) for f in range(frames)])
+    res = run_trial(stats, y, plan, lib, ch, [stream_rng("bn", key, f) for f in range(frames)], seed=5)
+    assert res.per_element_sq_error.shape == (frames, stats.n)
+    refs = [_reference_trial(stats, y[f], plan, lib, ch, stream_rng("bn", key, f), seed=5) for f in range(frames)]
+    for row, ref in zip(res.per_element_sq_error, refs):
+        assert _same_bytes(row, ref.per_element_sq_error)
+    # the realized counts are integers, so their sum over frames is exact
+    for name in ("realized_errors_per_subcarrier", "realized_bits_per_subcarrier"):
+        assert _same_bytes(getattr(res, name), sum(getattr(r, name) for r in refs))
+    assert _same_bytes(res.per_element_target, refs[0].per_element_target)
+    assert (res.bits_sent, res.t_sym, res.seed) == (refs[0].bits_sent, refs[0].t_sym, 5)
+
+    # one vector with one Generator is the one-frame batch, returned unbatched
+    one = run_trial(stats, y[0], plan, lib, ch, stream_rng("bn", key, 0), seed=5)
+    for name in _TRIAL_ARRAYS:
+        assert _same_bytes(getattr(one, name), getattr(refs[0], name)), name
+    assert (one.bits_sent, one.t_sym) == (refs[0].bits_sent, refs[0].t_sym)
+
+
+def test_batched_quantizer_sends_threshold_ties_low(small_lib):
+    # a latent exactly on a threshold belongs to the lower region, as in quantize()
+    stats = LatentStats(np.zeros(24), np.ones(24))
+    ch = realize_channel(exponential_pdp(300.0), 16, 30e3, seed=3)
+    plan = optimize_plan(small_lib, stats, ch, 16 * 10**1.4)
+    y = np.zeros((2, 24))
+    for i in np.flatnonzero(plan.bits):
+        thresholds = small_lib.quantizer(int(plan.bits[i]), plan.eps_index).thresholds
+        y[:, i] = thresholds[(i + np.arange(2)) % thresholds.size]
+    assert np.count_nonzero(y) > 12
+    res = run_trial(stats, y, plan, small_lib, ch, [stream_rng("tie", f) for f in range(2)])
+    for f in range(2):
+        ref = _reference_trial(stats, y[f], plan, small_lib, ch, stream_rng("tie", f))
+        assert _same_bytes(res.per_element_sq_error[f], ref.per_element_sq_error)
+
+
+def test_batched_trial_rejects_a_wrong_generator_count(small_lib):
+    stats, ch, plan = _setup_plan(small_lib)
+    y = sample_latents(stats, [stream_rng("y", f) for f in range(3)])
+    with pytest.raises(ValueError, match="one Generator per frame"):
+        run_trial(stats, y, plan, small_lib, ch, [stream_rng("n", f) for f in range(2)])
+    with pytest.raises(ValueError, match="shape"):
+        run_trial(stats, y[:, :-1], plan, small_lib, ch, [stream_rng("n", f) for f in range(3)])
+
+
+def test_transmit_rows_equal_per_row_calls():
+    rng = stream_rng("tx", 0)
+    s = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+    p, h = rng.uniform(0.5, 2.0, size=5), rng.standard_normal(5) + 1j
+    got = channel.transmit_symbols(s, p, h, 0.7, [stream_rng("txn", f) for f in range(4)])
+    for f in range(4):
+        assert _same_bytes(got[f], channel.transmit_symbols(s[f], p, h, 0.7, stream_rng("txn", f)))
+        assert _same_bytes(got[f], _reference_transmit(s[f], p, h, 0.7, stream_rng("txn", f)))
+    with pytest.raises(ValueError, match="one Generator per row"):
+        channel.transmit_symbols(s, p, h, 0.7, [stream_rng("txn", f) for f in range(3)])
+
+
+def test_sample_rows_equal_per_row_calls():
+    stats = LatentStats(np.linspace(-1.0, 1.0, 50), np.geomspace(0.01, 9.0, 50))
+    got = sample_latents(stats, [stream_rng("sl", f) for f in range(6)])
+    assert got.shape == (6, 50)
+    for f in range(6):
+        assert _same_bytes(got[f], sample_latents(stats, stream_rng("sl", f)))
+        assert _same_bytes(got[f], _reference_sample(stats, stream_rng("sl", f)))
+
+
+def _assert_reports_equal(got, want):
+    assert report_rows_to_csv(got) == report_rows_to_csv(want)
+    for a, b in zip(got, want, strict=True):
+        for f in dataclasses.fields(ExperimentReport):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert _same_bytes(x, y), f.name
+            else:
+                assert x == y, f.name
+
+
+@pytest.mark.parametrize(
+    "frames, entries",
+    [(1, None), (3, None), (64, None), (13, 150)],
+    ids=["1-frame", "3-frames", "64-frames", "short-last-batch"],
+)
+def test_experiment_equals_per_frame_reference(small_lib, monkeypatch, frames, entries):
+    if entries is not None:
+        monkeypatch.setattr(simulator, "_BATCH_ENTRIES", entries)
+    rows = []
+    real = simulator.run_trial
+    monkeypatch.setattr(simulator, "run_trial", lambda *a, **k: rows.append(len(a[1])) or real(*a, **k))
+    cfg = ExperimentConfig(
+        source=SyntheticSourceConfig(n_latents=24, seed=4),
+        snr_db=(6.0, 14.0),
+        trials=2,
+        frames_per_realization=frames,
+        n_sc=16,
+        seed=17,
+    )
+    got = run_experiment(cfg, small_lib, keep_trials=True)
+    _assert_reports_equal(got, _reference_experiment(cfg, small_lib, keep_trials=True))
+    assert [d["frame"] for d in got[0].trial_details] == list(range(frames)) * 2
+    assert sum(rows) == 2 * 2 * frames
+    if entries is not None:
+        # some realization's frames split into full batches and a shorter last one
+        assert len(set(rows)) > 1 and len(rows) > 4
+
+
+def test_simulate_output_equals_per_frame_reference(small_lib, tmp_path, monkeypatch, capsys):
+    lib_path = tmp_path / "lib.json"
+    save_library(small_lib, lib_path)
+    cfg = {"library": str(lib_path), "source": {"n_latents": 16, "seed": 2}, "snr_db": [8.0, 12.0],
+           "trials": 3, "frames_per_realization": 5, "n_sc": 8, "seed": 9}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    outputs = []
+    for experiment in (run_experiment, _reference_experiment):
+        monkeypatch.setattr(cli.sim, "run_experiment", experiment)
+        out_dir = tmp_path / experiment.__name__
+        code = cli.main(["simulate", "--config", str(cfg_path), "--out-dir", str(out_dir), "--detail"])
+        assert code in (0, 1)
+        outputs.append(((out_dir / "report.csv").read_bytes(), (out_dir / "report.json").read_bytes()))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("entries", [1 << 16, 10])
+def test_experiment_batches_stay_within_the_bound(small_lib, monkeypatch, entries):
+    monkeypatch.setattr(simulator, "_BATCH_ENTRIES", entries)
+    calls = []
+    real = simulator.run_trial
+
+    def recording(stats, y, plan, lib, realization, rng, seed=0):
+        calls.append((y.shape, plan.t_sym, realization.n_sc))
+        return real(stats, y, plan, lib, realization, rng, seed=seed)
+
+    monkeypatch.setattr(simulator, "run_trial", recording)
+    cfg = ExperimentConfig(
+        source=SyntheticSourceConfig(n_latents=2048, seed=1),
+        snr_db=(10.0,),
+        trials=2,
+        frames_per_realization=64,
+        n_sc=64,
+        seed=3,
+    )
+    run_experiment(cfg, small_lib)
+    assert sum(shape[0] for shape, _, _ in calls) == 2 * 64
+    for (frames, n), t_sym, n_sc in calls:
+        assert frames == 1 or frames * (n + t_sym * n_sc) <= entries
+    if entries == 10:
+        assert all(shape[0] == 1 for shape, _, _ in calls)
+    else:
+        assert 2 < len(calls) < 2 * 64  # batched, and cut into more than one batch per realization
+
+
+def test_measure_link_ber_rejects_fewer_than_one_bit():
+    for n_bits in (0, -5):
+        with pytest.raises(ValueError, match="n_bits"):
+            simulator.measure_link_ber(2, 10.0, n_bits, stream_rng("ber", 0))

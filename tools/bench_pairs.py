@@ -12,7 +12,12 @@ number of pairs the change wins per metric go to BENCH_<workload>.json.
 
 A metric's direction ("better": "lower" or "higher") and its bound come from
 the change tree's BENCHMARK.json. Both trees must hold `benchmarks/run.py`
-and `src/quantlink`; the script only reads them and runs the benchmark.
+and `src/quantlink`; the script only reads them. It copies each tree's
+`src/`, `benchmarks/` and `BENCHMARK.json` the same way into a fresh
+temporary directory, `<tmp>/parent` and `<tmp>/change` (paths of equal
+length), and runs the benchmark there, so where a tree lives cannot tell the
+two sides apart. The copies' paths go into the JSON, relative to $TMPDIR;
+the copies are deleted at the end.
 """
 
 from __future__ import annotations
@@ -21,10 +26,31 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+COPIED = ("src", "benchmarks", "BENCHMARK.json")
+
+
+def fresh_copy(tree: Path, dest: Path) -> Path:
+    """Copy what the benchmark reads from `tree` into the new directory `dest`."""
+    dest.mkdir()
+    for name in COPIED:
+        source = tree / name
+        if source.is_dir():
+            shutil.copytree(source, dest / name, ignore=shutil.ignore_patterns("__pycache__", ".bench_out"))
+        else:
+            shutil.copy2(source, dest / name)
+    return dest
+
+
+def shown(path: Path) -> str:
+    """A copy's path, with the host's temporary-files directory written $TMPDIR."""
+    return str(Path("$TMPDIR") / path.relative_to(tempfile.gettempdir()))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -92,18 +118,10 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    trees = {"parent": args.parent, "change": args.change}
-
-    pairs = []
-    for i, seed in enumerate(args.seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"pair": i, "seed": seed, "order": list(order)}
-        for side in order:
-            pair[side] = run_once(trees[side], args.workload, seed, args.seconds)
-            shown = {k: round(v, 4) for k, v in pair[side]["metrics"].items()}
-            print(f"pair {i} seed {seed} {side}: {shown}", file=sys.stderr, flush=True)
-        pairs.append(pair)
-
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        # "parent" and "change" have the same length, so the copies' paths do too
+        trees = {side: fresh_copy(getattr(args, side), Path(tmp) / side) for side in ("parent", "change")}
+        pairs = run_pairs(trees, args)
     doc = {
         "workload": args.workload,
         "command": f"benchmarks/run.py --workload {args.workload} --seed <seed> "
@@ -111,6 +129,7 @@ def main(argv=None) -> int:
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "cpus": os.cpu_count()},
         "labels": {"parent": args.parent_label, "change": args.change_label},
+        "copies": {side: shown(path) for side, path in trees.items()},
         "bounds": bounds,
         "failed_operations": {side: sum(p[side]["failed"] for p in pairs) for side in trees},
         "summary": summarize(pairs, directions),
@@ -122,6 +141,20 @@ def main(argv=None) -> int:
         print(f"{name}: parent {s['parent']['median']:.4g} -> change {s['change']['median']:.4g} "
               f"({s['relative_change']:+.1%}), change wins {s['change_wins']}/{s['pairs']}")
     return 0
+
+
+def run_pairs(trees: dict[str, Path], args) -> list[dict]:
+    """One pair per seed, the side that goes first alternating."""
+    pairs = []
+    for i, seed in enumerate(args.seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"pair": i, "seed": seed, "order": list(order)}
+        for side in order:
+            pair[side] = run_once(trees[side], args.workload, seed, args.seconds)
+            metrics = {k: round(v, 4) for k, v in pair[side]["metrics"].items()}
+            print(f"pair {i} seed {seed} {side}: {metrics}", file=sys.stderr, flush=True)
+        pairs.append(pair)
+    return pairs
 
 
 if __name__ == "__main__":
