@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ __all__ = [
     "tdl_c_profile",
     "parse_profile_ref",
     "realize_channel",
+    "power_budget",
     "transmit_symbols",
     "equalize",
 ]
@@ -159,6 +161,24 @@ def realize_channel(
     freqs = np.arange(n_sc) * spacing_hz
     phase = np.exp(-2j * np.pi * np.outer(freqs, profile.delays_s))
     return ChannelRealization(phase @ g, noise_var, spacing_hz, seed)
+
+
+def power_budget(n_sc: int, snr_db: float) -> float:
+    """Total power n_sc * 10^(snr_db / 10): a mean SNR of snr_db per subcarrier at unit noise.
+
+    Raises ValueError unless the budget is a positive finite float, so an SNR
+    that overflows (4000 dB), underflows to 0 (-4000 dB) or is NaN fails here
+    rather than in the planner.
+    """
+    try:
+        p_tot = n_sc * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        p_tot = math.inf
+    if not (math.isfinite(p_tot) and p_tot > 0):
+        raise ValueError(
+            f"snr_db {snr_db!r} on {n_sc!r} subcarriers gives power budget {p_tot!r}, not a positive finite number"
+        )
+    return p_tot
 
 
 def transmit_symbols(s, p, h, noise_var: float, rng):

@@ -53,15 +53,10 @@ def _add_design_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=default.seed)
 
 
-def _epsilon_grid(args) -> np.ndarray:
-    if args.eps:
-        return np.asarray(sorted(float(e) for e in args.eps))
-    return liblib.log_uniform_grid(args.eps_lo, args.eps_hi, args.eps_count)
-
-
 def cmd_build_library(args) -> int:
     cfg = _design_config(args)
-    grid = _epsilon_grid(args)
+    # no --eps values: the default grid
+    grid = sorted(args.eps) if args.eps else None
     lib = liblib.build_library(args.b_max, grid, cfg)
     out_dir = args.out
     try:
@@ -145,6 +140,7 @@ def _load_stats(args, lib) -> LatentStats:
 def cmd_allocate(args) -> int:
     try:
         sim._check_positive_finite("delta", args.delta)
+        p_tot = chan.power_budget(args.n_sc, args.snr_db)
         lib = liblib.load_library(args.library)
         stats = _load_stats(args, lib)
         profile = chan.parse_profile_ref(args.profile)
@@ -154,7 +150,6 @@ def cmd_allocate(args) -> int:
     realization = chan.realize_channel(
         profile, args.n_sc, args.spacing_khz * 1e3, seed=args.channel_seed
     )
-    p_tot = args.n_sc * 10.0 ** (args.snr_db / 10.0)
     try:
         plan = optimize_plan(lib, stats, realization, p_tot, args.delta, seed=args.seed)
     except NoFeasibleRateError as exc:
@@ -291,9 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=Path("artifacts"))
     p.add_argument("--b-max", type=int, default=liblib.DEFAULT_B_MAX)
     p.add_argument("--eps", type=float, nargs="*", default=None)
-    p.add_argument("--eps-lo", type=float, default=1e-3)
-    p.add_argument("--eps-hi", type=float, default=5e-2)
-    p.add_argument("--eps-count", type=int, default=10)
     _add_design_args(p)
     p.set_defaults(func=cmd_build_library)
 

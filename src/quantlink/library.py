@@ -23,6 +23,7 @@ import numpy as np
 
 from . import modem
 from .quantizer import (
+    MAX_BIT_DEPTH,
     DesignConfig,
     ScalarQuantizer,
     analytic_distortion,
@@ -168,10 +169,13 @@ def build_library(
     cannot load fails before any cell is designed. Columns are warm-started
     from the previous depth (levels duplicated), so distortion cannot rise
     with b. Emits warning records for any nonconvex distortion column and any
-    column/row ordering anomaly.
+    column/row ordering anomaly. b_max must lie in [1, MAX_BIT_DEPTH], checked
+    before any design: a deeper column would design every shallower cell
+    first (at b = 12 each with dense 4096 x 4096 transition matrices) and then
+    fail.
     """
-    if b_max < 1:
-        raise ValueError("b_max must be >= 1")
+    if not 1 <= b_max <= MAX_BIT_DEPTH:
+        raise ValueError(f"b_max must be in [1, {MAX_BIT_DEPTH}], got {b_max!r}")
     grid = _validated_grid(default_epsilon_grid() if epsilons is None else epsilons)
     gamma = np.array([[modem.snr_threshold(m, float(eps)) for eps in grid] for m in modem.QAM_BITS])
     _check_gamma(gamma, grid)
@@ -379,8 +383,8 @@ def load_library(path) -> QuantizerLibrary:
         if list(doc["qam_bits"]) != list(modem.QAM_BITS):
             raise LibraryFormatError("QAM order set in file does not match this build")
         b_max = doc["b_max"]
-        if not isinstance(b_max, int) or isinstance(b_max, bool) or b_max < 1:
-            raise LibraryFormatError(f"b_max must be an int >= 1, got {b_max!r}")
+        if not isinstance(b_max, int) or isinstance(b_max, bool) or not 1 <= b_max <= MAX_BIT_DEPTH:
+            raise LibraryFormatError(f"b_max must be an int in [1, {MAX_BIT_DEPTH}], got {b_max!r}")
         epsilons = _validated_grid([_unhex(s) for s in doc["epsilons"]])
         design = DesignConfig(
             restarts=doc["design"]["restarts"],

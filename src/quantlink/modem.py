@@ -90,10 +90,10 @@ def constellation(m: int) -> Constellation:
 
 
 def modulate(word, m: int):
-    """Map m-bit words (ints) to constellation symbols."""
+    """Map m-bit words (ints) to constellation symbols; a word outside [0, 2^m) raises ValueError."""
     table = constellation(m)
     w = np.asarray(word)
-    if np.any(w < 0) or np.any(w >= (1 << m)):
+    if w.size and (w.min() < 0 or w.max() >= (1 << m)):
         raise ValueError(f"word out of range for {m}-bit constellation")
     out = table.points[w]
     return out if np.ndim(word) else complex(out)

@@ -597,30 +597,28 @@ def quantize(y, mean: float, std: float, q: ScalarQuantizer):
 
     Regions are half-open on the right, so a sample exactly on a threshold
     falls in the region to its left. Scalar in, scalar out; arrays vectorize,
-    and mean/std may be per-sample arrays.
+    and mean/std may be per-sample arrays broadcast against y (the trial
+    chain passes a (frames, n) batch with one mean and std per column).
+    Every std must be positive.
     """
-    if not np.all(np.asarray(std) > 0):
+    if not (np.asarray(std) > 0).all():
         raise ValueError("std must be positive")
-    out = _quantize_core(np.asarray(y, dtype=np.float64), mean, std, q)
+    u = (np.asarray(y, dtype=np.float64) - mean) / std
+    out = q.region_codewords[np.searchsorted(q.thresholds, u, side="left")]
     return out if np.ndim(y) else int(out)
 
 
-def _quantize_core(y: np.ndarray, mean, std, q: ScalarQuantizer) -> np.ndarray:
-    """quantize without its input check: the caller has made sure std > 0."""
-    return q.region_codewords[np.searchsorted(q.thresholds, (y - mean) / std, side="left")]
-
-
 def dequantize(codeword, mean: float, std: float, q: ScalarQuantizer):
-    """Reconstruction for received codewords: std * level + mean (per-sample arrays allowed)."""
-    if not np.all(np.asarray(std) > 0):
+    """Reconstruction for received codewords: level * std + mean.
+
+    Arrays vectorize, and mean/std may be per-sample arrays broadcast against
+    the codewords, as in quantize. Every std must be positive and every
+    codeword a b-bit word.
+    """
+    if not (np.asarray(std) > 0).all():
         raise ValueError("std must be positive")
     cw = np.asarray(codeword)
-    if np.any(cw < 0) or np.any(cw >= (1 << q.bit_depth)):
+    if cw.size and (cw.min() < 0 or cw.max() >= (1 << q.bit_depth)):
         raise ValueError("codeword out of range for quantizer bit depth")
-    out = _dequantize_core(cw, mean, std, q)
+    out = q.levels[cw] * std + mean
     return out if np.ndim(codeword) else float(out)
-
-
-def _dequantize_core(codeword: np.ndarray, mean, std, q: ScalarQuantizer) -> np.ndarray:
-    """dequantize without its input checks: codewords are b-bit and std > 0."""
-    return q.levels[codeword] * std + mean

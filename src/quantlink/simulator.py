@@ -16,19 +16,22 @@ variance are read on every call.
 
 The frames of one coherence block share the plan and the realization, so
 run_experiment sends them through run_trial together, as a (frames, n)
-batch: each stage runs once per batch (quantize and dequantize once per bit
-depth, one transmit, equalize and demodulate call per active modulation
-order, covering every frame and OFDM symbol). A batch holds at most
-_BATCH_ENTRIES = 2^16 latents plus sent symbols (9 frames of 4096 latents
-sent in 5 OFDM symbols of 512 subcarriers): a whole 64-frame block would
-hold several MB more at once, and smaller batches give back part of the
-speed. One vector is the one-frame batch of the same code, which costs it
-a little over a per-vector chain (2-D operands). The bytes equal a
-frame-by-frame loop: every stage is elementwise or exact integer work, each
-frame's noise and samples come from its own Generator, which fills only its
-frame's rows in the order a call on that frame alone would draw (symbol by
-symbol), and the experiment adds each frame's squared errors into its sums
-one frame at a time, in frame order.
+batch: each stage runs once per batch, covering every frame and OFDM symbol.
+Apart from bit packing, the chain runs no stage of its own: it calls
+quantizer.quantize and quantizer.dequantize once per bit depth (on that
+depth's slice), and modem.modulate, channel.transmit_symbols,
+channel.equalize and modem.demodulate once per active modulation order, each
+through its module, so a tracer that wraps those functions times each stage.
+A batch holds at most _BATCH_ENTRIES = 2^16 latents plus sent symbols (9
+frames of 4096 latents sent in 5 OFDM symbols of 512 subcarriers): a whole
+64-frame block would hold several MB more at once, and smaller batches give
+back part of the speed. One vector is the one-frame batch of the same code,
+which costs it a little over a per-vector chain (2-D operands). The bytes
+equal a frame-by-frame loop: every stage is elementwise or exact integer
+work, each frame's noise and samples come from its own Generator, which
+fills only its frame's rows in the order a call on that frame alone would
+draw (symbol by symbol), and the experiment adds each frame's squared errors
+into its sums one frame at a time, in frame order.
 
 An experiment fixes one source, which stands in for the per-element statistics
 a learned codec would supply: zero means and variances log-uniform on
@@ -47,13 +50,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._version import __version__
 from . import channel as chan
-from . import modem
+from . import modem, quantizer
 from .allocator import (
     AllocationPlan,
     LatentStats,
@@ -81,6 +84,7 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 # run_experiment sends a realization's frames through run_trial in batches of
 # at most this many latents plus sent symbols (at least one frame per batch)
 _BATCH_ENTRIES = 1 << 16
+_LINK_BER_CHUNK = 1 << 19  # symbols measure_link_ber sends per transmit call
 VAR_LO = 0.01  # smallest variance the synthetic source draws
 
 
@@ -131,7 +135,6 @@ class TrialResult:
     t_sym: int
     realized_errors_per_subcarrier: np.ndarray
     realized_bits_per_subcarrier: np.ndarray
-    seed: int
 
     @property
     def realized_ber_per_subcarrier(self) -> np.ndarray:
@@ -159,9 +162,8 @@ class _FrameLayout:
     (m, subcarriers, powers, gather, weights), where gather[t, k, c] is the
     stream index of bit position c on subcarrier k of OFDM symbol t (most
     significant bit first) and weights[c] is that position's place value.
-    checked_stats is the digest of the stats whose sent elements were
-    checked to have sigma > 0, the one input check the frame's quantizer
-    calls skip; received words are b-bit by construction.
+    Nothing here depends on the latent stats, so quantize and dequantize
+    check the sent elements' sigma > 0 on every call.
     """
 
     order: np.ndarray
@@ -173,7 +175,6 @@ class _FrameLayout:
     by_depth: np.ndarray
     pad: np.ndarray
     orders: tuple
-    checked_stats: str | None = None
 
 
 def _build_frame_layout(plan: AllocationPlan) -> _FrameLayout:
@@ -214,7 +215,6 @@ def run_trial(
     lib: QuantizerLibrary,
     realization: chan.ChannelRealization,
     rng,
-    seed: int = 0,
 ) -> TrialResult:
     """Send latent vectors through the full link under a fixed plan.
 
@@ -251,7 +251,6 @@ def run_trial(
         t_sym=t_sym,
         realized_errors_per_subcarrier=errors,
         realized_bits_per_subcarrier=bits,
-        seed=seed,
     )
 
 
@@ -264,24 +263,19 @@ def _send_frames(stats, y, plan, lib, realization, rngs):
     layout = plan._frame_layout
     if layout is None:
         layout = plan._frame_layout = _build_frame_layout(plan)
-    if layout.checked_stats != stats.digest():
-        if not np.all(stats.variances[plan.bits > 0] > 0):
-            raise ValueError("std must be positive")
-        layout = plan._frame_layout = replace(layout, checked_stats=stats.digest())
 
     frames, b_lat = y.shape[0], plan.b_lat
     err_per_sc = np.zeros(realization.n_sc)
     bits_per_sc = np.zeros(realization.n_sc)
 
-    # quantize the sent elements in depth order, each depth's quantizer on a
-    # slice; the quantizer's (y - mean) / std normalization runs once for all
+    # the sent elements in depth order, each depth's quantizer on a slice
     order = layout.order
+    y_sent = np.take(y, order, axis=1)
     mean, std = stats.means[order], np.sqrt(stats.variances[order])
-    u = (np.take(y, order, axis=1) - mean) / std
-    codewords = np.empty(u.shape, dtype=layout.word)
+    codewords = np.empty(y_sent.shape, dtype=layout.word)
     for b, lo, hi in layout.groups:
         q = lib.quantizer(b, plan.eps_index)
-        codewords[:, lo:hi] = q.region_codewords[np.searchsorted(q.thresholds, u[:, lo:hi], side="left")]
+        codewords[:, lo:hi] = quantizer.quantize(y_sent[:, lo:hi], mean[lo:hi], std[lo:hi], q)
     stream = np.empty((frames, b_lat + layout.pad.size), dtype=np.uint8)
     stream[:, :b_lat] = (np.take(codewords, layout.owner, axis=1) >> layout.shift) & 1
     stream[:, b_lat:] = layout.pad
@@ -291,22 +285,19 @@ def _send_frames(stats, y, plan, lib, realization, rngs):
     for m, sc, p, gather, weights in layout.orders:
         h = realization.gains[sc]
         words = np.take(stream, gather, axis=1) @ weights
-        s = modem.constellation(m).points[words]
-        r = chan.transmit_symbols(s, p, h, realization.noise_var, rngs)
+        r = chan.transmit_symbols(modem.modulate(words, m), p, h, realization.noise_var, rngs)
         rx_words = modem.demodulate(chan.equalize(r, p, h), m).astype(np.uint8)
         rx_stream[:, gather] = (rx_words[..., None] & weights) != 0
         err_per_sc[sc] += _POPCOUNT[words ^ rx_words].sum(axis=(0, 1))
         bits_per_sc[sc] += m * plan.t_sym * frames
 
-    # received words back in depth order; levels slice by slice, then the
-    # quantizer's std * level + mean once for all
+    # received words back in depth order, dequantized slice by slice
     rx_words = np.add.reduceat(rx_stream[:, :b_lat] << layout.shift, layout.starts, axis=1, dtype=np.intp)
     rx_words = np.take(rx_words, layout.by_depth, axis=1)
-    levels = np.empty(u.shape)
-    for b, lo, hi in layout.groups:
-        levels[:, lo:hi] = lib.quantizer(b, plan.eps_index).levels[rx_words[:, lo:hi]]
     yhat = np.broadcast_to(stats.means, y.shape).copy()
-    yhat[:, order] = levels * std + mean
+    for b, lo, hi in layout.groups:
+        q = lib.quantizer(b, plan.eps_index)
+        yhat[:, order[lo:hi]] = quantizer.dequantize(rx_words[:, lo:hi], mean[lo:hi], std[lo:hi], q)
     return yhat, err_per_sc, bits_per_sc
 
 
@@ -353,6 +344,9 @@ class ExperimentConfig:
         finite = [_is_finite(s) for s in self.snr_db]
         if not finite or not all(finite):
             raise ValueError(f"snr_db must be a nonempty list of finite numbers, got {self.snr_db!r}")
+        # an SNR whose budget overflows or underflows would fail mid-sweep
+        for snr in self.snr_db:
+            chan.power_budget(self.n_sc, snr)
 
     def digest(self) -> str:
         return hashlib.sha256(
@@ -393,7 +387,7 @@ def run_experiment(
 
     reports = []
     for si, snr in enumerate(cfg.snr_db):
-        p_tot = cfg.n_sc * 10.0 ** (snr / 10.0)
+        p_tot = chan.power_budget(cfg.n_sc, snr)
         sq_sum = np.zeros(stats.n)
         sq_sumsq = np.zeros(stats.n)
         t_syms = []
@@ -423,7 +417,6 @@ def run_experiment(
                     lib,
                     realization,
                     [stream_rng("noise", cfg.seed, si, trial, f) for f in frames],
-                    seed=cfg.seed,
                 )
                 # frame by frame, in frame order, so the sums round as one frame at a time
                 for frame, sq_error in zip(frames, res.per_element_sq_error):
@@ -465,9 +458,7 @@ def run_experiment(
     return reports
 
 
-def measure_link_ber(
-    m: int, gamma: float, n_bits: int, rng: np.random.Generator, chunk: int = 1 << 19
-) -> float:
+def measure_link_ber(m: int, gamma: float, n_bits: int, rng: np.random.Generator) -> float:
     """Empirical BER of Gray QAM through the transmit/equalize chain at SNR gamma.
 
     Uses unit channel gain and power `gamma` against unit-variance noise, which
@@ -479,11 +470,10 @@ def measure_link_ber(
     n_sym = max(n_bits // m, 1)
     errors = 0
     done = 0
-    table = modem.constellation(m)
     while done < n_sym:
-        size = min(chunk, n_sym - done)
+        size = min(_LINK_BER_CHUNK, n_sym - done)
         words = rng.integers(0, 1 << m, size=size)
-        r = chan.transmit_symbols(table.points[words], gamma, 1.0 + 0j, 1.0, rng)
+        r = chan.transmit_symbols(modem.modulate(words, m), gamma, 1.0 + 0j, 1.0, rng)
         rx = modem.demodulate(chan.equalize(r, gamma, 1.0 + 0j), m)
         errors += int(_POPCOUNT[np.asarray(words ^ rx)].sum())
         done += size

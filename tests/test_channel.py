@@ -8,12 +8,22 @@ from quantlink.channel import (
     exponential_pdp,
     load_tap_profile,
     parse_profile_ref,
+    power_budget,
     realize_channel,
     tdl_c_profile,
     transmit_symbols,
 )
 from quantlink.modem import ber_approx, constellation, demodulate, snr_threshold
 from quantlink.rng import stream_rng
+
+
+def test_power_budget_is_a_positive_finite_float():
+    assert power_budget(512, 10.0) == 512 * 10.0 ** (10.0 / 10.0)
+    assert power_budget(8, -60) == 8 * 10.0 ** (-60 / 10.0)
+    # 4000 dB overflows (an OverflowError), -4000 dB rounds the budget to 0
+    for snr_db in (4000, -4000, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="power budget"):
+            power_budget(512, snr_db)
 
 
 def test_profile_normalizes_powers():

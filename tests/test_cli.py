@@ -224,6 +224,26 @@ def test_allocate_rejects_bad_delta_before_loading(delta, no_library_load, capsy
     assert "delta must be a positive finite number" in err
 
 
+@pytest.mark.parametrize("snr_db", ["4000", "-4000", "nan", "inf", "-inf"])
+def test_allocate_rejects_bad_snr_before_loading(snr_db, no_library_load, capsys):
+    # 4000 dB used to exit 1 with an OverflowError traceback, and -4000 or nan
+    # to exit 2 with "p_tot must be positive" after the library had loaded
+    code, out, err = _run(capsys, "allocate", "--library", "lib.json", f"--snr-db={snr_db}")
+    assert code == 2 and out == ""
+    assert "snr_db" in err and "power budget" in err and "Traceback" not in err
+
+
+def test_build_library_rejects_b_max_before_designing(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was designed before b_max was checked")
+
+    monkeypatch.setattr(cli.liblib, "design_channel_optimized", refuse)
+    code, out, err = _run(capsys, "build-library", "--out", str(tmp_path / "lib"), "--b-max", "13")
+    assert code == 2 and out == ""
+    assert "b_max must be in [1, 12]" in err
+    assert not (tmp_path / "lib").exists()
+
+
 def test_allocate_rejects_zero_latents(tiny_lib_dir, capsys):
     code, out, err = _run(capsys, "allocate", "--library", str(tiny_lib_dir / "library.json"), "--n-latents", "0")
     assert code == 2 and out == ""
@@ -288,6 +308,8 @@ def test_simulate_bad_config_exit_2(tiny_lib_dir, tmp_path, capsys):
         {"snr_db": []},
         {"snr_db": [10.0, float("nan")]},
         {"snr_db": [float("inf")]},
+        {"snr_db": [4000]},
+        {"snr_db": [10, -4000]},
         {"delta": "0.4"},
         {"delta": 0.0},
         {"delta": -0.4},

@@ -27,7 +27,7 @@ from quantlink.library import (
     sigma_max,
 )
 from quantlink.modem import QAM_BITS, snr_threshold
-from quantlink.quantizer import DesignConfig, analytic_distortion, uniform_bsc
+from quantlink.quantizer import MAX_BIT_DEPTH, DesignConfig, analytic_distortion, uniform_bsc
 from quantlink.rng import stream_rng
 
 ONE_BIT_D_05 = 0.48433798438225906
@@ -319,6 +319,25 @@ def test_load_rejects_empty_grid(tmp_path, small_lib):
 
     with pytest.raises(LibraryFormatError, match="b_max"):
         load_library(_tampered(tmp_path, small_lib, empty))
+
+
+@pytest.mark.parametrize("b_max", [0, MAX_BIT_DEPTH + 1])
+def test_build_library_rejects_b_max_before_designing(monkeypatch, b_max):
+    # b_max = 13 used to design every cell up to b = 12 before the b = 13 design raised
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was designed before b_max was checked")
+
+    monkeypatch.setattr(library, "design_channel_optimized", refuse)
+    with pytest.raises(ValueError, match=f"b_max must be in \\[1, {MAX_BIT_DEPTH}\\], got {b_max}"):
+        build_library(b_max, [0.01])
+
+
+def test_load_rejects_b_max_above_the_deepest_quantizer(tmp_path, small_lib):
+    def deep(doc):
+        doc["b_max"] = MAX_BIT_DEPTH + 1
+
+    with pytest.raises(LibraryFormatError, match=f"b_max must be an int in \\[1, {MAX_BIT_DEPTH}\\]"):
+        load_library(_tampered(tmp_path, small_lib, deep))
 
 
 def test_load_rejects_gamma_off_target(tmp_path, small_lib):

@@ -80,6 +80,16 @@ def test_modulate_rejects_inactive_order():
         modulate(4, 2)
 
 
+def test_modulate_checks_every_word():
+    # the trial chain passes uint8 word batches; 255 is a 256-QAM word
+    words = np.array([[0, 255], [17, 200]], dtype=np.uint8)
+    assert np.array_equal(modulate(words, 8), constellation(8).points[words])
+    assert modulate(np.array([], dtype=np.int64), 2).shape == (0,)
+    for bad in ([0, -1], [[3], [4]]):
+        with pytest.raises(ValueError, match="out of range"):
+            modulate(np.array(bad), 2)
+
+
 def test_ber_qpsk_reduces_to_q_function():
     from quantlink.gaussian import q_function
 

@@ -677,3 +677,18 @@ def test_quantize_rejects_nonpositive_std():
         quantize(0.1, 0.0, 0.0, q)
     with pytest.raises(ValueError):
         dequantize(0, 0.0, -1.0, q)
+    # a (frames, n) batch with one std per column, as the trial chain sends, fails on any column
+    for std in (np.array([1.0, 0.0]), np.array([1.0, np.nan])):
+        with pytest.raises(ValueError, match="std must be positive"):
+            quantize(np.zeros((3, 2)), 0.0, std, q)
+        with pytest.raises(ValueError, match="std must be positive"):
+            dequantize(np.zeros((3, 2), dtype=np.intp), 0.0, std, q)
+
+
+def test_dequantize_rejects_codewords_out_of_range():
+    q = _one_bit_quantizer(0.0)
+    for bad in ([[0, 1], [2, 0]], [[0, -1]]):
+        with pytest.raises(ValueError, match="codeword out of range"):
+            dequantize(np.array(bad), 0.0, 1.0, q)
+    assert dequantize(np.zeros((0, 2), dtype=np.intp), 0.0, 1.0, q).shape == (0, 2)
+

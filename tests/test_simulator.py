@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantlink import channel, cli, modem, simulator
+from quantlink import channel, cli, modem, quantizer, simulator
 from quantlink.allocator import LatentStats, optimize_plan, plan_dummy_seed, target_distortion, validate_plan
 from quantlink.channel import exponential_pdp, realize_channel
 from quantlink.gaussian import q_function, std_normal_pdf
 from quantlink.library import build_library, save_library, sigma_max
-from quantlink.quantizer import DesignConfig, _dequantize_core, _quantize_core, dequantize, quantize
+from quantlink.quantizer import DesignConfig, dequantize, quantize
 from quantlink.rng import stream_rng
 from quantlink.simulator import (
     ExperimentConfig,
@@ -239,7 +239,7 @@ def test_experiment_composition_and_determinism(small_lib):
     ch = realize_channel(exponential_pdp(300.0), 16, 30e3, seed=0, rng=stream_rng("channel", 17, 0))
     plan = optimize_plan(small_lib, stats, ch, 16 * 10 ** 0.8, seed=17)
     y = sample_latents(stats, stream_rng("sample", 17, 0, 0, 0))
-    res = run_trial(stats, y, plan, small_lib, ch, stream_rng("noise", 17, 0, 0, 0), seed=17)
+    res = run_trial(stats, y, plan, small_lib, ch, stream_rng("noise", 17, 0, 0, 0))
     assert np.array_equal(reports[0].mean_distortion_per_element, res.per_element_sq_error)
     assert reports[0].mean_t_sym == plan.t_sym
     # byte determinism of the rendered report
@@ -330,8 +330,8 @@ def _pinned_trial_digests(lib, n, n_sc, snr_db, seed, var_hi):
     hashes = {name: hashlib.sha256() for name in _TRIAL_ARRAYS}
     for frame in range(2):
         y = sample_latents(stats, stream_rng("pin-y", seed, frame))
-        res = run_trial(stats, y, plan, lib, ch, stream_rng("pin-n", seed, frame), seed=seed)
-        assert (res.bits_sent, res.t_sym, res.seed) == (plan.b_lat, plan.t_sym, seed)
+        res = run_trial(stats, y, plan, lib, ch, stream_rng("pin-n", seed, frame))
+        assert (res.bits_sent, res.t_sym) == (plan.b_lat, plan.t_sym)
         assert type(res.bits_sent) is int and type(res.t_sym) is int
         for name in _TRIAL_ARRAYS:
             arr = getattr(res, name)
@@ -347,7 +347,7 @@ def test_trial_outputs_are_pinned(small_lib, key):
     assert got == want
 
 
-def test_trial_checks_sent_std_once_per_stats(small_lib):
+def test_trial_checks_sent_std(small_lib):
     # with delta = 0 a zero-variance element is sent, and its quantizer has no scale
     stats = LatentStats(np.zeros(4), np.array([0.0, 1.0, 2.0, 3.0]))
     ch = realize_channel(exponential_pdp(300.0), 8, 30e3, seed=5)
@@ -357,11 +357,10 @@ def test_trial_checks_sent_std_once_per_stats(small_lib):
     with pytest.raises(ValueError, match="std must be positive"):
         run_trial(stats, y, plan, small_lib, ch, stream_rng("n", 5))
 
-    # a plan without a stats digest is re-checked whenever the stats change
+    # a plan without a stats digest is checked against whatever stats it is run with
     good = LatentStats(np.zeros(4), np.array([0.5, 1.0, 2.0, 3.0]))
     loose = dataclasses.replace(plan, digests={})
     run_trial(good, y, loose, small_lib, ch, stream_rng("n", 6))
-    assert loose._frame_layout.checked_stats == good.digest()
     with pytest.raises(ValueError, match="std must be positive"):
         run_trial(stats, y, loose, small_lib, ch, stream_rng("n", 7))
 
@@ -398,21 +397,21 @@ def _reference_layout(plan):
     return groups, owner, shift, starts, pad
 
 
-def _reference_trial(stats, y, plan, lib, realization, rng, seed=0):
+def _reference_trial(stats, y, plan, lib, realization, rng):
     targets = target_distortion(stats.variances)
     b_lat = plan.b_lat
     yhat = stats.means.copy()
     err_per_sc = np.zeros(realization.n_sc)
     bits_per_sc = np.zeros(realization.n_sc)
     if plan.is_empty or b_lat == 0:
-        return simulator.TrialResult(np.square(y - yhat), targets, 0, 0, err_per_sc, bits_per_sc, seed)
+        return simulator.TrialResult(np.square(y - yhat), targets, 0, 0, err_per_sc, bits_per_sc)
 
     groups, owner, shift, starts, pad = _reference_layout(plan)
     std = np.sqrt(stats.variances)
     codewords = np.zeros(stats.n, dtype=np.int64)
     for b, ids, _ in groups:
         q = lib.quantizer(b, plan.eps_index)
-        codewords[ids] = _quantize_core(y[ids], stats.means[ids], std[ids], q)
+        codewords[ids] = quantize(y[ids], stats.means[ids], std[ids], q)
     stream = np.concatenate(((codewords[owner] >> shift) & 1, pad))
 
     mapping = plan.mapping
@@ -437,10 +436,8 @@ def _reference_trial(stats, y, plan, lib, realization, rng, seed=0):
     rx_words = np.add.reduceat(rx_stream[:b_lat] << shift, starts)
     for b, ids, ranks in groups:
         q = lib.quantizer(b, plan.eps_index)
-        yhat[ids] = _dequantize_core(rx_words[ranks], stats.means[ids], std[ids], q)
-    return simulator.TrialResult(
-        np.square(y - yhat), targets, b_lat, plan.t_sym, err_per_sc, bits_per_sc, seed
-    )
+        yhat[ids] = dequantize(rx_words[ranks], stats.means[ids], std[ids], q)
+    return simulator.TrialResult(np.square(y - yhat), targets, b_lat, plan.t_sym, err_per_sc, bits_per_sc)
 
 
 def _reference_experiment(cfg, lib, keep_trials=False):
@@ -464,7 +461,7 @@ def _reference_experiment(cfg, lib, keep_trials=False):
             for frame in range(cfg.frames_per_realization):
                 y = _reference_sample(stats, stream_rng("sample", cfg.seed, si, trial, frame))
                 res = _reference_trial(
-                    stats, y, plan, lib, realization, stream_rng("noise", cfg.seed, si, trial, frame), cfg.seed
+                    stats, y, plan, lib, realization, stream_rng("noise", cfg.seed, si, trial, frame)
                 )
                 sq_sum += res.per_element_sq_error
                 sq_sumsq += np.square(res.per_element_sq_error)
@@ -552,19 +549,19 @@ def test_batched_trial_equals_one_frame_reference(request, key, frames):
     if key in ("eight-bit-256qam", "nine-bit-words"):
         assert plan.bits.max() == lib.b_max and plan.t_sym > 1 and 8 in plan.modulations
     y = np.stack([_reference_sample(stats, stream_rng("by", key, f)) for f in range(frames)])
-    res = run_trial(stats, y, plan, lib, ch, [stream_rng("bn", key, f) for f in range(frames)], seed=5)
+    res = run_trial(stats, y, plan, lib, ch, [stream_rng("bn", key, f) for f in range(frames)])
     assert res.per_element_sq_error.shape == (frames, stats.n)
-    refs = [_reference_trial(stats, y[f], plan, lib, ch, stream_rng("bn", key, f), seed=5) for f in range(frames)]
+    refs = [_reference_trial(stats, y[f], plan, lib, ch, stream_rng("bn", key, f)) for f in range(frames)]
     for row, ref in zip(res.per_element_sq_error, refs):
         assert _same_bytes(row, ref.per_element_sq_error)
     # the realized counts are integers, so their sum over frames is exact
     for name in ("realized_errors_per_subcarrier", "realized_bits_per_subcarrier"):
         assert _same_bytes(getattr(res, name), sum(getattr(r, name) for r in refs))
     assert _same_bytes(res.per_element_target, refs[0].per_element_target)
-    assert (res.bits_sent, res.t_sym, res.seed) == (refs[0].bits_sent, refs[0].t_sym, 5)
+    assert (res.bits_sent, res.t_sym) == (refs[0].bits_sent, refs[0].t_sym)
 
     # one vector with one Generator is the one-frame batch, returned unbatched
-    one = run_trial(stats, y[0], plan, lib, ch, stream_rng("bn", key, 0), seed=5)
+    one = run_trial(stats, y[0], plan, lib, ch, stream_rng("bn", key, 0))
     for name in _TRIAL_ARRAYS:
         assert _same_bytes(getattr(one, name), getattr(refs[0], name)), name
     assert (one.bits_sent, one.t_sym) == (refs[0].bits_sent, refs[0].t_sym)
@@ -593,6 +590,37 @@ def test_batched_trial_rejects_a_wrong_generator_count(small_lib):
         run_trial(stats, y, plan, small_lib, ch, [stream_rng("n", f) for f in range(2)])
     with pytest.raises(ValueError, match="shape"):
         run_trial(stats, y[:, :-1], plan, small_lib, ch, [stream_rng("n", f) for f in range(3)])
+
+
+@pytest.mark.parametrize("frames", [1, 9])
+def test_trial_calls_each_stage_once_per_batch(request, monkeypatch, frames):
+    # a tracer times the chain's stages by wrapping these module attributes
+    stages = ((quantizer, "quantize"), (quantizer, "dequantize"), (modem, "modulate"))
+    calls = {name: [] for _, name in stages}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append((np.shape(args[0]), args[-1]))  # the quantizer, or the order
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in stages:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    lib, stats, ch, plan = _batch_case(request, "three-orders-multi-symbol")
+    y = sample_latents(stats, [stream_rng("stage-y", f) for f in range(frames)])
+    run_trial(stats, y, plan, lib, ch, [stream_rng("stage-n", f) for f in range(frames)])
+    depths = sorted(set(plan.bits[plan.bits > 0].tolist()))
+    orders = sorted(set(plan.modulations[plan.modulations > 0].tolist()))
+    assert len(depths) > 1 and len(orders) > 1
+    for name in ("quantize", "dequantize"):
+        assert [q.bit_depth for _, q in calls[name]] == depths
+        # one call covers every frame and every element of its depth
+        assert [shape for shape, _ in calls[name]] == [(frames, np.sum(plan.bits == b)) for b in depths]
+    assert [m for _, m in calls["modulate"]] == orders
+    assert [shape for shape, _ in calls["modulate"]] == [
+        (frames, plan.t_sym, np.sum(plan.modulations == m)) for m in orders
+    ]
 
 
 def test_transmit_rows_equal_per_row_calls():
@@ -679,9 +707,9 @@ def test_experiment_batches_stay_within_the_bound(small_lib, monkeypatch, entrie
     calls = []
     real = simulator.run_trial
 
-    def recording(stats, y, plan, lib, realization, rng, seed=0):
+    def recording(stats, y, plan, lib, realization, rng):
         calls.append((y.shape, plan.t_sym, realization.n_sc))
-        return real(stats, y, plan, lib, realization, rng, seed=seed)
+        return real(stats, y, plan, lib, realization, rng)
 
     monkeypatch.setattr(simulator, "run_trial", recording)
     cfg = ExperimentConfig(
