@@ -109,6 +109,8 @@ class LatentStats:
         self.variances = np.asarray(self.variances, dtype=np.float64)
         if self.means.shape != self.variances.shape or self.means.ndim != 1:
             raise ValueError("means and variances must be 1-D vectors of equal length")
+        if not np.all(np.isfinite(self.means)):
+            raise ValueError("means must be finite")
         if not np.all(np.isfinite(self.variances) & (self.variances >= 0)):
             raise ValueError("variances must be finite and nonnegative")
 
@@ -367,36 +369,27 @@ def optimize_plan(
     delta: float = DEFAULT_DELTA,
     seed: int = 0,
 ) -> AllocationPlan:
-    """Full allocation pass: rate every target, select, solve the winner, refine, map."""
+    """Full allocation pass: rate every target, select, solve the winner, refine, map.
+
+    Raises what _rate_targets raises. Each stage runs at most once, through
+    the module attribute that names it, so a tracer that wraps those
+    attributes times each stage. A zero-bit source (t_sym = 0) gets the
+    smallest target and zero bits, modulations and powers; of the stages
+    after the selection only the (empty) mapping runs.
+    """
     gamma = np.vstack((np.zeros(lib.epsilons.size), lib.gamma_thresholds))  # column q: target q
     b_lat, r_sym = _rate_targets(lib, stats, channel, p_tot, delta, gamma)
     eps_index, t_sym = select_ber_target(b_lat, r_sym)
-    digests = {
-        "library": lib.digest(),
-        "stats": stats.digest(),
-        "channel_seed": channel.seed,
-    }
     if t_sym == 0:
-        n_sc = channel.n_sc
-        return AllocationPlan(
-            eps_index=eps_index,
-            epsilon_star=float(lib.epsilons[eps_index]),
-            bits=np.zeros(stats.n, dtype=np.int64),
-            modulations=np.zeros(n_sc, dtype=np.int64),
-            powers=np.zeros(n_sc),
-            t_sym=0,
-            dummy_bits=0,
-            mapping=build_bit_mapping(np.zeros(n_sc, dtype=np.int64), 0),
-            seed=seed,
-            digests=digests,
-        )
-
-    bits, b_lat = minimum_bit_allocation(lib, stats, eps_index, delta)
-    modulations, powers, r_sym = allocate_power_modulation(channel, p_tot, gamma[:, eps_index])
-    capacity = t_sym * r_sym
-    dummy = capacity - b_lat
-    if capacity > b_lat:
-        bits, dummy = refine_bit_allocation(lib, stats, bits, eps_index, capacity)
+        bits, dummy = np.zeros(stats.n, dtype=np.int64), 0
+        modulations, powers = np.zeros(channel.n_sc, dtype=np.int64), np.zeros(channel.n_sc)
+    else:
+        bits, b_lat = minimum_bit_allocation(lib, stats, eps_index, delta)
+        modulations, powers, r_sym = allocate_power_modulation(channel, p_tot, gamma[:, eps_index])
+        capacity = t_sym * r_sym
+        dummy = capacity - b_lat
+        if capacity > b_lat:
+            bits, dummy = refine_bit_allocation(lib, stats, bits, eps_index, capacity)
 
     return AllocationPlan(
         eps_index=eps_index,
@@ -408,7 +401,7 @@ def optimize_plan(
         dummy_bits=int(dummy),
         mapping=build_bit_mapping(modulations, t_sym),
         seed=seed,
-        digests=digests,
+        digests={"library": lib.digest(), "stats": stats.digest(), "channel_seed": channel.seed},
     )
 
 
@@ -423,21 +416,25 @@ def _rate_targets(
     """(b_lat, r_sym) of every grid target, as the per-target functions give them.
 
     gamma holds target q's [0, gamma(QPSK), ..., gamma(256-QAM)] in column q,
-    from the library, so its steps are positive and never shrink.
-    Raises what the first failing per-target call would raise, taking the
-    targets in order and, per target, the bit depths before the loading.
+    from the library, so its steps are positive and never shrink. Raises the
+    error that running the per-target calls in order (per target, the bit
+    depths before the loading) would raise first: the InfeasibleTargetError
+    of target 0 if it has an infeasible element, else ValueError("p_tot must
+    be positive") for a budget that is not positive (the loading's first
+    check, so NaN too), else the InfeasibleTargetError of the first target
+    with an infeasible element. min_bits_vector raises the two
+    InfeasibleTargetErrors, with its own message.
     """
     q_count = lib.epsilons.size
     floor = np.minimum.accumulate(lib.distortion_table(), axis=1)  # [target, b - 1]
     checked = stats.variances >= delta
     bounds = np.sort(1.0 / (stats.variances[checked] + 1.0))
     # an element is infeasible when its bound lies below every depth's distortion
-    infeasible = np.searchsorted(bounds, floor[:, -1], "left") > 0
-    if infeasible.any() or not p_tot > 0:
-        # the per-target calls, in the loop's order, raise the first error
-        for qi in range(q_count):
-            minimum_bit_allocation(lib, stats, qi, delta)
-            allocate_power_modulation(channel, p_tot, gamma[:, qi])
+    infeasible = np.flatnonzero(np.searchsorted(bounds, floor[:, -1], "left") > 0)
+    if infeasible.size and (infeasible[0] == 0 or p_tot > 0):
+        min_bits_vector(lib, int(infeasible[0]), stats.variances, delta)
+    if not p_tot > 0:
+        raise ValueError("p_tot must be positive")
 
     # depth - 1 counts the running minima above the bound (see min_bits_vector)
     b_lat = bounds.size + np.searchsorted(bounds, floor, "left").sum(axis=1)

@@ -39,6 +39,7 @@ __all__ = [
 
 DEFAULT_N_SC = 512
 DEFAULT_SPACING_HZ = 30e3
+_EXP_PDP_TAPS = 13
 
 
 @dataclass
@@ -67,17 +68,16 @@ class TapProfile:
         return float(np.sqrt(max(second - mean**2, 0.0)))
 
 
-def exponential_pdp(rms_ns: float, n_taps: int = 13) -> TapProfile:
+def exponential_pdp(rms_ns: float) -> TapProfile:
     """Exponentially decaying profile with the exact requested RMS delay spread.
 
-    Taps sit on a uniform grid spanning six decay constants; delays are then
-    rescaled so the discrete RMS delay spread equals rms_ns exactly.
+    _EXP_PDP_TAPS taps sit on a uniform grid spanning six decay constants;
+    delays are then rescaled so the discrete RMS delay spread equals rms_ns
+    exactly.
     """
     if not rms_ns > 0:
         raise ValueError("rms_ns must be positive")
-    if n_taps < 2:
-        raise ValueError("need at least two taps")
-    raw = np.linspace(0.0, 6.0 * rms_ns, n_taps)
+    raw = np.linspace(0.0, 6.0 * rms_ns, _EXP_PDP_TAPS)
     powers = np.exp(-raw / rms_ns)
     prof = TapProfile(raw * 1e-9, powers, label="")
     actual = prof.rms_delay_spread_s()
@@ -144,10 +144,9 @@ def realize_channel(
     n_sc: int = DEFAULT_N_SC,
     spacing_hz: float = DEFAULT_SPACING_HZ,
     seed: int = 0,
-    noise_var: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> ChannelRealization:
-    """Draw tap gains and evaluate the frequency response on every subcarrier."""
+    """Draw tap gains and evaluate the frequency response on every subcarrier; noise variance 1."""
     if n_sc < 1:
         raise ValueError("n_sc must be >= 1")
     if not spacing_hz > 0:
@@ -160,7 +159,7 @@ def realize_channel(
     )
     freqs = np.arange(n_sc) * spacing_hz
     phase = np.exp(-2j * np.pi * np.outer(freqs, profile.delays_s))
-    return ChannelRealization(phase @ g, noise_var, spacing_hz, seed)
+    return ChannelRealization(phase @ g, 1.0, spacing_hz, seed)
 
 
 def power_budget(n_sc: int, snr_db: float) -> float:

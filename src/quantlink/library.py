@@ -36,7 +36,6 @@ __all__ = [
     "LibraryFormatError",
     "InfeasibleTargetError",
     "QuantizerLibrary",
-    "log_uniform_grid",
     "default_epsilon_grid",
     "build_library",
     "serialize_library",
@@ -61,18 +60,9 @@ class InfeasibleTargetError(Exception):
     """Raised when no bit depth in the library can satisfy a distortion bound."""
 
 
-def log_uniform_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    """BER targets spaced uniformly in log (equivalently dB) scale."""
-    if not 0.0 < lo < hi < 0.5:
-        raise ValueError("grid bounds must satisfy 0 < lo < hi < 0.5")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return np.geomspace(lo, hi, count)
-
-
 def default_epsilon_grid() -> np.ndarray:
-    """Ten targets log-uniform over [0.001, 0.05]."""
-    return log_uniform_grid(1e-3, 5e-2, 10)
+    """Ten targets log-uniform (equivalently uniform in dB) over [0.001, 0.05]."""
+    return np.geomspace(1e-3, 5e-2, 10)
 
 
 def _validated_grid(epsilons) -> np.ndarray:
@@ -90,23 +80,27 @@ def _validated_grid(epsilons) -> np.ndarray:
 class QuantizerLibrary:
     """Immutable-by-convention container for the designed grid.
 
-    cells maps (bit depth, epsilon index) to a ScalarQuantizer.
-    gamma_thresholds[s, q] is the SNR at which QAM_BITS[s] hits target q. The
-    table is checked on construction, so every build, load and
-    dataclasses.replace passes through the check: it has shape
-    (len(QAM_BITS), len(epsilons)), is finite, meets each target to within
-    modem.SNR_THRESHOLD_TOL, and per target its steps [0, gamma(QPSK), ...,
-    gamma(256-QAM)] start positive and never shrink. The allocator's sorted
-    loading is the greedy only under that last condition, which holds for
-    every target below 0.34476 and fails above it. warnings collects
-    build-time records about the distortion grid only (non-monotone or
-    nonconvex columns, rows not monotone in the target), which are
-    informational, not failures.
+    cells maps (bit depth, epsilon index) to a ScalarQuantizer and must be
+    exactly the complete grid b = 1..b_max x every target, no cell missing
+    and none extra. gamma_thresholds[s, q] is the SNR at which QAM_BITS[s]
+    hits target q. Both are checked on construction, the table first, so
+    every build, load and dataclasses.replace passes through the checks. The
+    threshold table has shape (len(QAM_BITS), len(epsilons)), is finite,
+    meets each target to within modem.SNR_THRESHOLD_TOL, and per target its
+    steps [0, gamma(QPSK), ..., gamma(256-QAM)] start positive and never
+    shrink. The allocator's sorted loading is the greedy only under that last
+    condition, which holds for every target below 0.34476 and fails above it.
+    warnings collects build-time records about the distortion grid only
+    (non-monotone or nonconvex columns, rows not monotone in the target),
+    which are informational, not failures.
 
-    The object is immutable once its digest has been read: digest() hashes
-    the serialized library on its first call and returns that hash from then
-    on. Derive a changed library with dataclasses.replace, which starts
-    without a cached digest.
+    Construction also builds the read-only (len(epsilons), b_max) distortion
+    table, row q holding D(1; b, eps_q) for b = 1..b_max; distortion_table()
+    returns it and distortion_column(q) its row q. The object is immutable
+    once built: the table is not rebuilt when cells changes in place, and
+    digest() hashes the serialized library on its first call and returns that
+    hash from then on. Derive a changed library with dataclasses.replace,
+    which checks the new grid and builds a new table, without a cached digest.
     """
 
     b_max: int
@@ -116,36 +110,33 @@ class QuantizerLibrary:
     gamma_thresholds: np.ndarray
     warnings: list[dict] = field(default_factory=list)
     format_version: int = FORMAT_VERSION
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_gamma(self.gamma_thresholds, self.epsilons)
+        targets, depths = range(self.epsilons.size), range(1, self.b_max + 1)
+        grid = {(b, qi) for b in depths for qi in targets}
+        if self.cells.keys() != grid:
+            missing, extra = sorted(grid - self.cells.keys()), sorted(self.cells.keys() - grid)
+            raise ValueError(
+                f"library cells are not the grid b = 1..{self.b_max} x {len(targets)} targets: "
+                f"missing cells {missing}, extra cells {extra}"
+            )
+        table = np.array([[self.cells[(b, qi)].normalized_distortion for b in depths] for qi in targets])
+        table.flags.writeable = False
+        self._table = table
 
     def quantizer(self, bit_depth: int, eps_index: int) -> ScalarQuantizer:
         return self.cells[(bit_depth, self._check_index(eps_index))]
 
-    def distortion(self, bit_depth: int, eps_index: int) -> float:
-        return self.quantizer(bit_depth, eps_index).normalized_distortion
-
     def distortion_column(self, eps_index: int) -> np.ndarray:
-        """D(1; b, eps) for b = 1..b_max (index 0 is b = 1)."""
-        qi = self._check_index(eps_index)
-        return np.array([self.cells[(b, qi)].normalized_distortion for b in range(1, self.b_max + 1)])
+        """D(1; b, eps) for b = 1..b_max (index 0 is b = 1), a read-only row of the table."""
+        return self._table[self._check_index(eps_index)]
 
     def distortion_table(self) -> np.ndarray:
-        """Every distortion column at once: row q is distortion_column(q)."""
-        cells, depths = self.cells, range(1, self.b_max + 1)
-        table = [cells[(b, qi)].normalized_distortion for qi in range(self.epsilons.size) for b in depths]
-        return np.array(table).reshape(self.epsilons.size, self.b_max)
-
-    def column_is_convex(self, eps_index: int, tol: float = 1e-12) -> bool:
-        col = self.distortion_column(eps_index)
-        if col.size < 3:
-            return True
-        return bool(np.all(np.diff(col, 2) >= -tol))
-
-    def gamma_threshold(self, m: int, eps_index: int) -> float:
-        return float(self.gamma_thresholds[modem.QAM_BITS.index(m), self._check_index(eps_index)])
+        """The read-only distortion table: row q is distortion_column(q)."""
+        return self._table
 
     def digest(self) -> str:
         if self._digest is None:
@@ -195,23 +186,19 @@ def build_library(
 
 
 def _audit(lib: QuantizerLibrary) -> None:
-    for qi in range(lib.epsilons.size):
-        col = lib.distortion_column(qi)
+    table = lib.distortion_table()
+    for qi, col in enumerate(table):
         rises = np.flatnonzero(np.diff(col) > 1e-12)
         if rises.size:
             lib.warnings.append(
                 {"kind": "column-not-monotone", "eps_index": qi, "first_rise_b": int(rises[0]) + 1}
             )
-        if not lib.column_is_convex(qi):
+        second = np.diff(col, 2)
+        if not np.all(second >= -1e-12):
             lib.warnings.append(
-                {
-                    "kind": "column-not-convex",
-                    "eps_index": qi,
-                    "min_second_difference": float(np.diff(col, 2).min()),
-                }
+                {"kind": "column-not-convex", "eps_index": qi, "min_second_difference": float(second.min())}
             )
-    for b in range(1, lib.b_max + 1):
-        row = np.array([lib.distortion(b, qi) for qi in range(lib.epsilons.size)])
+    for b, row in enumerate(table.T, start=1):
         if np.any(np.diff(row) < -1e-9):
             lib.warnings.append({"kind": "row-not-monotone", "b": b})
 
@@ -432,7 +419,4 @@ def load_library(path) -> QuantizerLibrary:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise LibraryFormatError(f"malformed library file {path}: {exc}") from exc
-    expected = {(b, qi) for b in range(1, lib.b_max + 1) for qi in range(epsilons.size)}
-    if set(lib.cells.keys()) != expected:
-        raise LibraryFormatError("library grid is incomplete")
     return lib

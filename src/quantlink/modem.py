@@ -126,20 +126,21 @@ def ber_approx(m: int, gamma):
 
 
 _BRACKET = (1e-6, 1e6)
-SNR_THRESHOLD_TOL = 1e-10  # default largest |ber_approx(m, snr_threshold(m, t)) - t|
+SNR_THRESHOLD_TOL = 1e-10  # largest |ber_approx(m, snr_threshold(m, t)) - t|
 
 
-def snr_threshold(m: int, target_ber: float, tol: float = SNR_THRESHOLD_TOL) -> float:
+def snr_threshold(m: int, target_ber: float) -> float:
     """Symbol SNR at which `m`-bit QAM hits `target_ber`, by bisection.
 
-    The returned gamma satisfies |ber_approx(m, gamma) - target_ber| <= tol.
-    A target at or below tol raises ValueError: every gamma far enough up
-    the bracket would pass, so the answer would mean nothing.
+    The returned gamma satisfies |ber_approx(m, gamma) - target_ber| <=
+    SNR_THRESHOLD_TOL. A target at or below that tolerance raises ValueError:
+    every gamma far enough up the bracket would pass, so the answer would
+    mean nothing.
     """
     if not 0.0 < target_ber < 0.5:
         raise ValueError(f"target BER must be in (0, 0.5), got {target_ber}")
-    if not target_ber > tol:
-        raise ValueError(f"target BER {target_ber} must exceed the tolerance {tol}")
+    if not target_ber > SNR_THRESHOLD_TOL:
+        raise ValueError(f"target BER {target_ber} must exceed the tolerance {SNR_THRESHOLD_TOL}")
     lo, hi = _BRACKET
     if not ber_approx(m, lo) > target_ber > ber_approx(m, hi):
         raise ValueError(
@@ -153,14 +154,14 @@ def snr_threshold(m: int, target_ber: float, tol: float = SNR_THRESHOLD_TOL) -> 
         err = abs(val - target_ber)
         if err < best_err:
             best, best_err = mid, err
-        if err <= tol:
+        if err <= SNR_THRESHOLD_TOL:
             return mid
         if val > target_ber:
             lo = mid
         else:
             hi = mid
-    if best_err <= tol:
+    if best_err <= SNR_THRESHOLD_TOL:
         return best
     raise ArithmeticError(
-        f"bisection failed to reach |ber - target| <= {tol} (best {best_err})"
+        f"bisection failed to reach |ber - target| <= {SNR_THRESHOLD_TOL} (best {best_err})"
     )

@@ -102,8 +102,7 @@ class SyntheticSourceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_int(self.n_latents) or self.n_latents < 1:
-            raise ValueError(f"n_latents must be an int >= 1, got {self.n_latents!r}")
+        _check_count("n_latents", self.n_latents)
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
 
@@ -310,6 +309,11 @@ def _is_finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _check_count(name: str, value) -> None:
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
+
 def _check_positive_finite(name: str, value) -> None:
     if not _is_finite(value) or value <= 0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
@@ -334,9 +338,7 @@ class ExperimentConfig:
         # a string would fail only after the library is loaded, and a string
         # seed would run under a different config digest
         for name in ("trials", "frames_per_realization", "n_sc"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+            _check_count(name, getattr(self, name))
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
         for name in ("spacing_hz", "delta"):

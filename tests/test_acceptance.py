@@ -87,7 +87,7 @@ def test_criterion_02_ordering_and_trends(default_lib_timed):
         for b in range(1, lib.b_max + 1):
             lm_d = analytic_distortion(design_lloyd_max(b, cfg), uniform_bsc(b, float(eps)))
             lm_col.append(lm_d)
-            if lib.distortion(b, qi) > lm_d + 1e-12:
+            if lib.distortion_column(qi)[b - 1] > lm_d + 1e-12:
                 dominance = False
         lm_curves[qi] = np.array(lm_col)
     # trend over the degraded regime: optimized columns keep falling while the
@@ -105,7 +105,7 @@ def test_criterion_02_ordering_and_trends(default_lib_timed):
         if np.any(np.diff(lm_curves[qi]) > 0) or lm_curves[qi][-1] > lm_curves[qi][lib.b_max // 2]
     ]
     regime_ok = bool(broken) and broken == high[high.index(broken[0]) :]
-    gap_ok = all(lm_curves[qi][-1] >= 2.0 * lib.distortion(lib.b_max, qi) for qi in high)
+    gap_ok = all(lm_curves[qi][-1] >= 2.0 * lib.distortion_column(qi)[lib.b_max - 1] for qi in high)
     ok = dominance and opt_nonincreasing and regime_ok and gap_ok and build_seconds < 120.0
     _report(
         2,
@@ -148,7 +148,7 @@ def test_criterion_04_ber_model_monte_carlo(default_lib):
         for qi, eps in enumerate(default_lib.epsilons):
             if eps < 0.001:
                 continue
-            gamma = default_lib.gamma_threshold(m, qi)
+            gamma = default_lib.gamma_thresholds[QAM_BITS.index(m), qi]
             rng = stream_rng("acc-ber", m, qi)
             ber = measure_link_ber(m, gamma, 10_000_000, rng)
             worst = max(worst, abs(ber - eps) / eps)
@@ -211,7 +211,7 @@ def test_criterion_07_greedy_refinement_optimal(default_lib):
     while checked < 500:
         n = int(rng.integers(2, 9))
         qi = int(rng.integers(0, default_lib.epsilons.size))
-        if not default_lib.column_is_convex(qi):
+        if not np.all(np.diff(default_lib.distortion_column(qi), 2) >= -1e-12):
             continue
         checked += 1
         variances = np.exp(rng.uniform(np.log(0.05), np.log(smax2), size=n))

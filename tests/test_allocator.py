@@ -63,6 +63,13 @@ def test_latent_stats_rejects_bad_variances():
             LatentStats(np.zeros(2), np.array([1.0, bad]))
 
 
+def test_latent_stats_rejects_non_finite_means():
+    # a NaN mean used to plan, and every trial on it reported NaN errors
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="means must be finite"):
+            LatentStats(np.array([bad, 0.0]), np.ones(2))
+
+
 def test_stats_digest_is_computed_once_per_object(monkeypatch):
     calls = []
 
@@ -390,7 +397,7 @@ def test_refine_matches_brute_force(small_lib):
         variances = np.exp(rng.uniform(np.log(0.05), np.log(sigma_max(small_lib) ** 2), n))
         stats = LatentStats(np.zeros(n), variances)
         qi = int(rng.integers(0, small_lib.epsilons.size))
-        if not small_lib.column_is_convex(qi):
+        if not np.all(np.diff(small_lib.distortion_column(qi), 2) >= -1e-12):
             continue
         bits, total = minimum_bit_allocation(small_lib, stats, qi, 0.4)
         residual = int(rng.integers(0, 7))
@@ -477,8 +484,8 @@ def _lib_with_column(lib, col):
         # would split the two bits, the greedy (and its running-minimum keys)
         # gives both to the element with the larger first gain
         ((0.6, 0.5, 0.0), (1.0, 1.2), [1, 3]),
-        # non-convex by 2^-44 only, which column_is_convex's 1e-12 tolerance
-        # admits; the tie on the first bit goes to element 0, whose second bit
+        # non-convex by 2^-44 only, which the build audit's 1e-12 convexity
+        # tolerance admits; the tie on the first bit goes to element 0, whose second bit
         # then beats element 1's first
         ((0.5, 0.375, 0.25 - 2.0**-44), (1.0, 1.0), [3, 1]),
     ],
@@ -732,8 +739,8 @@ def test_no_plan_on_shrinking_gamma_steps(small_lib):
 
 def _straddling_variance(lib):
     """A variance feasible at every target but the largest."""
-    worst = lib.distortion(lib.b_max, lib.epsilons.size - 1)
-    second = max(lib.distortion(lib.b_max, qi) for qi in range(lib.epsilons.size - 1))
+    worst = lib.distortion_column(lib.epsilons.size - 1)[lib.b_max - 1]
+    second = max(lib.distortion_column(qi)[lib.b_max - 1] for qi in range(lib.epsilons.size - 1))
     assert second < worst
     return 0.5 * ((1.0 / worst - 1.0) + (1.0 / second - 1.0))
 

@@ -190,8 +190,9 @@ def test_allocate_oversized_variance_exit_2(tiny_lib_dir, tmp_path, capsys):
 
 def test_allocate_malformed_stats_exit_2(tiny_lib_dir, tmp_path, capsys):
     stats = tmp_path / "stats.json"
-    # a top level that is not an object must be a bad-input exit, not a crash
-    for doc in ({"means": [0.0]}, []):
+    # a top level that is not an object must be a bad-input exit, not a crash;
+    # a NaN mean used to exit 0 with a plan whose every trial reports NaN
+    for doc in ({"means": [0.0]}, [], {"means": [float("nan"), 0.0], "variances": [1.0, 1.0]}):
         stats.write_text(json.dumps(doc))
         code, _, err = _run(
             capsys,
@@ -222,6 +223,14 @@ def test_allocate_rejects_bad_delta_before_loading(delta, no_library_load, capsy
     code, out, err = _run(capsys, "allocate", "--library", "lib.json", f"--delta={delta}")
     assert code == 2 and out == ""
     assert "delta must be a positive finite number" in err
+
+
+@pytest.mark.parametrize("n_sc", ["0", "-3"])
+def test_allocate_rejects_bad_n_sc_before_loading(n_sc, no_library_load, capsys):
+    # used to exit 2 only after the power budget came out 0, blaming the SNR
+    code, out, err = _run(capsys, "allocate", "--library", "lib.json", f"--n-sc={n_sc}")
+    assert code == 2 and out == ""
+    assert f"n_sc must be an int >= 1, got {n_sc}" in err and "snr_db" not in err
 
 
 @pytest.mark.parametrize("snr_db", ["4000", "-4000", "nan", "inf", "-inf"])

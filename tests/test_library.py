@@ -20,7 +20,6 @@ from quantlink.library import (
     default_epsilon_grid,
     gamma_increments_convex,
     load_library,
-    log_uniform_grid,
     min_bits_vector,
     save_library,
     serialize_library,
@@ -46,16 +45,9 @@ def test_default_grid_shape():
     assert np.allclose(ratios, ratios[0])
 
 
-def test_log_uniform_grid_validation():
-    with pytest.raises(ValueError):
-        log_uniform_grid(0.0, 0.05, 10)
-    with pytest.raises(ValueError):
-        log_uniform_grid(0.05, 0.01, 10)
-
-
 def test_single_cell_library():
     lib = build_library(1, [0.05], DesignConfig(restarts=4, seed=7))
-    assert lib.distortion(1, 0) == pytest.approx(ONE_BIT_D_05, abs=1e-9)
+    assert lib.distortion_column(0)[0] == pytest.approx(ONE_BIT_D_05, abs=1e-9)
     assert sigma_max(lib) == pytest.approx(np.sqrt(1 / ONE_BIT_D_05 - 1), abs=1e-6)
 
 
@@ -68,7 +60,7 @@ def test_column_monotone_and_in_unit_interval(small_lib):
 
 def test_row_monotone_in_target(small_lib):
     for b in range(1, small_lib.b_max + 1):
-        row = [small_lib.distortion(b, qi) for qi in range(small_lib.epsilons.size)]
+        row = [small_lib.distortion_column(qi)[b - 1] for qi in range(small_lib.epsilons.size)]
         assert np.all(np.diff(row) >= -1e-9)
 
 
@@ -138,12 +130,13 @@ def test_sigma_max_feasibility_sweep(small_lib):
 
 
 def test_sigma_max_takes_worst_column(small_lib):
-    lib = copy.deepcopy(small_lib)
-    worst = lib.distortion(lib.b_max, lib.epsilons.size - 1) * 1.1
+    worst = small_lib.distortion_column(small_lib.epsilons.size - 1)[small_lib.b_max - 1] * 1.1
     # raise the last two depths of column 0 together, so the column stays
     # nonincreasing and its best reachable distortion is `worst`
-    for b in (lib.b_max - 1, lib.b_max):
-        lib.cells[(b, 0)] = dataclasses.replace(lib.quantizer(b, 0), normalized_distortion=worst)
+    cells = dict(small_lib.cells)
+    for b in (small_lib.b_max - 1, small_lib.b_max):
+        cells[(b, 0)] = dataclasses.replace(small_lib.quantizer(b, 0), normalized_distortion=worst)
+    lib = dataclasses.replace(small_lib, cells=cells)
     assert sigma_max(lib) == np.sqrt(1.0 / worst - 1.0)
     assert sigma_max(lib) < sigma_max(small_lib)
     smax2 = sigma_max(lib) ** 2
@@ -160,7 +153,7 @@ def test_sigma_max_reads_best_reachable_distortion(small_lib):
         small_lib.quantizer(small_lib.b_max, last), normalized_distortion=0.35
     )
     lib = dataclasses.replace(small_lib, cells=cells)
-    best = small_lib.distortion(small_lib.b_max - 1, last)
+    best = small_lib.distortion_column(last)[small_lib.b_max - 2]
     assert best < 0.35 and lib.distortion_table().min(axis=1).max() == best
     assert sigma_max(lib) == np.sqrt(1.0 / best - 1.0)
     assert np.sqrt(1.0 / 0.35 - 1.0) < sigma_max(lib)  # the value D(b_max) gave
@@ -406,15 +399,91 @@ def test_gamma_table_round_trips(tmp_path, small_lib):
 
     for mi, m in enumerate(QAM_BITS):
         for qi, eps in enumerate(small_lib.epsilons):
-            g = small_lib.gamma_threshold(m, qi)
+            g = small_lib.gamma_thresholds[mi, qi]
             assert abs(ber_approx(m, g) - eps) <= 1e-10
 
 
 def test_convexity_report(small_lib):
-    for qi in range(small_lib.epsilons.size):
-        assert isinstance(small_lib.column_is_convex(qi), bool)
     kinds = {w["kind"] for w in small_lib.warnings}
     assert "column-not-monotone" not in kinds
+
+
+def _with_distortions(lib, table):
+    """lib with cell (b, q) holding distortion table[q][b - 1], fresh warnings."""
+    cells = {
+        (b, qi): dataclasses.replace(lib.quantizer(b, qi), normalized_distortion=d)
+        for qi, row in enumerate(table)
+        for b, d in enumerate(row, start=1)
+    }
+    return dataclasses.replace(lib, cells=cells, warnings=[])
+
+
+def test_audit_records_each_anomaly_in_order(small_lib):
+    # column 0 rises from b = 2 to b = 3, column 1 has second difference
+    # -0.25, and at b = 3 the target with more flips has the lower distortion
+    lib = _with_distortions(small_lib, [[0.5, 0.25, 0.375], [0.75, 0.625, 0.25]])
+    library._audit(lib)
+    assert lib.warnings == [
+        {"kind": "column-not-monotone", "eps_index": 0, "first_rise_b": 2},
+        {"kind": "column-not-convex", "eps_index": 1, "min_second_difference": -0.25},
+        {"kind": "row-not-monotone", "b": 3},
+    ]
+
+
+def _grid_defect(defect, cells, b_max):
+    """(cells, b_max) with one cell missing, or with b_max lowered so the deepest cells are extra."""
+    if defect == "missing":
+        return {key: q for key, q in cells.items() if key != (2, 1)}, b_max
+    return cells, b_max - 1
+
+
+_GRID_DEFECT_MATCH = {
+    "missing": r"missing cells \[\(2, 1\)\], extra cells \[\]",
+    "extra": r"missing cells \[\], extra cells \[\(3, 0\), \(3, 1\)\]",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_GRID_DEFECT_MATCH))
+def test_library_refuses_an_incomplete_grid(tmp_path, small_lib, defect):
+    cells, b_max = _grid_defect(defect, small_lib.cells, small_lib.b_max)
+    match = _GRID_DEFECT_MATCH[defect]
+    with pytest.raises(ValueError, match=match):
+        QuantizerLibrary(
+            b_max=b_max,
+            epsilons=small_lib.epsilons,
+            cells=cells,
+            design=small_lib.design,
+            gamma_thresholds=small_lib.gamma_thresholds,
+        )
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(small_lib, cells=cells, b_max=b_max)
+
+    def edit(doc):
+        if defect == "missing":
+            doc["cells"] = [c for c in doc["cells"] if (c["b"], c["eps_index"]) != (2, 1)]
+        else:
+            doc["b_max"] -= 1
+
+    with pytest.raises(LibraryFormatError, match=match):
+        load_library(_tampered(tmp_path, small_lib, edit))
+
+
+def test_distortion_table_is_read_only(small_lib):
+    for view in (small_lib.distortion_table(), small_lib.distortion_column(0)):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0.5
+    assert small_lib.distortion_table() is small_lib.distortion_table()
+
+
+def test_replace_builds_a_new_table(small_lib):
+    before = small_lib.distortion_table().copy()
+    cells = dict(small_lib.cells)
+    cells[(1, 0)], cells[(1, 1)] = cells[(1, 1)], cells[(1, 0)]
+    swapped = dataclasses.replace(small_lib, cells=cells)
+    assert swapped.distortion_table()[0, 0] == before[1, 0]
+    assert swapped.distortion_table()[1, 0] == before[0, 0]
+    assert np.array_equal(swapped.distortion_table()[:, 1:], before[:, 1:])
+    assert np.array_equal(small_lib.distortion_table(), before)
 
 
 def test_distortion_table_rows_are_the_columns(small_lib):
