@@ -1,4 +1,4 @@
-"""Cross-layer allocation: bit depths, BER target, modulation and power, bit mapping.
+"""Cross-layer allocation: bit depths, BER target, modulation and power.
 
 A plan runs in three steps.
 
@@ -50,6 +50,12 @@ closed form:
     increments; J. Campello, "Practical bit loading for DMT", ICC 1999).
     Equal costs leave the running sums unchanged, so r_sym needs only the
     sorted values, for every target in one sort.
+
+Where each bit goes is not stored in a plan: build_bit_mapping derives the
+placement from the plan's modulations and t_sym, for the plan's digest and
+for the trial chain's frame layout alike. A property test of that function,
+not a check of every plan, shows that it is a bijection onto the active bit
+slots.
 """
 
 from __future__ import annotations
@@ -70,7 +76,6 @@ from .rng import stream_seed
 __all__ = [
     "NoFeasibleRateError",
     "LatentStats",
-    "BitMapping",
     "AllocationPlan",
     "target_distortion",
     "minimum_bit_allocation",
@@ -285,53 +290,36 @@ def refine_bit_allocation(
     return bits, residual - granted.size
 
 
-@dataclass
-class BitMapping:
-    """Bijection from transmitted-bit index to (symbol, subcarrier, bit position).
+def build_bit_mapping(
+    modulations: np.ndarray, t_sym: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each bit of the stream goes: (symbol, subcarrier, position) arrays.
 
-    Bits fill the grid symbol-major: all active subcarriers of symbol 0 in
-    ascending order (each contributing its modulation order of consecutive
-    bits), then symbol 1, and so on.
+    Bit k of the t_sym * sum(modulations) stream bits (payload, then pad) lands
+    on bit position[k] (0 the most significant) of subcarrier[k] in OFDM
+    symbol symbol[k]. Bits fill the grid symbol-major: all active subcarriers
+    of symbol 0 in ascending order, each taking its modulation order of
+    consecutive bits, then symbol 1, and so on. The arrays are int64.
     """
-
-    symbol: np.ndarray
-    subcarrier: np.ndarray
-    position: np.ndarray
-
-    @property
-    def total_bits(self) -> int:
-        return int(self.symbol.size)
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for arr in (self.symbol, self.subcarrier, self.position):
-            h.update(np.asarray(arr, dtype=np.int64).tobytes())
-        return h.hexdigest()
-
-
-def build_bit_mapping(modulations: np.ndarray, t_sym: int) -> BitMapping:
     modulations = np.asarray(modulations, dtype=np.int64)
     active = np.flatnonzero(modulations > 0)
     counts = modulations[active]
     sc_once = np.repeat(active, counts)
     # bit position within each active subcarrier: 0..m-1, subcarrier after subcarrier
     pos_once = np.arange(sc_once.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    r_sym = sc_once.size
-    return BitMapping(
-        symbol=np.repeat(np.arange(t_sym), r_sym),
-        subcarrier=np.tile(sc_once, t_sym),
-        position=np.tile(pos_once, t_sym),
-    )
+    symbol = np.repeat(np.arange(t_sym, dtype=np.int64), sc_once.size)
+    return symbol, np.tile(sc_once, t_sym), np.tile(pos_once, t_sym)
 
 
 @dataclass
 class AllocationPlan:
     """Everything the transmitter and receiver need for one coherence block.
 
-    A plan is immutable once it has been run: the first run_trial call builds
-    the plan's frame layout (bit-depth groups, bit-to-symbol gathers, pad
-    bits) and every later frame reuses it. Derive a changed plan with
-    dataclasses.replace, which starts without a layout.
+    The bit placement is not stored: build_bit_mapping derives it from
+    modulations and t_sym. A plan is immutable once it has been run: the
+    first run_trial call builds the plan's frame layout (bit-depth groups,
+    bit-to-symbol gathers, pad bits) and every later frame reuses it. Derive
+    a changed plan with dataclasses.replace, which starts without a layout.
     """
 
     eps_index: int
@@ -341,10 +329,8 @@ class AllocationPlan:
     powers: np.ndarray
     t_sym: int
     dummy_bits: int
-    mapping: BitMapping
     seed: int
     digests: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
     # simulator._FrameLayout, filled by the plan's first run_trial call
     _frame_layout: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -369,13 +355,13 @@ def optimize_plan(
     delta: float = DEFAULT_DELTA,
     seed: int = 0,
 ) -> AllocationPlan:
-    """Full allocation pass: rate every target, select, solve the winner, refine, map.
+    """Full allocation pass: rate every target, select, solve the winner, refine.
 
     Raises what _rate_targets raises. Each stage runs at most once, through
     the module attribute that names it, so a tracer that wraps those
     attributes times each stage. A zero-bit source (t_sym = 0) gets the
-    smallest target and zero bits, modulations and powers; of the stages
-    after the selection only the (empty) mapping runs.
+    smallest target and zero bits, modulations and powers; no stage after
+    the selection runs.
     """
     gamma = np.vstack((np.zeros(lib.epsilons.size), lib.gamma_thresholds))  # column q: target q
     b_lat, r_sym = _rate_targets(lib, stats, channel, p_tot, delta, gamma)
@@ -399,7 +385,6 @@ def optimize_plan(
         powers=powers,
         t_sym=t_sym,
         dummy_bits=int(dummy),
-        mapping=build_bit_mapping(modulations, t_sym),
         seed=seed,
         digests={"library": lib.digest(), "stats": stats.digest(), "channel_seed": channel.seed},
     )
@@ -454,25 +439,18 @@ def validate_plan(
     p_tot: float,
     delta: float = DEFAULT_DELTA,
 ) -> None:
-    """Check every structural plan invariant; raises ValueError on violation."""
+    """Check every structural invariant of the plan's fields; raises ValueError on violation.
+
+    The bit placement is not a field: build_bit_mapping derives it, and a
+    property test of that function shows it a bijection onto the active bit
+    slots.
+    """
     if not np.all(np.isfinite(plan.powers) & (plan.powers >= 0)):
         raise ValueError("powers must be finite and nonnegative")
     if plan.powers.sum() > p_tot + POWER_SLACK:
         raise ValueError("total power exceeds the budget")
     if plan.b_lat + plan.dummy_bits != plan.t_sym * plan.r_sym:
         raise ValueError("bit accounting does not fill the resource grid exactly")
-    if plan.mapping.total_bits != plan.t_sym * plan.r_sym:
-        raise ValueError("mapping length disagrees with grid capacity")
-    if plan.mapping.total_bits:
-        if np.any(plan.modulations[plan.mapping.subcarrier] == 0):
-            raise ValueError("mapping touches a silent subcarrier")
-        key = (
-            plan.mapping.symbol * (plan.modulations.size * 16)
-            + plan.mapping.subcarrier * 16
-            + plan.mapping.position
-        )
-        if np.unique(key).size != key.size:
-            raise ValueError("mapping is not a bijection onto resource-element bit slots")
     if np.any((plan.bits < 0) | (plan.bits > lib.b_max)):
         raise ValueError(f"bit depth outside 0..{lib.b_max}")
     col = lib.distortion_column(plan.eps_index)
@@ -488,7 +466,15 @@ def validate_plan(
 
 
 def serialize_plan(plan: AllocationPlan) -> str:
-    """Canonical JSON document for a plan (floats in hex, mapping as digest)."""
+    """Canonical JSON document for a plan (floats in hex).
+
+    mapping_digest is derived from modulations and t_sym: the sha256 of
+    build_bit_mapping's symbol, subcarrier and position arrays, in that
+    order. diagnostics is always the empty object.
+    """
+    mapping = hashlib.sha256()
+    for arr in build_bit_mapping(plan.modulations, plan.t_sym):
+        mapping.update(arr.tobytes())
     doc = {
         "kind": "allocation-plan",
         "version": __version__,
@@ -499,10 +485,10 @@ def serialize_plan(plan: AllocationPlan) -> str:
         "powers": [float(p).hex() for p in plan.powers],
         "t_sym": plan.t_sym,
         "dummy_bits": plan.dummy_bits,
-        "mapping_digest": plan.mapping.digest(),
+        "mapping_digest": mapping.hexdigest(),
         "seed": plan.seed,
         "digests": plan.digests,
-        "diagnostics": plan.diagnostics,
+        "diagnostics": {},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 

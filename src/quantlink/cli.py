@@ -140,6 +140,7 @@ def _load_stats(args, lib) -> LatentStats:
 def cmd_allocate(args) -> int:
     try:
         sim._check_positive_finite("delta", args.delta)
+        sim._check_positive_finite("spacing_khz", args.spacing_khz)
         sim._check_count("n_sc", args.n_sc)
         p_tot = chan.power_budget(args.n_sc, args.snr_db)
         lib = liblib.load_library(args.library)

@@ -11,8 +11,8 @@ sent elements in bit-depth order (each depth a slice), the payload bit ->
 (element, shift) map that packs codewords into the bit stream and unpacks
 received bits with one reduceat, the pad bits, and per active modulation
 order the subcarriers, powers and a (t_sym, subcarriers, m) gather of stream
-indices. Nothing of the channel realization is kept; its gains and noise
-variance are read on every call.
+indices, inverted from allocator.build_bit_mapping. Nothing of the channel
+realization is kept; its gains and noise variance are read on every call.
 
 The frames of one coherence block share the plan and the realization, so
 run_experiment sends them through run_trial together, as a (frames, n)
@@ -56,7 +56,7 @@ import numpy as np
 
 from ._version import __version__
 from . import channel as chan
-from . import modem, quantizer
+from . import allocator, modem, quantizer
 from .allocator import (
     AllocationPlan,
     LatentStats,
@@ -135,15 +135,6 @@ class TrialResult:
     realized_errors_per_subcarrier: np.ndarray
     realized_bits_per_subcarrier: np.ndarray
 
-    @property
-    def realized_ber_per_subcarrier(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(
-                self.realized_bits_per_subcarrier > 0,
-                self.realized_errors_per_subcarrier / self.realized_bits_per_subcarrier,
-                np.nan,
-            )
-
 
 @dataclass(frozen=True)
 class _FrameLayout:
@@ -195,9 +186,10 @@ def _build_frame_layout(plan: AllocationPlan) -> _FrameLayout:
     dummy_rng = np.random.Generator(np.random.PCG64(plan_dummy_seed(plan)))
     pad = dummy_rng.integers(0, 2, size=plan.dummy_bits).astype(np.uint8)
 
-    mapping = plan.mapping
+    # the module attribute, so a tracer that wraps it times the placement
+    symbol, subcarrier, position = allocator.build_bit_mapping(plan.modulations, plan.t_sym)
     slots = np.zeros((plan.t_sym, plan.modulations.size, max(modem.QAM_BITS)), dtype=np.int64)
-    slots[mapping.symbol, mapping.subcarrier, mapping.position] = np.arange(mapping.total_bits)
+    slots[symbol, subcarrier, position] = np.arange(symbol.size)
     orders = []
     for m in modem.QAM_BITS:
         sc = np.flatnonzero(plan.modulations == m)

@@ -505,30 +505,46 @@ def test_nonconvex_column_takes_the_closed_form(small_lib, col, variances, want)
 
 
 def test_mapping_single_qpsk_subcarrier():
-    mapping = build_bit_mapping(np.array([0, 2, 0]), 1)
-    assert mapping.total_bits == 2
-    assert list(mapping.subcarrier) == [1, 1]
-    assert list(mapping.position) == [0, 1]
-    assert list(mapping.symbol) == [0, 0]
+    symbol, subcarrier, position = build_bit_mapping(np.array([0, 2, 0]), 1)
+    assert list(symbol) == [0, 0]
+    assert list(subcarrier) == [1, 1]
+    assert list(position) == [0, 1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from((0, 2, 4, 6, 8)), max_size=40), st.integers(1, 3))
 def test_mapping_positions_count_up_per_subcarrier(modulations, t_sym):
-    mapping = build_bit_mapping(np.array(modulations, dtype=np.int64), t_sym)
+    _, _, position = build_bit_mapping(np.array(modulations, dtype=np.int64), t_sym)
     per_symbol = [pos for m in modulations for pos in range(m)]
-    assert mapping.position.dtype == np.int64
-    assert mapping.position.tolist() == per_symbol * t_sym
+    assert position.dtype == np.int64
+    assert position.tolist() == per_symbol * t_sym
 
 
 def test_mapping_is_bijection():
     m = np.array([2, 0, 4, 8, 0, 6])
-    mapping = build_bit_mapping(m, 3)
-    assert mapping.total_bits == 3 * int(m.sum())
-    triples = set(zip(mapping.symbol.tolist(), mapping.subcarrier.tolist(), mapping.position.tolist()))
-    assert len(triples) == mapping.total_bits
+    symbol, subcarrier, position = build_bit_mapping(m, 3)
+    assert symbol.size == 3 * int(m.sum())
+    triples = set(zip(symbol.tolist(), subcarrier.tolist(), position.tolist()))
+    assert len(triples) == symbol.size
     for t, k, pos in triples:
         assert 0 <= t < 3 and m[k] > 0 and 0 <= pos < m[k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from((0, 2, 4, 6, 8)), max_size=40), st.integers(0, 3))
+def test_mapping_is_a_symbol_major_bijection_onto_active_slots(modulations, t_sym):
+    m = np.array(modulations, dtype=np.int64)
+    symbol, subcarrier, position = build_bit_mapping(m, t_sym)
+    assert all(a.dtype == np.int64 for a in (symbol, subcarrier, position))
+    assert symbol.size == subcarrier.size == position.size == t_sym * int(m.sum())
+    # symbol-major, subcarriers ascending within a symbol, MSB first within a subcarrier
+    want = [(t, k, pos) for t in range(t_sym) for k in range(m.size) for pos in range(m[k])]
+    triples = list(zip(symbol.tolist(), subcarrier.tolist(), position.tolist()))
+    assert triples == want
+    # no bit on a silent subcarrier, every position inside its order, no slot twice
+    assert np.all(m[subcarrier] > 0)
+    assert np.all((position >= 0) & (position < m[subcarrier]))
+    assert len(set(triples)) == len(triples)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +566,8 @@ def test_plan_empty_source(small_lib):
     ch = realize_channel(exponential_pdp(300.0), 16, 30e3, seed=1)
     plan = optimize_plan(small_lib, stats, ch, 100.0)
     assert plan.is_empty and plan.t_sym == 0 and plan.b_lat == 0
-    assert plan.dummy_bits == 0 and plan.mapping.total_bits == 0
+    assert plan.dummy_bits == 0
+    assert [a.size for a in build_bit_mapping(plan.modulations, plan.t_sym)] == [0, 0, 0]
     validate_plan(plan, small_lib, stats, 100.0)
 
 
@@ -686,7 +703,6 @@ def _looped_plan(lib, stats, ch, p_tot, delta=0.4, seed=0):
         powers=powers,
         t_sym=t_sym,
         dummy_bits=int(dummy),
-        mapping=build_bit_mapping(modulations, t_sym),
         seed=seed,
         digests=digests,
     )
@@ -770,7 +786,8 @@ def test_one_pass_plan_raises_what_per_target_solves_raise(small_lib, p_tot, inf
 
 
 def test_optimize_plan_calls_each_stage_once(small_lib, monkeypatch):
-    # the benchmark's layer figures wrap these module attributes
+    # the benchmark's layer figures wrap these module attributes; the bit
+    # placement is derived where it is used, so planning never builds it
     stages = (
         "minimum_bit_allocation",
         "allocate_power_modulation",
@@ -794,4 +811,4 @@ def test_optimize_plan_calls_each_stage_once(small_lib, monkeypatch):
     plan = optimize_plan(small_lib, stats, ch, p_tot)
     assert not plan.is_empty and plan.dummy_bits >= 0
     assert plan.b_lat > minimum_bit_allocation(small_lib, stats, plan.eps_index)[1]  # refined
-    assert calls == {name: 1 for name in stages}
+    assert calls == {name: int(name != "build_bit_mapping") for name in stages}

@@ -225,6 +225,15 @@ def test_allocate_rejects_bad_delta_before_loading(delta, no_library_load, capsy
     assert "delta must be a positive finite number" in err
 
 
+@pytest.mark.parametrize("spacing", ["0", "-1", "nan", "inf"])
+def test_allocate_rejects_bad_spacing_before_loading(spacing, no_library_load, capsys):
+    # 0 and nan used to exit 2 only after the library loaded, and inf to fail
+    # there with "gains must be finite" after a numpy RuntimeWarning
+    code, out, err = _run(capsys, "allocate", "--library", "lib.json", f"--spacing-khz={spacing}")
+    assert code == 2 and out == ""
+    assert f"spacing_khz must be a positive finite number, got {float(spacing)!r}" in err
+
+
 @pytest.mark.parametrize("n_sc", ["0", "-3"])
 def test_allocate_rejects_bad_n_sc_before_loading(n_sc, no_library_load, capsys):
     # used to exit 2 only after the power budget came out 0, blaming the SNR

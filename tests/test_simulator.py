@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantlink import channel, cli, modem, quantizer, simulator
-from quantlink.allocator import LatentStats, optimize_plan, plan_dummy_seed, target_distortion, validate_plan
+from quantlink import allocator, channel, cli, modem, quantizer, simulator
+from quantlink.allocator import (
+    LatentStats,
+    build_bit_mapping,
+    optimize_plan,
+    plan_dummy_seed,
+    target_distortion,
+    validate_plan,
+)
 from quantlink.channel import exponential_pdp, realize_channel
 from quantlink.gaussian import q_function, std_normal_pdf
 from quantlink.library import build_library, save_library, sigma_max
@@ -158,20 +165,28 @@ def test_trial_rejects_mismatched_library(small_lib):
 
 def test_frame_layout_is_built_once_per_plan(small_lib, monkeypatch):
     calls = []
+    placements = []
     real = simulator._build_frame_layout
+    place = allocator.build_bit_mapping
 
     def counting(plan):
         calls.append(plan)
         return real(plan)
 
+    def counting_placement(modulations, t_sym):
+        placements.append(t_sym)
+        return place(modulations, t_sym)
+
     monkeypatch.setattr(simulator, "_build_frame_layout", counting)
+    # the layout reads the placement through the allocator module, which a tracer wraps
+    monkeypatch.setattr(allocator, "build_bit_mapping", counting_placement)
     stats, ch, plan = _setup_plan(small_lib, n=64, n_sc=16, snr_db=6.0, seed=33)
     errors = 0.0
     for f in range(3):
         y = sample_latents(stats, stream_rng("yl", f))
         res = run_trial(stats, y, plan, small_lib, ch, stream_rng("nl", f))
         errors += res.realized_errors_per_subcarrier.sum()
-    assert len(calls) == 1
+    assert len(calls) == 1 and placements == [plan.t_sym]
     assert errors > 0
 
     # the layout holds nothing of the realization: the noise is read per frame
@@ -185,6 +200,7 @@ def test_frame_layout_is_built_once_per_plan(small_lib, monkeypatch):
     assert derived._frame_layout is None and plan._frame_layout is not None
     run_trial(stats, y, derived, small_lib, ch, stream_rng("nl", 4))
     assert len(calls) == 2 and calls[1] is derived
+    assert len(placements) == 2
 
 
 def test_trial_mean_error_matches_analytic(small_lib):
@@ -414,9 +430,9 @@ def _reference_trial(stats, y, plan, lib, realization, rng):
         codewords[ids] = quantize(y[ids], stats.means[ids], std[ids], q)
     stream = np.concatenate(((codewords[owner] >> shift) & 1, pad))
 
-    mapping = plan.mapping
+    symbol, subcarrier, position = build_bit_mapping(plan.modulations, plan.t_sym)
     slots = np.zeros((plan.t_sym, plan.modulations.size, 8), dtype=np.int64)
-    slots[mapping.symbol, mapping.subcarrier, mapping.position] = np.arange(mapping.total_bits)
+    slots[symbol, subcarrier, position] = np.arange(symbol.size)
     rx_stream = np.zeros(stream.size, dtype=np.int64)
     for m in modem.QAM_BITS:
         sc = np.flatnonzero(plan.modulations == m)
