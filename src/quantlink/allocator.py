@@ -318,7 +318,7 @@ class AllocationPlan:
     The bit placement is not stored: build_bit_mapping derives it from
     modulations and t_sym. A plan is immutable once it has been run: the
     first run_trial call builds the plan's frame layout (bit-depth groups,
-    bit-to-symbol gathers, pad bits) and every later frame reuses it. Derive
+    bit fields, pad bits) and every later frame reuses it. Derive
     a changed plan with dataclasses.replace, which starts without a layout.
     """
 

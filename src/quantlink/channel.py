@@ -149,8 +149,8 @@ def realize_channel(
     """Draw tap gains and evaluate the frequency response on every subcarrier; noise variance 1."""
     if n_sc < 1:
         raise ValueError("n_sc must be >= 1")
-    if not spacing_hz > 0:
-        raise ValueError("spacing_hz must be positive")
+    if not (spacing_hz > 0 and math.isfinite(spacing_hz)):
+        raise ValueError(f"spacing_hz must be a positive finite number, got {spacing_hz!r}")
     if rng is None:
         rng = stream_rng("channel", seed)
     n_taps = profile.powers.size
@@ -193,9 +193,13 @@ def transmit_symbols(s, p, h, noise_var: float, rng):
     if np.any(p < 0):
         raise ValueError("power must be nonnegative")
     z = standard_normal_rows(rng, s.shape[:-1] + (2,) + s.shape[-1:])
+    z *= np.sqrt(noise_var / 2.0)
     re, im = (z[..., 0, :], z[..., 1, :]) if s.ndim else z
-    noise = np.sqrt(noise_var / 2.0) * (re + 1j * im)
-    return np.sqrt(p) * np.asarray(h, dtype=np.complex128) * s + noise
+    # the scaled normals go straight into the two parts, with no complex noise array
+    out = np.asarray(np.multiply(np.sqrt(p) * np.asarray(h, dtype=np.complex128), s))
+    out.real += re
+    out.imag += im
+    return out
 
 
 def equalize(r, p, h):

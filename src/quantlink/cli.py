@@ -140,7 +140,12 @@ def _load_stats(args, lib) -> LatentStats:
 def cmd_allocate(args) -> int:
     try:
         sim._check_positive_finite("delta", args.delta)
-        sim._check_positive_finite("spacing_khz", args.spacing_khz)
+        # judged in Hz, where a finite spacing in kHz can still overflow to inf
+        spacing_hz = args.spacing_khz * 1e3
+        if not sim._is_finite(spacing_hz) or spacing_hz <= 0:
+            raise ValueError(
+                f"spacing_khz must be a positive finite number, got {args.spacing_khz!r} ({spacing_hz!r} Hz)"
+            )
         sim._check_count("n_sc", args.n_sc)
         p_tot = chan.power_budget(args.n_sc, args.snr_db)
         lib = liblib.load_library(args.library)
@@ -150,7 +155,7 @@ def cmd_allocate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     realization = chan.realize_channel(
-        profile, args.n_sc, args.spacing_khz * 1e3, seed=args.channel_seed
+        profile, args.n_sc, spacing_hz, seed=args.channel_seed
     )
     try:
         plan = optimize_plan(lib, stats, realization, p_tot, args.delta, seed=args.seed)

@@ -4,7 +4,11 @@ Constellations are axis-separable: an m-bit word splits into an I half and a
 Q half (I first, most significant bit first), each half is a reflected-binary
 Gray label of a PAM coordinate, and the whole constellation is scaled to unit
 average symbol energy. Demodulation is a per-axis nearest-level hard decision,
-with boundary ties going to the lower PAM level.
+with boundary ties going to the lower PAM level: both axes of the input, seen
+as one (..., 2) float array, count the decision bounds at or above them, so
+level k = L-1 - #(x <= bound) equals searchsorted(bounds, x, side="left")
+for every float (NaN goes to the top level), and one gather through the
+L x L Gray word table turns the two levels into the word.
 
 The analytic bit error rate for symbol SNR gamma is the standard two-term
 Gray-QAM approximation
@@ -59,6 +63,7 @@ class Constellation:
     points: np.ndarray  # complex, points[word] is the symbol for that word
     axis_levels: np.ndarray  # per-axis PAM coordinates by level index
     axis_bounds: np.ndarray  # decision boundaries between adjacent levels
+    level_words: np.ndarray  # level_words[k_i * L + k_q]: the word at PAM levels (k_i, k_q)
 
 
 def _build(m: int) -> Constellation:
@@ -75,7 +80,9 @@ def _build(m: int) -> Constellation:
     ki = _gray_decode(gi)
     kq = _gray_decode(gq)
     points = coords[ki] + 1j * coords[kq]
-    return Constellation(m=m, points=points, axis_levels=coords, axis_bounds=bounds)
+    gray = _gray_encode(k)
+    level_words = ((gray[:, None] << half) | gray).ravel()
+    return Constellation(m, points, coords, bounds, level_words)
 
 
 _TABLES: dict[int, Constellation] = {}
@@ -95,17 +102,21 @@ def modulate(word, m: int):
     w = np.asarray(word)
     if w.size and (w.min() < 0 or w.max() >= (1 << m)):
         raise ValueError(f"word out of range for {m}-bit constellation")
-    out = table.points[w]
+    out = np.take(table.points, w)
     return out if np.ndim(word) else complex(out)
 
 
 def demodulate(symbol, m: int):
     """Nearest-level hard decision back to m-bit words."""
     table = constellation(m)
-    s = np.asarray(symbol, dtype=np.complex128)
-    ki = np.searchsorted(table.axis_bounds, s.real, side="left")
-    kq = np.searchsorted(table.axis_bounds, s.imag, side="left")
-    out = (_gray_encode(ki) << (m // 2)) | _gray_encode(kq)
+    axes = np.asarray(symbol, dtype=np.complex128)[..., None].view(np.float64)
+    k = np.full(axes.shape, table.axis_bounds.size, dtype=np.uint8)
+    # one bool buffer, subtracted through its uint8 view, so no pass casts
+    below = np.empty(axes.shape, dtype=np.bool_)
+    for bound in table.axis_bounds.tolist():
+        k -= np.less_equal(axes, bound, out=below).view(np.uint8)
+    # k_i * L + k_q is at most 255 (L = 16 at m = 8), so it stays uint8
+    out = np.take(table.level_words, k[..., 0] * np.uint8(table.axis_levels.size) + k[..., 1])
     return out if np.ndim(symbol) else int(out)
 
 

@@ -620,5 +620,5 @@ def dequantize(codeword, mean: float, std: float, q: ScalarQuantizer):
     cw = np.asarray(codeword)
     if cw.size and (cw.min() < 0 or cw.max() >= (1 << q.bit_depth)):
         raise ValueError("codeword out of range for quantizer bit depth")
-    out = q.levels[cw] * std + mean
+    out = np.take(q.levels, cw) * std + mean
     return out if np.ndim(codeword) else float(out)

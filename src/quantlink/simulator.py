@@ -8,11 +8,16 @@ squared errors alongside realized per-subcarrier bit error rates.
 A plan serves every frame of its coherence block, so what depends on the plan
 alone is built once, on the plan's first trial, and kept on the plan: the
 sent elements in bit-depth order (each depth a slice), the payload bit ->
-(element, shift) map that packs codewords into the bit stream and unpacks
-received bits with one reduceat, the pad bits, and per active modulation
-order the subcarriers, powers and a (t_sym, subcarriers, m) gather of stream
-indices, inverted from allocator.build_bit_mapping. Nothing of the channel
-realization is kept; its gains and noise variance are read on every call.
+(element, shift) map that expands codewords into the bit stream, the pad
+bits, and the bit fields of the stream. The stream is symbol-major (see
+allocator.build_bit_mapping): each subcarrier's word of an OFDM symbol is m
+consecutive bits, and each codeword b consecutive bits. So both directions
+pack a bit stream into bytes and read fixed fields out of it, each through a
+window of at most 3 bytes (b <= 12 bits at a bit offset <= 7): the sender
+reads the symbol words out of the packed payload and pad, and the receiver
+expands the received words into a stream, packs it and reads the codewords.
+Nothing of the channel realization is kept; its gains and noise variance
+are read on every call.
 
 The frames of one coherence block share the plan and the realization, so
 run_experiment sends them through run_trial together, as a (frames, n)
@@ -80,7 +85,7 @@ __all__ = [
     "report_rows_to_csv",
 ]
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 # run_experiment sends a realization's frames through run_trial in batches of
 # at most this many latents plus sent symbols (at least one frame per batch)
 _BATCH_ENTRIES = 1 << 16
@@ -142,18 +147,26 @@ class _FrameLayout:
 
     order lists the sent elements grouped by bit depth (element order within
     a depth), and groups holds (bit depth, first, end) of each depth's slice
-    of it, so a depth's quantizer runs on a slice. Payload bit k carries bit
-    shift[k] of the codeword at position owner[k] of order; starts[j] is the
-    first payload bit of the j-th sent element in element order, and
-    position i of order holds the by_depth[i]-th. Codewords are held as
+    of it, so a depth's quantizer runs on a slice. Codewords are held as
     `word`, the smallest unsigned type for the plan's deepest element (uint8
-    up to b = 8), and shift has that type too. The stream is the payload
-    followed by the plan's pad bits. orders holds, per active modulation order m,
-    (m, subcarriers, powers, gather, weights), where gather[t, k, c] is the
-    stream index of bit position c on subcarrier k of OFDM symbol t (most
-    significant bit first) and weights[c] is that position's place value.
-    Nothing here depends on the latent stats, so quantize and dequantize
-    check the sent elements' sigma > 0 on every call.
+    up to b = 8). The stream is the payload followed by the plan's pad bits:
+    payload bit k is bit shift[k] of the codeword at position owner[k] of
+    order (element order, most significant bit first), and shift has type
+    `word` too.
+
+    Each codeword and each subcarrier's word of an OFDM symbol (a slot) is a
+    run of consecutive stream bits, so both are fields of the stream packed
+    into bytes. A field is read as (index, shift, mask): the 24-bit window of
+    the packed bytes index, index + 1 and index + 2, shifted right by shift
+    and masked; a b <= 12 bit field at a bit offset <= 7 fits the window.
+    fields holds the codewords' fields in the order of order. The stream's
+    slots are numbered in stream order; stream bit k is bit slot_shift[k] of
+    slot slot_owner[k], so the received slot words expand to the received
+    stream as the codewords expand to the payload. orders holds, per active
+    modulation order m, (m, subcarriers, powers, slots, slot fields), where
+    slots[t, k] numbers the slot of subcarrier k in OFDM symbol t. Nothing
+    here depends on the latent stats, so quantize and dequantize check the
+    sent elements' sigma > 0 on every call.
     """
 
     order: np.ndarray
@@ -161,10 +174,39 @@ class _FrameLayout:
     word: np.dtype
     owner: np.ndarray
     shift: np.ndarray
-    starts: np.ndarray
-    by_depth: np.ndarray
     pad: np.ndarray
+    fields: tuple
+    slot_owner: np.ndarray
+    slot_shift: np.ndarray
     orders: tuple
+
+
+def _field(start, width) -> tuple:
+    """(index, shift, mask) of the bits [start, start + width) of a packed stream."""
+    return start >> 3, (24 - (start & 7) - width).astype(np.uint8), np.uint32((1 << width) - 1)
+
+
+def _bits(words: np.ndarray, owner: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Bit k of each row is bit shift[k] of words[:, owner[k]]."""
+    return (np.take(words, owner, axis=1) >> shift) & 1
+
+
+def _windows(bits: np.ndarray) -> np.ndarray:
+    """Pack each row of bits into bytes and window them.
+
+    Column i holds bytes i, i + 1 and i + 2 as one 24-bit number; bytes past
+    the end read as zero.
+    """
+    packed = np.packbits(bits, axis=1)
+    wide = np.zeros((packed.shape[0], packed.shape[1] + 2), dtype=np.uint32)
+    wide[:, :-2] = packed
+    return (wide[:, :-2] << 16) | (wide[:, 1:-1] << 8) | wide[:, 2:]
+
+
+def _read(windows: np.ndarray, fields: tuple, dtype) -> np.ndarray:
+    """The fields of each row of the packed stream whose windows are given."""
+    index, shift, mask = fields
+    return ((np.take(windows, index, axis=1) >> shift) & mask).astype(dtype)
 
 
 def _build_frame_layout(plan: AllocationPlan) -> _FrameLayout:
@@ -188,15 +230,21 @@ def _build_frame_layout(plan: AllocationPlan) -> _FrameLayout:
 
     # the module attribute, so a tracer that wraps it times the placement
     symbol, subcarrier, position = allocator.build_bit_mapping(plan.modulations, plan.t_sym)
-    slots = np.zeros((plan.t_sym, plan.modulations.size, max(modem.QAM_BITS)), dtype=np.int64)
-    slots[symbol, subcarrier, position] = np.arange(symbol.size)
+    heads = np.flatnonzero(position == 0)  # each slot's first stream bit
+    slot_owner = np.cumsum(position == 0) - 1
+    slot_shift = (plan.modulations[subcarrier] - 1 - position).astype(np.uint8)
+    slot_of = np.zeros((plan.t_sym, plan.modulations.size), dtype=np.int64)
+    slot_of[symbol[heads], subcarrier[heads]] = np.arange(heads.size)
     orders = []
     for m in modem.QAM_BITS:
         sc = np.flatnonzero(plan.modulations == m)
         if sc.size:
-            weights = (1 << np.arange(m - 1, -1, -1)).astype(np.uint8)
-            orders.append((m, sc, plan.powers[sc], slots[:, sc, :m], weights))
-    return _FrameLayout(sent[by_depth], groups, word, owner, shift, starts, by_depth, pad, tuple(orders))
+            slots = slot_of[:, sc]
+            orders.append((m, sc, plan.powers[sc], slots, _field(heads[slots], m)))
+    fields = _field(starts[by_depth], counts[by_depth])
+    return _FrameLayout(
+        sent[by_depth], groups, word, owner, shift, pad, fields, slot_owner, slot_shift, tuple(orders)
+    )
 
 
 def run_trial(
@@ -268,27 +316,29 @@ def _send_frames(stats, y, plan, lib, realization, rngs):
         q = lib.quantizer(b, plan.eps_index)
         codewords[:, lo:hi] = quantizer.quantize(y_sent[:, lo:hi], mean[lo:hi], std[lo:hi], q)
     stream = np.empty((frames, b_lat + layout.pad.size), dtype=np.uint8)
-    stream[:, :b_lat] = (np.take(codewords, layout.owner, axis=1) >> layout.shift) & 1
+    stream[:, :b_lat] = _bits(codewords, layout.owner, layout.shift)
     stream[:, b_lat:] = layout.pad
+    windows = _windows(stream)
 
-    # one transmit per modulation order, covering every frame and OFDM symbol
-    rx_stream = np.zeros_like(stream)
-    for m, sc, p, gather, weights in layout.orders:
+    # one transmit per modulation order, covering every frame and OFDM symbol;
+    # the received slot words are expanded back into a received stream
+    rx_slots = np.empty((frames, layout.slot_owner[-1] + 1), dtype=np.uint8)  # a column per slot
+    for m, sc, p, slots, fields in layout.orders:
         h = realization.gains[sc]
-        words = np.take(stream, gather, axis=1) @ weights
+        words = _read(windows, fields, np.uint8)
         r = chan.transmit_symbols(modem.modulate(words, m), p, h, realization.noise_var, rngs)
         rx_words = modem.demodulate(chan.equalize(r, p, h), m).astype(np.uint8)
-        rx_stream[:, gather] = (rx_words[..., None] & weights) != 0
-        err_per_sc[sc] += _POPCOUNT[words ^ rx_words].sum(axis=(0, 1))
+        rx_slots[:, slots] = rx_words
+        err_per_sc[sc] += np.take(_POPCOUNT, words ^ rx_words).sum(axis=(0, 1))
         bits_per_sc[sc] += m * plan.t_sym * frames
+    rx_windows = _windows(_bits(rx_slots, layout.slot_owner, layout.slot_shift))
 
-    # received words back in depth order, dequantized slice by slice
-    rx_words = np.add.reduceat(rx_stream[:, :b_lat] << layout.shift, layout.starts, axis=1, dtype=np.intp)
-    rx_words = np.take(rx_words, layout.by_depth, axis=1)
+    # received codewords in depth order, dequantized slice by slice
+    rx_codewords = _read(rx_windows, layout.fields, layout.word)
     yhat = np.broadcast_to(stats.means, y.shape).copy()
     for b, lo, hi in layout.groups:
         q = lib.quantizer(b, plan.eps_index)
-        yhat[:, order[lo:hi]] = quantizer.dequantize(rx_words[:, lo:hi], mean[lo:hi], std[lo:hi], q)
+        yhat[:, order[lo:hi]] = quantizer.dequantize(rx_codewords[:, lo:hi], mean[lo:hi], std[lo:hi], q)
     return yhat, err_per_sc, bits_per_sc
 
 
@@ -469,7 +519,7 @@ def measure_link_ber(m: int, gamma: float, n_bits: int, rng: np.random.Generator
         words = rng.integers(0, 1 << m, size=size)
         r = chan.transmit_symbols(modem.modulate(words, m), gamma, 1.0 + 0j, 1.0, rng)
         rx = modem.demodulate(chan.equalize(r, gamma, 1.0 + 0j), m)
-        errors += int(_POPCOUNT[np.asarray(words ^ rx)].sum())
+        errors += int(np.take(_POPCOUNT, words ^ rx).sum())
         done += size
     return errors / (n_sym * m)
 

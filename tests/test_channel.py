@@ -207,6 +207,10 @@ def test_realization_validation():
             ChannelRealization(np.array([1 + 0j, bad]), 1.0, 30e3, 0)
     with pytest.raises(ValueError):
         realize_channel(flat_profile(), n_sc=0)
+    # an infinite spacing used to pass and fail later as "gains must be finite"
+    for bad in (0.0, -30e3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="spacing_hz must be a positive finite number"):
+            realize_channel(flat_profile(), n_sc=4, spacing_hz=bad)
 
 
 def test_seeded_realizations_are_deterministic():

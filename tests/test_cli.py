@@ -234,6 +234,15 @@ def test_allocate_rejects_bad_spacing_before_loading(spacing, no_library_load, c
     assert f"spacing_khz must be a positive finite number, got {float(spacing)!r}" in err
 
 
+def test_allocate_rejects_a_spacing_that_overflows_in_hz(no_library_load, capsys, recwarn):
+    # 1e306 kHz is finite but inf Hz: it used to load the library, warn from
+    # numpy and exit 2 with "gains must be finite"
+    code, out, err = _run(capsys, "allocate", "--library", "lib.json", "--spacing-khz", "1e306")
+    assert code == 2 and out == ""
+    assert "spacing_khz must be a positive finite number, got 1e+306 (inf Hz)" in err
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize("n_sc", ["0", "-3"])
 def test_allocate_rejects_bad_n_sc_before_loading(n_sc, no_library_load, capsys):
     # used to exit 2 only after the power budget came out 0, blaming the SNR
@@ -415,6 +424,14 @@ def test_ber_check_smoke(tiny_lib_dir, capsys):
     lines = out.strip().split("\n")
     assert lines[0].startswith("m,target_ber,gamma_th,")
     assert len(lines) == 1 + 4 * 2  # four orders x two grid targets
+    # the hard decisions of 200 000 bits per point, pinned: the measured BER of
+    # each (order, target) is an exact count, so any change to a decision shows
+    assert [line.split(",")[3] for line in lines[1:]] == [
+        "0.01019", "0.05017",  # QPSK at 0.01 and 0.05
+        "0.010305", "0.05006",  # 16-QAM
+        "0.01034510345103451", "0.04917549175491755",  # 64-QAM
+        "0.01005", "0.05005",  # 256-QAM
+    ]
 
 
 @pytest.fixture

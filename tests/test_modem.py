@@ -55,6 +55,51 @@ def test_demodulate_tie_goes_to_lower_level():
     assert modulate(word, 4).real == pytest.approx(table.axis_levels[0], abs=1e-12)
 
 
+def _searchsorted_demodulate(symbol, m):
+    """The hard decision as a per-axis searchsorted with ties to the lower level."""
+    table = constellation(m)
+    s = np.asarray(symbol, dtype=np.complex128)
+    ki = np.searchsorted(table.axis_bounds, s.real, side="left")
+    kq = np.searchsorted(table.axis_bounds, s.imag, side="left")
+    out = ((ki ^ (ki >> 1)) << (m // 2)) | (kq ^ (kq >> 1))
+    return out if np.ndim(symbol) else int(out)
+
+
+@pytest.mark.parametrize("m", QAM_BITS)
+def test_demodulate_equals_searchsorted_on_every_edge(m):
+    table = constellation(m)
+    bounds = table.axis_bounds
+    axis = np.concatenate(
+        (
+            bounds,
+            np.nextafter(bounds, -np.inf),
+            np.nextafter(bounds, np.inf),
+            table.axis_levels,
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, -1e300],
+        )
+    )
+    # every pair of axis values, NaN included in either part or both
+    grid = np.empty((axis.size, axis.size), dtype=np.complex128)
+    grid.real, grid.imag = np.meshgrid(axis, axis, indexing="ij")
+    want = _searchsorted_demodulate(grid, m)
+    got = demodulate(grid, m)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    # a strided view and a batch of random draws
+    assert np.array_equal(demodulate(grid[1::3, ::2], m), want[1::3, ::2])
+    draws = stream_rng("demod", m).standard_normal((3, 4, 50, 2)) @ np.array([1.0, 1j])
+    assert np.array_equal(demodulate(draws, m), _searchsorted_demodulate(draws, m))
+
+    # a scalar or 0-d input gives a Python int, a one-element array an array
+    for i in range(0, axis.size, 7):
+        for j in range(0, axis.size, 5):
+            point = grid[i, j]
+            for x in (point, complex(point), np.array(point)):
+                got = demodulate(x, m)
+                assert type(got) is int and got == want[i, j]
+            assert np.array_equal(demodulate(grid[i, j : j + 1], m), want[i, j : j + 1])
+
+
 def test_gray_adjacency():
     for m in QAM_BITS:
         table = constellation(m)

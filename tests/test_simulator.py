@@ -639,6 +639,25 @@ def test_trial_calls_each_stage_once_per_batch(request, monkeypatch, frames):
     ]
 
 
+@pytest.mark.parametrize("length", [1, 7, 8, 12, 13, 16, 23, 24, 41])
+def test_packed_field_reads_equal_bit_by_bit(length):
+    # every field of width 1..12 at every start, so every bit offset 0..7 and
+    # the fields that end in the stream's last byte (or on its last bit)
+    bits = stream_rng("fields", length).integers(0, 2, size=(3, length)).astype(np.uint8)
+    starts, widths = map(np.array, zip(*[(a, w) for a in range(length) for w in range(1, 13) if a + w <= length]))
+    got = simulator._read(simulator._windows(bits), simulator._field(starts, widths), np.uint16)
+    # and the fields read expand back to their bits, MSB first, as the payload does
+    owner = np.repeat(np.arange(widths.size), widths)
+    shift = np.concatenate([np.arange(w - 1, -1, -1) for w in widths]).astype(np.uint8)
+    for row, fields, expanded in zip(bits, got, simulator._bits(got, owner, shift)):
+        want = [int("".join(map(str, row[a : a + w])), 2) for a, w in zip(starts, widths)]
+        assert fields.tolist() == want
+        assert "".join(map(str, expanded)) == "".join(format(v, f"0{w}b") for v, w in zip(want, widths))
+    if length >= 20:
+        assert {(a % 8, w) for a, w in zip(starts, widths)} == {(o, w) for o in range(8) for w in range(1, 13)}
+        assert any(a + w == length and w == 12 for a, w in zip(starts, widths))
+
+
 def test_transmit_rows_equal_per_row_calls():
     rng = stream_rng("tx", 0)
     s = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
