@@ -26,12 +26,14 @@ A plan runs in three steps.
     every element saturates is padded with pseudo-random dummy bits so the
     resource-grid accounting stays exact.
 
-The rating needs no per-target arrays. The first depth whose distortion
+Minimum depths need no search per element. The first depth whose distortion
 meets a bound is also the first whose running minimum min(D(1..b)) meets it,
 and the running minimum is nonincreasing, so on any distortion column an
-element's minimum depth is 1 + #{b : min(D(1..b)) > bound}, and b_lat[q] is
-the checked-element count plus one searchsorted of column q's running minimum
-into the sorted bounds.
+element's minimum depth is 1 + #{b : min(D(1..b)) > bound}.
+minimum_bit_allocation takes one target's depths as one searchsorted of the
+bounds into that running minimum. The rating needs no per-target arrays:
+b_lat[q] is the checked-element count plus one searchsorted of column q's
+running minimum into the sorted bounds.
 
 The greedy loading and refinement loops are merges of per-item cost sequences,
 one per subcarrier (loading) or per element (refinement), and each has a
@@ -69,7 +71,7 @@ import numpy as np
 
 from ._version import __version__
 from .channel import ChannelRealization
-from .library import DEFAULT_DELTA, QuantizerLibrary, gamma_increments_convex, min_bits_vector
+from .library import DEFAULT_DELTA, InfeasibleTargetError, QuantizerLibrary, gamma_increments_convex
 from .modem import QAM_BITS
 from .rng import stream_seed
 
@@ -144,8 +146,25 @@ def target_distortion(sigma2):
 def minimum_bit_allocation(
     lib: QuantizerLibrary, stats: LatentStats, eps_index: int, delta: float = DEFAULT_DELTA
 ) -> tuple[np.ndarray, int]:
-    """Per-element minimum bit depths meeting the distortion bound; total bits."""
-    bits = min_bits_vector(lib, eps_index, stats.variances, delta)
+    """Per-element minimum bit depths at target eps_index, and their total.
+
+    An element's depth is the smallest b with D(1; b, eps) <= 1/(sigma^2 + 1)
+    (on any column, see the module docstring); variances below `delta` are
+    negligible and get zero bits. Raises InfeasibleTargetError for the first
+    element that no depth serves.
+    """
+    floor = np.minimum.accumulate(lib.distortion_column(eps_index))
+    bound = 1.0 / (stats.variances + 1.0)
+    # an infeasible element gets depth b_max + 1 here
+    bits = floor.size + 1 - np.searchsorted(floor[::-1], bound, "right").astype(np.int64)
+    bits[stats.variances < delta] = 0
+    bad = np.flatnonzero(bits > floor.size)
+    if bad.size:
+        i = int(bad[0])
+        raise InfeasibleTargetError(
+            f"element {i}: no bit depth <= {lib.b_max} reaches distortion "
+            f"{bound[i]:.6g} (sigma2 = {stats.variances[i]:.6g}, eps index {eps_index})"
+        )
     return bits, int(bits.sum())
 
 
@@ -407,8 +426,8 @@ def _rate_targets(
     of target 0 if it has an infeasible element, else ValueError("p_tot must
     be positive") for a budget that is not positive (the loading's first
     check, so NaN too), else the InfeasibleTargetError of the first target
-    with an infeasible element. min_bits_vector raises the two
-    InfeasibleTargetErrors, with its own message.
+    with an infeasible element. Both InfeasibleTargetErrors are raised by
+    minimum_bit_allocation on that target, with its message.
     """
     q_count = lib.epsilons.size
     floor = np.minimum.accumulate(lib.distortion_table(), axis=1)  # [target, b - 1]
@@ -417,11 +436,11 @@ def _rate_targets(
     # an element is infeasible when its bound lies below every depth's distortion
     infeasible = np.flatnonzero(np.searchsorted(bounds, floor[:, -1], "left") > 0)
     if infeasible.size and (infeasible[0] == 0 or p_tot > 0):
-        min_bits_vector(lib, int(infeasible[0]), stats.variances, delta)
+        minimum_bit_allocation(lib, stats, int(infeasible[0]), delta)
     if not p_tot > 0:
         raise ValueError("p_tot must be positive")
 
-    # depth - 1 counts the running minima above the bound (see min_bits_vector)
+    # depth - 1 counts the running minima above the bound (see minimum_bit_allocation)
     b_lat = bounds.size + np.searchsorted(bounds, floor, "left").sum(axis=1)
 
     inv_gain = channel.noise_var / np.square(np.abs(channel.gains))

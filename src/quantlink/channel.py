@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_count, check_positive_finite
 from .rng import standard_normal_rows, stream_rng
 
 __all__ = [
@@ -146,11 +147,12 @@ def realize_channel(
     seed: int = 0,
     rng: np.random.Generator | None = None,
 ) -> ChannelRealization:
-    """Draw tap gains and evaluate the frequency response on every subcarrier; noise variance 1."""
-    if n_sc < 1:
-        raise ValueError("n_sc must be >= 1")
-    if not (spacing_hz > 0 and math.isfinite(spacing_hz)):
-        raise ValueError(f"spacing_hz must be a positive finite number, got {spacing_hz!r}")
+    """Draw tap gains and evaluate the frequency response on every subcarrier; noise variance 1.
+
+    n_sc must be an int >= 1 and spacing_hz a positive finite number.
+    """
+    check_count("n_sc", n_sc)
+    check_positive_finite("spacing_hz", spacing_hz)
     if rng is None:
         rng = stream_rng("channel", seed)
     n_taps = profile.powers.size

@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from ._checks import check_count, check_positive_finite, is_finite
 from ._version import __version__
 from . import channel as chan
 from . import library as liblib
@@ -38,23 +39,12 @@ from .allocator import (
 from .quantizer import DesignConfig, design_channel_optimized, uniform_bsc
 from .rng import stream_rng
 
-
-def _design_config(args) -> DesignConfig:
-    return DesignConfig(
-        restarts=args.restarts, max_iters=args.max_iters, rel_tol=args.rel_tol, seed=args.seed
-    )
-
-
-def _add_design_args(p: argparse.ArgumentParser) -> None:
-    default = DesignConfig()
-    p.add_argument("--restarts", type=int, default=default.restarts)
-    p.add_argument("--max-iters", type=int, default=default.max_iters)
-    p.add_argument("--rel-tol", type=float, default=default.rel_tol)
-    p.add_argument("--seed", type=int, default=default.seed)
+# ber-check passes when every point's |BER - target| / target is at most this
+_BER_CHECK_TOLERANCE = 0.1
 
 
 def cmd_build_library(args) -> int:
-    cfg = _design_config(args)
+    cfg = DesignConfig(seed=args.seed)
     # no --eps values: the default grid
     grid = sorted(args.eps) if args.eps else None
     lib = liblib.build_library(args.b_max, grid, cfg)
@@ -96,7 +86,7 @@ def cmd_build_library(args) -> int:
 
 
 def cmd_design_quantizer(args) -> int:
-    cfg = _design_config(args)
+    cfg = DesignConfig(seed=args.seed)
     flips = (
         uniform_bsc(args.bits, args.eps[0])
         if len(args.eps) == 1
@@ -126,31 +116,32 @@ def cmd_design_quantizer(args) -> int:
     return 0
 
 
-def _load_stats(args, lib) -> LatentStats:
+def _load_stats(args, src, lib) -> LatentStats:
+    """The --stats file, or else the synthetic source src drawn for lib."""
     if args.stats is not None:
         with open(args.stats, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"stats file {args.stats}: the top level must be a JSON object")
         return LatentStats(np.asarray(doc["means"]), np.asarray(doc["variances"]))
-    src = sim.SyntheticSourceConfig(n_latents=args.n_latents, seed=args.source_seed)
     return sim.draw_stats(src, liblib.sigma_max(lib), stream_rng("source", args.seed, args.source_seed))
 
 
 def cmd_allocate(args) -> int:
     try:
-        sim._check_positive_finite("delta", args.delta)
+        check_positive_finite("delta", args.delta)
         # judged in Hz, where a finite spacing in kHz can still overflow to inf
         spacing_hz = args.spacing_khz * 1e3
-        if not sim._is_finite(spacing_hz) or spacing_hz <= 0:
+        if not is_finite(spacing_hz) or spacing_hz <= 0:
             raise ValueError(
                 f"spacing_khz must be a positive finite number, got {args.spacing_khz!r} ({spacing_hz!r} Hz)"
             )
-        sim._check_count("n_sc", args.n_sc)
+        check_count("n_sc", args.n_sc)
         p_tot = chan.power_budget(args.n_sc, args.snr_db)
-        lib = liblib.load_library(args.library)
-        stats = _load_stats(args, lib)
         profile = chan.parse_profile_ref(args.profile)
+        src = None if args.stats is not None else sim.SyntheticSourceConfig(args.n_latents, args.source_seed)
+        lib = liblib.load_library(args.library)
+        stats = _load_stats(args, src, lib)
     except (liblib.LibraryFormatError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -251,9 +242,7 @@ def cmd_simulate(args) -> int:
 def cmd_ber_check(args) -> int:
     # a count below 1 would still measure one symbol, and no target would
     # print a bare header and pass
-    if args.bits_per_point < 1:
-        print(f"error: --bits-per-point must be >= 1, got {args.bits_per_point}", file=sys.stderr)
-        return 2
+    check_count("--bits-per-point", args.bits_per_point)
     if args.library is not None:
         try:
             lib = liblib.load_library(args.library)
@@ -279,7 +268,7 @@ def cmd_ber_check(args) -> int:
                 f"{m},{eps!r},{gamma!r},{ber!r},{rel!r},{args.bits_per_point},{args.seed},{__version__}"
             )
     print("\n".join(lines))
-    return 0 if worst <= args.max_rel_error else 1
+    return 0 if worst <= _BER_CHECK_TOLERANCE else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=Path("artifacts"))
     p.add_argument("--b-max", type=int, default=liblib.DEFAULT_B_MAX)
     p.add_argument("--eps", type=float, nargs="*", default=None)
-    _add_design_args(p)
+    p.add_argument("--seed", type=int, default=DesignConfig.seed)
     p.set_defaults(func=cmd_build_library)
 
     p = sub.add_parser("design-quantizer", help="design one quantizer, print JSON")
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--eps", type=float, nargs="+", required=True)
-    _add_design_args(p)
+    p.add_argument("--seed", type=int, default=DesignConfig.seed)
     p.set_defaults(func=cmd_design_quantizer)
 
     p = sub.add_parser("allocate", help="build a transmission plan")
@@ -328,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library", type=Path, default=None)
     p.add_argument("--eps", type=float, nargs="*", default=(0.001, 0.01, 0.05))
     p.add_argument("--bits-per-point", type=int, default=1_000_000)
-    p.add_argument("--max-rel-error", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ber_check)
 

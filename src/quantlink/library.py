@@ -41,7 +41,6 @@ __all__ = [
     "serialize_library",
     "save_library",
     "load_library",
-    "min_bits_vector",
     "sigma_max",
     "gamma_increments_convex",
 ]
@@ -92,7 +91,10 @@ class QuantizerLibrary:
     condition, which holds for every target below 0.34476 and fails above it.
     warnings collects build-time records about the distortion grid only
     (non-monotone or nonconvex columns, rows not monotone in the target),
-    which are informational, not failures.
+    which are informational, not failures. design is the configuration the
+    cells were designed with, written to the file's design block. The file's
+    format_version is not a field: FORMAT_VERSION is the one version
+    serialize_library writes and load_library accepts.
 
     Construction also builds the read-only (len(epsilons), b_max) distortion
     table, row q holding D(1; b, eps_q) for b = 1..b_max; distortion_table()
@@ -109,7 +111,6 @@ class QuantizerLibrary:
     design: DesignConfig
     gamma_thresholds: np.ndarray
     warnings: list[dict] = field(default_factory=list)
-    format_version: int = FORMAT_VERSION
     _table: np.ndarray = field(init=False, repr=False, compare=False)
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -241,34 +242,6 @@ def gamma_increments_convex(gamma_steps: np.ndarray):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def min_bits_vector(
-    lib: QuantizerLibrary, eps_index: int, variances: np.ndarray, delta: float = DEFAULT_DELTA
-) -> np.ndarray:
-    """Smallest bit depth per element meeting D(1; b, eps) <= 1/(sigma2 + 1).
-
-    Variances below `delta` are treated as negligible and get zero bits. The
-    first depth with D(b) <= bound is also the first with min(D(1..b)) <=
-    bound, and that running minimum is nonincreasing, so on any column the
-    depth is 1 + #{b : min(D(1..b)) > bound}: one searchsorted.
-    """
-    variances = np.asarray(variances, dtype=np.float64)
-    if not np.all(variances >= 0):
-        raise ValueError("variances must be nonnegative")
-    floor = np.minimum.accumulate(lib.distortion_column(eps_index))
-    bound = 1.0 / (variances + 1.0)
-    # an infeasible element gets depth b_max + 1 here
-    bits = floor.size + 1 - np.searchsorted(floor[::-1], bound, "right").astype(np.int64)
-    bits[variances < delta] = 0
-    bad = np.flatnonzero(bits > floor.size)
-    if bad.size:
-        i = int(bad[0])
-        raise InfeasibleTargetError(
-            f"element {i}: no bit depth <= {lib.b_max} reaches distortion "
-            f"{bound[i]:.6g} (sigma2 = {variances[i]:.6g}, eps index {eps_index})"
-        )
-    return bits
-
-
 _SIGMA_ULPS = 64
 
 
@@ -329,7 +302,7 @@ def serialize_library(lib: QuantizerLibrary) -> str:
         )
     doc = {
         "kind": "quantizer-library",
-        "format_version": lib.format_version,
+        "format_version": FORMAT_VERSION,
         "b_max": lib.b_max,
         "epsilons": _hex_list(lib.epsilons),
         "design": {
@@ -413,7 +386,6 @@ def load_library(path) -> QuantizerLibrary:
             design=design,
             gamma_thresholds=gamma,
             warnings=list(doc["warnings"]),
-            format_version=doc["format_version"],
         )
     except LibraryFormatError:
         raise

@@ -55,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_count, check_int, check_positive_finite
 from .gaussian import interval_moments, inv_std_normal_cdf
 from .rng import stream_rng
 
@@ -423,19 +424,11 @@ class DesignConfig:
     def __post_init__(self):
         # a float or bool count would be carried into the library file and
         # fail (or re-serialize differently) only at the next design
-        for name in ("restarts", "max_iters", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_count("restarts", self.restarts)
+        check_count("max_iters", self.max_iters)
+        check_int("seed", self.seed)
         # an infinite tolerance would stop every design after two iterations
-        rel_tol = self.rel_tol
-        real = isinstance(rel_tol, (int, float)) and not isinstance(rel_tol, bool)
-        if not (real and 0 < rel_tol < np.inf):
-            raise ValueError(f"rel_tol must be a positive finite float, got {rel_tol!r}")
+        check_positive_finite("rel_tol", self.rel_tol)
 
 
 _LEFT_EDGE = np.array([-np.inf])

@@ -54,11 +54,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_count, check_int, check_positive_finite, is_finite
 from ._version import __version__
 from . import channel as chan
 from . import allocator, modem, quantizer
@@ -107,9 +107,8 @@ class SyntheticSourceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("n_latents", self.n_latents)
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        check_count("n_latents", self.n_latents)
+        check_int("seed", self.seed)
 
 
 def draw_stats(cfg: SyntheticSourceConfig, sigma_max_value: float, rng: np.random.Generator) -> LatentStats:
@@ -342,25 +341,6 @@ def _send_frames(stats, y, plan, lib, realization, rngs):
     return yhat, err_per_sc, bits_per_sc
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A finite real number; bools and strings are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _check_count(name: str, value) -> None:
-    if not _is_int(value) or value < 1:
-        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-
-
-def _check_positive_finite(name: str, value) -> None:
-    if not _is_finite(value) or value <= 0:
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-
-
 @dataclass
 class ExperimentConfig:
     """Sweep definition: source, channel profile, SNR grid, trial counts."""
@@ -380,12 +360,11 @@ class ExperimentConfig:
         # a string would fail only after the library is loaded, and a string
         # seed would run under a different config digest
         for name in ("trials", "frames_per_realization", "n_sc"):
-            _check_count(name, getattr(self, name))
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
+            check_count(name, getattr(self, name))
+        check_int("seed", self.seed)
         for name in ("spacing_hz", "delta"):
-            _check_positive_finite(name, getattr(self, name))
-        finite = [_is_finite(s) for s in self.snr_db]
+            check_positive_finite(name, getattr(self, name))
+        finite = [is_finite(s) for s in self.snr_db]
         if not finite or not all(finite):
             raise ValueError(f"snr_db must be a nonempty list of finite numbers, got {self.snr_db!r}")
         # an SNR whose budget overflows or underflows would fail mid-sweep
@@ -506,11 +485,10 @@ def measure_link_ber(m: int, gamma: float, n_bits: int, rng: np.random.Generator
     """Empirical BER of Gray QAM through the transmit/equalize chain at SNR gamma.
 
     Uses unit channel gain and power `gamma` against unit-variance noise, which
-    is exactly the per-subcarrier model after equalization. n_bits must be at
-    least 1; at least one symbol is sent.
+    is exactly the per-subcarrier model after equalization. n_bits must be an
+    int of at least 1; at least one symbol is sent.
     """
-    if n_bits < 1:
-        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
+    check_count("n_bits", n_bits)
     n_sym = max(n_bits // m, 1)
     errors = 0
     done = 0

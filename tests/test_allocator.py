@@ -115,6 +115,61 @@ def test_min_alloc_permutation_equivariant(small_lib):
     assert np.array_equal(bits_p, bits[perm])
 
 
+def _min_bits(lib, eps_index, variances):
+    stats = LatentStats(np.zeros(len(variances)), np.asarray(variances, dtype=float))
+    bits, total = minimum_bit_allocation(lib, stats, eps_index, 0.4)
+    assert total == bits.sum()
+    return bits
+
+
+def test_min_alloc_examples(small_lib):
+    smax2 = sigma_max(small_lib) ** 2
+    last = small_lib.epsilons.size - 1
+    assert _min_bits(small_lib, last, [smax2 * 0.999])[0] == small_lib.b_max
+    with pytest.raises(InfeasibleTargetError, match="element 1:"):
+        _min_bits(small_lib, last, [1.0, smax2 * 1.5])
+    # on a column that rises again, the first fitting depth, not a later one
+    rising = np.array([0.125, 0.0625, 0.5, 0.25, 0.0625])
+    lib = SimpleNamespace(b_max=rising.size, distortion_column=lambda qi: rising)
+    assert _min_bits(lib, 0, [3.0, 15.0]).tolist() == [1, 2]
+
+
+def test_min_alloc_matches_scalar(small_lib):
+    rng = stream_rng("bits", 0)
+    v = rng.uniform(0.0, sigma_max(small_lib) ** 2, size=300)
+    got = _min_bits(small_lib, 0, v)
+    col = small_lib.distortion_column(0)
+    for i, s2 in enumerate(v):
+        expected = 0
+        if s2 >= 0.4:
+            expected = next(b for b in range(1, small_lib.b_max + 1) if col[b - 1] <= 1.0 / (s2 + 1.0))
+        assert got[i] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    col=st.lists(st.sampled_from([0.5, 0.25, 0.125, 0.0625]), min_size=1, max_size=6),
+    monotone=st.booleans(),
+    data=st.data(),
+)
+def test_min_alloc_matches_first_fitting_depth(col, monotone, data):
+    # dyadic columns with repeats; bounds 1 / (v + 1) land exactly on column values
+    col = np.array(sorted(col, reverse=True) if monotone else col)
+    lib = SimpleNamespace(b_max=col.size, distortion_column=lambda qi: col)
+    variances = st.sampled_from([0.0, 0.3, 1.0, 3.0, 7.0, 15.0, 20.0])
+    v = np.array(data.draw(st.lists(variances, min_size=1, max_size=12)))
+    want = []
+    for s2 in v:
+        fits = [b for b in range(1, col.size + 1) if col[b - 1] <= 1.0 / (s2 + 1.0)]
+        want.append(0 if s2 < 0.4 else (fits[0] if fits else None))
+    if None in want:
+        with pytest.raises(InfeasibleTargetError, match=f"element {want.index(None)}:"):
+            _min_bits(lib, 0, v)
+    else:
+        got = _min_bits(lib, 0, v)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # greedy power/modulation loading
 # ---------------------------------------------------------------------------

@@ -205,10 +205,12 @@ def test_realization_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             ChannelRealization(np.array([1 + 0j, bad]), 1.0, 30e3, 0)
-    with pytest.raises(ValueError):
-        realize_channel(flat_profile(), n_sc=0)
+    # a float n_sc used to round up (2.5 gave 3 subcarriers) and True gave 1
+    for bad in (0, -2, 2.5, True, "4"):
+        with pytest.raises(ValueError, match="n_sc must be an int >= 1"):
+            realize_channel(flat_profile(), n_sc=bad)
     # an infinite spacing used to pass and fail later as "gains must be finite"
-    for bad in (0.0, -30e3, np.nan, np.inf):
+    for bad in (0.0, -30e3, np.nan, np.inf, True, "30e3"):
         with pytest.raises(ValueError, match="spacing_hz must be a positive finite number"):
             realize_channel(flat_profile(), n_sc=4, spacing_hz=bad)
 

@@ -38,7 +38,6 @@ def tiny_lib_dir(tmp_path_factory):
             "--out", str(out),
             "--b-max", "2",
             "--eps", "0.01", "0.05",
-            "--restarts", "3",
             "--seed", "9",
         ]
     )
@@ -55,11 +54,17 @@ def test_build_library_outputs(tiny_lib_dir):
     assert len(rows) == 1 + 2 * 2
 
 
+def test_build_library_writes_the_fixed_design_settings(tiny_lib_dir):
+    # only --seed is settable; the rest of the design block is DesignConfig's defaults
+    doc = json.loads((tiny_lib_dir / "library.json").read_text())
+    assert doc["design"] == {"restarts": 10, "max_iters": 200, "rel_tol": (1e-9).hex(), "seed": 9}
+
+
 def test_build_library_deterministic(tiny_lib_dir, tmp_path, capsys):
     code, _, _ = _run(
         capsys,
         "build-library", "--out", str(tmp_path),
-        "--b-max", "2", "--eps", "0.01", "0.05", "--restarts", "3", "--seed", "9",
+        "--b-max", "2", "--eps", "0.01", "0.05", "--seed", "9",
     )
     assert code == 0
     a = hashlib.sha256((tiny_lib_dir / "library.json").read_bytes()).hexdigest()
@@ -71,7 +76,7 @@ def test_build_library_single_cell_value(tmp_path, capsys):
     code, out, _ = _run(
         capsys,
         "build-library", "--out", str(tmp_path),
-        "--b-max", "1", "--eps", "0.05", "--restarts", "3", "--seed", "1",
+        "--b-max", "1", "--eps", "0.05", "--seed", "1",
     )
     assert code == 0
     row = (tmp_path / "distortions.csv").read_text().strip().split("\n")[1]
@@ -83,14 +88,14 @@ def test_build_library_unwritable_path(capsys):
     code, _, err = _run(
         capsys,
         "build-library", "--out", "/proc/definitely/not/writable",
-        "--b-max", "1", "--eps", "0.05", "--restarts", "2", "--seed", "1",
+        "--b-max", "1", "--eps", "0.05", "--seed", "1",
     )
     assert code == 2
     assert "error" in err.lower()
 
 
 def test_design_quantizer_json(capsys):
-    code, out, _ = _run(capsys, "design-quantizer", "--bits", "1", "--eps", "0.05", "--restarts", "3")
+    code, out, _ = _run(capsys, "design-quantizer", "--bits", "1", "--eps", "0.05")
     assert code == 0
     doc = json.loads(out)
     assert doc["bit_depth"] == 1
@@ -271,18 +276,27 @@ def test_build_library_rejects_b_max_before_designing(monkeypatch, tmp_path, cap
     assert not (tmp_path / "lib").exists()
 
 
-def test_allocate_rejects_zero_latents(tiny_lib_dir, capsys):
-    code, out, err = _run(capsys, "allocate", "--library", str(tiny_lib_dir / "library.json"), "--n-latents", "0")
+def test_allocate_rejects_zero_latents(no_library_load, capsys):
+    # used to exit 2 only after the library loaded, or with "cannot read library file"
+    code, out, err = _run(capsys, "allocate", "--library", "/nonexistent/lib.json", "--n-latents", "0")
     assert code == 2 and out == ""
-    assert "n_latents must be an int >= 1" in err
+    assert "n_latents must be an int >= 1, got 0" in err
+
+
+@pytest.mark.parametrize(
+    "profile, message", [("exp-pdp(0)", "rms_ns must be positive"), ("/nonexistent/tdl.json", "No such file")]
+)
+def test_allocate_rejects_a_bad_profile_before_loading(profile, message, no_library_load, capsys):
+    # used to load the library and the stats first
+    code, out, err = _run(capsys, "allocate", "--library", "lib.json", "--profile", profile)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_parser_defaults_come_from_the_configs():
     parser = cli.build_parser()
-    design = DesignConfig()
     for argv in (["build-library"], ["design-quantizer", "--bits", "2", "--eps", "0.01"]):
-        args = parser.parse_args(argv)
-        assert cli._design_config(args) == design
+        assert parser.parse_args(argv).seed == DesignConfig().seed
     args = parser.parse_args(["allocate", "--library", "lib.json"])
     source = simulator.SyntheticSourceConfig()
     assert args.spacing_khz * 1e3 == channel.DEFAULT_SPACING_HZ

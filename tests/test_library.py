@@ -2,15 +2,12 @@ import copy
 import dataclasses
 import hashlib
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from quantlink import library, modem
-from quantlink.allocator import LatentStats, optimize_plan
+from quantlink.allocator import LatentStats, minimum_bit_allocation, optimize_plan
 from quantlink.channel import exponential_pdp, realize_channel
 from quantlink.library import (
     InfeasibleTargetError,
@@ -20,7 +17,6 @@ from quantlink.library import (
     default_epsilon_grid,
     gamma_increments_convex,
     load_library,
-    min_bits_vector,
     save_library,
     serialize_library,
     sigma_max,
@@ -64,60 +60,10 @@ def test_row_monotone_in_target(small_lib):
         assert np.all(np.diff(row) >= -1e-9)
 
 
-def test_min_bits_examples(small_lib):
-    assert min_bits_vector(small_lib, 1, [0.1], 0.4)[0] == 0  # negligible variance
-    assert min_bits_vector(small_lib, 1, [1.0], 0.4)[0] == 1  # 0.4843 <= 0.5
-    smax2 = sigma_max(small_lib) ** 2
-    last = small_lib.epsilons.size - 1
-    assert min_bits_vector(small_lib, last, [smax2 * 0.999], 0.4)[0] == small_lib.b_max
-    with pytest.raises(InfeasibleTargetError):
-        min_bits_vector(small_lib, last, [smax2 * 1.5], 0.4)
-    # on a column that rises again, the first fitting depth, not a later one
-    rising = np.array([0.125, 0.0625, 0.5, 0.25, 0.0625])
-    lib = SimpleNamespace(b_max=rising.size, distortion_column=lambda qi: rising)
-    assert min_bits_vector(lib, 0, [3.0, 15.0], 0.4).tolist() == [1, 2]
-
-
-def test_min_bits_vector_matches_scalar(small_lib):
-    rng = stream_rng("bits", 0)
-    smax2 = sigma_max(small_lib) ** 2
-    v = rng.uniform(0.0, smax2, size=300)
-    vec = min_bits_vector(small_lib, 0, v, 0.4)
-    col = small_lib.distortion_column(0)
-    for i, s2 in enumerate(v):
-        expected = 0
-        if s2 >= 0.4:
-            expected = next(b for b in range(1, small_lib.b_max + 1) if col[b - 1] <= 1.0 / (s2 + 1.0))
-        assert vec[i] == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    col=st.lists(st.sampled_from([0.5, 0.25, 0.125, 0.0625]), min_size=1, max_size=6),
-    monotone=st.booleans(),
-    data=st.data(),
-)
-def test_min_bits_vector_matches_first_fitting_depth(col, monotone, data):
-    # dyadic columns with repeats; bounds 1 / (v + 1) land exactly on column values
-    col = np.array(sorted(col, reverse=True) if monotone else col)
-    lib = SimpleNamespace(b_max=col.size, distortion_column=lambda qi: col)
-    variances = st.sampled_from([0.0, 0.3, 1.0, 3.0, 7.0, 15.0, 20.0])
-    v = np.array(data.draw(st.lists(variances, min_size=1, max_size=12)))
-    want = []
-    for s2 in v:
-        fits = [b for b in range(1, col.size + 1) if col[b - 1] <= 1.0 / (s2 + 1.0)]
-        want.append(0 if s2 < 0.4 else (fits[0] if fits else None))
-    if None in want:
-        with pytest.raises(InfeasibleTargetError, match=f"element {want.index(None)}:"):
-            min_bits_vector(lib, 0, v, 0.4)
-    else:
-        got = min_bits_vector(lib, 0, v, 0.4)
-        assert got.dtype == np.int64 and got.tolist() == want
-
-
-def test_min_bits_vector_rejects_nan_variances(small_lib):
-    with pytest.raises(ValueError, match="nonnegative"):
-        min_bits_vector(small_lib, 0, [1.0, np.nan], 0.4)
+def _depths(lib, eps_index, variances):
+    """The planner's minimum depths, which raise InfeasibleTargetError where no depth serves."""
+    stats = LatentStats(np.zeros(len(variances)), np.asarray(variances, dtype=float))
+    return minimum_bit_allocation(lib, stats, eps_index, 0.4)[0]
 
 
 def test_sigma_max_feasibility_sweep(small_lib):
@@ -125,7 +71,7 @@ def test_sigma_max_feasibility_sweep(small_lib):
     smax2 = sigma_max(small_lib) ** 2
     v = rng.uniform(0.0, smax2, size=10_000)
     for qi in range(small_lib.epsilons.size):
-        bits = min_bits_vector(small_lib, qi, v, 0.4)  # raises if infeasible
+        bits = _depths(small_lib, qi, v)  # raises if infeasible
         assert np.all(bits <= small_lib.b_max)
 
 
@@ -141,7 +87,7 @@ def test_sigma_max_takes_worst_column(small_lib):
     assert sigma_max(lib) < sigma_max(small_lib)
     smax2 = sigma_max(lib) ** 2
     for qi in range(lib.epsilons.size):
-        min_bits_vector(lib, qi, [smax2 * 0.999], 0.4)  # raises if infeasible
+        _depths(lib, qi, [smax2 * 0.999])  # raises if infeasible
 
 
 def test_sigma_max_reads_best_reachable_distortion(small_lib):
@@ -159,7 +105,7 @@ def test_sigma_max_reads_best_reachable_distortion(small_lib):
     assert np.sqrt(1.0 / 0.35 - 1.0) < sigma_max(lib)  # the value D(b_max) gave
     smax2 = sigma_max(lib) ** 2
     for qi in range(lib.epsilons.size):
-        min_bits_vector(lib, qi, [smax2], 0.4)  # raises if infeasible
+        _depths(lib, qi, [smax2])  # raises if infeasible
     stats = LatentStats(np.zeros(2), np.array([smax2, 1.0]))
     ch = realize_channel(exponential_pdp(300.0), 8, 30e3, seed=1)
     assert optimize_plan(lib, stats, ch, 8 * 1e3).b_lat > 0
@@ -176,17 +122,17 @@ def test_sigma_max_is_the_largest_feasible_sigma(which, request):
     smax = sigma_max(lib)
     for square in (smax**2, smax * smax):
         for qi in range(lib.epsilons.size):
-            min_bits_vector(lib, qi, [square], 0.4)  # raises if infeasible
+            _depths(lib, qi, [square])  # raises if infeasible
     worst = int(np.argmax(lib.distortion_table().min(axis=1)))
     above = float(np.nextafter(smax, np.inf))
     with pytest.raises(InfeasibleTargetError):
-        min_bits_vector(lib, worst, [above**2, above * above], 0.4)
+        _depths(lib, worst, [above**2, above * above])
     if which == "default":
         assert smax == 4.741190556636805  # the value every pinned sweep drew from
     if which == "one-bit":
         best = lib.distortion_table().min()
         with pytest.raises(InfeasibleTargetError):
-            min_bits_vector(lib, 0, [np.sqrt(1.0 / best - 1.0) ** 2], 0.4)
+            _depths(lib, 0, [np.sqrt(1.0 / best - 1.0) ** 2])
 
 
 def test_sigma_max_algebra():

@@ -89,3 +89,32 @@ def test_settable_values_count_defaults_fields_methods_and_options(tmp_path, cap
         "",
     ]
     assert str(tmp_path) not in sys.path
+
+
+# src/quantlink's table; a change that adds or removes a setting updates it
+# and says so in CHANGES.md
+QUANTLINK_VALUES = """\
+ 0 __init__.py
+ 0 _checks.py
+ 0 _version.py
+ 5 allocator.py
+ 4 channel.py
+27 cli.py
+ 4 cli.py build-library
+ 3 cli.py design-quantizer
+13 cli.py allocate
+ 3 cli.py simulate
+ 4 cli.py ber-check
+ 0 gaussian.py
+ 4 library.py
+ 0 modem.py
+ 8 quantizer.py
+ 0 rng.py
+12 simulator.py
+60 total
+"""
+
+
+def test_quantlink_settable_values_are_pinned(capsys):
+    assert _tool().main([]) == 0
+    assert capsys.readouterr().out == QUANTLINK_VALUES

@@ -766,6 +766,6 @@ def test_experiment_batches_stay_within_the_bound(small_lib, monkeypatch, entrie
 
 
 def test_measure_link_ber_rejects_fewer_than_one_bit():
-    for n_bits in (0, -5):
+    for n_bits in (0, -5, 2.5, True):
         with pytest.raises(ValueError, match="n_bits"):
             simulator.measure_link_ber(2, 10.0, n_bits, stream_rng("ber", 0))
