@@ -101,6 +101,10 @@ class NoFeasibleRateError(Exception):
 class LatentStats:
     """Per-element Gaussian parameters driving allocation and synthesis.
 
+    means and variances are equal-length 1-D vectors of ints or floats, kept
+    as float64: finite means, finite nonnegative variances. A string or bool
+    entry is refused, not converted.
+
     The object is immutable once its digest has been read: digest() hashes
     the means and variances on its first call and returns that hash from
     then on. Derive changed stats with dataclasses.replace, which starts
@@ -112,6 +116,10 @@ class LatentStats:
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("means", "variances"):
+            kind = np.asarray(getattr(self, name)).dtype.kind
+            if kind not in "iuf":
+                raise ValueError(f"{name} must hold only ints and floats, got array kind {kind!r}")
         self.means = np.asarray(self.means, dtype=np.float64)
         self.variances = np.asarray(self.variances, dtype=np.float64)
         if self.means.shape != self.variances.shape or self.means.ndim != 1:

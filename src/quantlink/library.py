@@ -26,7 +26,7 @@ from .quantizer import (
     MAX_BIT_DEPTH,
     DesignConfig,
     ScalarQuantizer,
-    analytic_distortion,
+    _analytic_distortion,
     design_channel_optimized,
     uniform_bsc,
 )
@@ -272,16 +272,12 @@ def sigma_max(lib: QuantizerLibrary) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hex(x: float) -> str:
-    return float(x).hex()
-
-
 def _hex_list(arr) -> list[str]:
-    return [_hex(v) for v in np.asarray(arr, dtype=np.float64).ravel()]
+    return [v.hex() for v in np.asarray(arr, dtype=np.float64).ravel().tolist()]
 
 
-def _unhex(s) -> float:
-    return float.fromhex(s)
+def _unhex_array(strings) -> np.ndarray:
+    return np.fromiter(map(float.fromhex, strings), dtype=np.float64)
 
 
 def serialize_library(lib: QuantizerLibrary) -> str:
@@ -297,7 +293,7 @@ def serialize_library(lib: QuantizerLibrary) -> str:
                 "thresholds": _hex_list(q.thresholds),
                 "levels": _hex_list(q.levels),
                 "region_codewords": [int(c) for c in q.region_codewords],
-                "distortion": _hex(q.normalized_distortion),
+                "distortion": float(q.normalized_distortion).hex(),
             }
         )
     doc = {
@@ -308,7 +304,7 @@ def serialize_library(lib: QuantizerLibrary) -> str:
         "design": {
             "restarts": lib.design.restarts,
             "max_iters": lib.design.max_iters,
-            "rel_tol": _hex(lib.design.rel_tol),
+            "rel_tol": float(lib.design.rel_tol).hex(),
             "seed": lib.design.seed,
         },
         "qam_bits": list(modem.QAM_BITS),
@@ -345,14 +341,14 @@ def load_library(path) -> QuantizerLibrary:
         b_max = doc["b_max"]
         if not isinstance(b_max, int) or isinstance(b_max, bool) or not 1 <= b_max <= MAX_BIT_DEPTH:
             raise LibraryFormatError(f"b_max must be an int in [1, {MAX_BIT_DEPTH}], got {b_max!r}")
-        epsilons = _validated_grid([_unhex(s) for s in doc["epsilons"]])
+        epsilons = _validated_grid(_unhex_array(doc["epsilons"]))
         design = DesignConfig(
             restarts=doc["design"]["restarts"],
             max_iters=doc["design"]["max_iters"],
-            rel_tol=_unhex(doc["design"]["rel_tol"]),
+            rel_tol=float.fromhex(doc["design"]["rel_tol"]),
             seed=doc["design"]["seed"],
         )
-        gamma = np.array([[_unhex(s) for s in row] for row in doc["gamma_thresholds"]])
+        gamma = np.array([_unhex_array(row) for row in doc["gamma_thresholds"]])
         cells: dict[tuple[int, int], ScalarQuantizer] = {}
         for rec in doc["cells"]:
             b = rec["b"]
@@ -360,21 +356,24 @@ def load_library(path) -> QuantizerLibrary:
                 raise LibraryFormatError(f"cell ({b},{rec['eps_index']}) appears twice")
             q = ScalarQuantizer(
                 bit_depth=b,
-                thresholds=np.array([_unhex(s) for s in rec["thresholds"]]),
-                levels=np.array([_unhex(s) for s in rec["levels"]]),
+                thresholds=_unhex_array(rec["thresholds"]),
+                levels=_unhex_array(rec["levels"]),
                 region_codewords=np.array(rec["region_codewords"], dtype=np.int64),
-                designed_for=np.array([_unhex(s) for s in rec["flips"]]),
-                normalized_distortion=_unhex(rec["distortion"]),
+                designed_for=_unhex_array(rec["flips"]),
+                normalized_distortion=float.fromhex(rec["distortion"]),
             )
+            # validate() checks the flip vector, once: the grid's uniform
+            # vector is made of a checked target, and the distortion check
+            # below reads flips that validate() has passed
             q.validate()
-            if not np.array_equal(q.designed_for, uniform_bsc(b, epsilons[rec["eps_index"]])):
+            if not np.array_equal(q.designed_for, np.full(b, float(epsilons[rec["eps_index"]]))):
                 raise LibraryFormatError(
                     f"cell ({b},{rec['eps_index']}): flips disagree with the epsilon grid"
                 )
             if rec["active_count"] != q.active_count:
                 raise LibraryFormatError(f"cell ({b},{rec['eps_index']}): active_count mismatch")
             # written as `not <=` so that a NaN distortion fails too
-            if not abs(analytic_distortion(q, q.designed_for) - q.normalized_distortion) <= 1e-10:
+            if not abs(_analytic_distortion(q, q.designed_for) - q.normalized_distortion) <= 1e-10:
                 raise LibraryFormatError(
                     f"cell ({b},{rec['eps_index']}): stored distortion disagrees with parameters"
                 )
@@ -389,6 +388,6 @@ def load_library(path) -> QuantizerLibrary:
         )
     except LibraryFormatError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise LibraryFormatError(f"malformed library file {path}: {exc}") from exc
     return lib

@@ -70,6 +70,21 @@ def test_latent_stats_rejects_non_finite_means():
             LatentStats(np.array([bad, 0.0]), np.ones(2))
 
 
+@pytest.mark.parametrize("field", ["means", "variances"])
+@pytest.mark.parametrize("bad", [["0", "1"], [False, True], [1.0, None], [1 + 0j, 1.0]])
+def test_latent_stats_refuses_entries_that_are_not_ints_or_floats(field, bad):
+    # np.asarray(..., dtype=float64) would turn "0" and True into numbers
+    values = {"means": [0.0, 0.0], "variances": [1.0, 2.0], field: bad}
+    with pytest.raises(ValueError, match=f"{field} must hold only ints and floats"):
+        LatentStats(np.asarray(values["means"]), np.asarray(values["variances"]))
+
+
+def test_latent_stats_takes_ints_as_floats():
+    stats = LatentStats(np.array([0, -1]), np.array([2, 0], dtype=np.uint8))
+    assert stats.means.dtype == stats.variances.dtype == np.float64
+    assert stats.variances.tolist() == [2.0, 0.0]
+
+
 def test_stats_digest_is_computed_once_per_object(monkeypatch):
     calls = []
 

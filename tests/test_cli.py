@@ -210,6 +210,30 @@ def test_allocate_malformed_stats_exit_2(tiny_lib_dir, tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"means": ["0", "0"], "variances": ["2.5", "1"]}, "means"),
+        ({"means": [0.0, 0.0], "variances": ["2.5", "1"]}, "variances"),
+        ({"means": [False, False], "variances": [True, True]}, "means"),
+        ({"means": [0, 0], "variances": [True, True]}, "variances"),
+    ],
+)
+def test_allocate_refuses_stats_that_are_not_numbers(doc, field, tiny_lib_dir, tmp_path, capsys):
+    # strings and bools used to be converted to floats, planned and exit 0
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps(doc))
+    code, out, err = _run(
+        capsys,
+        "allocate",
+        "--library", str(tiny_lib_dir / "library.json"),
+        "--stats", str(stats),
+        "--n-sc", "16", "--snr-db", "10", "--channel-seed", "5",
+    )
+    assert code == 2 and out == ""
+    assert f"error: {field} must hold only ints and floats" in err
+
+
 def test_allocate_infeasible_exit_3(tiny_lib_dir, tmp_path, capsys):
     code, _, err = _run(
         capsys,
@@ -463,6 +487,15 @@ def test_ber_check_rejects_an_empty_target_list(no_measurement, capsys):
     code, out, err = _run(capsys, "ber-check", "--eps", "--bits-per-point", "1000")
     assert code == 2 and out == ""
     assert "no BER target" in err
+
+
+@pytest.mark.parametrize("targets", [["0.01", "0"], ["0.01", "0.02", "0.5"], ["0.01", "nan"]])
+def test_ber_check_checks_every_target_before_measuring(targets, no_measurement, capsys):
+    # a bad later target used to be refused only after the earlier points
+    # were measured, about 1.3 s at 2e7 bits per point
+    code, out, err = _run(capsys, "ber-check", "--eps", *targets, "--bits-per-point", "20000000")
+    assert code == 2 and out == ""
+    assert "target BER" in err
 
 
 @pytest.mark.parametrize("bits", ["0", "-5"])

@@ -242,6 +242,31 @@ def _tampered(tmp_path, lib, edit):
     return bad_path
 
 
+@pytest.mark.parametrize("field", ["thresholds", "levels", "flips"])
+@pytest.mark.parametrize("bad", ["one", "0x1p", "", "0x1p+1024", 0.5, 1, None, ["0x1p-1"]])
+def test_load_refuses_a_cell_entry_that_is_not_a_hex_string(tmp_path, small_lib, field, bad):
+    # each entry goes through float.fromhex: a bare number, a non-hex string,
+    # a hex value too large for a float (an OverflowError that used to escape
+    # as a traceback) or a nested list is refused, never converted
+    def tamper(doc):
+        cell = next(c for c in doc["cells"] if (c["b"], c["eps_index"]) == (2, 1))
+        cell[field][0] = bad
+
+    with pytest.raises(LibraryFormatError, match="malformed library file"):
+        load_library(_tampered(tmp_path, small_lib, tamper))
+
+
+@pytest.mark.parametrize("field", ["thresholds", "levels", "flips"])
+@pytest.mark.parametrize("bad", [0.5, 3, None, True])
+def test_load_refuses_a_cell_field_that_is_not_a_list(tmp_path, small_lib, field, bad):
+    def tamper(doc):
+        cell = next(c for c in doc["cells"] if (c["b"], c["eps_index"]) == (2, 1))
+        cell[field] = bad
+
+    with pytest.raises(LibraryFormatError, match="malformed library file"):
+        load_library(_tampered(tmp_path, small_lib, tamper))
+
+
 def test_load_rejects_repeated_cell(tmp_path, small_lib):
     # a second record for one cell used to overwrite the first unnoticed
     def repeat(doc):

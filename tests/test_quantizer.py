@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -57,6 +58,50 @@ def test_transition_prob_examples():
 def test_transition_rows_sum_to_one(flips):
     m = bsc_transition_matrix(flips)
     assert np.max(np.abs(m.sum(axis=1) - 1.0)) < 1e-12
+
+
+def _per_bit_product(flips):
+    """The transition matrix as b full passes, one per bit, MSB first: the reference."""
+    flips = np.asarray(flips, dtype=np.float64)
+    b = flips.size
+    codes = np.arange(1 << b)
+    diff = codes[:, None] ^ codes[None, :]
+    out = np.ones((1 << b, 1 << b))
+    for j in range(b):
+        bit = (diff >> (b - 1 - j)) & 1
+        out *= np.where(bit == 1, flips[j], 1.0 - flips[j])
+    return out
+
+
+@pytest.mark.parametrize("b", range(1, 11))
+def test_transition_matrix_is_the_per_bit_product_bit_for_bit(b):
+    rng = np.random.default_rng(1900 + b)
+    cases = [
+        rng.uniform(0.0, 0.5, b),
+        rng.uniform(0.0, 1e-3, b),
+        np.full(b, 0.0),
+        np.full(b, 0.5),
+        rng.choice([0.0, 0.5, 0.1, 1.0 / 3.0], b),
+    ]
+    for flips in cases:
+        got = bsc_transition_matrix(flips)
+        assert got.shape == (1 << b, 1 << b) and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), _per_bit_product(flips).view(np.int64))
+
+
+def test_transition_matrix_refuses_a_deep_vector_before_building_it(monkeypatch):
+    # the cap is lowered so that a check made after the build would cost a
+    # 2^11 x 2^11 matrix (32 MB), not the 512 MB of 2^13 x 2^13
+    monkeypatch.setattr(quantizer_module, "MAX_BIT_DEPTH", 10)
+    flips = np.full(11, 0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bit depth 11 exceeds supported maximum 10"):
+            bsc_transition_matrix(flips)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
