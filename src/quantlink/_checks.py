@@ -31,3 +31,8 @@ def check_count(name: str, value) -> None:
 def check_positive_finite(name: str, value) -> None:
     if not is_finite(value) or value <= 0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def check_nonnegative_finite(name: str, value) -> None:
+    if not is_finite(value) or value < 0:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")

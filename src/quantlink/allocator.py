@@ -69,13 +69,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_nonnegative_finite
 from ._version import __version__
 from .channel import ChannelRealization
-from .library import DEFAULT_DELTA, InfeasibleTargetError, QuantizerLibrary, gamma_increments_convex
+from .library import DEFAULT_DELTA, QuantizerLibrary, gamma_increments_convex
 from .modem import QAM_BITS
 from .rng import stream_seed
 
 __all__ = [
+    "InfeasibleTargetError",
     "NoFeasibleRateError",
     "LatentStats",
     "AllocationPlan",
@@ -91,6 +93,10 @@ __all__ = [
 ]
 
 POWER_SLACK = 1e-9
+
+
+class InfeasibleTargetError(Exception):
+    """No bit depth in the library meets an element's distortion bound."""
 
 
 class NoFeasibleRateError(Exception):
@@ -384,12 +390,15 @@ def optimize_plan(
 ) -> AllocationPlan:
     """Full allocation pass: rate every target, select, solve the winner, refine.
 
-    Raises what _rate_targets raises. Each stage runs at most once, through
+    Raises ValueError for a delta that is not a finite number >= 0 (a NaN
+    one would count every element negligible and plan nothing), then what
+    _rate_targets raises. Each stage runs at most once, through
     the module attribute that names it, so a tracer that wraps those
     attributes times each stage. A zero-bit source (t_sym = 0) gets the
     smallest target and zero bits, modulations and powers; no stage after
     the selection runs.
     """
+    check_nonnegative_finite("delta", delta)
     gamma = np.vstack((np.zeros(lib.epsilons.size), lib.gamma_thresholds))  # column q: target q
     b_lat, r_sym = _rate_targets(lib, stats, channel, p_tot, delta, gamma)
     eps_index, t_sym = select_ber_target(b_lat, r_sym)
@@ -468,10 +477,13 @@ def validate_plan(
 ) -> None:
     """Check every structural invariant of the plan's fields; raises ValueError on violation.
 
+    A delta that is not a finite number >= 0 is refused first.
+
     The bit placement is not a field: build_bit_mapping derives it, and a
     property test of that function shows it a bijection onto the active bit
     slots.
     """
+    check_nonnegative_finite("delta", delta)
     if not np.all(np.isfinite(plan.powers) & (plan.powers >= 0)):
         raise ValueError("powers must be finite and nonnegative")
     if plan.powers.sum() > p_tot + POWER_SLACK:

@@ -11,7 +11,9 @@ Subcommands:
 Every command is deterministic given --seed, which is echoed into all outputs
 along with the tool version and input digests. Exit codes: 0 success (for
 `simulate`, additionally no distortion-target violations), 1 violations or
-check failures, 2 bad arguments/config/paths, 3 infeasible allocation.
+check failures, 2 bad arguments/config/paths, 3 infeasible allocation (no BER
+target gives a positive symbol rate; `allocate` and `simulate` only). main
+alone turns an error into its exit code and one `error: ...` line.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from . import library as liblib
 from . import modem
 from . import simulator as sim
 from .allocator import (
+    InfeasibleTargetError,
     LatentStats,
     NoFeasibleRateError,
     optimize_plan,
@@ -49,25 +52,21 @@ def cmd_build_library(args) -> int:
     grid = sorted(args.eps) if args.eps else None
     lib = liblib.build_library(args.b_max, grid, cfg)
     out_dir = args.out
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lib_path = out_dir / "library.json"
-        liblib.save_library(lib, lib_path)
-        csv_path = out_dir / "distortions.csv"
-        lines = ["b,eps_index,eps,active_count,lloyd_max_distortion,optimized_distortion"]
-        from .quantizer import analytic_distortion, design_lloyd_max
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lib_path = out_dir / "library.json"
+    liblib.save_library(lib, lib_path)
+    csv_path = out_dir / "distortions.csv"
+    lines = ["b,eps_index,eps,active_count,lloyd_max_distortion,optimized_distortion"]
+    from .quantizer import analytic_distortion, design_lloyd_max
 
-        for qi, eps in enumerate(lib.epsilons):
-            for b in range(1, lib.b_max + 1):
-                lm = analytic_distortion(design_lloyd_max(b, cfg), uniform_bsc(b, float(eps)))
-                cell = lib.quantizer(b, qi)
-                lines.append(
-                    f"{b},{qi},{eps!r},{cell.active_count},{lm!r},{cell.normalized_distortion!r}"
-                )
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return 2
+    for qi, eps in enumerate(lib.epsilons):
+        for b in range(1, lib.b_max + 1):
+            lm = analytic_distortion(design_lloyd_max(b, cfg), uniform_bsc(b, float(eps)))
+            cell = lib.quantizer(b, qi)
+            lines.append(
+                f"{b},{qi},{eps!r},{cell.active_count},{lm!r},{cell.normalized_distortion!r}"
+            )
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(
         json.dumps(
             {
@@ -92,11 +91,7 @@ def cmd_design_quantizer(args) -> int:
         if len(args.eps) == 1
         else np.asarray([float(e) for e in args.eps])
     )
-    try:
-        q = design_channel_optimized(args.bits, flips, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    q = design_channel_optimized(args.bits, flips, cfg)
     print(
         json.dumps(
             {
@@ -123,39 +118,32 @@ def _load_stats(args, src, lib) -> LatentStats:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"stats file {args.stats}: the top level must be a JSON object")
+        for key in ("means", "variances"):
+            if key not in doc:
+                raise ValueError(f"stats file {args.stats}: no {key!r} key")
         return LatentStats(np.asarray(doc["means"]), np.asarray(doc["variances"]))
     return sim.draw_stats(src, liblib.sigma_max(lib), stream_rng("source", args.seed, args.source_seed))
 
 
 def cmd_allocate(args) -> int:
-    try:
-        check_positive_finite("delta", args.delta)
-        # judged in Hz, where a finite spacing in kHz can still overflow to inf
-        spacing_hz = args.spacing_khz * 1e3
-        if not is_finite(spacing_hz) or spacing_hz <= 0:
-            raise ValueError(
-                f"spacing_khz must be a positive finite number, got {args.spacing_khz!r} ({spacing_hz!r} Hz)"
-            )
-        check_count("n_sc", args.n_sc)
-        p_tot = chan.power_budget(args.n_sc, args.snr_db)
-        profile = chan.parse_profile_ref(args.profile)
-        src = None if args.stats is not None else sim.SyntheticSourceConfig(args.n_latents, args.source_seed)
-        lib = liblib.load_library(args.library)
-        stats = _load_stats(args, src, lib)
-    except (liblib.LibraryFormatError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # every input is checked before the library loads
+    check_positive_finite("delta", args.delta)
+    # judged in Hz, where a finite spacing in kHz can still overflow to inf
+    spacing_hz = args.spacing_khz * 1e3
+    if not is_finite(spacing_hz) or spacing_hz <= 0:
+        raise ValueError(
+            f"spacing_khz must be a positive finite number, got {args.spacing_khz!r} ({spacing_hz!r} Hz)"
+        )
+    check_count("n_sc", args.n_sc)
+    p_tot = chan.power_budget(args.n_sc, args.snr_db)
+    profile = chan.parse_profile_ref(args.profile)
+    src = None if args.stats is not None else sim.SyntheticSourceConfig(args.n_latents, args.source_seed)
+    lib = liblib.load_library(args.library)
+    stats = _load_stats(args, src, lib)
     realization = chan.realize_channel(
         profile, args.n_sc, spacing_hz, seed=args.channel_seed
     )
-    try:
-        plan = optimize_plan(lib, stats, realization, p_tot, args.delta, seed=args.seed)
-    except NoFeasibleRateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except liblib.InfeasibleTargetError as exc:
-        print(f"error: {exc} (variances must be clamped to sigma_max^2)", file=sys.stderr)
-        return 2
+    plan = optimize_plan(lib, stats, realization, p_tot, args.delta, seed=args.seed)
     if args.check:
         # a plan that fails its check is not written
         try:
@@ -164,11 +152,7 @@ def cmd_allocate(args) -> int:
             print(f"error: plan check failed: {exc}", file=sys.stderr)
             return 1
     if args.out is not None:
-        try:
-            args.out.write_text(serialize_plan(plan), encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write plan: {exc}", file=sys.stderr)
-            return 2
+        args.out.write_text(serialize_plan(plan), encoding="utf-8")
     print(
         json.dumps(
             {
@@ -206,35 +190,31 @@ def cmd_simulate(args) -> int:
             settings["profile_ref"] = doc["profile"]
         cfg = sim.ExperimentConfig(source=sim.SyntheticSourceConfig(**doc.get("source", {})), **settings)
         lib = liblib.load_library(doc["library"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, liblib.LibraryFormatError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, liblib.LibraryFormatError) as exc:
         print(f"error: bad experiment config: {exc}", file=sys.stderr)
         return 2
     reports = sim.run_experiment(cfg, lib, keep_trials=args.detail)
     csv_text = sim.report_rows_to_csv(reports)
-    try:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-        (args.out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
-        if args.detail:
-            detail = {
-                "version": __version__,
-                "seed": cfg.seed,
-                "config_digest": cfg.digest(),
-                "points": [
-                    {
-                        "snr_db": r.snr_db,
-                        "mean_distortion_per_element": [float(v) for v in r.mean_distortion_per_element],
-                        "per_element_target": [float(v) for v in r.per_element_target],
-                        "trials": r.trial_details,
-                    }
-                    for r in reports
-                ],
-            }
-            (args.out_dir / "report.json").write_text(
-                json.dumps(detail, sort_keys=True) + "\n", encoding="utf-8"
-            )
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return 2
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    (args.out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
+    if args.detail:
+        detail = {
+            "version": __version__,
+            "seed": cfg.seed,
+            "config_digest": cfg.digest(),
+            "points": [
+                {
+                    "snr_db": r.snr_db,
+                    "mean_distortion_per_element": [float(v) for v in r.mean_distortion_per_element],
+                    "per_element_target": [float(v) for v in r.per_element_target],
+                    "trials": r.trial_details,
+                }
+                for r in reports
+            ],
+        }
+        (args.out_dir / "report.json").write_text(
+            json.dumps(detail, sort_keys=True) + "\n", encoding="utf-8"
+        )
     print(csv_text, end="")
     return 0 if all(r.violation_rate == 0.0 for r in reports) else 1
 
@@ -244,17 +224,12 @@ def cmd_ber_check(args) -> int:
     # print a bare header and pass
     check_count("--bits-per-point", args.bits_per_point)
     if args.library is not None:
-        try:
-            lib = liblib.load_library(args.library)
-        except liblib.LibraryFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        lib = liblib.load_library(args.library)
         targets = [float(e) for e in lib.epsilons]
     else:
         targets = [float(e) for e in args.eps]
     if not targets:
-        print("error: no BER target to check; give --eps values or --library", file=sys.stderr)
-        return 2
+        raise ValueError("no BER target to check; give --eps values or --library")
     # every target is checked (snr_threshold refuses a bad one) before the
     # first point is measured
     points = [(m, eps, modem.snr_threshold(m, eps)) for m in modem.QAM_BITS for eps in targets]
@@ -331,11 +306,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on bad arguments; keep that convention
         return int(exc.code or 0)
+    # the one table from an error to its exit code (1 is a command's own verdict)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (NoFeasibleRateError, InfeasibleTargetError, liblib.LibraryFormatError, ValueError, OSError) as exc:
+        hint = " (variances must be clamped to sigma_max^2)" if isinstance(exc, InfeasibleTargetError) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return 3 if isinstance(exc, NoFeasibleRateError) else 2
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from .quantizer import (
 __all__ = [
     "FORMAT_VERSION",
     "LibraryFormatError",
-    "InfeasibleTargetError",
     "QuantizerLibrary",
     "default_epsilon_grid",
     "build_library",
@@ -53,10 +52,6 @@ DEFAULT_DELTA = 0.4
 
 class LibraryFormatError(Exception):
     """Raised when a library file cannot be parsed or fails validation."""
-
-
-class InfeasibleTargetError(Exception):
-    """Raised when no bit depth in the library can satisfy a distortion bound."""
 
 
 def default_epsilon_grid() -> np.ndarray:
@@ -354,6 +349,9 @@ def load_library(path) -> QuantizerLibrary:
             b = rec["b"]
             if (b, rec["eps_index"]) in cells:
                 raise LibraryFormatError(f"cell ({b},{rec['eps_index']}) appears twice")
+            # np.int64 would truncate a float and convert a bool
+            if not set(map(type, rec["region_codewords"])) <= {int}:
+                raise LibraryFormatError(f"cell ({b},{rec['eps_index']}): region_codewords must hold only ints")
             q = ScalarQuantizer(
                 bit_depth=b,
                 thresholds=_unhex_array(rec["thresholds"]),
@@ -378,6 +376,9 @@ def load_library(path) -> QuantizerLibrary:
                     f"cell ({b},{rec['eps_index']}): stored distortion disagrees with parameters"
                 )
             cells[(b, rec["eps_index"])] = q
+        # list() would split a string into warnings and a dict into its keys
+        if not isinstance(doc["warnings"], list) or not all(isinstance(w, dict) for w in doc["warnings"]):
+            raise LibraryFormatError("warnings must be a list of JSON objects")
         lib = QuantizerLibrary(
             b_max=b_max,
             epsilons=epsilons,

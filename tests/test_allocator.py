@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from quantlink import allocator
 from quantlink.allocator import (
     AllocationPlan,
+    InfeasibleTargetError,
     LatentStats,
     NoFeasibleRateError,
     allocate_power_modulation,
@@ -25,7 +27,7 @@ from quantlink.allocator import (
     validate_plan,
 )
 from quantlink.channel import ChannelRealization, exponential_pdp, realize_channel
-from quantlink.library import InfeasibleTargetError, gamma_increments_convex, sigma_max
+from quantlink.library import gamma_increments_convex, sigma_max
 from quantlink.modem import QAM_BITS, snr_threshold
 from quantlink.rng import stream_rng
 from quantlink.simulator import SyntheticSourceConfig, draw_stats
@@ -829,6 +831,24 @@ def _straddling_variance(lib):
     second = max(lib.distortion_column(qi)[lib.b_max - 1] for qi in range(lib.epsilons.size - 1))
     assert second < worst
     return 0.5 * ((1.0 / worst - 1.0) + (1.0 / second - 1.0))
+
+
+@pytest.mark.parametrize("delta", [float("nan"), -0.4, float("inf"), -float("inf")])
+def test_plans_refuse_a_delta_that_is_not_finite_and_nonnegative(small_lib, delta):
+    # variances >= nan is all False: a NaN delta used to plan nothing
+    # (t_sym 0, no bits) and validate_plan accepted that plan
+    stats = LatentStats(np.zeros(3), np.array([0.2, 1.0, 2.0]))
+    ch = realize_channel(exponential_pdp(300.0), 8, 30e3, seed=2)
+    match = f"delta must be a finite number >= 0, got {delta!r}"
+    with pytest.raises(ValueError, match=re.escape(match)):
+        optimize_plan(small_lib, stats, ch, 100.0, delta)
+    plan = optimize_plan(small_lib, stats, ch, 100.0)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        validate_plan(plan, small_lib, stats, 100.0, delta)
+    # delta = 0 sends every element
+    plan = optimize_plan(small_lib, stats, ch, 100.0, 0.0)
+    validate_plan(plan, small_lib, stats, 100.0, 0.0)
+    assert np.all(plan.bits > 0)
 
 
 @pytest.mark.parametrize("p_tot", [100.0, 0.0, -1.0, 1e-9])

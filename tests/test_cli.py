@@ -11,6 +11,7 @@ from quantlink.cli import main
 from quantlink.quantizer import DesignConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+FIXTURE_LIBRARY = Path(__file__).resolve().parents[1] / "benchmarks" / "default_library.json"
 
 
 def _run(capsys, *argv):
@@ -430,11 +431,15 @@ def test_simulate_rejects_bad_source_before_loading(source, no_library_load, tmp
     assert not out_dir.exists()
 
 
-def test_readme_simulate_config_loads(tiny_lib_dir, tmp_path, capsys, monkeypatch):
-    # the README's config block is a valid config, so docs and keys cannot drift apart
+def _readme_config():
     text = README.read_text(encoding="utf-8")
     block = re.search(r"`simulate` expects a JSON config:\s*```json\n(.*?)```", text, re.S)
-    doc = json.loads(block.group(1))
+    return json.loads(block.group(1))
+
+
+def test_readme_simulate_config_loads(tiny_lib_dir, tmp_path, capsys, monkeypatch):
+    # the README's config block is a valid config, so docs and keys cannot drift apart
+    doc = _readme_config()
     doc["library"] = str(tiny_lib_dir / "library.json")
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(doc))
@@ -517,6 +522,92 @@ def test_simulate_rejects_a_library_that_is_not_a_path(library, tmp_path, capsys
     assert code == 2 and out == ""
     assert "bad experiment config" in err and "library path" in err
     assert not out_dir.exists()
+
+
+def _json_file(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _a_file(path):
+    """A regular file where a command expects a directory."""
+    path.write_text("")
+    return str(path)
+
+
+# each subcommand's failing inputs: argv from (tiny library path, a scratch
+# directory), the exit code the cli docstring documents, and a piece of the
+# one error line
+_FAILING_INPUTS = {
+    "build-library: --out is a file": (
+        lambda lib, tmp: ["build-library", "--out", _a_file(tmp / "f"), "--b-max", "1", "--eps", "0.05"],
+        2, "File exists",
+    ),
+    "build-library: b_max above 12": (
+        lambda lib, tmp: ["build-library", "--out", str(tmp / "lib"), "--b-max", "13"], 2, "b_max must be in",
+    ),
+    "design-quantizer: zero bits": (
+        lambda lib, tmp: ["design-quantizer", "--bits", "0", "--eps", "0.05"], 2, "bit_depth must be >= 1",
+    ),
+    "allocate: no library file": (
+        lambda lib, tmp: ["allocate", "--library", str(tmp / "none.json")], 2, "cannot read library file",
+    ),
+    "allocate: stats without variances": (
+        lambda lib, tmp: ["allocate", "--library", lib, "--stats", _json_file(tmp / "s.json", {"means": [0.0]})],
+        2, "no 'variances' key",
+    ),
+    "allocate: variance above sigma_max^2": (
+        lambda lib, tmp: [
+            "allocate", "--library", lib, "--n-sc", "16",
+            "--stats", _json_file(tmp / "s.json", {"means": [0.0], "variances": [1e9]}),
+        ],
+        2, "(variances must be clamped to sigma_max^2)",
+    ),
+    "allocate: no rate at -60 dB": (
+        lambda lib, tmp: ["allocate", "--library", lib, "--n-latents", "8", "--n-sc", "8", "--snr-db", "-60"],
+        3, "no BER target achieves a positive symbol rate",
+    ),
+    "allocate: --out under a file": (
+        lambda lib, tmp: ["allocate", "--library", lib, "--n-latents", "8", "--n-sc", "8", "--out",
+                          str(Path(_a_file(tmp / "f")) / "plan.json")],
+        2, "Not a directory",
+    ),
+    "simulate: config not JSON": (
+        lambda lib, tmp: ["simulate", "--config", _a_file(tmp / "c.json")], 2, "bad experiment config",
+    ),
+    "simulate: no rate at -40 dB": (
+        lambda lib, tmp: [
+            "simulate", "--out-dir", str(tmp / "out"), "--config",
+            _json_file(tmp / "c.json", {
+                **_readme_config(), "library": str(FIXTURE_LIBRARY),
+                "source": {"n_latents": 64, "seed": 0}, "snr_db": [-40.0],
+            }),
+        ],
+        3, "no BER target achieves a positive symbol rate",
+    ),
+    "simulate: --out-dir is a file": (
+        lambda lib, tmp: [
+            "simulate", "--out-dir", _a_file(tmp / "f"), "--config",
+            _json_file(tmp / "c.json", {"library": lib, "source": {"n_latents": 8}, "trials": 1, "n_sc": 8}),
+        ],
+        2, "File exists",
+    ),
+    "ber-check: no library file": (
+        lambda lib, tmp: ["ber-check", "--library", str(tmp / "none.json")], 2, "cannot read library file",
+    ),
+    "ber-check: no target": (lambda lib, tmp: ["ber-check", "--eps"], 2, "no BER target to check"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_INPUTS))
+def test_each_failing_input_exits_with_its_documented_code(case, tiny_lib_dir, tmp_path, capsys):
+    # main alone maps an error to its exit code; simulate at -40 dB used to
+    # end in a NoFeasibleRateError traceback
+    argv, want, text = _FAILING_INPUTS[case]
+    code, out, err = _run(capsys, *argv(str(tiny_lib_dir / "library.json"), tmp_path))
+    assert code == want and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and text in line and "Traceback" not in err
 
 
 def test_bad_subcommand_exit_2(capsys):

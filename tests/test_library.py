@@ -2,15 +2,15 @@ import copy
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quantlink import library, modem
-from quantlink.allocator import LatentStats, minimum_bit_allocation, optimize_plan
+from quantlink.allocator import InfeasibleTargetError, LatentStats, minimum_bit_allocation, optimize_plan
 from quantlink.channel import exponential_pdp, realize_channel
 from quantlink.library import (
-    InfeasibleTargetError,
     LibraryFormatError,
     QuantizerLibrary,
     build_library,
@@ -29,6 +29,8 @@ ONE_BIT_D_05 = 0.48433798438225906
 # sha256 of serialize_library(build_library()); a deliberate change to the
 # default library bytes updates this constant and says why in CHANGES.md
 DEFAULT_LIBRARY_SHA256 = "66975a80a1efbb8a2921df16ee29d1ffc7fa7b3477336ac274c5f8ece844513a"
+# the committed default library that the benchmark loads
+FIXTURE = Path(__file__).resolve().parents[1] / "benchmarks" / "default_library.json"
 
 
 def test_default_grid_shape():
@@ -326,6 +328,44 @@ def test_load_rejects_bad_rel_tol(tmp_path, small_lib):
 def test_default_library_bytes_are_pinned(default_lib):
     digest = hashlib.sha256(serialize_library(default_lib).encode("utf-8")).hexdigest()
     assert digest == DEFAULT_LIBRARY_SHA256
+
+
+def test_fixture_library_round_trips_byte_for_byte():
+    assert serialize_library(load_library(FIXTURE)) == FIXTURE.read_text(encoding="utf-8")
+
+
+def _tampered_fixture(tmp_path, edit):
+    doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "swap", [lambda c: c + 0.9, float, bool, str], ids=["plus 0.9", "float", "bool", "str"]
+)
+def test_load_refuses_a_codeword_that_is_not_an_int(tmp_path, swap):
+    # np.int64 used to truncate 1.9 to 1 and read false as 0, so such a
+    # cell loaded as the untampered one
+    def tamper(doc):
+        cell = next(c for c in doc["cells"] if (c["b"], c["eps_index"]) == (3, 4))
+        assert cell["region_codewords"][:2] == [0, 1]
+        cell["region_codewords"][:2] = [swap(0), swap(1)]
+
+    with pytest.raises(LibraryFormatError, match=r"cell \(3,4\): region_codewords must hold only ints"):
+        load_library(_tampered_fixture(tmp_path, tamper))
+
+
+@pytest.mark.parametrize("bad", ["abc", {"kind": "column-not-monotone"}, [1], ["row-not-monotone"], None])
+def test_load_refuses_warnings_that_are_not_a_list_of_objects(tmp_path, bad):
+    # list("abc") used to load as three warnings, and the library
+    # re-serialized to other bytes than the file it came from
+    def tamper(doc):
+        doc["warnings"] = bad
+
+    with pytest.raises(LibraryFormatError, match="warnings must be a list of JSON objects"):
+        load_library(_tampered_fixture(tmp_path, tamper))
 
 
 def test_digest_is_computed_once_per_object(small_lib, monkeypatch):
