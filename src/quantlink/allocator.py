@@ -19,7 +19,9 @@ A plan runs in three steps.
     the symbol count is the ceiling of that ratio. Only this target's bit
     depths, modulations and powers are then built, by the same per-target
     functions (minimum_bit_allocation, allocate_power_modulation) that define
-    b_lat and r_sym.
+    b_lat and r_sym. Of these, b_lat and the bit depths depend on the source,
+    the library and the negligibility threshold alone, so the stats keep them
+    for the next plan on another channel (see optimize_plan).
 
   * Grant leftover symbol capacity bit by bit to the element with the largest
     marginal weighted-distortion reduction. Whatever capacity remains after
@@ -113,13 +115,18 @@ class LatentStats:
 
     The object is immutable once its digest has been read: digest() hashes
     the means and variances on its first call and returns that hash from
-    then on. Derive changed stats with dataclasses.replace, which starts
-    without a cached digest.
+    then on. From then on optimize_plan also keeps what a plan needs of the
+    source whatever the channel (see _SourceRating), for the last library
+    and delta it planned with, so later plans on that pair skip that work.
+    Derive changed stats with dataclasses.replace, which starts without a
+    cached digest or rating.
     """
 
     means: np.ndarray
     variances: np.ndarray
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
+    # _SourceRating, filled by optimize_plan once the digest has been read
+    _rating: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("means", "variances"):
@@ -146,6 +153,28 @@ class LatentStats:
             h.update(self.variances.tobytes())
             self._digest = h.hexdigest()
         return self._digest
+
+
+class _SourceRating:
+    """What every plan of one source on one library and delta shares.
+
+    infeasible is the first target with an element that no depth serves (None
+    when every target serves all), b_lat every target's minimum bit total
+    (read-only), and depths maps each target that has won a plan to its
+    minimum_bit_allocation result, the bits read-only. key is (library
+    digest, delta), set when the rating is kept on the stats. Only a plan
+    that completes keeps one, so a kept rating has no infeasible target.
+    A plain class: a dataclass would cost every import of the module about
+    0.6 ms to generate its methods.
+    """
+
+    __slots__ = ("infeasible", "b_lat", "depths", "key")
+
+    def __init__(self, infeasible: int | None, b_lat: np.ndarray):
+        self.infeasible = infeasible
+        self.b_lat = b_lat
+        self.depths: dict[int, tuple[np.ndarray, int]] = {}
+        self.key: tuple | None = None
 
 
 def target_distortion(sigma2):
@@ -220,9 +249,16 @@ def _affordable(ordered: np.ndarray, p_tot: float) -> np.ndarray:
     """Length of the longest prefix of ascending costs whose running sum fits p_tot.
 
     Taken along the last axis, so a table of sorted rows gives one length per row.
+    The costs are nonnegative (NaN sorts last), so the running sums never fall
+    and the fitting prefix is the sums' searchsorted count. An infinite cost
+    never fits, not even an infinite budget.
     """
-    fits = np.isfinite(ordered) & (np.cumsum(ordered, axis=-1) <= p_tot)
-    return np.where(fits.all(axis=-1), fits.shape[-1], fits.argmin(axis=-1))
+    sums = np.cumsum(ordered, axis=-1).reshape(-1, ordered.shape[-1])
+    taken = np.array([np.searchsorted(row, p_tot, "right") for row in sums])
+    if p_tot == np.inf:
+        finite = [np.searchsorted(row, np.inf, "left") for row in ordered.reshape(sums.shape)]
+        taken = np.minimum(taken, finite)
+    return taken.reshape(ordered.shape[:-1])
 
 
 def _smallest(values: np.ndarray, k: int, kth: float | None = None) -> np.ndarray:
@@ -397,22 +433,40 @@ def optimize_plan(
     attributes times each stage. A zero-bit source (t_sym = 0) gets the
     smallest target and zero bits, modulations and powers; no stage after
     the selection runs.
+
+    The source's share of the work does not depend on the channel: the
+    sorted bounds, every target's b_lat and the winner's minimum depths. A
+    plan keeps it on the stats (LatentStats._rating) once their digest has
+    been read, for this library and delta. A later plan on the same
+    (stats, library, delta) reads it back and so calls
+    minimum_bit_allocation only for a target that has not won before; a
+    plan's bits are always its own array, never the kept one.
     """
     check_nonnegative_finite("delta", delta)
     gamma = np.vstack((np.zeros(lib.epsilons.size), lib.gamma_thresholds))  # column q: target q
-    b_lat, r_sym = _rate_targets(lib, stats, channel, p_tot, delta, gamma)
-    eps_index, t_sym = select_ber_target(b_lat, r_sym)
+    rating, r_sym = _rate_targets(lib, stats, channel, p_tot, delta, gamma)
+    eps_index, t_sym = select_ber_target(rating.b_lat, r_sym)
     if t_sym == 0:
         bits, dummy = np.zeros(stats.n, dtype=np.int64), 0
         modulations, powers = np.zeros(channel.n_sc, dtype=np.int64), np.zeros(channel.n_sc)
     else:
-        bits, b_lat = minimum_bit_allocation(lib, stats, eps_index, delta)
+        if eps_index not in rating.depths:
+            depths = minimum_bit_allocation(lib, stats, eps_index, delta)
+            depths[0].flags.writeable = False
+            rating.depths[eps_index] = depths
+        bits, b_lat = rating.depths[eps_index]
         modulations, powers, r_sym = allocate_power_modulation(channel, p_tot, gamma[:, eps_index])
         capacity = t_sym * r_sym
         dummy = capacity - b_lat
         if capacity > b_lat:
             bits, dummy = refine_bit_allocation(lib, stats, bits, eps_index, capacity)
+        else:
+            bits = bits.copy()
 
+    digests = {"library": lib.digest(), "stats": stats.digest(), "channel_seed": channel.seed}
+    if rating.key is None:  # the digest is read, so the stats no longer change
+        rating.key = (digests["library"], delta)
+        stats._rating = rating
     return AllocationPlan(
         eps_index=eps_index,
         epsilon_star=float(lib.epsilons[eps_index]),
@@ -422,7 +476,7 @@ def optimize_plan(
         t_sym=t_sym,
         dummy_bits=int(dummy),
         seed=seed,
-        digests={"library": lib.digest(), "stats": stats.digest(), "channel_seed": channel.seed},
+        digests=digests,
     )
 
 
@@ -433,39 +487,49 @@ def _rate_targets(
     p_tot: float,
     delta: float,
     gamma: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(b_lat, r_sym) of every grid target, as the per-target functions give them.
+) -> tuple[_SourceRating, np.ndarray]:
+    """The source's rating (with b_lat of every grid target) and r_sym of every target.
 
-    gamma holds target q's [0, gamma(QPSK), ..., gamma(256-QAM)] in column q,
-    from the library, so its steps are positive and never shrink. Raises the
-    error that running the per-target calls in order (per target, the bit
-    depths before the loading) would raise first: the InfeasibleTargetError
-    of target 0 if it has an infeasible element, else ValueError("p_tot must
-    be positive") for a budget that is not positive (the loading's first
-    check, so NaN too), else the InfeasibleTargetError of the first target
-    with an infeasible element. Both InfeasibleTargetErrors are raised by
-    minimum_bit_allocation on that target, with its message.
+    Both are what the per-target functions give. gamma holds target q's
+    [0, gamma(QPSK), ..., gamma(256-QAM)] in column q, from the library, so
+    its steps are positive and never shrink. The rating is the one kept on
+    the stats when it was made for this library and delta, else a new one
+    (_rate_source). Raises the error that running the per-target calls in
+    order (per target, the bit depths before the loading) would raise first:
+    the InfeasibleTargetError of target 0 if it has an infeasible element,
+    else ValueError("p_tot must be positive") for a budget that is not
+    positive (the loading's first check, so NaN too), else the
+    InfeasibleTargetError of the first target with an infeasible element.
+    Both InfeasibleTargetErrors are raised by minimum_bit_allocation on that
+    target, with its message.
     """
-    q_count = lib.epsilons.size
+    rating = stats._rating
+    if rating is None or rating.key != (lib.digest(), delta):
+        rating = _rate_source(lib, stats, delta)
+    if rating.infeasible is not None and (rating.infeasible == 0 or p_tot > 0):
+        minimum_bit_allocation(lib, stats, rating.infeasible, delta)
+    if not p_tot > 0:
+        raise ValueError("p_tot must be positive")
+
+    inv_gain = channel.noise_var / np.square(np.abs(channel.gains))
+    increments = np.diff(gamma, axis=0)  # [step, target]
+    cost = (increments.T[:, None, :] * inv_gain[None, :, None]).reshape(lib.epsilons.size, -1)
+    cost.sort(axis=1)
+    r_sym = 2 * _affordable(cost, p_tot)  # each step adds 2 bits
+    return rating, r_sym
+
+
+def _rate_source(lib: QuantizerLibrary, stats: LatentStats, delta: float) -> _SourceRating:
+    """A new rating of the source: its first infeasible target and every target's b_lat."""
     floor = np.minimum.accumulate(lib.distortion_table(), axis=1)  # [target, b - 1]
     checked = stats.variances >= delta
     bounds = np.sort(1.0 / (stats.variances[checked] + 1.0))
     # an element is infeasible when its bound lies below every depth's distortion
     infeasible = np.flatnonzero(np.searchsorted(bounds, floor[:, -1], "left") > 0)
-    if infeasible.size and (infeasible[0] == 0 or p_tot > 0):
-        minimum_bit_allocation(lib, stats, int(infeasible[0]), delta)
-    if not p_tot > 0:
-        raise ValueError("p_tot must be positive")
-
     # depth - 1 counts the running minima above the bound (see minimum_bit_allocation)
     b_lat = bounds.size + np.searchsorted(bounds, floor, "left").sum(axis=1)
-
-    inv_gain = channel.noise_var / np.square(np.abs(channel.gains))
-    increments = np.diff(gamma, axis=0)  # [step, target]
-    cost = (increments.T[:, None, :] * inv_gain[None, :, None]).reshape(q_count, -1)
-    cost.sort(axis=1)
-    r_sym = 2 * _affordable(cost, p_tot)  # each step adds 2 bits
-    return b_lat, r_sym
+    b_lat.flags.writeable = False
+    return _SourceRating(int(infeasible[0]) if infeasible.size else None, b_lat)
 
 
 def validate_plan(

@@ -65,6 +65,7 @@ from . import allocator, modem, quantizer
 from .allocator import (
     AllocationPlan,
     LatentStats,
+    NoFeasibleRateError,
     optimize_plan,
     plan_dummy_seed,
     target_distortion,
@@ -400,7 +401,11 @@ class ExperimentReport:
 def run_experiment(
     cfg: ExperimentConfig, lib: QuantizerLibrary, keep_trials: bool = False
 ) -> list[ExperimentReport]:
-    """Run the sweep; one report per SNR point, deterministic in cfg.seed."""
+    """Run the sweep; one report per SNR point, deterministic in cfg.seed.
+
+    A NoFeasibleRateError from the planner is raised again with the SNR
+    point it failed at, as in "at 5.0 dB: no BER target achieves ...".
+    """
     profile = chan.parse_profile_ref(cfg.profile_ref)
     smax = sigma_max(lib)
     stats = draw_stats(cfg.source, smax, stream_rng("source", cfg.seed, cfg.source.seed))
@@ -426,7 +431,10 @@ def run_experiment(
                 seed=ch_seed,
                 rng=stream_rng("channel", cfg.seed, trial),
             )
-            plan = optimize_plan(lib, stats, realization, p_tot, cfg.delta, seed=cfg.seed)
+            try:
+                plan = optimize_plan(lib, stats, realization, p_tot, cfg.delta, seed=cfg.seed)
+            except NoFeasibleRateError as exc:
+                raise NoFeasibleRateError(f"at {float(snr)} dB: {exc}") from exc
             t_syms.append(plan.t_sym)
             eps_stars.append(plan.epsilon_star)
             size = max(1, _BATCH_ENTRIES // (stats.n + plan.t_sym * cfg.n_sc))

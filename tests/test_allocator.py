@@ -371,6 +371,40 @@ def test_smallest_equals_stable_argsort_prefix(values, data):
         assert np.array_equal(allocator._smallest(values, k, np.sort(values)[k - 1]), want)
 
 
+def _affordable_by_mask(ordered, p_tot):
+    """The fitting prefix as the first cost that is infinite or whose running sum exceeds p_tot."""
+    fits = np.isfinite(ordered) & (np.cumsum(ordered, axis=-1) <= p_tot)
+    return np.where(fits.all(axis=-1), fits.shape[-1], fits.argmin(axis=-1))
+
+
+# few distinct costs make ties; 1e308 makes a finite cost whose running sum overflows
+_COSTS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, 1e308, np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    width=st.integers(1, 12),
+    data=st.data(),
+)
+def test_affordable_equals_the_mask_rule(rows, width, data):
+    costs = data.draw(st.lists(_COSTS, min_size=rows * width, max_size=rows * width))
+    ordered = np.sort(np.array(costs).reshape(rows, width), axis=1)  # NaN sorts last
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = np.cumsum(ordered, axis=1)
+    # the planner refuses a NaN budget before rating, so budgets sit at the other sums
+    at = float(data.draw(st.sampled_from([*sums[~np.isnan(sums)], 1.0])))
+    budget = data.draw(st.sampled_from([
+        at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf), np.inf,
+        data.draw(st.floats(min_value=1e-3, max_value=20.0)),
+    ]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _affordable_by_mask(ordered, budget)
+        assert np.array_equal(allocator._affordable(ordered, budget), want)
+        for r in range(rows):  # a single row, as the loading passes it
+            assert allocator._affordable(ordered[r], budget) == want[r]
+
+
 # ---------------------------------------------------------------------------
 # target selection
 # ---------------------------------------------------------------------------
@@ -902,3 +936,96 @@ def test_optimize_plan_calls_each_stage_once(small_lib, monkeypatch):
     assert not plan.is_empty and plan.dummy_bits >= 0
     assert plan.b_lat > minimum_bit_allocation(small_lib, stats, plan.eps_index)[1]  # refined
     assert calls == {name: int(name != "build_bit_mapping") for name in stages}
+
+
+# ---------------------------------------------------------------------------
+# the rating a plan keeps on its stats
+# ---------------------------------------------------------------------------
+
+
+def _fresh(stats):
+    """The same source as a new object, which keeps no digest or rating."""
+    return LatentStats(stats.means.copy(), stats.variances.copy())
+
+
+@pytest.mark.parametrize("p_tot", [100.0, 0.0, -1.0, 1e-9])
+@pytest.mark.parametrize("infeasible", [None, "largest", "all", "nothing to send"])
+def test_plans_on_a_known_source_raise_and_plan_as_on_a_fresh_one(small_lib, p_tot, infeasible):
+    variances = np.array([0.2, 1.0, 2.0])
+    if infeasible == "nothing to send":
+        variances[:] = 0.2
+    elif infeasible == "largest":
+        variances[1] = _straddling_variance(small_lib)
+    elif infeasible == "all":
+        variances[1] = 1e6
+    stats = LatentStats(np.zeros(3), variances)
+    ch = realize_channel(exponential_pdp(300.0), 8, 30e3, seed=2)
+    # a plan that completes keeps the rating; one that raises keeps nothing
+    first = _outcome(optimize_plan, small_lib, stats, ch, 100.0)
+    assert (stats._rating is not None) == isinstance(first, str)
+    for _ in range(2):
+        want = _outcome(optimize_plan, small_lib, _fresh(stats), ch, p_tot)
+        assert _outcome(optimize_plan, small_lib, stats, ch, p_tot) == want
+
+
+def test_a_second_plan_on_a_known_source_solves_no_depths(small_lib, monkeypatch):
+    rng = stream_rng("kept-rating", 0)
+    stats, ch, p_tot = _random_setup(small_lib, rng, snr_db=15.0)
+    # other channels; target 1 wins up to 20 dB here, target 0 above
+    blocks = [(ch, p_tot)] * 2 + [
+        (realize_channel(exponential_pdp(300.0), 24, 30e3, seed=int(rng.integers(1 << 30))),
+         24 * 10 ** (snr_db / 10.0))
+        for snr_db in (0.0, 10.0, 30.0, 40.0)
+    ]
+    want = [serialize_plan(optimize_plan(small_lib, _fresh(stats), c, p)) for c, p in blocks]
+    calls = []
+    solve = allocator.minimum_bit_allocation
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(allocator, "minimum_bit_allocation", counting)
+    got = []
+    for c, p in blocks:
+        got.append(serialize_plan(optimize_plan(small_lib, stats, c, p)))
+        if len(got) == 2:
+            assert calls == [1]  # the second plan on the source solves nothing
+    assert got == want
+    assert calls == [1, 0]  # depths are solved only for a target that has not won before
+
+
+def _exact_fit_setup(lib):
+    """Four one-bit elements on one subcarrier that affords 16-QAM at every target.
+
+    b_lat = r_sym = 4 at both targets, so t_sym = 1 fills the grid and no bit is
+    refined.
+    """
+    stats = LatentStats(np.zeros(4), np.full(4, 0.5))
+    ch = ChannelRealization(np.array([1.0 + 0j]), 1.0, 30e3, 0)
+    p_tot = 0.5 * (lib.gamma_thresholds[1].max() + lib.gamma_thresholds[2].min())
+    return stats, ch, p_tot
+
+
+def test_plans_never_share_bits_with_the_kept_rating(small_lib):
+    refined = _random_setup(small_lib, stream_rng("kept-bits", 0), snr_db=15.0)
+    for stats, ch, p_tot in (refined, _exact_fit_setup(small_lib)):
+        want = serialize_plan(optimize_plan(small_lib, _fresh(stats), ch, p_tot))
+        for _ in range(3):
+            plan = optimize_plan(small_lib, stats, ch, p_tot)
+            assert serialize_plan(plan) == want
+            plan.bits[:] = 99  # the next plan on the source stays as it was
+    exact = optimize_plan(small_lib, *_exact_fit_setup(small_lib))
+    assert exact.t_sym == 1 and exact.dummy_bits == 0 and exact.bits.tolist() == [1] * 4
+
+
+def test_kept_rating_follows_the_library_and_delta(small_lib):
+    stats, ch, p_tot = _random_setup(small_lib, stream_rng("kept-key", 0), snr_db=15.0)
+    other = _lib_with_column(small_lib, (0.3, 0.35, 0.05))
+    assert other.digest() != small_lib.digest()
+    for lib, delta in ((small_lib, 0.4), (other, 0.4), (small_lib, 0.1), (small_lib, 0.4), (other, 0.1)):
+        want = _outcome(optimize_plan, lib, _fresh(stats), ch, p_tot, delta)
+        assert _outcome(optimize_plan, lib, stats, ch, p_tot, delta) == want
+        assert stats._rating.key == (lib.digest(), delta)
+    # derived stats start without the rating
+    assert dataclasses.replace(stats, variances=stats.variances)._rating is None

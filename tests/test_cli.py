@@ -583,7 +583,7 @@ _FAILING_INPUTS = {
                 "source": {"n_latents": 64, "seed": 0}, "snr_db": [-40.0],
             }),
         ],
-        3, "no BER target achieves a positive symbol rate",
+        3, "at -40.0 dB: no BER target achieves a positive symbol rate",
     ),
     "simulate: --out-dir is a file": (
         lambda lib, tmp: [

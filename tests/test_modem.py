@@ -1,16 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats as sst
 
+from quantlink.channel import equalize, transmit_symbols
+from quantlink.library import load_library
 from quantlink.modem import (
     QAM_BITS,
     ber_approx,
+    ber_by_position,
     constellation,
     demodulate,
     modulate,
     snr_threshold,
 )
 from quantlink.rng import stream_rng
+
+FIXTURE_LIBRARY = Path(__file__).resolve().parents[1] / "benchmarks" / "default_library.json"
 
 
 def test_unit_energy_exact():
@@ -212,3 +219,46 @@ def test_awgn_monte_carlo_against_model():
         expect = ber_approx(m, gamma)
         got = measure_link_ber(m, gamma, 1_000_000, rng)
         assert got == pytest.approx(expect, rel=0.1)
+
+
+@pytest.mark.parametrize("m", QAM_BITS)
+def test_ber_by_position_against_monte_carlo(m):
+    # each position's flips through the link chain, at a BER of about 2 %
+    gamma = snr_threshold(m, 0.02)
+    n = 200_000
+    rng = stream_rng("position-ber", m)
+    words = rng.integers(0, 1 << m, size=n)
+    rx = transmit_symbols(modulate(words, m), gamma, 1.0, 1.0, rng)
+    flips = words ^ demodulate(equalize(rx, gamma, 1.0), m)
+    counts = np.array([np.count_nonzero((flips >> (m - 1 - j)) & 1) for j in range(m)])
+    want = ber_by_position(m, gamma)
+    se = np.sqrt(want * (1.0 - want) / n)
+    assert np.all(np.abs(counts / n - want) <= 4.0 * se)
+
+
+def test_ber_by_position_mean_is_the_model_at_every_fixture_threshold():
+    lib = load_library(FIXTURE_LIBRARY)
+    for row, m in enumerate(QAM_BITS):
+        gamma = lib.gamma_thresholds[row]
+        exact = ber_by_position(m, gamma)
+        assert exact.shape == (gamma.size, m)
+        assert np.array_equal(exact[:, : m // 2], exact[:, m // 2 :])  # the two axes
+        assert np.all(np.abs(exact.mean(axis=1) / ber_approx(m, gamma) - 1.0) <= 1e-7)
+
+
+def test_ber_by_position_multiples_of_the_target():
+    # at each order's threshold for eps index 3, one axis's positions, MSB first
+    lib = load_library(FIXTURE_LIBRARY)
+    want = {2: [1.0], 4: [0.667, 1.333], 6: [0.429, 0.857, 1.714], 8: [0.267, 0.533, 1.067, 2.133]}
+    for row, m in enumerate(QAM_BITS):
+        multiples = ber_by_position(m, lib.gamma_thresholds[row, 3]) / lib.epsilons[3]
+        assert multiples[: m // 2] == pytest.approx(want[m], abs=5e-4)
+
+
+def test_ber_by_position_shapes_and_domain():
+    assert ber_by_position(2, 0.0).tolist() == [0.5, 0.5]  # a coin flip per axis
+    assert ber_by_position(8, np.ones((2, 3))).shape == (2, 3, 8)
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
+        ber_by_position(4, -1.0)
+    with pytest.raises(ValueError, match="modulation order"):
+        ber_by_position(3, 1.0)

@@ -270,6 +270,14 @@ def test_experiment_row_count_scales_with_grid(small_lib):
     assert len(run_experiment(two, small_lib)) == 2 * len(run_experiment(one, small_lib))
 
 
+def test_experiment_names_the_snr_point_without_a_rate(small_lib):
+    # the points before the failing one plan; the error says where it failed
+    src = SyntheticSourceConfig(n_latents=12, seed=4)
+    cfg = ExperimentConfig(source=src, snr_db=(8.0, -60.0, 14.0), trials=1, n_sc=8, seed=1)
+    with pytest.raises(allocator.NoFeasibleRateError, match=r"^at -60\.0 dB: no BER target achieves "):
+        run_experiment(cfg, small_lib)
+
+
 def test_experiment_csv_shape(small_lib):
     src = SyntheticSourceConfig(n_latents=12, seed=4)
     cfg = ExperimentConfig(source=src, snr_db=(8.0, 14.0), trials=2, n_sc=8, seed=1)
