@@ -399,7 +399,7 @@ class AllocationPlan:
     t_sym: int
     dummy_bits: int
     seed: int
-    digests: dict = field(default_factory=dict)
+    digests: dict
     # simulator._FrameLayout, filled by the plan's first run_trial call
     _frame_layout: object = field(default=None, init=False, repr=False, compare=False)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_count, check_positive_finite
+from ._checks import check_count, check_positive_finite, is_finite
 from .rng import standard_normal_rows, stream_rng
 
 __all__ = [
@@ -88,10 +88,24 @@ def exponential_pdp(rms_ns: float) -> TapProfile:
 
 
 def load_tap_profile(path) -> TapProfile:
-    """Read a {label, taps: [{delay_ns, power_db}]} JSON profile."""
+    """Read a {label, taps: [{delay_ns, power_db}]} JSON profile.
+
+    Raises ValueError naming the file and the entry when the document is not
+    an object with a taps list, or a tap is not an object with finite
+    numbers delay_ns and power_db.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    taps = doc["taps"]
+    taps = doc.get("taps") if isinstance(doc, dict) else None
+    if not isinstance(taps, list):
+        raise ValueError(f"profile file {path}: need a JSON object with a 'taps' list")
+    for k, tap in enumerate(taps):
+        if not isinstance(tap, dict):
+            raise ValueError(f"profile file {path}: tap {k} is not an object, got {tap!r}")
+        for key in ("delay_ns", "power_db"):
+            value = tap.get(key)
+            if not is_finite(value):
+                raise ValueError(f"profile file {path}: tap {k} needs a finite number {key!r}, got {value!r}")
     delays = np.array([t["delay_ns"] for t in taps], dtype=np.float64) * 1e-9
     powers = 10.0 ** (np.array([t["power_db"] for t in taps], dtype=np.float64) / 10.0)
     return TapProfile(delays, powers, doc.get("label", "unnamed"))
@@ -183,12 +197,11 @@ def power_budget(n_sc: int, snr_db: float) -> float:
 
 
 def transmit_symbols(s, p, h, noise_var: float, rng):
-    """Received samples sqrt(p) h s + CN(0, noise_var) noise; broadcasts over arrays.
+    """Received samples sqrt(p) h s + CN(0, noise_var) noise for a batch of frames.
 
-    The noise is drawn row by row along the last axis, real row then imaginary
-    row, so a (t, n) call consumes rng exactly like t sequential 1-D calls.
-    rng may also be a sequence of Generators, one per index of the leading
-    axis of s; each draws its own slice's noise as a call on that slice would.
+    s is (frames, ..., n), and rng a sequence of Generators, one per frame;
+    p and h broadcast against s. Frame f's noise is drawn from rng[f] alone,
+    row by row along the last axis, real row then imaginary row.
     """
     s = np.asarray(s, dtype=np.complex128)
     p = np.asarray(p, dtype=np.float64)
@@ -196,11 +209,10 @@ def transmit_symbols(s, p, h, noise_var: float, rng):
         raise ValueError("power must be nonnegative")
     z = standard_normal_rows(rng, s.shape[:-1] + (2,) + s.shape[-1:])
     z *= np.sqrt(noise_var / 2.0)
-    re, im = (z[..., 0, :], z[..., 1, :]) if s.ndim else z
     # the scaled normals go straight into the two parts, with no complex noise array
-    out = np.asarray(np.multiply(np.sqrt(p) * np.asarray(h, dtype=np.complex128), s))
-    out.real += re
-    out.imag += im
+    out = np.sqrt(p) * np.asarray(h, dtype=np.complex128) * s
+    out.real += z[..., 0, :]
+    out.imag += z[..., 1, :]
     return out
 
 

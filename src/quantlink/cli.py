@@ -122,7 +122,7 @@ def _load_stats(args, src, lib) -> LatentStats:
             if key not in doc:
                 raise ValueError(f"stats file {args.stats}: no {key!r} key")
         return LatentStats(np.asarray(doc["means"]), np.asarray(doc["variances"]))
-    return sim.draw_stats(src, liblib.sigma_max(lib), stream_rng("source", args.seed, args.source_seed))
+    return sim.draw_source(src, lib, args.seed)
 
 
 def cmd_allocate(args) -> int:

@@ -26,17 +26,14 @@ def stream_rng(*keys) -> np.random.Generator:
 
 
 def standard_normal_rows(rng, shape: tuple) -> np.ndarray:
-    """Standard normals of `shape` from one Generator or from one per row.
+    """Standard normals of `shape`, from a sequence of Generators, one per row.
 
-    Given a sequence of Generators, the k-th fills row k of the leading axis,
-    in the order a call for that row's shape alone would draw, so a batch of
-    rows consumes each stream exactly as separate calls would.
+    The k-th Generator fills row k of the leading axis, in the order a call
+    for that row's shape alone would draw, so a batch of rows consumes each
+    stream exactly as separate calls would.
     """
-    z = np.empty(shape)
-    if isinstance(rng, np.random.Generator):
-        rng.standard_normal(out=z)
-        return z
     rngs = list(rng)
+    z = np.empty(shape)
     if not z.ndim or len(rngs) != z.shape[0]:
         raise ValueError(f"need one Generator per row of shape {shape}, got {len(rngs)}")
     for g, row in zip(rngs, z):

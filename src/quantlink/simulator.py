@@ -30,8 +30,9 @@ through its module, so a tracer that wraps those functions times each stage.
 A batch holds at most _BATCH_ENTRIES = 2^16 latents plus sent symbols (9
 frames of 4096 latents sent in 5 OFDM symbols of 512 subcarriers): a whole
 64-frame block would hold several MB more at once, and smaller batches give
-back part of the speed. One vector is the one-frame batch of the same code,
-which costs it a little over a per-vector chain (2-D operands). The bytes
+back part of the speed. The batch, with one Generator per frame, is the
+chain's only form; measure_link_ber sends its symbols as one-frame batches
+through the same modulate, transmit, equalize and demodulate step. The bytes
 equal a frame-by-frame loop: every stage is elementwise or exact integer
 work, each frame's noise and samples come from its own Generator, which
 fills only its frame's rows in the order a call on that frame alone would
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +80,7 @@ __all__ = [
     "ExperimentReport",
     "ExperimentConfig",
     "draw_stats",
+    "draw_source",
     "sample_latents",
     "run_trial",
     "run_experiment",
@@ -119,24 +121,26 @@ def draw_stats(cfg: SyntheticSourceConfig, sigma_max_value: float, rng: np.rando
     return LatentStats(means=np.zeros(cfg.n_latents), variances=np.minimum(variances, cap))
 
 
-def sample_latents(stats: LatentStats, rng) -> np.ndarray:
-    """One latent vector y_i ~ N(mu_i, sigma_i^2), clipped to mu_i +- 3 sigma_i.
+def draw_source(cfg: SyntheticSourceConfig, lib: QuantizerLibrary, seed: int) -> LatentStats:
+    """The stats of source cfg for lib, from the "source" stream of seed and cfg.seed."""
+    return draw_stats(cfg, sigma_max(lib), stream_rng("source", seed, cfg.seed))
 
-    Given a sequence of Generators instead of one, a (frames, n) batch: row f
-    is the vector rng[f] alone would give.
+
+def sample_latents(stats: LatentStats, rng) -> np.ndarray:
+    """A (frames, n) batch of latents y_i ~ N(mu_i, sigma_i^2), clipped to mu_i +- 3 sigma_i.
+
+    rng is a sequence of Generators, one per frame; row f is drawn from
+    rng[f] alone.
     """
     std = np.sqrt(stats.variances)
-    shape = (stats.n,) if isinstance(rng, np.random.Generator) else (len(rng), stats.n)
-    y = stats.means + std * standard_normal_rows(rng, shape)
+    y = stats.means + std * standard_normal_rows(rng, (len(rng), stats.n))
     return np.clip(y, stats.means - 3.0 * std, stats.means + 3.0 * std)
 
 
 @dataclass
 class TrialResult:
     per_element_sq_error: np.ndarray
-    per_element_target: np.ndarray
     bits_sent: int
-    t_sym: int
     realized_errors_per_subcarrier: np.ndarray
     realized_bits_per_subcarrier: np.ndarray
 
@@ -255,20 +259,17 @@ def run_trial(
     realization: chan.ChannelRealization,
     rng,
 ) -> TrialResult:
-    """Send latent vectors through the full link under a fixed plan.
+    """Send a (frames, n) batch of latent vectors through the full link under a fixed plan.
 
-    y is one vector of shape (n,) with one Generator, or a (frames, n) batch
-    with a sequence of Generators, frame f's noise drawn from rng[f] alone.
-    One vector is the one-frame batch. For a batch, per_element_sq_error is
-    (frames, n) and the realized counts are summed over the frames, while
-    bits_sent and t_sym are per frame.
+    rng is a sequence of Generators, one per frame; frame f's noise is drawn
+    from rng[f] alone. per_element_sq_error is (frames, n), the realized
+    counts are summed over the frames, and bits_sent is per frame.
     """
-    batch = y[None] if y.ndim == 1 else y
-    rngs = [rng] if y.ndim == 1 else list(rng)
-    if batch.ndim != 2 or batch.shape[1:] != stats.means.shape:
-        raise ValueError("sample vector shape must match stats")
-    if len(rngs) != batch.shape[0]:
-        raise ValueError(f"need one Generator per frame, got {len(rngs)} for {batch.shape[0]}")
+    rngs = list(rng)
+    if y.ndim != 2 or y.shape[1:] != stats.means.shape:
+        raise ValueError("sample batch shape must be (frames, n) with n of the stats")
+    if len(rngs) != y.shape[0]:
+        raise ValueError(f"need one Generator per frame, got {len(rngs)} for {y.shape[0]}")
     if plan.digests.get("library") not in (None, lib.digest()):
         raise ValueError("plan was built for a different quantizer library")
     if plan.digests.get("stats") not in (None, stats.digest()):
@@ -278,19 +279,11 @@ def run_trial(
 
     if plan.is_empty or plan.b_lat == 0:
         yhat, errors, bits = stats.means, np.zeros(realization.n_sc), np.zeros(realization.n_sc)
-        bits_sent = t_sym = 0
+        bits_sent = 0
     else:
-        yhat, errors, bits = _send_frames(stats, batch, plan, lib, realization, rngs)
-        bits_sent, t_sym = plan.b_lat, plan.t_sym
-    sq_error = np.square(batch - yhat)
-    return TrialResult(
-        per_element_sq_error=sq_error[0] if y.ndim == 1 else sq_error,
-        per_element_target=target_distortion(stats.variances),
-        bits_sent=bits_sent,
-        t_sym=t_sym,
-        realized_errors_per_subcarrier=errors,
-        realized_bits_per_subcarrier=bits,
-    )
+        yhat, errors, bits = _send_frames(stats, y, plan, lib, realization, rngs)
+        bits_sent = plan.b_lat
+    return TrialResult(np.square(y - yhat), bits_sent, errors, bits)
 
 
 def _send_frames(stats, y, plan, lib, realization, rngs):
@@ -326,8 +319,7 @@ def _send_frames(stats, y, plan, lib, realization, rngs):
     for m, sc, p, slots, fields in layout.orders:
         h = realization.gains[sc]
         words = _read(windows, fields, np.uint8)
-        r = chan.transmit_symbols(modem.modulate(words, m), p, h, realization.noise_var, rngs)
-        rx_words = modem.demodulate(chan.equalize(r, p, h), m).astype(np.uint8)
+        rx_words = _link(words, m, p, h, realization.noise_var, rngs).astype(np.uint8)
         rx_slots[:, slots] = rx_words
         err_per_sc[sc] += np.take(_POPCOUNT, words ^ rx_words).sum(axis=(0, 1))
         bits_per_sc[sc] += m * plan.t_sym * frames
@@ -340,6 +332,15 @@ def _send_frames(stats, y, plan, lib, realization, rngs):
         q = lib.quantizer(b, plan.eps_index)
         yhat[:, order[lo:hi]] = quantizer.dequantize(rx_codewords[:, lo:hi], mean[lo:hi], std[lo:hi], q)
     return yhat, err_per_sc, bits_per_sc
+
+
+def _link(words, m, p, h, noise_var, rngs):
+    """Words of order m received through modulate, transmit, equalize and demodulate.
+
+    Each stage is called through its module, so a tracer that wraps it times it.
+    """
+    r = chan.transmit_symbols(modem.modulate(words, m), p, h, noise_var, rngs)
+    return modem.demodulate(chan.equalize(r, p, h), m)
 
 
 @dataclass
@@ -359,10 +360,13 @@ class ExperimentConfig:
     def __post_init__(self):
         # a zero count would report a NaN mean distortion and no violations,
         # a string would fail only after the library is loaded, and a string
-        # seed would run under a different config digest
+        # seed would run under a different config digest; a profile that is
+        # not a string would fail with a TypeError once the library is loaded
         for name in ("trials", "frames_per_realization", "n_sc"):
             check_count(name, getattr(self, name))
         check_int("seed", self.seed)
+        if not isinstance(self.profile_ref, str):
+            raise ValueError(f"profile_ref must be a string, got {self.profile_ref!r}")
         for name in ("spacing_hz", "delta"):
             check_positive_finite(name, getattr(self, name))
         finite = [is_finite(s) for s in self.snr_db]
@@ -395,7 +399,7 @@ class ExperimentReport:
     channel_label: str
     config_digest: str
     seed: int
-    trial_details: list = field(default_factory=list)
+    trial_details: list
 
 
 def run_experiment(
@@ -407,8 +411,7 @@ def run_experiment(
     point it failed at, as in "at 5.0 dB: no BER target achieves ...".
     """
     profile = chan.parse_profile_ref(cfg.profile_ref)
-    smax = sigma_max(lib)
-    stats = draw_stats(cfg.source, smax, stream_rng("source", cfg.seed, cfg.source.seed))
+    stats = draw_source(cfg.source, lib, cfg.seed)
     targets = target_distortion(stats.variances)
     checked = stats.variances >= cfg.delta
     digest = cfg.digest()
@@ -494,7 +497,9 @@ def measure_link_ber(m: int, gamma: float, n_bits: int, rng: np.random.Generator
 
     Uses unit channel gain and power `gamma` against unit-variance noise, which
     is exactly the per-subcarrier model after equalization. n_bits must be an
-    int of at least 1; at least one symbol is sent.
+    int of at least 1; at least one symbol is sent. Each chunk of symbols is
+    a one-frame batch through the trial chain's link step, its words and then
+    its noise drawn from rng.
     """
     check_count("n_bits", n_bits)
     n_sym = max(n_bits // m, 1)
@@ -502,9 +507,8 @@ def measure_link_ber(m: int, gamma: float, n_bits: int, rng: np.random.Generator
     done = 0
     while done < n_sym:
         size = min(_LINK_BER_CHUNK, n_sym - done)
-        words = rng.integers(0, 1 << m, size=size)
-        r = chan.transmit_symbols(modem.modulate(words, m), gamma, 1.0 + 0j, 1.0, rng)
-        rx = modem.demodulate(chan.equalize(r, gamma, 1.0 + 0j), m)
+        words = rng.integers(0, 1 << m, size=(1, size))
+        rx = _link(words, m, gamma, 1.0 + 0j, 1.0, [rng])
         errors += int(np.take(_POPCOUNT, words ^ rx).sum())
         done += size
     return errors / (n_sym * m)

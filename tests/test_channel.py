@@ -115,41 +115,32 @@ def test_two_path_closed_form_response_and_nulls():
 def test_transmit_noiseless_limit():
     rng = stream_rng("tx", 0)
     s = np.array([1 + 1j, -1 - 1j]) / np.sqrt(2)
-    r = transmit_symbols(s, 4.0, 0.5j, 1e-30, rng)
+    r = transmit_symbols(s[None], 4.0, 0.5j, 1e-30, [rng])
     assert np.allclose(r, 2.0 * 0.5j * s, atol=1e-12)
 
 
 def test_transmit_zero_power_is_pure_noise():
     rng = stream_rng("tx0", 0)
-    r = transmit_symbols(np.ones(200_000), 0.0, 1.0 + 0j, 2.0, rng)
+    r = transmit_symbols(np.ones((1, 200_000)), 0.0, 1.0 + 0j, 2.0, [rng])
     assert abs(np.mean(np.abs(r) ** 2) - 2.0) < 0.02
 
 
 def test_transmit_batches_symbols_row_by_row():
-    # a (t, n) call draws its noise exactly like t sequential 1-D calls
+    # a frame of t symbols draws its noise exactly like t sequential one-symbol frames
     t, n = 5, 7
     s = np.exp(2j * np.pi * stream_rng("txb-s", 0).random((t, n)))
     p = np.linspace(0.5, 3.0, n)
     h = np.exp(1j * np.linspace(0.1, 2.0, n)) * np.linspace(0.2, 1.5, n)
-    batched = transmit_symbols(s, p, h, 0.8, stream_rng("txb", 1))
+    batched = transmit_symbols(s[None], p, h, 0.8, [stream_rng("txb", 1)])
     rng = stream_rng("txb", 1)
-    rows = [transmit_symbols(s[k], p, h, 0.8, rng) for k in range(t)]
-    assert batched.shape == (t, n)
-    assert batched.tobytes() == np.stack(rows).tobytes()
+    rows = [transmit_symbols(s[None, k], p, h, 0.8, [rng]) for k in range(t)]
+    assert batched.shape == (1, t, n)
+    assert batched.tobytes() == np.concatenate(rows).tobytes()
 
-    # a 1-D call: n real draws, then n imaginary draws
+    # a one-symbol frame: n real draws, then n imaginary draws
     rng = stream_rng("txb", 2)
     want = np.sqrt(p) * h * s[0] + np.sqrt(0.4) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    assert transmit_symbols(s[0], p, h, 0.8, stream_rng("txb", 2)).tobytes() == want.tobytes()
-
-    # a 0-d call: one real draw, then one imaginary draw, like a length-1 call
-    rng = stream_rng("txb", 3)
-    got = transmit_symbols(s[0, 0], 2.0, h[0], 0.8, rng)
-    want = transmit_symbols(s[0, :1], 2.0, h[0], 0.8, stream_rng("txb", 3))
-    assert np.ndim(got) == 0 and complex(got) == complex(want[0])
-    after_two = stream_rng("txb", 3)
-    after_two.standard_normal(2)
-    assert rng.standard_normal() == after_two.standard_normal()
+    assert transmit_symbols(s[None, 0], p, h, 0.8, [stream_rng("txb", 2)]).tobytes() == want.tobytes()
 
 
 def test_empirical_snr_matches_configured():
@@ -158,7 +149,7 @@ def test_empirical_snr_matches_configured():
     gamma, h, nv = 7.0, 0.8 - 0.6j, 1.3
     p = gamma * nv / abs(h) ** 2
     s = np.exp(2j * np.pi * rng.random(n))
-    r = transmit_symbols(s, p, h, nv, rng)
+    (r,) = transmit_symbols(s[None], p, h, nv, [rng])
     noise = r - np.sqrt(p) * h * s
     snr = p * abs(h) ** 2 / np.mean(np.abs(noise) ** 2)
     assert abs(snr - gamma) / gamma < 0.02
@@ -168,7 +159,7 @@ def test_equalize_round_trip_and_noise_scaling():
     rng = stream_rng("eq", 0)
     s = np.exp(2j * np.pi * rng.random(500_000))
     p, h, nv = 2.5, 0.3 + 1.1j, 0.7
-    r = transmit_symbols(s, p, h, nv, rng)
+    (r,) = transmit_symbols(s[None], p, h, nv, [rng])
     shat = equalize(r, p, h)
     resid = shat - s
     assert np.mean(np.abs(resid) ** 2) == pytest.approx(nv / (p * abs(h) ** 2), rel=0.02)
@@ -194,7 +185,8 @@ def test_end_to_end_ber_ties_channel_to_modem():
         n_sym = 2_000_000 // m
         words = rng.integers(0, 1 << m, size=n_sym)
         s = constellation(m).points[words]
-        rx = demodulate(equalize(transmit_symbols(s, p, h, nv, rng), p, h), m)
+        (r,) = transmit_symbols(s[None], p, h, nv, [rng])
+        rx = demodulate(equalize(r, p, h), m)
         ber = np.sum([bin(int(x)).count("1") for x in np.bitwise_xor(words, rx)]) / (n_sym * m)
         assert ber == pytest.approx(ber_approx(m, gamma), rel=0.1)
 

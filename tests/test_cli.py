@@ -309,10 +309,23 @@ def test_allocate_rejects_zero_latents(no_library_load, capsys):
 
 
 @pytest.mark.parametrize(
-    "profile, message", [("exp-pdp(0)", "rms_ns must be positive"), ("/nonexistent/tdl.json", "No such file")]
+    "profile, message",
+    [
+        ("exp-pdp(0)", "rms_ns must be positive"),
+        ("/nonexistent/tdl.json", "No such file"),
+        # a profile file's document, which used to end in a KeyError or TypeError traceback
+        ({}, "need a JSON object with a 'taps' list"),
+        ([1], "need a JSON object with a 'taps' list"),
+        ({"taps": [{"delay_ns": 0}]}, "tap 0 needs a finite number 'power_db', got None"),
+        ({"taps": [{"delay_ns": 0, "power_db": 0}, 1]}, "tap 1 is not an object, got 1"),
+        ({"taps": [{"delay_ns": "0", "power_db": 0}]}, "tap 0 needs a finite number 'delay_ns', got '0'"),
+    ],
 )
-def test_allocate_rejects_a_bad_profile_before_loading(profile, message, no_library_load, capsys):
+def test_allocate_rejects_a_bad_profile_before_loading(profile, message, no_library_load, tmp_path, capsys):
     # used to load the library and the stats first
+    if not isinstance(profile, str):
+        profile = _json_file(tmp_path / "profile.json", profile)
+        message = f"profile file {profile}: {message}"
     code, out, err = _run(capsys, "allocate", "--library", "lib.json", "--profile", profile)
     assert code == 2 and out == ""
     assert message in err
@@ -435,6 +448,22 @@ def _readme_config():
     text = README.read_text(encoding="utf-8")
     block = re.search(r"`simulate` expects a JSON config:\s*```json\n(.*?)```", text, re.S)
     return json.loads(block.group(1))
+
+
+def test_readme_default_sweep_is_pinned(tmp_path, capsys):
+    # the README's sweep (512 latents, exp-pdp(300), 5/10/15 dB, 200 trials,
+    # seed 0) on the benchmark's library fixture, byte for byte
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**_readme_config(), "library": str(FIXTURE_LIBRARY)}))
+    out_dir = tmp_path / "sweep"
+    code, _, err = _run(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(out_dir), "--detail")
+    assert code == 0, err
+    names = ("report.csv", "report.json")
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
+    assert digests == {
+        "report.csv": "2ca7031b02c9b01a423fc2a616f9279a2c54bbf8e917e24f55f3ecbd035a6b5e",
+        "report.json": "c551f77ef18d5e60045bd0195da474560f014bb403b733484a6ab631fe9f2b4e",
+    }
 
 
 def test_readme_simulate_config_loads(tiny_lib_dir, tmp_path, capsys, monkeypatch):
@@ -572,6 +601,10 @@ _FAILING_INPUTS = {
                           str(Path(_a_file(tmp / "f")) / "plan.json")],
         2, "Not a directory",
     ),
+    "allocate: profile file without taps": (
+        lambda lib, tmp: ["allocate", "--library", lib, "--profile", _json_file(tmp / "p.json", {})],
+        2, "need a JSON object with a 'taps' list",
+    ),
     "simulate: config not JSON": (
         lambda lib, tmp: ["simulate", "--config", _a_file(tmp / "c.json")], 2, "bad experiment config",
     ),
@@ -584,6 +617,13 @@ _FAILING_INPUTS = {
             }),
         ],
         3, "at -40.0 dB: no BER target achieves a positive symbol rate",
+    ),
+    "simulate: profile not a string": (
+        lambda lib, tmp: [
+            "simulate", "--out-dir", str(tmp / "out"), "--config",
+            _json_file(tmp / "c.json", {"library": lib, "profile": 5}),
+        ],
+        2, "profile_ref must be a string, got 5",
     ),
     "simulate: --out-dir is a file": (
         lambda lib, tmp: [

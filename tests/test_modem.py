@@ -228,7 +228,7 @@ def test_ber_by_position_against_monte_carlo(m):
     n = 200_000
     rng = stream_rng("position-ber", m)
     words = rng.integers(0, 1 << m, size=n)
-    rx = transmit_symbols(modulate(words, m), gamma, 1.0, 1.0, rng)
+    (rx,) = transmit_symbols(modulate(words, m)[None], gamma, 1.0, 1.0, [rng])
     flips = words ^ demodulate(equalize(rx, gamma, 1.0), m)
     counts = np.array([np.count_nonzero((flips >> (m - 1 - j)) & 1) for j in range(m)])
     want = ber_by_position(m, gamma)

@@ -97,7 +97,7 @@ QUANTLINK_VALUES = """\
  0 __init__.py
  0 _checks.py
  0 _version.py
- 5 allocator.py
+ 4 allocator.py
  4 channel.py
 27 cli.py
  4 cli.py build-library
@@ -110,8 +110,8 @@ QUANTLINK_VALUES = """\
  0 modem.py
  8 quantizer.py
  0 rng.py
-12 simulator.py
-60 total
+11 simulator.py
+58 total
 """
 
 

@@ -62,7 +62,7 @@ def test_sample_latents_moments():
     n = 2_000_000
     mus, sigma2s = np.array([1.0, -2.0]), np.array([0.5, 4.0])
     stats = LatentStats(np.repeat(mus, n), np.repeat(sigma2s, n))
-    devs = sample_latents(stats, stream_rng("mom", 0)).reshape(2, n) - mus[:, None]
+    devs = sample_latents(stats, [stream_rng("mom", 0)]).reshape(2, n) - mus[:, None]
     clipped = sigma2s * (1.0 - 6.0 * std_normal_pdf(3.0) + 16.0 * q_function(3.0))
     for dev, var in zip(devs, clipped):
         assert abs(dev.var(ddof=1) - var) < 3 * var * np.sqrt(2.0 / n)
@@ -72,7 +72,7 @@ def test_sample_latents_moments():
 def test_sample_latents_clipping():
     stats = LatentStats(np.array([2.0, 5.0]), np.array([1.0, 0.0]))
     rng = stream_rng("clip", 0)
-    ys = np.stack([sample_latents(stats, rng) for _ in range(20_000)])
+    ys = sample_latents(stats, [rng] * 20_000)  # one stream, row after row
     dev = np.abs(ys[:, 0] - 2.0)
     assert dev.max() <= 3.0 + 1e-12
     assert dev.max() == pytest.approx(3.0, abs=1e-6)  # the clip boundary is hit
@@ -94,8 +94,8 @@ def _setup_plan(lib, n=40, n_sc=24, snr_db=12.0, seed=9):
 def test_trial_noiseless_equals_pure_quantization(small_lib):
     stats, ch, plan = _setup_plan(small_lib)
     ch.noise_var = 1e-30
-    y = sample_latents(stats, stream_rng("y", 1))
-    res = run_trial(stats, y, plan, small_lib, ch, stream_rng("n", 1))
+    y = sample_latents(stats, [stream_rng("y", 1)])[0]
+    res = run_trial(stats, y[None], plan, small_lib, ch, [stream_rng("n", 1)])
     assert res.realized_errors_per_subcarrier.sum() == 0
     expect = np.empty(stats.n)
     for i in range(stats.n):
@@ -106,7 +106,7 @@ def test_trial_noiseless_equals_pure_quantization(small_lib):
             sd = float(np.sqrt(stats.variances[i]))
             cw = quantize(float(y[i]), float(stats.means[i]), sd, q)
             expect[i] = (y[i] - dequantize(cw, float(stats.means[i]), sd, q)) ** 2
-    assert np.allclose(res.per_element_sq_error, expect, atol=1e-12)
+    assert np.allclose(res.per_element_sq_error[0], expect, atol=1e-12)
 
 
 def test_trial_noiseless_multi_symbol_round_trip(small_lib):
@@ -121,17 +121,16 @@ def test_trial_noiseless_multi_symbol_round_trip(small_lib):
     plan = optimize_plan(small_lib, stats, ch, p_tot)
     assert plan.t_sym >= 3  # the point of this instance
     ch.noise_var = 1e-30
-    y = sample_latents(stats, stream_rng("ym", 1))
-    res = run_trial(stats, y, plan, small_lib, ch, stream_rng("nm", 1))
+    y = sample_latents(stats, [stream_rng("ym", 1)])[0]
+    res = run_trial(stats, y[None], plan, small_lib, ch, [stream_rng("nm", 1)])
     assert res.realized_errors_per_subcarrier.sum() == 0
-    assert res.t_sym == plan.t_sym
     for i in range(stats.n):
         if plan.bits[i] == 0:
             continue
         q = small_lib.quantizer(int(plan.bits[i]), plan.eps_index)
         sd = float(np.sqrt(stats.variances[i]))
         cw = quantize(float(y[i]), 0.0, sd, q)
-        assert res.per_element_sq_error[i] == pytest.approx(
+        assert res.per_element_sq_error[0, i] == pytest.approx(
             (y[i] - dequantize(cw, 0.0, sd, q)) ** 2, abs=1e-12
         )
 
@@ -140,17 +139,17 @@ def test_trial_zero_bit_elements_reconstruct_mean(small_lib):
     stats = LatentStats(np.array([3.0, 0.0]), np.array([0.2, 2.0]))
     ch = realize_channel(exponential_pdp(300.0), 8, 30e3, seed=3)
     plan = optimize_plan(small_lib, stats, ch, 8 * 10.0)
-    y = sample_latents(stats, stream_rng("y", 2))
-    res = run_trial(stats, y, plan, small_lib, ch, stream_rng("n", 2))
-    assert res.per_element_sq_error[0] == pytest.approx((y[0] - 3.0) ** 2, abs=1e-12)
+    y = sample_latents(stats, [stream_rng("y", 2)])
+    res = run_trial(stats, y, plan, small_lib, ch, [stream_rng("n", 2)])
+    assert res.per_element_sq_error[0, 0] == pytest.approx((y[0, 0] - 3.0) ** 2, abs=1e-12)
 
 
 def test_trial_rejects_mismatched_channel(small_lib):
     stats, ch, plan = _setup_plan(small_lib)
     other = realize_channel(exponential_pdp(300.0), ch.n_sc, 30e3, seed=4321)
-    y = sample_latents(stats, stream_rng("y", 3))
+    y = sample_latents(stats, [stream_rng("y", 3)])
     with pytest.raises(ValueError, match="channel"):
-        run_trial(stats, y, plan, small_lib, other, stream_rng("n", 3))
+        run_trial(stats, y, plan, small_lib, other, [stream_rng("n", 3)])
 
 
 def test_trial_rejects_mismatched_library(small_lib):
@@ -158,9 +157,9 @@ def test_trial_rejects_mismatched_library(small_lib):
     cells = dict(small_lib.cells)
     cells[(1, 0)], cells[(1, 1)] = cells[(1, 1)], cells[(1, 0)]
     other = dataclasses.replace(small_lib, cells=cells)
-    y = sample_latents(stats, stream_rng("y", 3))
+    y = sample_latents(stats, [stream_rng("y", 3)])
     with pytest.raises(ValueError, match="library"):
-        run_trial(stats, y, plan, other, ch, stream_rng("n", 3))
+        run_trial(stats, y, plan, other, ch, [stream_rng("n", 3)])
 
 
 def test_frame_layout_is_built_once_per_plan(small_lib, monkeypatch):
@@ -183,22 +182,22 @@ def test_frame_layout_is_built_once_per_plan(small_lib, monkeypatch):
     stats, ch, plan = _setup_plan(small_lib, n=64, n_sc=16, snr_db=6.0, seed=33)
     errors = 0.0
     for f in range(3):
-        y = sample_latents(stats, stream_rng("yl", f))
-        res = run_trial(stats, y, plan, small_lib, ch, stream_rng("nl", f))
+        y = sample_latents(stats, [stream_rng("yl", f)])
+        res = run_trial(stats, y, plan, small_lib, ch, [stream_rng("nl", f)])
         errors += res.realized_errors_per_subcarrier.sum()
     assert len(calls) == 1 and placements == [plan.t_sym]
     assert errors > 0
 
     # the layout holds nothing of the realization: the noise is read per frame
     ch.noise_var = 1e-30
-    res = run_trial(stats, y, plan, small_lib, ch, stream_rng("nl", 3))
+    res = run_trial(stats, y, plan, small_lib, ch, [stream_rng("nl", 3)])
     assert res.realized_errors_per_subcarrier.sum() == 0
     assert len(calls) == 1
 
     # a derived plan starts without a layout
     derived = dataclasses.replace(plan, seed=plan.seed + 1)
     assert derived._frame_layout is None and plan._frame_layout is not None
-    run_trial(stats, y, derived, small_lib, ch, stream_rng("nl", 4))
+    run_trial(stats, y, derived, small_lib, ch, [stream_rng("nl", 4)])
     assert len(calls) == 2 and calls[1] is derived
     assert len(placements) == 2
 
@@ -212,9 +211,9 @@ def test_trial_mean_error_matches_analytic(small_lib):
     for f in range(n_frames):
         # the analytic distortion assumes an unclipped Gaussian
         y = stats.means + np.sqrt(stats.variances) * stream_rng("ya", f).standard_normal(stats.n)
-        res = run_trial(stats, y, plan, small_lib, ch, stream_rng("na", f))
-        acc += res.per_element_sq_error
-        acc2 += res.per_element_sq_error**2
+        (sq_error,) = run_trial(stats, y[None], plan, small_lib, ch, [stream_rng("na", f)]).per_element_sq_error
+        acc += sq_error
+        acc2 += sq_error**2
     mean = acc / n_frames
     se = np.sqrt(np.maximum(acc2 / n_frames - mean**2, 0) / n_frames)
     pred = stats.variances * col[plan.bits]
@@ -230,8 +229,8 @@ def test_trial_realized_ber_tracks_target(small_lib):
     errors = np.zeros(ch.n_sc)
     bits = np.zeros(ch.n_sc)
     for f in range(1200):
-        y = sample_latents(stats, stream_rng("yb", f))
-        res = run_trial(stats, y, plan, small_lib, ch, stream_rng("nb", f))
+        y = sample_latents(stats, [stream_rng("yb", f)])
+        res = run_trial(stats, y, plan, small_lib, ch, [stream_rng("nb", f)])
         errors += res.realized_errors_per_subcarrier
         bits += res.realized_bits_per_subcarrier
     active = bits > 0
@@ -254,9 +253,9 @@ def test_experiment_composition_and_determinism(small_lib):
     stats = draw_stats(src, sigma_max(small_lib), stream_rng("source", 17, 4))
     ch = realize_channel(exponential_pdp(300.0), 16, 30e3, seed=0, rng=stream_rng("channel", 17, 0))
     plan = optimize_plan(small_lib, stats, ch, 16 * 10 ** 0.8, seed=17)
-    y = sample_latents(stats, stream_rng("sample", 17, 0, 0, 0))
-    res = run_trial(stats, y, plan, small_lib, ch, stream_rng("noise", 17, 0, 0, 0))
-    assert np.array_equal(reports[0].mean_distortion_per_element, res.per_element_sq_error)
+    y = sample_latents(stats, [stream_rng("sample", 17, 0, 0, 0)])
+    res = run_trial(stats, y, plan, small_lib, ch, [stream_rng("noise", 17, 0, 0, 0)])
+    assert np.array_equal(reports[0].mean_distortion_per_element, res.per_element_sq_error[0])
     assert reports[0].mean_t_sym == plan.t_sym
     # byte determinism of the rendered report
     again = run_experiment(cfg, small_lib)
@@ -289,7 +288,6 @@ def test_experiment_csv_shape(small_lib):
 
 _TRIAL_ARRAYS = (
     "per_element_sq_error",
-    "per_element_target",
     "realized_errors_per_subcarrier",
     "realized_bits_per_subcarrier",
 )
@@ -304,7 +302,6 @@ _PINNED_TRIALS = {
         (3, 0, (0, 2, 4, 6)),
         {
             "per_element_sq_error": "a5ff67990b794e25fc577ab17d823355ecd82fd67d8f82b4b4aa1771ae2d4f61",
-            "per_element_target": "688c7676adc4bef668ee98ea912cd9ac2c0ff0696a370a80193b149b1ef27264",
             "realized_errors_per_subcarrier": "8091497862f2af258e01d0d735a41e9f699821e45eda12c54b7ca34ea106bc09",
             "realized_bits_per_subcarrier": "5a67badecc398a7b1440d8e30fbc3599aa6dffbfb2d809041f46b1e4748dceab",
         },
@@ -314,7 +311,6 @@ _PINNED_TRIALS = {
         (2, 38, (6, 8)),
         {
             "per_element_sq_error": "de37d1ccef4d56c50545ffa78609547914c0eb8810208f8298c2161c69db805f",
-            "per_element_target": "451a2863dce9f669b91027ca12e2b2e1f74d74e3cf33502e280eb62622fb5e9c",
             "realized_errors_per_subcarrier": "e7c42a130d7fc03c08d2e77019798484511a44ad026097f240835d159197a836",
             "realized_bits_per_subcarrier": "0ca8f29d111adaf8030ee6151ca8ed2a1a68cfdcbfcd85164468f9cbccbcbca7",
         },
@@ -324,7 +320,6 @@ _PINNED_TRIALS = {
         (1, 30, (0, 2, 4, 6)),
         {
             "per_element_sq_error": "8e2fe2c124468b5cd87a593dcf92cb8a7c6c861d49bdd49e8c19b88af4269875",
-            "per_element_target": "219b7e34210eb3ba5aa67232777b57399b27829aafd3341a9c49dddc2e4c0b7b",
             "realized_errors_per_subcarrier": "2f608f45df9fc19f669b866f4b4bb2bd48f92ef94a4fb4d9771a2792ecfed8f1",
             "realized_bits_per_subcarrier": "0219962ad6991683acd99167bc64a956e3da82191ad65028731cf0a8092e06b5",
         },
@@ -334,7 +329,6 @@ _PINNED_TRIALS = {
         (0, 0, (0,)),
         {
             "per_element_sq_error": "77150726ef9849f755fd75a93e44e55c6ad4198c7c33e86a62afb78e26c81ca3",
-            "per_element_target": "1c1211562f26e2818d078c29299b7e40b0f106c988573ec9f47294e95e94dd8d",
             "realized_errors_per_subcarrier": "ddf083fb3c895d1bc63dbc4a013ebde1e781f961acfcf930a67d1938da2d92e7",
             "realized_bits_per_subcarrier": "ddf083fb3c895d1bc63dbc4a013ebde1e781f961acfcf930a67d1938da2d92e7",
         },
@@ -353,10 +347,9 @@ def _pinned_trial_digests(lib, n, n_sc, snr_db, seed, var_hi):
     shape = (plan.t_sym, plan.dummy_bits, tuple(sorted(set(plan.modulations.tolist()))))
     hashes = {name: hashlib.sha256() for name in _TRIAL_ARRAYS}
     for frame in range(2):
-        y = sample_latents(stats, stream_rng("pin-y", seed, frame))
-        res = run_trial(stats, y, plan, lib, ch, stream_rng("pin-n", seed, frame))
-        assert (res.bits_sent, res.t_sym) == (plan.b_lat, plan.t_sym)
-        assert type(res.bits_sent) is int and type(res.t_sym) is int
+        y = sample_latents(stats, [stream_rng("pin-y", seed, frame)])
+        res = run_trial(stats, y, plan, lib, ch, [stream_rng("pin-n", seed, frame)])
+        assert res.bits_sent == plan.b_lat and type(res.bits_sent) is int
         for name in _TRIAL_ARRAYS:
             arr = getattr(res, name)
             hashes[name].update(arr.dtype.str.encode() + arr.tobytes())
@@ -377,16 +370,16 @@ def test_trial_checks_sent_std(small_lib):
     ch = realize_channel(exponential_pdp(300.0), 8, 30e3, seed=5)
     plan = optimize_plan(small_lib, stats, ch, 8 * 100.0, delta=0.0)
     assert plan.bits[0] > 0
-    y = sample_latents(stats, stream_rng("y", 5))
+    y = sample_latents(stats, [stream_rng("y", 5)])
     with pytest.raises(ValueError, match="std must be positive"):
-        run_trial(stats, y, plan, small_lib, ch, stream_rng("n", 5))
+        run_trial(stats, y, plan, small_lib, ch, [stream_rng("n", 5)])
 
     # a plan without a stats digest is checked against whatever stats it is run with
     good = LatentStats(np.zeros(4), np.array([0.5, 1.0, 2.0, 3.0]))
     loose = dataclasses.replace(plan, digests={})
-    run_trial(good, y, loose, small_lib, ch, stream_rng("n", 6))
+    run_trial(good, y, loose, small_lib, ch, [stream_rng("n", 6)])
     with pytest.raises(ValueError, match="std must be positive"):
-        run_trial(stats, y, loose, small_lib, ch, stream_rng("n", 7))
+        run_trial(stats, y, loose, small_lib, ch, [stream_rng("n", 7)])
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +415,12 @@ def _reference_layout(plan):
 
 
 def _reference_trial(stats, y, plan, lib, realization, rng):
-    targets = target_distortion(stats.variances)
     b_lat = plan.b_lat
     yhat = stats.means.copy()
     err_per_sc = np.zeros(realization.n_sc)
     bits_per_sc = np.zeros(realization.n_sc)
     if plan.is_empty or b_lat == 0:
-        return simulator.TrialResult(np.square(y - yhat), targets, 0, 0, err_per_sc, bits_per_sc)
+        return simulator.TrialResult(np.square(y - yhat), 0, err_per_sc, bits_per_sc)
 
     groups, owner, shift, starts, pad = _reference_layout(plan)
     std = np.sqrt(stats.variances)
@@ -461,7 +453,7 @@ def _reference_trial(stats, y, plan, lib, realization, rng):
     for b, ids, ranks in groups:
         q = lib.quantizer(b, plan.eps_index)
         yhat[ids] = dequantize(rx_words[ranks], stats.means[ids], std[ids], q)
-    return simulator.TrialResult(np.square(y - yhat), targets, b_lat, plan.t_sym, err_per_sc, bits_per_sc)
+    return simulator.TrialResult(np.square(y - yhat), b_lat, err_per_sc, bits_per_sc)
 
 
 def _reference_experiment(cfg, lib, keep_trials=False):
@@ -581,14 +573,7 @@ def test_batched_trial_equals_one_frame_reference(request, key, frames):
     # the realized counts are integers, so their sum over frames is exact
     for name in ("realized_errors_per_subcarrier", "realized_bits_per_subcarrier"):
         assert _same_bytes(getattr(res, name), sum(getattr(r, name) for r in refs))
-    assert _same_bytes(res.per_element_target, refs[0].per_element_target)
-    assert (res.bits_sent, res.t_sym) == (refs[0].bits_sent, refs[0].t_sym)
-
-    # one vector with one Generator is the one-frame batch, returned unbatched
-    one = run_trial(stats, y[0], plan, lib, ch, stream_rng("bn", key, 0))
-    for name in _TRIAL_ARRAYS:
-        assert _same_bytes(getattr(one, name), getattr(refs[0], name)), name
-    assert (one.bits_sent, one.t_sym) == (refs[0].bits_sent, refs[0].t_sym)
+    assert res.bits_sent == refs[0].bits_sent
 
 
 def test_batched_quantizer_sends_threshold_ties_low(small_lib):
@@ -672,7 +657,6 @@ def test_transmit_rows_equal_per_row_calls():
     p, h = rng.uniform(0.5, 2.0, size=5), rng.standard_normal(5) + 1j
     got = channel.transmit_symbols(s, p, h, 0.7, [stream_rng("txn", f) for f in range(4)])
     for f in range(4):
-        assert _same_bytes(got[f], channel.transmit_symbols(s[f], p, h, 0.7, stream_rng("txn", f)))
         assert _same_bytes(got[f], _reference_transmit(s[f], p, h, 0.7, stream_rng("txn", f)))
     with pytest.raises(ValueError, match="one Generator per row"):
         channel.transmit_symbols(s, p, h, 0.7, [stream_rng("txn", f) for f in range(3)])
@@ -683,7 +667,6 @@ def test_sample_rows_equal_per_row_calls():
     got = sample_latents(stats, [stream_rng("sl", f) for f in range(6)])
     assert got.shape == (6, 50)
     for f in range(6):
-        assert _same_bytes(got[f], sample_latents(stats, stream_rng("sl", f)))
         assert _same_bytes(got[f], _reference_sample(stats, stream_rng("sl", f)))
 
 
