@@ -26,7 +26,9 @@ A plan runs in three steps.
   * Grant leftover symbol capacity bit by bit to the element with the largest
     marginal weighted-distortion reduction. Whatever capacity remains after
     every element saturates is padded with pseudo-random dummy bits so the
-    resource-grid accounting stays exact.
+    resource-grid accounting stays exact. Only the number of grants, the
+    residual t_sym * r_sym - b_lat in [0, r_sym), depends on the channel, so
+    the stats keep the winner's refinement too (see _refined_bits).
 
 Minimum depths need no search per element. The first depth whose distortion
 meets a bound is also the first whose running minimum min(D(1..b)) meets it,
@@ -44,7 +46,10 @@ closed form:
   * refinement grants the `residual` largest keys sigma_i^2 min(dec[b_i..b]),
     the running minimum of each element's gain sequence, ties in (element,
     depth) order (the merge argument is in refine_bit_allocation). This holds
-    on every distortion column, convex or not;
+    on every distortion column, convex or not. Key and tie order rank the
+    candidates totally, so the grants at residual r are the first r of the
+    grants at any R >= r: sorted that way once, the grants at R give every
+    smaller residual's grants as a prefix;
   * loading takes the longest prefix of the sorted power increments whose
     running sum (accumulated in the loop's order, so bit for bit the same)
     fits the budget. The SNR-threshold steps never shrink under an exact float
@@ -71,7 +76,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_nonnegative_finite
+from ._checks import check_int, check_nonnegative_finite
 from ._version import __version__
 from .channel import ChannelRealization
 from .library import DEFAULT_DELTA, QuantizerLibrary, gamma_increments_convex
@@ -161,19 +166,25 @@ class _SourceRating:
     infeasible is the first target with an element that no depth serves (None
     when every target serves all), b_lat every target's minimum bit total
     (read-only), and depths maps each target that has won a plan to its
-    minimum_bit_allocation result, the bits read-only. key is (library
+    minimum_bit_allocation result, the bits read-only. refined maps each
+    target that has refined a plan to (bits, residual, dummy), the
+    refine_bit_allocation result at the largest residual refined for it so
+    far, the bits read-only, and orders maps it to that refinement's grant
+    order once a plan has read it (see _refined_bits). key is (library
     digest, delta), set when the rating is kept on the stats. Only a plan
-    that completes keeps one, so a kept rating has no infeasible target.
-    A plain class: a dataclass would cost every import of the module about
+    that completes keeps one, so a kept rating has no infeasible target. A
+    plain class: a dataclass would cost every import of the module about
     0.6 ms to generate its methods.
     """
 
-    __slots__ = ("infeasible", "b_lat", "depths", "key")
+    __slots__ = ("infeasible", "b_lat", "depths", "refined", "orders", "key")
 
     def __init__(self, infeasible: int | None, b_lat: np.ndarray):
         self.infeasible = infeasible
         self.b_lat = b_lat
         self.depths: dict[int, tuple[np.ndarray, int]] = {}
+        self.refined: dict[int, tuple[np.ndarray, int, int]] = {}
+        self.orders: dict[int, np.ndarray] = {}
         self.key: tuple | None = None
 
 
@@ -332,31 +343,52 @@ def refine_bit_allocation(
     So the greedy grants the `residual` largest keys, ties in (element, depth)
     order, on any column. As sigma_i^2 >= 0 and rounding is monotone,
     k_i(b) = sigma_i^2 min(dec[b_i..b]) exactly.
+
+    Raises ValueError for bits that are not one int depth in 0..b_max per
+    element, a capacity that is not an int, or a capacity below the bit
+    total.
     """
-    bits = np.asarray(bits, dtype=np.int64).copy()
+    bits = np.asarray(bits)
+    if bits.dtype.kind not in "iu":
+        raise ValueError(f"bit depths must be ints, got array kind {bits.dtype.kind!r}")
+    bits = bits.astype(np.int64, copy=False)
+    if bits.shape != stats.variances.shape:
+        raise ValueError("need one bit depth per element")
+    if bits.size and (bits.min() < 0 or bits.max() > lib.b_max):
+        raise ValueError(f"bit depth outside 0..{lib.b_max}")
+    check_int("capacity", capacity)
     residual = capacity - int(bits.sum())
     if residual < 0:
         raise ValueError("capacity below the current bit total")
-    col = np.concatenate(([1.0], lib.distortion_column(eps_index)))  # col[b] = D(1; b)
-    dec = col[:-1] - col[1:]  # dec[b] = D(b) - D(b + 1), the gain of growing from depth b
-    depth = np.arange(lib.b_max)
-    # key[s, b] = min(dec[s..b]) for an element starting at depth s <= b
-    key = np.minimum.accumulate(np.where(depth >= depth[:, None], dec, np.inf), axis=1)
+    key = _key_table(lib, eps_index)
     elements = np.flatnonzero((bits >= 1) & (bits < lib.b_max))
     if 0 < residual < elements.size:
         # at least `residual` keys (first gains) reach t, the residual-th
         # largest first gain, so no key below t is granted; keys fall with
         # depth, so an element whose first gain is below t gets no bit
-        first = stats.variances[elements] * dec[bits[elements]]
+        first = stats.variances[elements] * key.diagonal()[bits[elements]]  # key[b, b] = dec[b]
         cut = elements.size - residual
         elements = elements[first >= np.partition(first, cut)[cut]]
     start = bits[elements]
     # candidates in (element, depth) order, the greedy's tie order
-    row, b = np.nonzero(depth >= start[:, None])
+    row, b = np.nonzero(np.arange(lib.b_max) >= start[:, None])
     gain = stats.variances[elements[row]] * key[start[row], b]
     granted = row[_smallest(-gain, residual)]  # the residual largest keys
-    bits += np.bincount(elements[granted], minlength=bits.size)
-    return bits, residual - granted.size
+    return bits + np.bincount(elements[granted], minlength=bits.size), residual - granted.size
+
+
+def _key_table(lib: QuantizerLibrary, eps_index: int) -> np.ndarray:
+    """The refinement's keys at target eps_index: key[s, b] = min(dec[s..b]) for s <= b.
+
+    dec[b] = D(b) - D(b + 1) is the gain of growing from depth b (D(0) = 1),
+    and the bit that grows element i from depth b, on its way up from depth
+    s, has key sigma_i^2 key[s, b] (see refine_bit_allocation). Entries
+    below the diagonal are inf.
+    """
+    col = np.concatenate(([1.0], lib.distortion_column(eps_index)))  # col[b] = D(1; b)
+    dec = col[:-1] - col[1:]
+    depth = np.arange(lib.b_max)
+    return np.minimum.accumulate(np.where(depth >= depth[:, None], dec, np.inf), axis=1)
 
 
 def build_bit_mapping(
@@ -435,12 +467,14 @@ def optimize_plan(
     the selection runs.
 
     The source's share of the work does not depend on the channel: the
-    sorted bounds, every target's b_lat and the winner's minimum depths. A
-    plan keeps it on the stats (LatentStats._rating) once their digest has
-    been read, for this library and delta. A later plan on the same
-    (stats, library, delta) reads it back and so calls
-    minimum_bit_allocation only for a target that has not won before; a
-    plan's bits are always its own array, never the kept one.
+    sorted bounds, every target's b_lat, the winner's minimum depths and the
+    order in which its refinement grants bits. A plan keeps it on the stats
+    (LatentStats._rating) once their digest has been read, for this library
+    and delta. A later plan on the same (stats, library, delta) reads it back
+    and so calls minimum_bit_allocation only for a target that has not won
+    before, and refine_bit_allocation only for a residual above the largest
+    one refined for its target that did not saturate (see _refined_bits). A
+    plan's bits are always its own array, never a kept one.
     """
     check_nonnegative_finite("delta", delta)
     gamma = np.vstack((np.zeros(lib.epsilons.size), lib.gamma_thresholds))  # column q: target q
@@ -454,14 +488,8 @@ def optimize_plan(
             depths = minimum_bit_allocation(lib, stats, eps_index, delta)
             depths[0].flags.writeable = False
             rating.depths[eps_index] = depths
-        bits, b_lat = rating.depths[eps_index]
         modulations, powers, r_sym = allocate_power_modulation(channel, p_tot, gamma[:, eps_index])
-        capacity = t_sym * r_sym
-        dummy = capacity - b_lat
-        if capacity > b_lat:
-            bits, dummy = refine_bit_allocation(lib, stats, bits, eps_index, capacity)
-        else:
-            bits = bits.copy()
+        bits, dummy = _refined_bits(lib, stats, rating, eps_index, t_sym * r_sym)
 
     digests = {"library": lib.digest(), "stats": stats.digest(), "channel_seed": channel.seed}
     if rating.key is None:  # the digest is read, so the stats no longer change
@@ -478,6 +506,58 @@ def optimize_plan(
         seed=seed,
         digests=digests,
     )
+
+
+def _refined_bits(
+    lib: QuantizerLibrary, stats: LatentStats, rating: _SourceRating, eps_index: int, capacity: int
+) -> tuple[np.ndarray, int]:
+    """The winner's refined bits at `capacity`, as a new array, and their dummy count.
+
+    The winner's depths and b_lat are the ones the rating keeps, so the
+    residual r = capacity - b_lat lies in [0, r_sym). The greedy grants bits
+    in one order, fixed by the source, the library column and the depths, and
+    its first r grants are its refinement at residual r. A kept refinement
+    that granted g bits at residual R holds the first g grants, so it covers
+    every r <= R, and every r when it saturated (g < R): the plan takes the
+    kept bits and r - g dummies when r >= g, else the depths plus one
+    bincount of the order's first r elements. The order, the granted
+    (element, depth) candidates sorted by descending key with ties in
+    (element, depth) order, is built when a plan first reads it. A residual
+    that the kept refinement does not cover calls refine_bit_allocation, and
+    its result replaces the kept one.
+    """
+    depths, b_lat = rating.depths[eps_index]
+    residual = capacity - b_lat
+    if residual == 0:
+        return depths.copy(), 0
+    bits, kept_residual, kept_dummy = rating.refined.get(eps_index, (None, 0, 0))
+    if bits is None or (residual > kept_residual and kept_dummy == 0):
+        bits, dummy = refine_bit_allocation(lib, stats, depths, eps_index, capacity)
+        bits.flags.writeable = False
+        rating.refined[eps_index] = (bits, residual, dummy)
+        rating.orders.pop(eps_index, None)
+        return bits.copy(), dummy
+    granted = kept_residual - kept_dummy
+    if residual >= granted:
+        return bits.copy(), residual - granted
+    if eps_index not in rating.orders:
+        rating.orders[eps_index] = _grant_order(lib, stats, eps_index, depths, bits)
+    return depths + np.bincount(rating.orders[eps_index][:residual], minlength=depths.size), 0
+
+
+def _grant_order(
+    lib: QuantizerLibrary, stats: LatentStats, eps_index: int, depths: np.ndarray, refined: np.ndarray
+) -> np.ndarray:
+    """The element of each bit that grew depths into refined, in the greedy's grant order."""
+    grown = refined - depths
+    elements = np.flatnonzero(grown)
+    counts = grown[elements]
+    row = np.repeat(elements, counts)
+    start = depths[row]
+    # each element's grants from its start depth up, in (element, depth) order
+    depth = start + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    key = stats.variances[row] * _key_table(lib, eps_index)[start, depth]
+    return row[np.argsort(-key, kind="stable")]
 
 
 def _rate_targets(

@@ -189,6 +189,8 @@ def cmd_simulate(args) -> int:
         if "profile" in doc:
             settings["profile_ref"] = doc["profile"]
         cfg = sim.ExperimentConfig(source=sim.SyntheticSourceConfig(**doc.get("source", {})), **settings)
+        # a missing or malformed profile file is refused before the library loads
+        chan.parse_profile_ref(cfg.profile_ref)
         lib = liblib.load_library(doc["library"])
     except (OSError, KeyError, TypeError, ValueError, liblib.LibraryFormatError) as exc:
         print(f"error: bad experiment config: {exc}", file=sys.stderr)

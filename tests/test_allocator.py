@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,10 +28,12 @@ from quantlink.allocator import (
     validate_plan,
 )
 from quantlink.channel import ChannelRealization, exponential_pdp, realize_channel
-from quantlink.library import gamma_increments_convex, sigma_max
+from quantlink.library import gamma_increments_convex, load_library, sigma_max
 from quantlink.modem import QAM_BITS, snr_threshold
 from quantlink.rng import stream_rng
 from quantlink.simulator import SyntheticSourceConfig, draw_stats
+
+FIXTURE_LIBRARY = Path(__file__).resolve().parents[1] / "benchmarks" / "default_library.json"
 
 # sha256 over the serialize_plan documents of the default library's plans for
 # a 4096-latent log-uniform source on one exp-pdp(300) realization at 5, 10
@@ -474,6 +477,30 @@ def test_refine_saturation_produces_dummies(small_lib):
     refined, dummy = refine_bit_allocation(small_lib, stats, bits, 0, total + headroom + 5)
     assert refined[0] == small_lib.b_max
     assert dummy == 5
+
+
+@pytest.mark.parametrize(
+    "bits, capacity, message",
+    [
+        # these used to refine to [3, 9, 0, 5], [2, 4, -3, 4], [2, 3, 2, 4]
+        # (1.7 truncated to 1), [3, 4, 0, 4] and [3, 6, 2]
+        ([1, 9, 0, 2], 17, "bit depth outside 0..8"),
+        ([1, 1, -3, 2], 7, "bit depth outside 0..8"),
+        ([1.7, 1, 2, 2], 11, "bit depths must be ints, got array kind 'f'"),
+        ([True, True, False, True], 11, "bit depths must be ints, got array kind 'b'"),
+        ([1, 1, 2], 11, "need one bit depth per element"),
+        # 8.5 used to raise a TypeError from np.partition, True to count as
+        # 1; a numpy int is not a plain int under the same rules
+        ([1, 1, 2, 2], 8.5, "capacity must be an int, got 8.5"),
+        ([0, 0, 0, 0], True, "capacity must be an int, got True"),
+        ([1, 1, 2, 2], np.int64(11), "capacity must be an int"),
+    ],
+)
+def test_refine_refuses_depths_and_capacities_it_cannot_refine(bits, capacity, message):
+    lib = load_library(FIXTURE_LIBRARY)
+    stats = LatentStats(np.zeros(4), np.array([0.5, 2.0, 0.05, 3.0]))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refine_bit_allocation(lib, stats, bits, 3, capacity)
 
 
 def _brute_force_refinement(lib, variances, bits, qi, residual):
@@ -1029,3 +1056,78 @@ def test_kept_rating_follows_the_library_and_delta(small_lib):
         assert stats._rating.key == (lib.digest(), delta)
     # derived stats start without the rating
     assert dataclasses.replace(stats, variances=stats.variances)._rating is None
+
+
+# ---------------------------------------------------------------------------
+# the refinement a plan keeps with the rating
+# ---------------------------------------------------------------------------
+
+
+def _residual(lib, stats, plan):
+    """The capacity a plan's refinement had to spend: t_sym * r_sym minus the minimum bits."""
+    return plan.t_sym * plan.r_sym - minimum_bit_allocation(lib, stats, plan.eps_index)[1]
+
+
+# on the small library, sigma_max^2 is about 3.75 and delta 0.4: 0.1 sends no
+# bits, and 1 + 2^-44 is a near tie with 1
+_KEPT_VARIANCES = st.sampled_from([0.1, 0.5, 1.0, 1.0 + 2.0**-44, 2.0, 3.0, 3.7])
+# one to three subcarriers at 15-35 dB always afford QPSK, and up to 24 bits
+# per symbol can run past the source's headroom (at most 2 bits per sent element)
+_KEPT_CHANNELS = st.lists(
+    st.tuples(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=3), st.floats(15.0, 35.0)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(variances=st.lists(_KEPT_VARIANCES, min_size=4, max_size=32), channels=_KEPT_CHANNELS, data=st.data())
+def test_plans_on_one_source_follow_any_residual_order(small_lib, variances, channels, data):
+    # the blocks come back in any order, so the residuals rise, fall, repeat,
+    # hit 0 and run past saturation
+    blocks = [
+        (ChannelRealization(np.array(gains, dtype=np.complex128), 1.0, 30e3, k), len(gains) * 10.0 ** (snr / 10.0))
+        for k, (gains, snr) in enumerate(channels)
+    ]
+    order = data.draw(st.lists(st.integers(0, len(blocks) - 1), min_size=2, max_size=12))
+    stats = LatentStats(np.zeros(len(variances)), np.array(variances))
+    for k in order:
+        ch, p_tot = blocks[k]
+        plan = optimize_plan(small_lib, stats, ch, p_tot)
+        assert serialize_plan(plan) == serialize_plan(optimize_plan(small_lib, _fresh(stats), ch, p_tot))
+        plan.bits[:] = 99  # the next plan on the source stays as it was
+
+
+def test_a_plan_refines_only_past_the_largest_residual_refined(small_lib, monkeypatch):
+    rng = stream_rng("kept-order", 0)
+    n = 200
+    stats = LatentStats(np.zeros(n), np.exp(rng.uniform(np.log(0.5), np.log(sigma_max(small_lib) ** 2), n)))
+    blocks = [
+        (realize_channel(exponential_pdp(300.0), 24, 30e3, seed=k), 24 * 10.0 ** (snr_db / 10.0))
+        for k, snr_db in enumerate(rng.uniform(0.0, 10.0, 30))
+    ]
+    plans = [optimize_plan(small_lib, _fresh(stats), ch, p) for ch, p in blocks]
+    # the blocks that refine target 1, none of them to saturation
+    blocks, plans = zip(*[(b, plan) for b, plan in zip(blocks, plans) if plan.eps_index == 1])
+    assert len(blocks) > 20 and not any(plan.dummy_bits for plan in plans)
+    by_residual = sorted(range(len(blocks)), key=lambda k: _residual(small_lib, stats, plans[k]))
+    residuals = [_residual(small_lib, stats, plans[k]) for k in by_residual]
+    middle = len(blocks) // 2
+    assert residuals[0] < residuals[middle] < residuals[-1]
+
+    calls = []
+    refine = allocator.refine_bit_allocation
+
+    def counting(*args, **kwargs):
+        calls.append(args[4] - int(np.sum(args[2])))
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(allocator, "refine_bit_allocation", counting)
+    # R, then every residual up to R in falling order, then the largest, then all
+    sequence = [middle] + list(range(middle, -1, -1)) + [len(blocks) - 1] + list(range(len(blocks)))
+    for i in sequence:
+        k = by_residual[i]
+        plan = optimize_plan(small_lib, stats, *blocks[k])
+        assert serialize_plan(plan) == serialize_plan(plans[k])
+        plan.bits[:] = 0
+    assert calls == [residuals[middle], residuals[-1]]

@@ -424,6 +424,27 @@ def test_simulate_rejects_misspelled_key(tiny_lib_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "profile, message",
+    [
+        ("/nonexistent/tdl.json", "No such file"),
+        ({}, "need a JSON object with a 'taps' list"),
+        ({"taps": [{"delay_ns": 0}]}, "tap 0 needs a finite number 'power_db', got None"),
+    ],
+)
+def test_simulate_rejects_a_bad_profile_before_loading(profile, message, no_library_load, tmp_path, capsys):
+    # a missing profile file used to load the whole library first and then
+    # fail without the config prefix
+    if not isinstance(profile, str):
+        profile = _json_file(tmp_path / "profile.json", profile)
+    cfg_path = _json_file(tmp_path / "exp.json", {"library": "lib.json", "profile": profile, "trials": 1})
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "simulate", "--config", cfg_path, "--out-dir", str(out_dir))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad experiment config: ") and message in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "source",
     [{key: value} for key, value in (
         ("variance_law", "fixed"), ("var_lo", 0.01), ("var_hi", 4.0), ("fixed_variances", [1.0]),
@@ -624,6 +645,20 @@ _FAILING_INPUTS = {
             _json_file(tmp / "c.json", {"library": lib, "profile": 5}),
         ],
         2, "profile_ref must be a string, got 5",
+    ),
+    "simulate: no profile file": (
+        lambda lib, tmp: [
+            "simulate", "--out-dir", str(tmp / "out"), "--config",
+            _json_file(tmp / "c.json", {"library": lib, "profile": str(tmp / "none.json"), "trials": 1}),
+        ],
+        2, "bad experiment config: [Errno 2] No such file or directory",
+    ),
+    "simulate: profile file without taps": (
+        lambda lib, tmp: [
+            "simulate", "--out-dir", str(tmp / "out"), "--config",
+            _json_file(tmp / "c.json", {"library": lib, "profile": _json_file(tmp / "p.json", {}), "trials": 1}),
+        ],
+        2, "bad experiment config: profile file",
     ),
     "simulate: --out-dir is a file": (
         lambda lib, tmp: [
