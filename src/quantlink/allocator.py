@@ -2,69 +2,56 @@
 
 A plan runs in three steps.
 
-  * Rate every BER target on the library grid at once. For target q, b_lat[q]
-    is the total of the per-element minimum bit depths: each element gets the
-    smallest depth whose library distortion meets its variance-derived bound
-    1/(sigma^2 + 1), and variances below the negligibility threshold get zero
-    bits. r_sym[q] is the bits per OFDM symbol of greedy loading: starting
-    from silence, the subcarrier with the cheapest power increment for one
-    modulation step (QPSK -> 16 -> 64 -> 256-QAM) is raised until the next
-    increment no longer fits the power budget. Power per subcarrier is pinned
-    to hit the BER target exactly given its gain, so the per-bit flip
-    probability matches the quantizer design point. Every library's
-    SNR-threshold steps never shrink, and under such steps this greedy is
-    exactly optimal.
+  * Rate every BER target on the library grid. For target q, b_lat[q] is the
+    total of the per-element minimum bit depths: each element gets the
+    smallest depth whose distortion meets its bound 1/(sigma^2 + 1), and
+    variances below the negligibility threshold get zero bits. r_sym[q] is
+    the bits per OFDM symbol of greedy loading: from silence, the subcarrier
+    with the cheapest power increment for one modulation step (QPSK -> 16 ->
+    64 -> 256-QAM) is raised until the next increment no longer fits the
+    budget. Each subcarrier's power hits the BER target exactly given its
+    gain, so the per-bit flip probability matches the quantizer design point.
 
   * Select the target minimizing b_lat / r_sym (ties to the smaller target);
-    the symbol count is the ceiling of that ratio. Only this target's bit
-    depths, modulations and powers are then built, by the same per-target
-    functions (minimum_bit_allocation, allocate_power_modulation) that define
-    b_lat and r_sym. Of these, b_lat and the bit depths depend on the source,
-    the library and the negligibility threshold alone, so the stats keep them
-    for the next plan on another channel (see optimize_plan).
+    the symbol count is the ceiling of that ratio. Only this target's depths,
+    modulations and powers are built, by the per-target functions
+    (minimum_bit_allocation, allocate_power_modulation) that define b_lat and
+    r_sym. b_lat and the depths depend only on the source, the library and
+    the negligibility threshold, so the stats keep them (see optimize_plan).
 
   * Grant leftover symbol capacity bit by bit to the element with the largest
-    marginal weighted-distortion reduction. Whatever capacity remains after
-    every element saturates is padded with pseudo-random dummy bits so the
-    resource-grid accounting stays exact. Only the number of grants, the
-    residual t_sym * r_sym - b_lat in [0, r_sym), depends on the channel, so
-    the stats keep the winner's refinement too (see _refined_bits).
+    marginal weighted-distortion reduction, and pad what is left once every
+    element saturates with pseudo-random dummy bits. Only the residual
+    t_sym * r_sym - b_lat in [0, r_sym) depends on the channel, so the stats
+    keep the winner's refinement too (see _refined_bits).
 
-Minimum depths need no search per element. The first depth whose distortion
-meets a bound is also the first whose running minimum min(D(1..b)) meets it,
-and the running minimum is nonincreasing, so on any distortion column an
-element's minimum depth is 1 + #{b : min(D(1..b)) > bound}.
-minimum_bit_allocation takes one target's depths as one searchsorted of the
-bounds into that running minimum. The rating needs no per-target arrays:
-b_lat[q] is the checked-element count plus one searchsorted of column q's
+The greedy loops have closed forms. The first depth whose distortion meets a
+bound is the first whose running minimum min(D(1..b)) does, and that never
+rises, so on any column a minimum depth is 1 + #{b : min(D(1..b)) > bound}:
+one searchsorted per target, and b_lat[q] one searchsorted of column q's
 running minimum into the sorted bounds.
+Refinement grants the `residual` largest keys sigma_i^2 min(dec[b_i..b]),
+ties in (element, depth) order (see refine_bit_allocation); key and tie order
+rank the candidates totally, so the grants at residual r are the first r of
+the grants at any R >= r.
 
-The greedy loading and refinement loops are merges of per-item cost sequences,
-one per subcarrier (loading) or per element (refinement), and each has a
-closed form:
-
-  * refinement grants the `residual` largest keys sigma_i^2 min(dec[b_i..b]),
-    the running minimum of each element's gain sequence, ties in (element,
-    depth) order (the merge argument is in refine_bit_allocation). This holds
-    on every distortion column, convex or not. Key and tie order rank the
-    candidates totally, so the grants at residual r are the first r of the
-    grants at any R >= r: sorted that way once, the grants at R give every
-    smaller residual's grants as a prefix;
-  * loading takes the longest prefix of the sorted power increments whose
-    running sum (accumulated in the loop's order, so bit for bit the same)
-    fits the budget. The SNR-threshold steps never shrink under an exact float
-    test, an invariant of every QuantizerLibrary's table, so the greedy order
-    is the sorted order of all (subcarrier, step) costs, ties by subcarrier
-    and then step (Hughes-Hartogs loading equals one ascending sort of its
-    increments; J. Campello, "Practical bit loading for DMT", ICC 1999).
-    Equal costs leave the running sums unchanged, so r_sym needs only the
-    sorted values, for every target in one sort.
+Loading takes the longest prefix of the sorted power increments whose running
+sum (accumulated in the loop's order, so bit for bit the same) fits the
+budget. The SNR-threshold steps of every library's step table never shrink
+under an exact float test, so the greedy is exactly optimal and its order is
+the sorted order of all (subcarrier, step) costs, ties by subcarrier, then
+step (Hughes-Hartogs loading is one ascending sort of its increments;
+J. Campello, "Practical bit loading for DMT", ICC 1999). The rating and the
+loading build a target's costs as four runs inc[s] * sorted(noise_var/|h|^2),
+one per step and each sorted: the same products, so the same sorted row.
+Equal costs leave the running sums alike, so r_sym needs only the sorted
+values, and the rating sorts and sums each row only as far as the loosest
+target's prefix reaches. The loading grants every cost below the last one
+taken, then the first costs equal to it in (subcarrier, step) order.
 
 Where each bit goes is not stored in a plan: build_bit_mapping derives the
-placement from the plan's modulations and t_sym, for the plan's digest and
-for the trial chain's frame layout alike. A property test of that function,
-not a check of every plan, shows that it is a bijection onto the active bit
-slots.
+placement from modulations and t_sym, for the digest and the frame layout
+alike, and a property test shows it a bijection onto the active bit slots.
 """
 
 from __future__ import annotations
@@ -76,10 +63,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_int, check_nonnegative_finite
+from ._checks import check_int, check_nonnegative_finite, is_int
 from ._version import __version__
 from .channel import ChannelRealization
-from .library import DEFAULT_DELTA, QuantizerLibrary, gamma_increments_convex
+from .library import DEFAULT_DELTA, QuantizerLibrary
 from .modem import QAM_BITS
 from .rng import stream_seed
 
@@ -118,13 +105,11 @@ class LatentStats:
     as float64: finite means, finite nonnegative variances. A string or bool
     entry is refused, not converted.
 
-    The object is immutable once its digest has been read: digest() hashes
-    the means and variances on its first call and returns that hash from
-    then on. From then on optimize_plan also keeps what a plan needs of the
-    source whatever the channel (see _SourceRating), for the last library
-    and delta it planned with, so later plans on that pair skip that work.
-    Derive changed stats with dataclasses.replace, which starts without a
-    cached digest or rating.
+    The object is immutable once digest() has hashed it (on its first call),
+    and from then on optimize_plan keeps on it what a plan needs of the source
+    whatever the channel, for the last library and delta (see _SourceRating).
+    Derive changed stats with dataclasses.replace, which starts without
+    either.
     """
 
     means: np.ndarray
@@ -164,17 +149,14 @@ class _SourceRating:
     """What every plan of one source on one library and delta shares.
 
     infeasible is the first target with an element that no depth serves (None
-    when every target serves all), b_lat every target's minimum bit total
-    (read-only), and depths maps each target that has won a plan to its
-    minimum_bit_allocation result, the bits read-only. refined maps each
-    target that has refined a plan to (bits, residual, dummy), the
-    refine_bit_allocation result at the largest residual refined for it so
-    far, the bits read-only, and orders maps it to that refinement's grant
-    order once a plan has read it (see _refined_bits). key is (library
-    digest, delta), set when the rating is kept on the stats. Only a plan
-    that completes keeps one, so a kept rating has no infeasible target. A
-    plain class: a dataclass would cost every import of the module about
-    0.6 ms to generate its methods.
+    if none), b_lat every target's minimum bit total, depths each winning
+    target's minimum_bit_allocation result, refined each refining target's
+    (bits, residual, dummy) from refine_bit_allocation at the largest
+    residual refined so far, and orders that refinement's grant order once
+    read (see _refined_bits); every array is read-only. key is (library
+    digest, delta), set when a plan that completes keeps the rating on the
+    stats, so a kept rating has no infeasible target. A plain class: a
+    dataclass costs each import about 0.6 ms to generate its methods.
     """
 
     __slots__ = ("infeasible", "b_lat", "depths", "refined", "orders", "key")
@@ -227,29 +209,39 @@ def allocate_power_modulation(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Greedy modulation/power loading of one OFDM symbol.
 
-    gamma_steps[s] is the SNR threshold for modulation QAM_BITS[s-1], with
-    gamma_steps[0] = 0 for silence, strictly increasing, with steps that
-    never shrink (as in every library's table); other vectors raise
-    ValueError. Under such steps the greedy takes the longest affordable
-    prefix of all sorted increments. Returns (modulations, powers,
-    bits/symbol).
+    gamma_steps is a vector [0, gamma(QPSK), ..., gamma(256-QAM)] of SNR
+    thresholds, strictly increasing, with steps that never shrink (as each
+    library's step_table() row); other input raises ValueError. Returns
+    (modulations, powers, bits/symbol).
     """
     if not p_tot > 0:
         raise ValueError("p_tot must be positive")
-    if gamma_steps.shape[0] != len(QAM_BITS) + 1 or gamma_steps[0] != 0.0:
+    gamma_steps = np.asarray(gamma_steps, dtype=np.float64)
+    if gamma_steps.shape != (len(QAM_BITS) + 1,) or gamma_steps[0] != 0.0:
         raise ValueError("gamma_steps must be [0, gamma(QPSK), ..., gamma(256-QAM)]")
-    if not np.all(np.diff(gamma_steps) > 0):
+    g = gamma_steps.tolist()
+    increments = [b - a for a, b in zip(g, g[1:])]  # np.diff's and gamma_increments_convex's floats
+    if not all(d > 0 for d in increments):
         raise ValueError("gamma_steps must be strictly increasing")
-    if not gamma_increments_convex(gamma_steps):
+    if not all(b - a >= 0 for a, b in zip(increments, increments[1:])):
         raise ValueError("gamma_steps increments must never shrink")
     inv_gain = channel.noise_var / np.square(np.abs(channel.gains))
-    increments = np.diff(gamma_steps)  # per modulation step
-    cost = (increments[None, :] * inv_gain[:, None]).ravel()  # [subcarrier, step], row-major
-    ordered = np.sort(cost)
+    ascending = np.sort(inv_gain)
+    runs = np.array(increments)[:, None] * ascending  # run s: step s of each subcarrier, sorted
+    ordered = np.sort(runs, axis=None)
     taken = int(_affordable(ordered, p_tot))
-    # the flat index orders (subcarrier, step), the greedy's tie order
-    granted = _smallest(cost, taken, ordered[taken - 1] if taken else None)
-    steps = np.bincount(granted // increments.size, minlength=channel.n_sc)
+    steps = np.zeros(channel.n_sc, dtype=np.int64)
+    if taken:
+        kth = ordered[taken - 1]
+        # step s costs <= kth on the first ends[s] subcarriers of `ascending`,
+        # so where inv_gain < ascending[ends[s]] (inf past the end)
+        ends = [run.searchsorted(kth, "right") for run in runs]
+        if sum(ends) == taken:  # no cost equal to kth is left out
+            bound = np.append(ascending, np.inf)[ends[::-1]]
+            steps = len(ends) - bound.searchsorted(inv_gain, "right")
+        else:  # the first ties at kth in (subcarrier, step) order
+            cost = (inv_gain[:, None] * increments).ravel()
+            steps = np.bincount(_smallest(cost, taken, kth) // len(ends), minlength=channel.n_sc)
     modulations = steps * 2
     # silent subcarriers carry zero power even when their gain is exactly zero
     powers = np.where(steps > 0, gamma_steps[steps] * inv_gain, 0.0)
@@ -265,11 +257,10 @@ def _affordable(ordered: np.ndarray, p_tot: float) -> np.ndarray:
     never fits, not even an infinite budget.
     """
     sums = np.cumsum(ordered, axis=-1).reshape(-1, ordered.shape[-1])
-    taken = np.array([np.searchsorted(row, p_tot, "right") for row in sums])
+    taken = [row.searchsorted(p_tot, "right") for row in sums]  # the method skips np's dispatch
     if p_tot == np.inf:
-        finite = [np.searchsorted(row, np.inf, "left") for row in ordered.reshape(sums.shape)]
-        taken = np.minimum(taken, finite)
-    return taken.reshape(ordered.shape[:-1])
+        taken = np.minimum(taken, [row.searchsorted(np.inf) for row in ordered.reshape(sums.shape)])
+    return np.reshape(taken, ordered.shape[:-1])
 
 
 def _smallest(values: np.ndarray, k: int, kth: float | None = None) -> np.ndarray:
@@ -295,24 +286,31 @@ def select_ber_target(b_lat, r_sym) -> tuple[int, int]:
     """Pick the grid target minimizing required-bits / bits-per-symbol.
 
     b_lat[q] and r_sym[q] are target q's minimum bit total and bits per OFDM
-    symbol. Returns (eps_index, t_sym). A zero-bit source short-circuits to
-    the smallest target with t_sym = 0 (nothing to send). Ties in the ratio go
-    to the smaller target.
+    symbol, ints >= 0 (a numpy int array or a sequence of Python ints);
+    anything else raises ValueError. Returns (eps_index, t_sym). A zero-bit
+    source short-circuits to the smallest target with t_sym = 0 (nothing to
+    send). Ties in the ratio go to the smaller target.
     """
-    b_lat = np.asarray(b_lat, dtype=np.int64)
-    r_sym = np.asarray(r_sym, dtype=np.int64)
-    if b_lat.ndim != 1 or b_lat.size == 0 or b_lat.shape != r_sym.shape:
+    if np.ndim(b_lat) != 1 or np.ndim(r_sym) != 1 or not len(b_lat) == len(r_sym) > 0:
         raise ValueError("need one (b_lat, r_sym) pair per target")
-    if not b_lat.any():
+    b_lat, r_sym = _counts("b_lat", b_lat), _counts("r_sym", r_sym)
+    if not any(b_lat):
         return 0, 0
-    feasible = r_sym > 0
-    if not feasible.any():
+    if not any(r_sym):
         raise NoFeasibleRateError(
             "no BER target achieves a positive symbol rate under the power budget"
         )
-    ratio = np.where(feasible, b_lat / np.maximum(r_sym, 1), np.inf)
-    best = int(np.argmin(ratio))  # the first minimum: ties go to the smaller target
-    return best, math.ceil(int(b_lat[best]) / int(r_sym[best]))
+    ratio = [b / r if r else math.inf for b, r in zip(b_lat, r_sym)]
+    best = ratio.index(min(ratio))  # the first minimum: ties go to the smaller target
+    return best, math.ceil(b_lat[best] / r_sym[best])
+
+
+def _counts(name: str, values) -> list:
+    """values as a list of ints >= 0 (not bools), else ValueError."""
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if not all(is_int(v) and v >= 0 for v in values):
+        raise ValueError(f"{name} must hold only ints >= 0, got {values!r}")
+    return values
 
 
 def refine_bit_allocation(
@@ -460,25 +458,20 @@ def optimize_plan(
 
     Raises ValueError for a delta that is not a finite number >= 0 (a NaN
     one would count every element negligible and plan nothing), then what
-    _rate_targets raises. Each stage runs at most once, through
-    the module attribute that names it, so a tracer that wraps those
-    attributes times each stage. A zero-bit source (t_sym = 0) gets the
-    smallest target and zero bits, modulations and powers; no stage after
-    the selection runs.
+    _rate_targets raises. Each stage runs at most once, through the module
+    attribute that names it, so a tracer that wraps those attributes times
+    each stage. A zero-bit source (t_sym = 0) gets the smallest target and
+    zero bits, modulations and powers; no stage after the selection runs.
 
-    The source's share of the work does not depend on the channel: the
-    sorted bounds, every target's b_lat, the winner's minimum depths and the
-    order in which its refinement grants bits. A plan keeps it on the stats
-    (LatentStats._rating) once their digest has been read, for this library
-    and delta. A later plan on the same (stats, library, delta) reads it back
-    and so calls minimum_bit_allocation only for a target that has not won
-    before, and refine_bit_allocation only for a residual above the largest
-    one refined for its target that did not saturate (see _refined_bits). A
-    plan's bits are always its own array, never a kept one.
+    The source's share of the work (every target's b_lat, the winner's
+    depths and refinement order) is kept on the stats once their digest has
+    been read, for this library and delta. A later plan on them calls
+    minimum_bit_allocation only for a target that has not won before, and
+    refine_bit_allocation only for a residual that the kept refinement does
+    not cover (see _refined_bits). A plan's bits are always its own array.
     """
     check_nonnegative_finite("delta", delta)
-    gamma = np.vstack((np.zeros(lib.epsilons.size), lib.gamma_thresholds))  # column q: target q
-    rating, r_sym = _rate_targets(lib, stats, channel, p_tot, delta, gamma)
+    rating, r_sym = _rate_targets(lib, stats, channel, p_tot, delta)
     eps_index, t_sym = select_ber_target(rating.b_lat, r_sym)
     if t_sym == 0:
         bits, dummy = np.zeros(stats.n, dtype=np.int64), 0
@@ -488,7 +481,8 @@ def optimize_plan(
             depths = minimum_bit_allocation(lib, stats, eps_index, delta)
             depths[0].flags.writeable = False
             rating.depths[eps_index] = depths
-        modulations, powers, r_sym = allocate_power_modulation(channel, p_tot, gamma[:, eps_index])
+        steps = lib.step_table()[0][eps_index]
+        modulations, powers, r_sym = allocate_power_modulation(channel, p_tot, steps)
         bits, dummy = _refined_bits(lib, stats, rating, eps_index, t_sym * r_sym)
 
     digests = {"library": lib.digest(), "stats": stats.digest(), "channel_seed": channel.seed}
@@ -513,18 +507,14 @@ def _refined_bits(
 ) -> tuple[np.ndarray, int]:
     """The winner's refined bits at `capacity`, as a new array, and their dummy count.
 
-    The winner's depths and b_lat are the ones the rating keeps, so the
-    residual r = capacity - b_lat lies in [0, r_sym). The greedy grants bits
-    in one order, fixed by the source, the library column and the depths, and
-    its first r grants are its refinement at residual r. A kept refinement
-    that granted g bits at residual R holds the first g grants, so it covers
-    every r <= R, and every r when it saturated (g < R): the plan takes the
-    kept bits and r - g dummies when r >= g, else the depths plus one
-    bincount of the order's first r elements. The order, the granted
-    (element, depth) candidates sorted by descending key with ties in
-    (element, depth) order, is built when a plan first reads it. A residual
-    that the kept refinement does not cover calls refine_bit_allocation, and
-    its result replaces the kept one.
+    The greedy grants bits in one order, fixed by the source, the library
+    column and the kept depths, and its first r grants are its refinement at
+    residual r = capacity - b_lat. A kept refinement that granted g bits at
+    residual R holds the first g grants, so it covers every r <= R, and
+    every r when it saturated (g < R): the plan takes the kept bits and
+    r - g dummies when r >= g, else the depths plus one bincount of the
+    order's first r elements (the order is built when first read). Any other
+    residual calls refine_bit_allocation, whose result is then kept.
     """
     depths, b_lat = rating.depths[eps_index]
     residual = capacity - b_lat
@@ -566,22 +556,18 @@ def _rate_targets(
     channel: ChannelRealization,
     p_tot: float,
     delta: float,
-    gamma: np.ndarray,
 ) -> tuple[_SourceRating, np.ndarray]:
     """The source's rating (with b_lat of every grid target) and r_sym of every target.
 
-    Both are what the per-target functions give. gamma holds target q's
-    [0, gamma(QPSK), ..., gamma(256-QAM)] in column q, from the library, so
-    its steps are positive and never shrink. The rating is the one kept on
-    the stats when it was made for this library and delta, else a new one
-    (_rate_source). Raises the error that running the per-target calls in
-    order (per target, the bit depths before the loading) would raise first:
-    the InfeasibleTargetError of target 0 if it has an infeasible element,
-    else ValueError("p_tot must be positive") for a budget that is not
-    positive (the loading's first check, so NaN too), else the
-    InfeasibleTargetError of the first target with an infeasible element.
-    Both InfeasibleTargetErrors are raised by minimum_bit_allocation on that
-    target, with its message.
+    Both are what the per-target functions give, r_sym[q] on the library's
+    step table row q. The rating is the one kept on the stats when it was
+    made for this library and delta, else a new one (_rate_source). Raises
+    what the per-target calls in order (per target, the depths before the
+    loading) would raise first: the InfeasibleTargetError of target 0 if it
+    has an infeasible element, else ValueError("p_tot must be positive") for
+    a budget that is not positive (the loading's first check, so NaN too),
+    else the InfeasibleTargetError of the first target with an infeasible
+    element, each raised by minimum_bit_allocation on that target.
     """
     rating = stats._rating
     if rating is None or rating.key != (lib.digest(), delta):
@@ -591,12 +577,23 @@ def _rate_targets(
     if not p_tot > 0:
         raise ValueError("p_tot must be positive")
 
-    inv_gain = channel.noise_var / np.square(np.abs(channel.gains))
-    increments = np.diff(gamma, axis=0)  # [step, target]
-    cost = (increments.T[:, None, :] * inv_gain[None, :, None]).reshape(lib.epsilons.size, -1)
-    cost.sort(axis=1)
-    r_sym = 2 * _affordable(cost, p_tot)  # each step adds 2 bits
-    return rating, r_sym
+    increments = lib.step_table()[1]
+    inv_gain = np.sort(channel.noise_var / np.square(np.abs(channel.gains)))
+    # row q: the loading's products, as four presorted runs (one per step)
+    cost = (increments[:, :, None] * inv_gain).reshape(increments.shape[0], -1)
+    # the last (loosest) target has the smallest steps on the default grid, so
+    # the longest prefix; sort and sum the rows one cost past it, and redo a
+    # row whose prefix fills that width (one that ends inside it is exact)
+    cost[-1].sort()
+    width = min(int(_affordable(cost[-1], p_tot)) + 1, cost.shape[1])
+    cost.partition(width - 1, axis=1)
+    head = cost[:, :width]  # the width smallest costs of each row
+    head.sort(axis=1)
+    taken = _affordable(head, p_tot)
+    if width < cost.shape[1]:
+        for q in np.flatnonzero(taken == width):
+            taken[q] = _affordable(np.sort(cost[q]), p_tot)
+    return rating, 2 * taken  # each step adds 2 bits
 
 
 def _rate_source(lib: QuantizerLibrary, stats: LatentStats, delta: float) -> _SourceRating:

@@ -74,30 +74,26 @@ def _validated_grid(epsilons) -> np.ndarray:
 class QuantizerLibrary:
     """Immutable-by-convention container for the designed grid.
 
-    cells maps (bit depth, epsilon index) to a ScalarQuantizer and must be
-    exactly the complete grid b = 1..b_max x every target, no cell missing
-    and none extra. gamma_thresholds[s, q] is the SNR at which QAM_BITS[s]
-    hits target q. Both are checked on construction, the table first, so
-    every build, load and dataclasses.replace passes through the checks. The
-    threshold table has shape (len(QAM_BITS), len(epsilons)), is finite,
-    meets each target to within modem.SNR_THRESHOLD_TOL, and per target its
-    steps [0, gamma(QPSK), ..., gamma(256-QAM)] start positive and never
-    shrink. The allocator's sorted loading is the greedy only under that last
-    condition, which holds for every target below 0.34476 and fails above it.
-    warnings collects build-time records about the distortion grid only
-    (non-monotone or nonconvex columns, rows not monotone in the target),
-    which are informational, not failures. design is the configuration the
-    cells were designed with, written to the file's design block. The file's
+    cells maps (bit depth, epsilon index) to a ScalarQuantizer, exactly the
+    grid b = 1..b_max x every target. gamma_thresholds[s, q] is the SNR at
+    which QAM_BITS[s] hits target q. Construction checks both, the table
+    first (see _check_gamma), so every build, load and dataclasses.replace
+    does. The allocator's sorted loading is the greedy only because the
+    steps [0, gamma(QPSK), ..., gamma(256-QAM)] never shrink, which holds for
+    every target below 0.34476 and fails above it. warnings collects
+    build-time records about the distortion grid (non-monotone or nonconvex
+    columns, rows not monotone in the target), informational, not failures.
+    design is the configuration the cells were designed with. The file's
     format_version is not a field: FORMAT_VERSION is the one version
     serialize_library writes and load_library accepts.
 
-    Construction also builds the read-only (len(epsilons), b_max) distortion
-    table, row q holding D(1; b, eps_q) for b = 1..b_max; distortion_table()
-    returns it and distortion_column(q) its row q. The object is immutable
-    once built: the table is not rebuilt when cells changes in place, and
-    digest() hashes the serialized library on its first call and returns that
-    hash from then on. Derive a changed library with dataclasses.replace,
-    which checks the new grid and builds a new table, without a cached digest.
+    Construction also builds two read-only tables: row q of the distortion
+    table holds D(1; b, eps_q) for b = 1..b_max, and row q of the step table
+    target q's steps (with their increments, step_table()). The object is
+    immutable once built: the tables are not rebuilt when a field changes in
+    place, and digest() hashes the serialized library on its first call and
+    keeps that hash. Derive a changed library with dataclasses.replace,
+    which checks the new grid and builds new tables, without a digest.
     """
 
     b_max: int
@@ -107,6 +103,8 @@ class QuantizerLibrary:
     gamma_thresholds: np.ndarray
     warnings: list[dict] = field(default_factory=list)
     _table: np.ndarray = field(init=False, repr=False, compare=False)
+    _steps: np.ndarray = field(init=False, repr=False, compare=False)
+    _increments: np.ndarray = field(init=False, repr=False, compare=False)
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -120,8 +118,12 @@ class QuantizerLibrary:
                 f"missing cells {missing}, extra cells {extra}"
             )
         table = np.array([[self.cells[(b, qi)].normalized_distortion for b in depths] for qi in targets])
-        table.flags.writeable = False
-        self._table = table
+        steps = np.zeros((self.epsilons.size, len(modem.QAM_BITS) + 1))
+        steps[:, 1:] = np.transpose(self.gamma_thresholds)
+        increments = np.diff(steps, axis=1)
+        for arr in (table, steps, increments):
+            arr.flags.writeable = False
+        self._table, self._steps, self._increments = table, steps, increments
 
     def quantizer(self, bit_depth: int, eps_index: int) -> ScalarQuantizer:
         return self.cells[(bit_depth, self._check_index(eps_index))]
@@ -133,6 +135,10 @@ class QuantizerLibrary:
     def distortion_table(self) -> np.ndarray:
         """The read-only distortion table: row q is distortion_column(q)."""
         return self._table
+
+    def step_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only (targets, 5) step table and its (targets, 4) increments; row q is target q."""
+        return self._steps, self._increments
 
     def digest(self) -> str:
         if self._digest is None:
@@ -155,11 +161,10 @@ def build_library(
     The threshold table is computed and checked first, so a grid the planner
     cannot load fails before any cell is designed. Columns are warm-started
     from the previous depth (levels duplicated), so distortion cannot rise
-    with b. Emits warning records for any nonconvex distortion column and any
-    column/row ordering anomaly. b_max must lie in [1, MAX_BIT_DEPTH], checked
-    before any design: a deeper column would design every shallower cell
-    first (at b = 12 each with dense 4096 x 4096 transition matrices) and then
-    fail.
+    with b; _audit records grid anomalies. b_max must lie in
+    [1, MAX_BIT_DEPTH], checked before any design: a deeper column would
+    design every shallower cell first (at b = 12 each with dense
+    4096 x 4096 transition matrices) and then fail.
     """
     if not 1 <= b_max <= MAX_BIT_DEPTH:
         raise ValueError(f"b_max must be in [1, {MAX_BIT_DEPTH}], got {b_max!r}")

@@ -272,6 +272,28 @@ def test_loading_rejects_gamma_steps_not_strictly_increasing():
         allocate_power_modulation(ch, 100.0, np.array([0.0, 0.0, 1.0, 3.0, 6.0]))
 
 
+def test_loading_reads_gamma_steps_as_one_vector(small_lib):
+    g = _gamma_steps(small_lib, 1)
+    ch = ChannelRealization(np.array([1.0 + 0j, 0.5 + 0j, 0.25 + 0j]), 1.0, 30e3, 0)
+    _assert_same_loading(allocate_power_modulation(ch, 50.0, g.tolist()), allocate_power_modulation(ch, 50.0, g))
+    # a (5, 1) column used to end in a numpy broadcast error, a short list
+    # in an AttributeError
+    for bad in (g[:, None], g[:4].tolist(), np.append(g, 2 * g[-1]), g[1:], 5.0):
+        with pytest.raises(ValueError, match=re.escape("gamma_steps must be [0, gamma(QPSK)")):
+            allocate_power_modulation(ch, 50.0, bad)
+
+
+def test_loading_grants_the_first_ties_at_the_last_cost_taken():
+    # six costs of 1 and a budget for two: the greedy raises subcarrier 0
+    # twice, as ties go to the lower subcarrier, then to the lower step
+    g = np.array([0.0, 1.0, 2.0, 4.0, 8.0])
+    ch = ChannelRealization(np.ones(3, dtype=np.complex128), 1.0, 30e3, 0)
+    for budget, want in ((2.0, [4, 0, 0]), (3.0, [4, 2, 0]), (6.0, [4, 4, 4])):
+        got = allocate_power_modulation(ch, budget, g)
+        _assert_same_loading(got, _looped_loading(ch, budget, g))
+        assert got[0].tolist() == want
+
+
 def _looped_loading(ch, p_tot, gamma_steps):
     """allocate_power_modulation by its definition: one cheapest increment at a time."""
     inv_gain = ch.noise_var / np.square(np.abs(ch.gains))
@@ -408,6 +430,75 @@ def test_affordable_equals_the_mask_rule(rows, width, data):
             assert allocator._affordable(ordered[r], budget) == want[r]
 
 
+def _stub_library(increments):
+    """What _rate_targets reads of a library, with any step table: one target per row."""
+    increments = np.array(increments, dtype=np.float64)
+    steps = np.concatenate((np.zeros((increments.shape[0], 1)), np.cumsum(increments, axis=1)), axis=1)
+    return SimpleNamespace(
+        step_table=lambda: (steps, np.diff(steps, axis=1)),
+        digest=lambda: "stub",
+        distortion_table=lambda: np.full((steps.shape[0], 1), 0.5),  # serves variance 1 at depth 1
+    )
+
+
+def _assert_rating_loads_every_target(lib, ch, budget):
+    stats = LatentStats(np.zeros(1), np.ones(1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, r_sym = allocator._rate_targets(lib, stats, ch, budget, 0.4)
+        for qi, steps in enumerate(lib.step_table()[0]):
+            assert r_sym[qi] == allocate_power_modulation(ch, budget, steps)[2], (qi, budget)
+
+
+# rows in any order, so the last target is not always the cheapest
+_STEP_TABLES = st.lists(_DYADIC_INCREMENTS, min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=_STEP_TABLES,
+    mags=st.lists(_GAIN_MAGNITUDES, min_size=1, max_size=16),
+    noise_var=st.sampled_from([1.0, 0.7]),
+    data=st.data(),
+)
+def test_rating_counts_what_the_loading_grants(rows, mags, noise_var, data):
+    lib = _stub_library(rows)
+    ch = ChannelRealization(np.array(mags, dtype=np.complex128), noise_var, 30e3, 0)
+    # a budget on a running sum of some target's sorted costs, or next to it
+    qi = data.draw(st.integers(0, len(rows) - 1))
+    with np.errstate(divide="ignore"):
+        inv_gain = noise_var / np.square(np.abs(ch.gains))
+    cost = np.sort((lib.step_table()[1][qi][None, :] * inv_gain[:, None]).ravel())
+    sums = np.cumsum(cost[np.isfinite(cost)])
+    at = float(data.draw(st.sampled_from(sums.tolist()))) if sums.size else 1.0
+    budget = data.draw(st.sampled_from([
+        at, float(np.nextafter(at, 0.0)), float(np.nextafter(at, np.inf)), np.inf,
+        data.draw(st.floats(min_value=1e-3, max_value=2e3)),
+    ]))
+    _assert_rating_loads_every_target(lib, ch, budget)
+
+
+def test_rating_redoes_a_row_whose_prefix_fills_the_loosest_targets_width(monkeypatch):
+    # the last target costs the most, so the first one's prefix runs past the
+    # last one's and its row is sorted and summed again in full
+    lib = _stub_library([[0.25, 0.5, 0.5, 1.0], [1.0, 2.0, 4.0, 4.0]])
+    rng = stream_rng("rating-redo", 0)
+    ch = ChannelRealization(rng.standard_normal(32) + 1j * rng.standard_normal(32), 1.0, 30e3, 0)
+    stats = LatentStats(np.zeros(1), np.ones(1))
+    shapes, affordable = [], allocator._affordable
+
+    def recording(ordered, p_tot):
+        shapes.append(ordered.shape)
+        return affordable(ordered, p_tot)
+
+    monkeypatch.setattr(allocator, "_affordable", recording)
+    for budget in (0.5, 5.0, 40.0, 400.0):
+        shapes.clear()
+        allocator._rate_targets(lib, stats, ch, budget, 0.4)
+        # the loosest row, the heads of both rows, the first row in full
+        assert len(shapes) == 3 and shapes[0] == shapes[2] == (128,) and shapes[1][0] == 2
+        _assert_rating_loads_every_target(lib, ch, budget)
+
+
 # ---------------------------------------------------------------------------
 # target selection
 # ---------------------------------------------------------------------------
@@ -435,6 +526,30 @@ def test_select_zero_bits_empty_marker():
 def test_select_all_infeasible_raises():
     with pytest.raises(NoFeasibleRateError):
         select_ber_target([5, 5], [0, 0])
+
+
+@pytest.mark.parametrize(
+    "b_lat, r_sym",
+    [
+        ([2.5, 3], [2, 2]),  # used to truncate 2.5 to 2
+        ([-1, 4], [2, 2]),  # used to return (0, 0), nothing to send
+        ([2, 3], [2, -2]),
+        ([True, 3], [2, 2]),
+        (np.array([2.0, 3.0]), np.array([2, 2])),
+        ([np.int64(2), 3], [2, 2]),
+    ],
+)
+def test_select_refuses_counts_that_are_not_ints_at_least_zero(b_lat, r_sym):
+    with pytest.raises(ValueError, match="must hold only ints >= 0"):
+        select_ber_target(b_lat, r_sym)
+
+
+def test_select_takes_int_arrays_and_lists_alike():
+    b_lat, r_sym = np.array([100, 120, 90], dtype=np.int64), np.array([40, 60, 0], dtype=np.int64)
+    assert select_ber_target(b_lat, r_sym) == select_ber_target([100, 120, 90], [40, 60, 0]) == (1, 2)
+    for b_lat, r_sym in (([], []), ([1, 2], [1]), (5, 2), ([[2, 3]], [[2, 2]])):
+        with pytest.raises(ValueError, match="one \\(b_lat, r_sym\\) pair per target"):
+            select_ber_target(b_lat, r_sym)
 
 
 # ---------------------------------------------------------------------------

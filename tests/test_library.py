@@ -504,6 +504,38 @@ def test_distortion_table_rows_are_the_columns(small_lib):
         assert np.array_equal(table[qi], small_lib.distortion_column(qi))
 
 
+def _assert_step_table_of(lib):
+    steps, increments = lib.step_table()
+    n = lib.epsilons.size
+    assert steps.shape == (n, len(QAM_BITS) + 1) and increments.shape == (n, len(QAM_BITS))
+    for qi in range(n):
+        column = np.concatenate(([0.0], lib.gamma_thresholds[:, qi]))
+        assert np.array_equal(steps[qi], column)
+        assert np.array_equal(increments[qi], np.diff(column))  # bit for bit
+
+
+def test_step_table_is_read_only_and_holds_each_targets_steps(small_lib, default_lib):
+    for lib in (small_lib, default_lib):
+        _assert_step_table_of(lib)
+    for table in small_lib.step_table():
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 1] = 1.0
+    assert small_lib.step_table()[0] is small_lib.step_table()[0]
+
+
+def test_step_table_follows_replace_and_load(tmp_path, small_lib):
+    grid = np.array([0.02, 0.04])
+    moved = dataclasses.replace(small_lib, epsilons=grid, gamma_thresholds=_threshold_table(grid, snr_threshold))
+    _assert_step_table_of(moved)
+    assert not np.array_equal(moved.step_table()[1], small_lib.step_table()[1])
+    path = tmp_path / "lib.json"
+    save_library(small_lib, path)
+    loaded = load_library(path)
+    _assert_step_table_of(loaded)
+    for got, want in zip(loaded.step_table(), small_lib.step_table()):
+        assert np.array_equal(got, want)
+
+
 def test_gamma_increments_convex_takes_a_table_column_by_column(small_lib):
     columns = [np.array([0.0, 1.0, 2.5, 4.0, 8.0]), np.array([0.0, 1.0, 1.5, 3.0, 6.0])]
     assert [gamma_increments_convex(c) for c in columns] == [True, False]
