@@ -225,8 +225,7 @@ def allocate_power_modulation(
         raise ValueError("gamma_steps must be strictly increasing")
     if not all(b - a >= 0 for a, b in zip(increments, increments[1:])):
         raise ValueError("gamma_steps increments must never shrink")
-    inv_gain = channel.noise_var / np.square(np.abs(channel.gains))
-    ascending = np.sort(inv_gain)
+    inv_gain, ascending = _inverse_gains(channel, unsorted=True)
     runs = np.array(increments)[:, None] * ascending  # run s: step s of each subcarrier, sorted
     ordered = np.sort(runs, axis=None)
     taken = int(_affordable(ordered, p_tot))
@@ -244,8 +243,24 @@ def allocate_power_modulation(
             steps = np.bincount(_smallest(cost, taken, kth) // len(ends), minlength=channel.n_sc)
     modulations = steps * 2
     # silent subcarriers carry zero power even when their gain is exactly zero
-    powers = np.where(steps > 0, gamma_steps[steps] * inv_gain, 0.0)
+    powers = np.multiply(gamma_steps[steps], inv_gain, out=np.zeros(channel.n_sc), where=steps > 0)
     return modulations, powers, int(modulations.sum())
+
+
+def _inverse_gains(channel: ChannelRealization, unsorted: bool = False):
+    """noise_var / |h|^2 ascending, or (per subcarrier, ascending); inf, with no warning, where |h|^2 is 0.
+
+    The ascending row divides by the powers in descending order: the sorted
+    quotients, as division is monotone, with a zero power last.
+    """
+    power = np.square(np.abs(channel.gains))
+    descending = np.sort(power)[::-1]
+    if descending[-1] > 0.0:  # no errstate here: entering one costs more than the division
+        ascending = channel.noise_var / descending
+        return (channel.noise_var / power, ascending) if unsorted else ascending
+    with np.errstate(divide="ignore"):
+        ascending = channel.noise_var / descending
+        return (channel.noise_var / power, ascending) if unsorted else ascending
 
 
 def _affordable(ordered: np.ndarray, p_tot: float) -> np.ndarray:
@@ -578,7 +593,7 @@ def _rate_targets(
         raise ValueError("p_tot must be positive")
 
     increments = lib.step_table()[1]
-    inv_gain = np.sort(channel.noise_var / np.square(np.abs(channel.gains)))
+    inv_gain = _inverse_gains(channel)
     # row q: the loading's products, as four presorted runs (one per step)
     cost = (increments[:, :, None] * inv_gain).reshape(increments.shape[0], -1)
     # the last (loosest) target has the smallest steps on the default grid, so

@@ -34,12 +34,22 @@ regions and stop rule, and a start leaves when it stops. One lockstep
 iteration takes:
 
   * one region certificate over every live start's previous regions, as a
-    batch padded to the widest hull (a start that fails it falls back alone);
+    batch padded to the widest hull. The padded index is kept while those
+    regions stay the same arrays, and the stack-pass candidates of the
+    starts that fail it share one more certificate;
   * one moments pass over every live start's regions, back to back;
-  * per start, the level update, its (a, b) pair and its distortion. These
-    products stay per start, on the same operands as a start run alone, so
-    that they round the same: the design is bit for bit the one the starts
-    would give one after another.
+  * per start, the level update, on the same operands as a start run alone;
+  * one stacked product np.matmul(trans, X[..., None]) for every live
+    start's (a, b) pair, X its levels and their squares. numpy runs it as
+    one matrix-vector product (gemv) per row, the call a start alone makes
+    on the same operands, so it rounds the same;
+  * per start, the distortion.
+
+The design is thus bit for bit the one the starts would give one after
+another. On the noiseless channel (Lloyd-Max) the transition matrix is the
+identity, and no product is taken: a is the levels plus 0.0 (which turns a
+-0.0 into +0.0, as the BLAS sum does), b their squares, and each level the
+ratio of its region's moments.
 
 The level update and the expected distortion share the moments, and the
 distortion and the next region update share (a, b).
@@ -51,6 +61,7 @@ by the per-bit flip vector) is the j-th most significant of its b bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +92,7 @@ def as_bsc_vector(flips) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(flips, dtype=np.float64))
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("flip vector must be a nonempty 1-D sequence")
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 0.5):
+    if not ((arr >= 0.0) & (arr <= 0.5)).all():  # NaN fails too
         raise ValueError(f"flip probabilities must lie in [0, 0.5], got {arr}")
     return arr
 
@@ -164,15 +175,17 @@ class ScalarQuantizer:
 
     def validate(self) -> None:
         n = 1 << self.bit_depth
-        if self.levels.shape != (n,) or not np.all(np.isfinite(self.levels)):
+        if self.levels.shape != (n,) or not np.isfinite(self.levels).all():
             raise ValueError("levels must be a finite vector with one entry per codeword")
-        if self.region_codewords.shape[0] != self.thresholds.shape[0] + 1:
+        t, cw = self.thresholds, self.region_codewords
+        if cw.shape[0] != t.shape[0] + 1:
             raise ValueError("need exactly one more region than thresholds")
-        if self.thresholds.size and not np.all(np.diff(self.thresholds) > 0):
+        if not (t[..., 1:] > t[..., :-1]).all():
             raise ValueError("thresholds must be strictly increasing")
-        if len(set(self.region_codewords.tolist())) != self.region_codewords.shape[0]:
+        s = np.sort(cw)
+        if (s[1:] == s[:-1]).any():
             raise ValueError("region codewords must be distinct")
-        if np.any(self.region_codewords < 0) or np.any(self.region_codewords >= n):
+        if s[0] < 0 or s[-1] >= n:
             raise ValueError("region codeword out of range")
         as_bsc_vector(self.designed_for)
         if self.designed_for.shape[0] != self.bit_depth:
@@ -190,9 +203,12 @@ def _region_moments(thresholds: np.ndarray):
     return interval_moments(*_region_edges(thresholds))
 
 
-def _line_coefficients(levels: np.ndarray, trans: np.ndarray):
-    """(a, b) with E[(y - yhat)^2 | sent l] = y^2 - 2 a_l y + b_l."""
-    return trans @ levels, trans @ np.square(levels)
+def _line_coefficients(levels: np.ndarray, trans: np.ndarray | None):
+    """(a, b) with E[(y - yhat)^2 | sent l] = y^2 - 2 a_l y + b_l, per row of levels; trans None: identity."""
+    if trans is None:
+        return levels + 0.0, np.square(levels)
+    ab = np.matmul(trans, np.stack((levels, np.square(levels)))[..., None])[..., 0]
+    return ab[0], ab[1]
 
 
 def _expected_distortion(moments, region_codewords, a, b2) -> float:
@@ -247,12 +263,13 @@ _CUT_MARGIN = 16.0 * _UNIT_ROUNDOFF
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
-def _optimal_regions(a: np.ndarray, b2: np.ndarray, warm: list) -> list:
+def _optimal_regions(a: np.ndarray, b2: np.ndarray, warm: list, index=None) -> list:
     """Lower envelope of the lines -2 a_l y + b_l, row by row; returns [(thresholds, codewords)].
 
     a, b2: (m, n), one row per region update; warm: per row, a candidate hull
-    or None. Each row's envelope is a candidate hull h_0..h_k (line indices by
-    increasing slope) with cuts T_i = (b_j - b_l) / (2 (a_j - a_l)) for
+    or None; index: the _hull_index of warm, if every row has a hull and the
+    caller kept it. Each row's envelope is a candidate hull h_0..h_k (line
+    indices by increasing slope) with cuts T_i = (b_j - b_l) / (2 (a_j - a_l)) for
     l = h_i, j = h_{i+1}. The result must equal _pairwise_regions bit for
     bit, whose threshold i is the minimum over every rival j of the same
     formula, so a candidate is accepted only with a certificate
@@ -262,10 +279,10 @@ def _optimal_regions(a: np.ndarray, b2: np.ndarray, warm: list) -> list:
         the same design run. The designer mostly keeps its codeword set from
         one iteration to the next, so this path usually answers, with no
         sort and no Python loop; one certificate serves all the rows;
-      * for a row without a warm hull or whose hull fails, on its own: the
-        stack pass over the lines sorted by a (the convex hull trick), O(n)
-        after an O(n log n) sort, with the losers of exact slope ties left
-        out;
+      * for each row without a warm hull or whose hull fails: the stack
+        pass over its lines sorted by a (the convex hull trick), O(n) after
+        an O(n log n) sort, with the losers of exact slope ties left out;
+        one certificate serves all these rows;
       * _pairwise_regions, whose tie rules hold by construction.
 
     Exact slope ties: the pairwise rule makes every line of a tie group but
@@ -305,34 +322,42 @@ def _optimal_regions(a: np.ndarray, b2: np.ndarray, warm: list) -> list:
         loser of the tie.
     """
     out = [None] * len(warm)
-    rows = [r for r, hull in enumerate(warm) if hull is not None and hull.size]
+    if index is not None:
+        _accept(out, range(len(warm)), index[0], _certified_cuts(a, b2, index[0], index=index))
+    else:
+        rows = [r for r, hull in enumerate(warm) if hull is not None and hull.size]
+        if rows:
+            hulls = [warm[r] for r in rows]
+            _accept(out, rows, hulls, _certified_cuts(a[rows], b2[rows], hulls))
+    rows = [r for r, regions in enumerate(out) if regions is None]
     if rows:
-        ok, cut = _certified_cuts(a[rows], b2[rows], [warm[r] for r in rows])
-        for i in np.flatnonzero(ok).tolist():
-            r = rows[i]
-            out[r] = cut[i, : warm[r].size - 1], warm[r]
-    for r, regions in enumerate(out):
-        if regions is None:
-            out[r] = _stack_regions(a[r], b2[r])
+        hulls, rest = zip(*[_stack_candidate(a[r], b2[r]) for r in rows])
+        _accept(out, rows, hulls, _certified_cuts(a[rows], b2[rows], hulls, np.array(rest)))
+        for r in rows:
+            if out[r] is None:
+                out[r] = _pairwise_regions(a[r], b2[r])
     return out
 
 
-def _stack_regions(a: np.ndarray, b2: np.ndarray):
-    """One row's regions from the stack pass, or from _pairwise_regions where it is not certified."""
+def _accept(out: list, rows, hulls, certified) -> None:
+    """out[rows[i]] = (thresholds, hulls[i]) for every row i that `certified` (ok, cut) passes."""
+    ok, cut = certified
+    for i in np.flatnonzero(ok).tolist():
+        out[rows[i]] = cut[i, : hulls[i].size - 1], hulls[i]
+
+
+def _stack_candidate(a: np.ndarray, b2: np.ndarray):
+    """One row's stack-pass hull, and the mask of the other lines that can be active."""
     by_a = np.argsort(a, kind="stable")
     if not np.all(np.diff(a[by_a]) > 0.0):
         # exact ties: keep each group's winner, by lowest b and then index
         by_a = np.lexsort((b2, a))
         by_a = by_a[np.concatenate(([True], np.diff(a[by_a]) != 0.0))]
-    h = _stack_hull(a[by_a].tolist(), b2[by_a].tolist())
-    hull = by_a[h]
+    hull = by_a[_stack_hull(a[by_a].tolist(), b2[by_a].tolist())]
     rest = np.zeros(a.size, dtype=bool)
     rest[by_a] = True
     rest[hull] = False
-    ok, cut = _certified_cuts(a[None], b2[None], [hull], rest[None])
-    if not ok[0]:
-        return _pairwise_regions(a, b2)
-    return cut[0], hull
+    return hull, rest
 
 
 def _stack_hull(slopes: list[float], offsets: list[float]) -> list[int]:
@@ -358,30 +383,43 @@ def _stack_hull(slopes: list[float], offsets: list[float]) -> list[int]:
     return hull
 
 
-def _certified_cuts(a: np.ndarray, b2: np.ndarray, hulls: list, rest: np.ndarray | None = None):
-    """Cuts between neighbouring hull lines, row by row, and whether they are the pairwise thresholds.
+def _hull_index(hulls, shape: tuple, rest: np.ndarray | None = None) -> tuple:
+    """Ragged hulls padded to the widest with copies of their last line, as indices into (m, n) lines.
 
-    a, b2: (m, n) lines, one row per region update; hulls: one candidate
-    envelope per row, meant in increasing slope; rest: (m, n) mask of the
-    other lines that can be active, by default every line off the hull.
-    Returns (ok, cut): row r is certified iff ok[r] (see _optimal_regions for
-    the checks), and then its thresholds are cut[r, :hulls[r].size - 1].
-
-    The hulls are ragged: each is padded with copies of its last line and
-    the padded pairs are masked out, so every row is checked on its own
-    lines only, with the same operations on the same operands as alone.
+    Returns (hulls, row, flat, pair, rest): the hull arrays as a tuple,
+    np.arange(m)[:, None], the (m, width) indices into the lines' ravel(),
+    the mask of real (unpadded) neighbour pairs, and the mask of the other
+    lines that can be active (by default every line off the hull).
     """
-    m, n = a.shape
+    m, n = shape
     size = np.array([hull.size for hull in hulls])
     width = int(size.max())
     row = np.arange(m)[:, None]
     pad = np.minimum(np.arange(width), size[:, None] - 1) + (np.cumsum(size) - size)[:, None]
-    flat = np.concatenate(hulls).take(pad) + row * n  # into a.ravel(), row by row
+    flat = np.concatenate(hulls).take(pad) + row * n
     if rest is None:
-        rest = np.ones(a.size, dtype=bool)
+        rest = np.ones(m * n, dtype=bool)
         rest[flat] = False
-        rest = rest.reshape(a.shape)
+        rest = rest.reshape(shape)
     pair = np.arange(width - 1) < size[:, None] - 1
+    return tuple(hulls), row, flat, pair, rest
+
+
+def _certified_cuts(a: np.ndarray, b2: np.ndarray, hulls, rest: np.ndarray | None = None, index=None):
+    """Cuts between neighbouring hull lines, row by row, and whether they are the pairwise thresholds.
+
+    a, b2: (m, n) lines, one row per region update; hulls: one candidate
+    envelope per row, meant in increasing slope; rest: (m, n) mask of the
+    other lines that can be active, by default every line off the hull;
+    index: their _hull_index, if the caller kept it. Returns (ok, cut): row
+    r is certified iff ok[r] (see _optimal_regions for the checks), and then
+    its thresholds are cut[r, :hulls[r].size - 1].
+
+    The padded pairs are masked out, so every row is checked on its own
+    lines only, with the same operations on the same operands as alone.
+    """
+    _, row, flat, pair, rest = _hull_index(hulls, a.shape, rest) if index is None else index
+    width = flat.shape[1]
     ah = a.take(flat)
     bh = b2.take(flat)
     beta = ah[:, 1:] - ah[:, :-1]
@@ -417,17 +455,24 @@ def _certified_cuts(a: np.ndarray, b2: np.ndarray, hulls: list, rest: np.ndarray
     return ok, cut
 
 
-def _optimal_levels(moments, region_codewords, trans) -> np.ndarray:
-    """MMSE reconstruction level for every receivable codeword.
+def _optimal_levels(moments, region_codewords, trans, n: int) -> np.ndarray:
+    """MMSE reconstruction level for each of the n receivable codewords.
 
     A codeword that cannot be received (zero posterior mass, only possible on
-    a noiseless channel) gets level 0, the prior mean.
+    a noiseless channel) gets level 0, the prior mean. trans None is the
+    identity, whose products put each region's moments on its codeword.
     """
     mass, m1, _ = moments
-    p = trans[region_codewords, :]  # [region, received]
-    num = p.T @ m1
-    den = p.T @ mass
-    out = np.zeros(num.shape)
+    if trans is None:
+        num = np.zeros(n)
+        den = np.zeros(n)
+        num[region_codewords] = m1
+        den[region_codewords] = mass
+    else:
+        p = trans[region_codewords, :]  # [region, received]
+        num = p.T @ m1
+        den = p.T @ mass
+    out = np.zeros(n)
     np.divide(num, den, out=out, where=den > 0.0)
     return out
 
@@ -461,49 +506,58 @@ def _alternate(inits: np.ndarray, trans, cfg: DesignConfig, trace) -> list:
     A start leaves the live set when it meets the stop rule or reaches
     max_iters, and its iterates are exactly those of a run on its own: one
     region update serves the live starts, whose levels stay a row apart.
-    `trace` receives every start's distortions, start after start.
+    `trace` receives every start's distortions, start after start. trans
+    None is the noiseless channel.
     """
-    a = np.empty_like(inits)
-    b2 = np.empty_like(inits)
-    for r, levels in enumerate(inits):
-        a[r], b2[r] = _line_coefficients(levels, trans)
-    starts = len(inits)
+    starts, n = inits.shape
+    a, b2 = _line_coefficients(inits, trans)  # rows: the live starts
     best = [None] * starts
     prev = [np.inf] * starts
     hulls = [None] * starts
     dists: list[list[float]] = [[] for _ in range(starts)]
     live = list(range(starts))
+    index = None
     for _ in range(cfg.max_iters):
-        # The previous regions are each start's candidate hull. One moments
-        # pass covers every live start: their edge vectors [-inf, thresholds,
-        # inf] back to back are adjacent intervals, with a junk interval
-        # (inf, -inf] between two starts.
-        regions = _optimal_regions(a[live], b2[live], [hulls[r] for r in live])
+        # The previous regions are each start's candidate hull (none on the
+        # first pass); their certificate index is rebuilt only when a hull
+        # changed or a start left.
+        warm = [hulls[r] for r in live]
+        if warm[0] is None:
+            index = None
+        elif index is None or len(warm) != len(index[0]) or not all(map(operator.is_, warm, index[0])):
+            index = _hull_index(warm, a.shape)
+        regions = _optimal_regions(a, b2, warm, index)
+        # One moments pass covers every live start: their edge vectors [-inf,
+        # thresholds, inf] back to back are adjacent intervals, with a junk
+        # interval (inf, -inf] between two starts.
         edges = np.concatenate([e for t, _ in regions for e in (_LEFT_EDGE, t, _RIGHT_EDGE)])
         mass, m1, m2 = interval_moments(edges[:-1], edges[1:])
+        moments = []
         lo = 0
-        still = []
-        for r, (thresholds, codewords) in zip(live, regions):
+        for _, codewords in regions:
             hi = lo + codewords.size
-            moments = mass[lo:hi], m1[lo:hi], m2[lo:hi]
+            moments.append((mass[lo:hi], m1[lo:hi], m2[lo:hi]))
             lo = hi + 1
-            # the level update, the (a, b) pair and the distortion run per
-            # start: a batched product would round differently
-            levels = _optimal_levels(moments, codewords, trans)
-            a_r, b2_r = _line_coefficients(levels, trans)
-            dist = _expected_distortion(moments, codewords, a_r, b2_r)
+        levels = [_optimal_levels(mo, codewords, trans, n) for mo, (_, codewords) in zip(moments, regions)]
+        a, b2 = _line_coefficients(np.array(levels), trans)
+        keep = []
+        for i, r in enumerate(live):
+            thresholds, codewords = regions[i]
+            dist = _expected_distortion(moments[i], codewords, a[i], b2[i])
             dists[r].append(dist)
             if best[r] is None or dist < best[r][3]:
                 # fresh arrays every iteration, never written to
-                best[r] = (thresholds, codewords, levels, dist)
+                best[r] = (thresholds, codewords, levels[i], dist)
             if math.isfinite(prev[r]) and abs(prev[r] - dist) <= cfg.rel_tol * max(abs(dist), 1e-300):
                 continue
             prev[r] = dist
-            a[r], b2[r], hulls[r] = a_r, b2_r, codewords
-            still.append(r)
-        live = still
-        if not live:
+            hulls[r] = codewords
+            keep.append(i)
+        if not keep:
             break
+        if len(keep) < len(live):
+            live = [live[i] for i in keep]
+            a, b2 = a[keep], b2[keep]
     if trace is not None:
         for d in dists:
             trace.extend(d)
@@ -512,7 +566,7 @@ def _alternate(inits: np.ndarray, trans, cfg: DesignConfig, trace) -> list:
 
 def _quantile_levels(bit_depth: int) -> np.ndarray:
     n = 1 << bit_depth
-    return np.array([inv_std_normal_cdf((i + 0.5) / n) for i in range(n)])
+    return inv_std_normal_cdf((np.arange(n) + 0.5) / n)
 
 
 def _validate_bit_depth(bit_depth: int) -> None:
@@ -539,7 +593,7 @@ def _best_of_restarts(
         if extra.shape != base.shape:
             raise ValueError("warm-start levels need one entry per codeword")
         inits.append(extra)
-    trans = _transition_matrix(flips)
+    trans = _transition_matrix(flips) if flips.any() else None  # None: the identity
     best = None
     for cand in _alternate(np.array(inits), trans, cfg, trace):
         if best is None or cand[3] < best[3]:
@@ -563,7 +617,9 @@ def design_lloyd_max(bit_depth: int, cfg: DesignConfig = DesignConfig()) -> Scal
     """Classical noiseless-channel quantizer: midpoint thresholds, centroid levels.
 
     This is the flip-free specialization of the alternation, started from
-    quantile-spaced levels plus jittered restarts.
+    quantile-spaced levels (Phi^-1 of (i + 0.5) / 2^b, all in one array
+    bisection) plus jittered restarts. Its channel is the identity, so the
+    alternation takes no matrix products (see the module docstring).
     """
     _validate_bit_depth(bit_depth)
     key = (bit_depth, cfg)

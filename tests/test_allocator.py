@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import re
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -852,6 +853,23 @@ def test_default_plan_bytes_are_pinned(default_lib):
         plan = optimize_plan(default_lib, stats, ch, 512 * 10.0 ** (snr_db / 10.0))
         h.update(serialize_plan(plan).encode("utf-8"))
     assert h.hexdigest() == DEFAULT_PLANS_SHA256
+
+
+def test_plan_with_an_exactly_zero_gain_warns_nothing_and_keeps_its_bytes():
+    # the zero gain's inverse gain is inf: it never takes a step, and its
+    # power is 0 without a 0 * inf; the sha is the plan made before, when the
+    # rating and the loading warned
+    lib = load_library(FIXTURE_LIBRARY)
+    stats = LatentStats(np.zeros(6), np.array([0.5, 2.0, 0.05, 3.0, 1.0, 0.7]))
+    ch = ChannelRealization([1, 0, 0.5j], 1.0, 30e3, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = optimize_plan(lib, stats, ch, 30.0, seed=1)
+        modulations, powers, _ = allocate_power_modulation(ch, 30.0, _gamma_steps(lib, plan.eps_index))
+    assert plan.modulations.tolist() == modulations.tolist() == [4, 0, 2]
+    assert plan.powers.tobytes() == powers.tobytes() and powers[1] == 0.0
+    digest = hashlib.sha256(serialize_plan(plan).encode("utf-8")).hexdigest()
+    assert digest == "d079135fa7f63cadb9eb87ff7bc8d3542e22edd0ed6a0840df5b46fbfe6bd392"
 
 
 def test_plan_infeasible_when_power_hopeless(small_lib):

@@ -58,6 +58,53 @@ def test_inv_std_normal_cdf_round_trip():
         assert std_normal_cdf(inv_std_normal_cdf(u)) == pytest.approx(u, abs=1e-9)
 
 
+def _scalar_inv_q(p: float) -> float:
+    """The bisection of one probability, as inv_q_function ran it on scalars."""
+    if p == 0.5:
+        return 0.0
+    lo, hi = 0.0, 40.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if q_function(mid) > p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(1.0, lo):
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_array_inverse_is_the_scalar_bisection_on_every_quantile_start():
+    # the quantile starts (i + 0.5) / 2^b of the Lloyd-Max designs: each
+    # element of one array bisection is the scalar bisection of that element
+    for b in range(1, 13):
+        n = 1 << b
+        u = (np.arange(n) + 0.5) / n
+        lower = u[: n // 2]
+        want = np.array([_scalar_inv_q(p) for p in lower.tolist()])
+        assert inv_q_function(lower).tobytes() == want.tobytes()
+        # the upper half is 1 - u of the lower half exactly, mirrored
+        x = inv_std_normal_cdf(u)
+        assert x.tobytes() == np.concatenate((-want, want[::-1])).tobytes()
+    assert inv_q_function(np.array([0.5, 0.25, 0.5])).tobytes() == np.array(
+        [0.0, _scalar_inv_q(0.25), 0.0]
+    ).tobytes()
+    assert inv_q_function(np.array([[0.5]])).shape == (1, 1)
+    assert inv_std_normal_cdf(np.array([0.5])).tobytes() == np.array([0.0]).tobytes()  # not -0.0
+    with pytest.raises(ValueError, match="inv_q_function requires p in"):
+        inv_q_function(np.array([0.25, 0.0]))
+    with pytest.raises(ValueError, match="inv_std_normal_cdf requires u in"):
+        inv_std_normal_cdf(np.array([0.25, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=0.5, exclude_min=True), min_size=1, max_size=6))
+def test_array_inverse_is_the_scalar_bisection_elementwise(ps):
+    want = np.array([_scalar_inv_q(p) for p in ps])
+    assert inv_q_function(np.array(ps)).tobytes() == want.tobytes()
+    assert all(inv_q_function(p) == w for p, w in zip(ps, want.tolist()))
+
+
 def test_truncated_moments_examples():
     assert interval_moments(-np.inf, np.inf) == pytest.approx((1.0, 0.0, 1.0), abs=1e-14)
     mass, m1, m2 = interval_moments(0.0, np.inf)
