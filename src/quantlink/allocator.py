@@ -23,7 +23,9 @@ A plan runs in three steps.
     marginal weighted-distortion reduction, and pad what is left once every
     element saturates with pseudo-random dummy bits. Only the residual
     t_sym * r_sym - b_lat in [0, r_sym) depends on the channel, so the stats
-    keep the winner's refinement too (see _refined_bits).
+    keep, per winning target, one record: its depths, the grant order of its
+    largest refinement so far and the residuals that order covers (see
+    _refined_bits).
 
 The greedy loops have closed forms. The first depth whose distortion meets a
 bound is the first whose running minimum min(D(1..b)) does, and that never
@@ -149,31 +151,32 @@ class _SourceRating:
     """What every plan of one source on one library and delta shares.
 
     infeasible is the first target with an element that no depth serves (None
-    if none), b_lat every target's minimum bit total, depths each winning
-    target's minimum_bit_allocation result, refined each refining target's
-    (bits, residual, dummy) from refine_bit_allocation at the largest
-    residual refined so far, and orders that refinement's grant order once
-    read (see _refined_bits); every array is read-only. key is (library
-    digest, delta), set when a plan that completes keeps the rating on the
-    stats, so a kept rating has no infeasible target. A plain class: a
-    dataclass costs each import about 0.6 ms to generate its methods.
+    if none) and b_lat every target's minimum bit total. winners[q] is one
+    record per target that has won a plan, (depths, order, covered): the
+    minimum_bit_allocation depths, the grant order of the largest refinement
+    made so far, and the largest residual that order covers (inf once that
+    refinement saturated); see _refined_bits. Every array is read-only. key
+    is (library digest, delta), set when a plan that completes keeps the
+    rating on the stats, so a kept rating has no infeasible target. A plain
+    class: a dataclass costs each import about 0.6 ms to generate its methods.
     """
 
-    __slots__ = ("infeasible", "b_lat", "depths", "refined", "orders", "key")
+    __slots__ = ("infeasible", "b_lat", "winners", "key")
 
     def __init__(self, infeasible: int | None, b_lat: np.ndarray):
         self.infeasible = infeasible
         self.b_lat = b_lat
-        self.depths: dict[int, tuple[np.ndarray, int]] = {}
-        self.refined: dict[int, tuple[np.ndarray, int, int]] = {}
-        self.orders: dict[int, np.ndarray] = {}
+        self.winners: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         self.key: tuple | None = None
 
 
 def target_distortion(sigma2):
-    """Element distortion target sigma^2 / (sigma^2 + 1). Scalar or array."""
+    """Element distortion target sigma^2 / (sigma^2 + 1). Scalar or array.
+
+    A negative or NaN sigma^2 raises ValueError.
+    """
     sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if np.any(sigma2 < 0):
+    if not (sigma2 >= 0).all():  # NaN fails too
         raise ValueError("sigma2 must be nonnegative")
     out = sigma2 / (sigma2 + 1.0)
     return out if out.ndim else float(out)
@@ -225,7 +228,8 @@ def allocate_power_modulation(
         raise ValueError("gamma_steps must be strictly increasing")
     if not all(b - a >= 0 for a, b in zip(increments, increments[1:])):
         raise ValueError("gamma_steps increments must never shrink")
-    inv_gain, ascending = _inverse_gains(channel, unsorted=True)
+    inv_gain = _inverse_gains(channel)
+    ascending = np.sort(inv_gain)
     runs = np.array(increments)[:, None] * ascending  # run s: step s of each subcarrier, sorted
     ordered = np.sort(runs, axis=None)
     taken = int(_affordable(ordered, p_tot))
@@ -247,20 +251,14 @@ def allocate_power_modulation(
     return modulations, powers, int(modulations.sum())
 
 
-def _inverse_gains(channel: ChannelRealization, unsorted: bool = False):
-    """noise_var / |h|^2 ascending, or (per subcarrier, ascending); inf, with no warning, where |h|^2 is 0.
+def _inverse_gains(channel: ChannelRealization) -> np.ndarray:
+    """noise_var / |h|^2 per subcarrier; inf, with no warning, where |h|^2 is 0.
 
-    The ascending row divides by the powers in descending order: the sorted
-    quotients, as division is monotone, with a zero power last.
+    Division is monotone, so sorting the quotients gives the same floats as
+    dividing by the powers sorted the other way.
     """
     power = np.square(np.abs(channel.gains))
-    descending = np.sort(power)[::-1]
-    if descending[-1] > 0.0:  # no errstate here: entering one costs more than the division
-        ascending = channel.noise_var / descending
-        return (channel.noise_var / power, ascending) if unsorted else ascending
-    with np.errstate(divide="ignore"):
-        ascending = channel.noise_var / descending
-        return (channel.noise_var / power, ascending) if unsorted else ascending
+    return np.divide(channel.noise_var, power, out=np.full(power.size, np.inf), where=power > 0)
 
 
 def _affordable(ordered: np.ndarray, p_tot: float) -> np.ndarray:
@@ -383,11 +381,24 @@ def refine_bit_allocation(
         cut = elements.size - residual
         elements = elements[first >= np.partition(first, cut)[cut]]
     start = bits[elements]
-    # candidates in (element, depth) order, the greedy's tie order
-    row, b = np.nonzero(np.arange(lib.b_max) >= start[:, None])
-    gain = stats.variances[elements[row]] * key[start[row], b]
+    row, gain = _candidates(key, stats.variances, elements, start, lib.b_max - start)
     granted = row[_smallest(-gain, residual)]  # the residual largest keys
-    return bits + np.bincount(elements[granted], minlength=bits.size), residual - granted.size
+    return bits + np.bincount(granted, minlength=bits.size), residual - granted.size
+
+
+def _candidates(
+    key: np.ndarray, variances: np.ndarray, elements: np.ndarray, start: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The counts[j] bits that grow elements[j] from depth start[j]: each one's element and key.
+
+    A bit growing element i from depth b has key sigma_i^2 key[start, b] (see
+    refine_bit_allocation); the bits come in (element, depth) order, the
+    greedy's tie order.
+    """
+    row = np.repeat(elements, counts)
+    first = np.repeat(start, counts)
+    depth = first + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return row, variances[row] * key[first, depth]
 
 
 def _key_table(lib: QuantizerLibrary, eps_index: int) -> np.ndarray:
@@ -478,12 +489,13 @@ def optimize_plan(
     each stage. A zero-bit source (t_sym = 0) gets the smallest target and
     zero bits, modulations and powers; no stage after the selection runs.
 
-    The source's share of the work (every target's b_lat, the winner's
-    depths and refinement order) is kept on the stats once their digest has
-    been read, for this library and delta. A later plan on them calls
-    minimum_bit_allocation only for a target that has not won before, and
-    refine_bit_allocation only for a residual that the kept refinement does
-    not cover (see _refined_bits). A plan's bits are always its own array.
+    The source's share of the work is kept on the stats once their digest
+    has been read, for this library and delta: every target's b_lat, and one
+    record per winning target of its depths and refinement order (see
+    _SourceRating). A later plan on them calls minimum_bit_allocation only
+    for a target that has not won before, and refine_bit_allocation only for
+    a residual that no kept record covers (see _refined_bits). A plan's bits
+    are always its own array.
     """
     check_nonnegative_finite("delta", delta)
     rating, r_sym = _rate_targets(lib, stats, channel, p_tot, delta)
@@ -492,10 +504,10 @@ def optimize_plan(
         bits, dummy = np.zeros(stats.n, dtype=np.int64), 0
         modulations, powers = np.zeros(channel.n_sc, dtype=np.int64), np.zeros(channel.n_sc)
     else:
-        if eps_index not in rating.depths:
-            depths = minimum_bit_allocation(lib, stats, eps_index, delta)
-            depths[0].flags.writeable = False
-            rating.depths[eps_index] = depths
+        if eps_index not in rating.winners:
+            depths = minimum_bit_allocation(lib, stats, eps_index, delta)[0]
+            depths.flags.writeable = False
+            rating.winners[eps_index] = (depths, np.zeros(0, dtype=np.intp), 0)  # residual 0 is covered
         steps = lib.step_table()[0][eps_index]
         modulations, powers, r_sym = allocate_power_modulation(channel, p_tot, steps)
         bits, dummy = _refined_bits(lib, stats, rating, eps_index, t_sym * r_sym)
@@ -523,46 +535,35 @@ def _refined_bits(
     """The winner's refined bits at `capacity`, as a new array, and their dummy count.
 
     The greedy grants bits in one order, fixed by the source, the library
-    column and the kept depths, and its first r grants are its refinement at
-    residual r = capacity - b_lat. A kept refinement that granted g bits at
-    residual R holds the first g grants, so it covers every r <= R, and
-    every r when it saturated (g < R): the plan takes the kept bits and
-    r - g dummies when r >= g, else the depths plus one bincount of the
-    order's first r elements (the order is built when first read). Any other
-    residual calls refine_bit_allocation, whose result is then kept.
+    column and the depths: its refinement at residual r = capacity - b_lat
+    is the first r grants, or all g of them and r - g dummies when g < r.
+    The winner's record keeps that order as far as its largest refinement
+    went, so it covers every r up to that residual, and every r once that
+    refinement saturated (covered = inf). A covered residual is the depths
+    plus one bincount of the order's first r elements; any other calls
+    refine_bit_allocation and keeps its grant order in the record.
     """
-    depths, b_lat = rating.depths[eps_index]
-    residual = capacity - b_lat
-    if residual == 0:
-        return depths.copy(), 0
-    bits, kept_residual, kept_dummy = rating.refined.get(eps_index, (None, 0, 0))
-    if bits is None or (residual > kept_residual and kept_dummy == 0):
-        bits, dummy = refine_bit_allocation(lib, stats, depths, eps_index, capacity)
-        bits.flags.writeable = False
-        rating.refined[eps_index] = (bits, residual, dummy)
-        rating.orders.pop(eps_index, None)
-        return bits.copy(), dummy
-    granted = kept_residual - kept_dummy
-    if residual >= granted:
-        return bits.copy(), residual - granted
-    if eps_index not in rating.orders:
-        rating.orders[eps_index] = _grant_order(lib, stats, eps_index, depths, bits)
-    return depths + np.bincount(rating.orders[eps_index][:residual], minlength=depths.size), 0
+    depths, order, covered = rating.winners[eps_index]
+    residual = capacity - int(rating.b_lat[eps_index])
+    if residual <= covered:
+        granted = order[:residual]
+        return depths + np.bincount(granted, minlength=depths.size), residual - granted.size
+    bits, dummy = refine_bit_allocation(lib, stats, depths, eps_index, capacity)
+    order = _grant_order(lib, stats, eps_index, depths, bits)
+    order.flags.writeable = False
+    rating.winners[eps_index] = (depths, order, math.inf if dummy else residual)
+    return bits, dummy
 
 
 def _grant_order(
     lib: QuantizerLibrary, stats: LatentStats, eps_index: int, depths: np.ndarray, refined: np.ndarray
 ) -> np.ndarray:
     """The element of each bit that grew depths into refined, in the greedy's grant order."""
-    grown = refined - depths
-    elements = np.flatnonzero(grown)
-    counts = grown[elements]
-    row = np.repeat(elements, counts)
-    start = depths[row]
-    # each element's grants from its start depth up, in (element, depth) order
-    depth = start + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    key = stats.variances[row] * _key_table(lib, eps_index)[start, depth]
-    return row[np.argsort(-key, kind="stable")]
+    elements = np.flatnonzero(refined - depths)
+    start = depths[elements]
+    key = _key_table(lib, eps_index)
+    row, gain = _candidates(key, stats.variances, elements, start, refined[elements] - start)
+    return row[np.argsort(-gain, kind="stable")]
 
 
 def _rate_targets(
@@ -593,7 +594,7 @@ def _rate_targets(
         raise ValueError("p_tot must be positive")
 
     increments = lib.step_table()[1]
-    inv_gain = _inverse_gains(channel)
+    inv_gain = np.sort(_inverse_gains(channel))
     # row q: the loading's products, as four presorted runs (one per step)
     cost = (increments[:, :, None] * inv_gain).reshape(increments.shape[0], -1)
     # the last (loosest) target has the smallest steps on the default grid, so
@@ -633,16 +634,23 @@ def validate_plan(
 ) -> None:
     """Check every structural invariant of the plan's fields; raises ValueError on violation.
 
-    A delta that is not a finite number >= 0 is refused first.
+    A delta that is not a finite number >= 0 is refused first. Then every
+    subcarrier needs one modulation order in (0, *QAM_BITS) and one finite
+    power >= 0, and the powers must sum within the budget (never within a
+    NaN one).
 
     The bit placement is not a field: build_bit_mapping derives it, and a
     property test of that function shows it a bijection onto the active bit
     slots.
     """
     check_nonnegative_finite("delta", delta)
+    if plan.modulations.shape != plan.powers.shape:
+        raise ValueError("need one modulation order and one power per subcarrier")
+    if not np.isin(plan.modulations, (0, *QAM_BITS)).all():
+        raise ValueError(f"modulation order outside {(0, *QAM_BITS)}")
     if not np.all(np.isfinite(plan.powers) & (plan.powers >= 0)):
         raise ValueError("powers must be finite and nonnegative")
-    if plan.powers.sum() > p_tot + POWER_SLACK:
+    if not plan.powers.sum() <= p_tot + POWER_SLACK:  # a NaN budget fails too
         raise ValueError("total power exceeds the budget")
     if plan.b_lat + plan.dummy_bits != plan.t_sym * plan.r_sym:
         raise ValueError("bit accounting does not fill the resource grid exactly")

@@ -56,6 +56,9 @@ def test_target_distortion_values():
         target_distortion(-0.1)
     with pytest.raises(ValueError):
         target_distortion(np.array([1.0, -0.1]))
+    for nan in (float("nan"), np.array([1.0, np.nan])):  # NaN is not >= 0
+        with pytest.raises(ValueError):
+            target_distortion(nan)
 
 
 # ---------------------------------------------------------------------------
@@ -883,6 +886,8 @@ def test_validate_plan_catches_power_violation(small_lib):
     rng = stream_rng("plan-bad", 0)
     stats, ch, p_tot = _random_setup(small_lib, rng)
     plan = optimize_plan(small_lib, stats, ch, p_tot)
+    with pytest.raises(ValueError, match="power"):  # a NaN budget bounds nothing
+        validate_plan(plan, small_lib, stats, float("nan"))
     plan.powers = plan.powers * 4.0
     with pytest.raises(ValueError, match="power"):
         validate_plan(plan, small_lib, stats, p_tot)
@@ -915,6 +920,33 @@ def test_validate_plan_rejects_out_of_range_bit_depths(small_lib):
         bad.dummy_bits += int(plan.bits[i]) - depth  # keep the grid accounting exact
         with pytest.raises(ValueError, match="bit depth outside"):
             validate_plan(bad, small_lib, stats, p_tot)
+
+
+@pytest.mark.parametrize("order", [-2, 1, 3, 5, 7, 10])
+def test_validate_plan_rejects_modulation_orders_off_the_qam_set(small_lib, order):
+    stats, ch, p_tot = _random_setup(small_lib, stream_rng("plan-bad5", 0))
+    plan = optimize_plan(small_lib, stats, ch, p_tot)
+    i = int(np.flatnonzero(plan.modulations)[0])
+    bad = dataclasses.replace(plan, modulations=plan.modulations.copy())
+    bad.modulations[i] = order
+    bad.dummy_bits += plan.t_sym * (order - int(plan.modulations[i]))  # keep the grid accounting exact
+    with pytest.raises(ValueError, match="modulation order outside"):
+        validate_plan(bad, small_lib, stats, p_tot)
+
+
+@pytest.mark.parametrize("field", ["modulations", "powers"])
+@pytest.mark.parametrize("change", ["one short", "one more"])
+def test_validate_plan_rejects_modulations_and_powers_of_different_lengths(small_lib, field, change):
+    stats, ch, p_tot = _random_setup(small_lib, stream_rng("plan-bad6", 0), snr_db=0.0)
+    plan = optimize_plan(small_lib, stats, ch, p_tot)
+    # drop or add a silent subcarrier's entry, which moves no total
+    silent = np.flatnonzero(plan.modulations == 0)
+    assert silent.size and not plan.powers[silent].any()
+    values = getattr(plan, field)
+    changed = np.delete(values, silent[0]) if change == "one short" else np.append(values, 0)
+    bad = dataclasses.replace(plan, **{field: changed})
+    with pytest.raises(ValueError, match="one modulation order and one power per subcarrier"):
+        validate_plan(bad, small_lib, stats, p_tot)
 
 
 @pytest.mark.parametrize("power", [-1e-3, np.nan, np.inf])
@@ -1264,3 +1296,38 @@ def test_a_plan_refines_only_past_the_largest_residual_refined(small_lib, monkey
         assert serialize_plan(plan) == serialize_plan(plans[k])
         plan.bits[:] = 0
     assert calls == [residuals[middle], residuals[-1]]
+
+
+def test_a_saturated_refinement_covers_every_residual(small_lib, monkeypatch):
+    rng = stream_rng("kept-saturated", 0)
+    n = 24
+    stats = LatentStats(np.zeros(n), np.exp(rng.uniform(np.log(0.5), np.log(sigma_max(small_lib) ** 2), n)))
+    blocks = [
+        (realize_channel(exponential_pdp(300.0), 24, 30e3, seed=k), 24 * 10.0 ** (snr_db / 10.0))
+        for k, snr_db in enumerate(rng.uniform(0.0, 15.0, 30))
+    ]
+    plans = [optimize_plan(small_lib, _fresh(stats), ch, p) for ch, p in blocks]
+    assert {plan.eps_index for plan in plans} == {1}
+    by_residual = sorted(range(len(blocks)), key=lambda k: _residual(small_lib, stats, plans[k]))
+    residuals = [_residual(small_lib, stats, plans[k]) for k in by_residual]
+    # the first block whose refinement saturates, with more above it
+    first = next(i for i, k in enumerate(by_residual) if plans[k].dummy_bits)
+    assert 0 < residuals[first - 1] < residuals[first] < residuals[-1]
+
+    calls = []
+    refine = allocator.refine_bit_allocation
+
+    def counting(*args, **kwargs):
+        calls.append(args[4] - int(np.sum(args[2])))
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(allocator, "refine_bit_allocation", counting)
+    # a refinement short of saturation, the smallest that saturates, then every
+    # block from the largest residual down
+    sequence = [first - 1, first] + list(range(len(blocks) - 1, -1, -1))
+    for i in sequence:
+        k = by_residual[i]
+        plan = optimize_plan(small_lib, stats, *blocks[k])
+        assert serialize_plan(plan) == serialize_plan(plans[k])
+        plan.bits[:] = 0
+    assert calls == [residuals[first - 1], residuals[first]]
