@@ -24,7 +24,7 @@ A plan runs in three steps.
     element saturates with pseudo-random dummy bits. Only the residual
     t_sym * r_sym - b_lat in [0, r_sym) depends on the channel, so the stats
     keep, per winning target, one record: its depths, the grant order of its
-    largest refinement so far and the residuals that order covers (see
+    largest refinement so far and how far the depths can grow (see
     _refined_bits).
 
 The greedy loops have closed forms. The first depth whose distortion meets a
@@ -152,13 +152,13 @@ class _SourceRating:
 
     infeasible is the first target with an element that no depth serves (None
     if none) and b_lat every target's minimum bit total. winners[q] is one
-    record per target that has won a plan, (depths, order, covered): the
+    record per target that has won a plan, (depths, order, headroom): the
     minimum_bit_allocation depths, the grant order of the largest refinement
-    made so far, and the largest residual that order covers (inf once that
-    refinement saturated); see _refined_bits. Every array is read-only. key
-    is (library digest, delta), set when a plan that completes keeps the
-    rating on the stats, so a kept rating has no infeasible target. A plain
-    class: a dataclass costs each import about 0.6 ms to generate its methods.
+    made so far, and the number of bits the depths can still grow; see
+    _refined_bits. Every array is read-only. key is (library digest, delta),
+    set when a plan that completes keeps the rating on the stats, so a kept
+    rating has no infeasible target. A plain class: a dataclass costs each
+    import about 0.6 ms to generate its methods.
     """
 
     __slots__ = ("infeasible", "b_lat", "winners", "key")
@@ -166,7 +166,7 @@ class _SourceRating:
     def __init__(self, infeasible: int | None, b_lat: np.ndarray):
         self.infeasible = infeasible
         self.b_lat = b_lat
-        self.winners: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        self.winners: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
         self.key: tuple | None = None
 
 
@@ -254,11 +254,12 @@ def allocate_power_modulation(
 def _inverse_gains(channel: ChannelRealization) -> np.ndarray:
     """noise_var / |h|^2 per subcarrier; inf, with no warning, where |h|^2 is 0.
 
-    Division is monotone, so sorting the quotients gives the same floats as
-    dividing by the powers sorted the other way.
+    noise_var > 0, so a zero power divides to inf. Division is monotone, so
+    sorting the quotients gives the same floats as dividing by the powers
+    sorted the other way.
     """
-    power = np.square(np.abs(channel.gains))
-    return np.divide(channel.noise_var, power, out=np.full(power.size, np.inf), where=power > 0)
+    with np.errstate(divide="ignore"):
+        return channel.noise_var / np.square(np.abs(channel.gains))
 
 
 def _affordable(ordered: np.ndarray, p_tot: float) -> np.ndarray:
@@ -491,11 +492,11 @@ def optimize_plan(
 
     The source's share of the work is kept on the stats once their digest
     has been read, for this library and delta: every target's b_lat, and one
-    record per winning target of its depths and refinement order (see
-    _SourceRating). A later plan on them calls minimum_bit_allocation only
-    for a target that has not won before, and refine_bit_allocation only for
-    a residual that no kept record covers (see _refined_bits). A plan's bits
-    are always its own array.
+    record per winning target of its depths, refinement order and headroom
+    (see _SourceRating). A later plan on them calls minimum_bit_allocation
+    only for a target that has not won before, and refine_bit_allocation
+    only for a residual that the kept record does not cover (see
+    _refined_bits). A plan's bits are always its own array.
     """
     check_nonnegative_finite("delta", delta)
     rating, r_sym = _rate_targets(lib, stats, channel, p_tot, delta)
@@ -507,7 +508,8 @@ def optimize_plan(
         if eps_index not in rating.winners:
             depths = minimum_bit_allocation(lib, stats, eps_index, delta)[0]
             depths.flags.writeable = False
-            rating.winners[eps_index] = (depths, np.zeros(0, dtype=np.intp), 0)  # residual 0 is covered
+            headroom = int((lib.b_max - depths[depths > 0]).sum())  # elements at zero bits never grow
+            rating.winners[eps_index] = (depths, np.zeros(0, dtype=np.intp), headroom)
         steps = lib.step_table()[0][eps_index]
         modulations, powers, r_sym = allocate_power_modulation(channel, p_tot, steps)
         bits, dummy = _refined_bits(lib, stats, rating, eps_index, t_sym * r_sym)
@@ -536,22 +538,23 @@ def _refined_bits(
 
     The greedy grants bits in one order, fixed by the source, the library
     column and the depths: its refinement at residual r = capacity - b_lat
-    is the first r grants, or all g of them and r - g dummies when g < r.
-    The winner's record keeps that order as far as its largest refinement
-    went, so it covers every r up to that residual, and every r once that
-    refinement saturated (covered = inf). A covered residual is the depths
-    plus one bincount of the order's first r elements; any other calls
-    refine_bit_allocation and keeps its grant order in the record.
+    is the first r grants, or all `headroom` of them and r - headroom
+    dummies when r is larger. The winner's record keeps that order as far as
+    its largest refinement went, so it covers every r up to the order's
+    length, and every r once the order holds every grant. A covered residual
+    is the depths plus one bincount of the order's first r elements; any
+    other calls refine_bit_allocation and keeps its grant order in the
+    record.
     """
-    depths, order, covered = rating.winners[eps_index]
+    depths, order, headroom = rating.winners[eps_index]
     residual = capacity - int(rating.b_lat[eps_index])
-    if residual <= covered:
+    if residual <= order.size or order.size == headroom:
         granted = order[:residual]
         return depths + np.bincount(granted, minlength=depths.size), residual - granted.size
     bits, dummy = refine_bit_allocation(lib, stats, depths, eps_index, capacity)
     order = _grant_order(lib, stats, eps_index, depths, bits)
     order.flags.writeable = False
-    rating.winners[eps_index] = (depths, order, math.inf if dummy else residual)
+    rating.winners[eps_index] = (depths, order, headroom)
     return bits, dummy
 
 

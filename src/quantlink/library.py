@@ -80,20 +80,21 @@ class QuantizerLibrary:
     first (see _check_gamma), so every build, load and dataclasses.replace
     does. The allocator's sorted loading is the greedy only because the
     steps [0, gamma(QPSK), ..., gamma(256-QAM)] never shrink, which holds for
-    every target below 0.34476 and fails above it. warnings collects
-    build-time records about the distortion grid (non-monotone or nonconvex
-    columns, rows not monotone in the target), informational, not failures.
-    design is the configuration the cells were designed with. The file's
-    format_version is not a field: FORMAT_VERSION is the one version
-    serialize_library writes and load_library accepts.
+    every target below 0.34476 and fails above it. design is the
+    configuration the cells were designed with. The file's format_version
+    is not a field: FORMAT_VERSION is the one version serialize_library
+    writes and load_library accepts.
 
-    Construction also builds two read-only tables: row q of the distortion
-    table holds D(1; b, eps_q) for b = 1..b_max, and row q of the step table
-    target q's steps (with their increments, step_table()). The object is
-    immutable once built: the tables are not rebuilt when a field changes in
-    place, and digest() hashes the serialized library on its first call and
-    keeps that hash. Derive a changed library with dataclasses.replace,
-    which checks the new grid and builds new tables, without a digest.
+    Construction also builds two read-only tables, and the audit of the
+    first: row q of the distortion table holds D(1; b, eps_q) for
+    b = 1..b_max, row q of the step table target q's steps (with their
+    increments, step_table()), and warnings is _audit(distortion table),
+    the table's anomalies (informational, not failures). The object is
+    immutable once built: the tables and warnings are not rebuilt when a
+    field changes in place, and digest() hashes the serialized library on
+    its first call and keeps that hash. Derive a changed library with
+    dataclasses.replace, which checks the new grid and builds new tables
+    and warnings, without a digest.
     """
 
     b_max: int
@@ -101,7 +102,7 @@ class QuantizerLibrary:
     cells: dict[tuple[int, int], ScalarQuantizer]
     design: DesignConfig
     gamma_thresholds: np.ndarray
-    warnings: list[dict] = field(default_factory=list)
+    warnings: list[dict] = field(init=False, compare=False)
     _table: np.ndarray = field(init=False, repr=False, compare=False)
     _steps: np.ndarray = field(init=False, repr=False, compare=False)
     _increments: np.ndarray = field(init=False, repr=False, compare=False)
@@ -124,6 +125,7 @@ class QuantizerLibrary:
         for arr in (table, steps, increments):
             arr.flags.writeable = False
         self._table, self._steps, self._increments = table, steps, increments
+        self.warnings = _audit(table)
 
     def quantizer(self, bit_depth: int, eps_index: int) -> ScalarQuantizer:
         return self.cells[(bit_depth, self._check_index(eps_index))]
@@ -161,7 +163,7 @@ def build_library(
     The threshold table is computed and checked first, so a grid the planner
     cannot load fails before any cell is designed. Columns are warm-started
     from the previous depth (levels duplicated), so distortion cannot rise
-    with b; _audit records grid anomalies. b_max must lie in
+    with b; the library's warnings record grid anomalies. b_max must lie in
     [1, MAX_BIT_DEPTH], checked before any design: a deeper column would
     design every shallower cell first (at b = 12 each with dense
     4096 x 4096 transition matrices) and then fail.
@@ -181,27 +183,30 @@ def build_library(
             cells[(b, qi)] = q
             prev = q
 
-    lib = QuantizerLibrary(b_max=b_max, epsilons=grid, cells=cells, design=cfg, gamma_thresholds=gamma)
-    _audit(lib)
-    return lib
+    return QuantizerLibrary(b_max=b_max, epsilons=grid, cells=cells, design=cfg, gamma_thresholds=gamma)
 
 
-def _audit(lib: QuantizerLibrary) -> None:
-    table = lib.distortion_table()
+def _audit(table: np.ndarray) -> list[dict]:
+    """The anomalies of a (targets, b_max) distortion table, as JSON records.
+
+    Per target in order, a column that rises with b (at its first rise) and
+    one that is not convex (with its least second difference); then per bit
+    depth in order, a row that falls as the target grows.
+    """
+    warnings = []
     for qi, col in enumerate(table):
         rises = np.flatnonzero(np.diff(col) > 1e-12)
         if rises.size:
-            lib.warnings.append(
-                {"kind": "column-not-monotone", "eps_index": qi, "first_rise_b": int(rises[0]) + 1}
-            )
+            warnings.append({"kind": "column-not-monotone", "eps_index": qi, "first_rise_b": int(rises[0]) + 1})
         second = np.diff(col, 2)
         if not np.all(second >= -1e-12):
-            lib.warnings.append(
+            warnings.append(
                 {"kind": "column-not-convex", "eps_index": qi, "min_second_difference": float(second.min())}
             )
     for b, row in enumerate(table.T, start=1):
         if np.any(np.diff(row) < -1e-9):
-            lib.warnings.append({"kind": "row-not-monotone", "b": b})
+            warnings.append({"kind": "row-not-monotone", "b": b})
+    return warnings
 
 
 def _check_gamma(gamma, epsilons) -> None:
@@ -321,6 +326,13 @@ def save_library(lib: QuantizerLibrary, path) -> None:
 
 
 def load_library(path) -> QuantizerLibrary:
+    """Read and check a library file; raises LibraryFormatError for any file it refuses.
+
+    Every cell is validated and its stored distortion checked against its
+    parameters, the grid and threshold table are checked on construction,
+    and warnings must be a list of JSON objects equal to the audit of the
+    loaded distortion table, which the library derives itself.
+    """
     # an int would open a file descriptor (0 reads stdin)
     if not isinstance(path, (str, os.PathLike)):
         raise LibraryFormatError(f"library path must be a string or path, got {path!r}")
@@ -381,17 +393,13 @@ def load_library(path) -> QuantizerLibrary:
                     f"cell ({b},{rec['eps_index']}): stored distortion disagrees with parameters"
                 )
             cells[(b, rec["eps_index"])] = q
-        # list() would split a string into warnings and a dict into its keys
+        # refused before the audit, with a message that names the shape
         if not isinstance(doc["warnings"], list) or not all(isinstance(w, dict) for w in doc["warnings"]):
             raise LibraryFormatError("warnings must be a list of JSON objects")
-        lib = QuantizerLibrary(
-            b_max=b_max,
-            epsilons=epsilons,
-            cells=cells,
-            design=design,
-            gamma_thresholds=gamma,
-            warnings=list(doc["warnings"]),
-        )
+        lib = QuantizerLibrary(b_max=b_max, epsilons=epsilons, cells=cells, design=design, gamma_thresholds=gamma)
+        # compared as written, so that the library re-serializes to the file's bytes
+        if json.dumps(doc["warnings"], sort_keys=True) != json.dumps(lib.warnings, sort_keys=True):
+            raise LibraryFormatError("warnings disagree with the audit of the distortion table")
     except LibraryFormatError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:

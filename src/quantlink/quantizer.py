@@ -263,22 +263,23 @@ _CUT_MARGIN = 16.0 * _UNIT_ROUNDOFF
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
-def _optimal_regions(a: np.ndarray, b2: np.ndarray, warm: list, index=None) -> list:
+def _optimal_regions(a: np.ndarray, b2: np.ndarray, index) -> list:
     """Lower envelope of the lines -2 a_l y + b_l, row by row; returns [(thresholds, codewords)].
 
-    a, b2: (m, n), one row per region update; warm: per row, a candidate hull
-    or None; index: the _hull_index of warm, if every row has a hull and the
-    caller kept it. Each row's envelope is a candidate hull h_0..h_k (line
-    indices by increasing slope) with cuts T_i = (b_j - b_l) / (2 (a_j - a_l)) for
-    l = h_i, j = h_{i+1}. The result must equal _pairwise_regions bit for
-    bit, whose threshold i is the minimum over every rival j of the same
-    formula, so a candidate is accepted only with a certificate
-    (_certified_cuts). Three candidates are tried in turn:
+    a, b2: (m, n), one row per region update; index: the _hull_index of one
+    warm hull per row, or None for none. Each row's envelope is a candidate
+    hull h_0..h_k (line indices by increasing slope) with cuts
+    T_i = (b_j - b_l) / (2 (a_j - a_l)) for l = h_i, j = h_{i+1}. The result
+    must equal _pairwise_regions bit for bit, whose threshold i is the
+    minimum over every rival j of the same formula, so a candidate is
+    accepted only with a certificate (_certified_cuts). Three candidates are
+    tried in turn:
 
       * warm: the caller's hull, the previous iteration's region codewords of
         the same design run. The designer mostly keeps its codeword set from
         one iteration to the next, so this path usually answers, with no
-        sort and no Python loop; one certificate serves all the rows;
+        sort and no Python loop; one certificate, on the kept index, serves
+        all the rows;
       * for each row without a warm hull or whose hull fails: the stack
         pass over its lines sorted by a (the convex hull trick), O(n) after
         an O(n log n) sort, with the losers of exact slope ties left out;
@@ -321,14 +322,9 @@ def _optimal_regions(a: np.ndarray, b2: np.ndarray, warm: list, index=None) -> l
         exactly with h_{v+1} passes only if it lies clearly above it, as a
         loser of the tie.
     """
-    out = [None] * len(warm)
+    out = [None] * a.shape[0]
     if index is not None:
-        _accept(out, range(len(warm)), index[0], _certified_cuts(a, b2, index[0], index=index))
-    else:
-        rows = [r for r, hull in enumerate(warm) if hull is not None and hull.size]
-        if rows:
-            hulls = [warm[r] for r in rows]
-            _accept(out, rows, hulls, _certified_cuts(a[rows], b2[rows], hulls))
+        _accept(out, range(len(out)), index[0], _certified_cuts(a, b2, index[0], index=index))
     rows = [r for r, regions in enumerate(out) if regions is None]
     if rows:
         hulls, rest = zip(*[_stack_candidate(a[r], b2[r]) for r in rows])
@@ -507,26 +503,20 @@ def _alternate(inits: np.ndarray, trans, cfg: DesignConfig, trace) -> list:
     max_iters, and its iterates are exactly those of a run on its own: one
     region update serves the live starts, whose levels stay a row apart.
     `trace` receives every start's distortions, start after start. trans
-    None is the noiseless channel.
+    None is the noiseless channel. The live starts' previous region
+    codewords are their candidate hulls, kept only in their _hull_index
+    (none on the first pass), which is rebuilt only when a hull changed or
+    a start left.
     """
     starts, n = inits.shape
     a, b2 = _line_coefficients(inits, trans)  # rows: the live starts
     best = [None] * starts
     prev = [np.inf] * starts
-    hulls = [None] * starts
     dists: list[list[float]] = [[] for _ in range(starts)]
     live = list(range(starts))
     index = None
     for _ in range(cfg.max_iters):
-        # The previous regions are each start's candidate hull (none on the
-        # first pass); their certificate index is rebuilt only when a hull
-        # changed or a start left.
-        warm = [hulls[r] for r in live]
-        if warm[0] is None:
-            index = None
-        elif index is None or len(warm) != len(index[0]) or not all(map(operator.is_, warm, index[0])):
-            index = _hull_index(warm, a.shape)
-        regions = _optimal_regions(a, b2, warm, index)
+        regions = _optimal_regions(a, b2, index)
         # One moments pass covers every live start: their edge vectors [-inf,
         # thresholds, inf] back to back are adjacent intervals, with a junk
         # interval (inf, -inf] between two starts.
@@ -551,13 +541,15 @@ def _alternate(inits: np.ndarray, trans, cfg: DesignConfig, trace) -> list:
             if math.isfinite(prev[r]) and abs(prev[r] - dist) <= cfg.rel_tol * max(abs(dist), 1e-300):
                 continue
             prev[r] = dist
-            hulls[r] = codewords
             keep.append(i)
         if not keep:
             break
         if len(keep) < len(live):
             live = [live[i] for i in keep]
             a, b2 = a[keep], b2[keep]
+        warm = [regions[i][1] for i in keep]
+        if index is None or len(warm) != len(index[0]) or not all(map(operator.is_, warm, index[0])):
+            index = _hull_index(warm, a.shape)
     if trace is not None:
         for d in dists:
             trace.extend(d)

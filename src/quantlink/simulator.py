@@ -424,7 +424,6 @@ def run_experiment(
         t_syms = []
         eps_stars = []
         details = []
-        count = 0
         for trial in range(cfg.trials):
             ch_seed = int(trial)
             realization = chan.realize_channel(
@@ -456,7 +455,6 @@ def run_experiment(
                 for frame, sq_error in zip(frames, res.per_element_sq_error):
                     sq_sum += sq_error
                     sq_sumsq += np.square(sq_error)
-                    count += 1
                     if keep_trials:
                         details.append(
                             {
@@ -467,6 +465,7 @@ def run_experiment(
                                 "mean_sq_error": float(sq_error.mean()),
                             }
                         )
+        count = cfg.trials * cfg.frames_per_realization
         mean = sq_sum / count
         var = np.maximum(sq_sumsq / count - np.square(mean), 0.0)
         se = np.sqrt(var / count)

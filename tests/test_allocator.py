@@ -1331,3 +1331,36 @@ def test_a_saturated_refinement_covers_every_residual(small_lib, monkeypatch):
         assert serialize_plan(plan) == serialize_plan(plans[k])
         plan.bits[:] = 0
     assert calls == [residuals[first - 1], residuals[first]]
+
+
+def test_a_refinement_that_meets_the_headroom_exactly_covers_every_residual(small_lib, monkeypatch):
+    # a residual equal to the headroom (what the depths can still grow) makes
+    # every grant with no dummy bit, so that refinement saturates as one with
+    # dummies does, and a larger residual refines nothing anew
+    rng = stream_rng("kept-exact", 4)
+    n = 40
+    stats = LatentStats(np.zeros(n), np.exp(rng.uniform(np.log(0.5), np.log(sigma_max(small_lib) ** 2), n)))
+    blocks = [
+        (realize_channel(exponential_pdp(300.0), 24, 30e3, seed=k), 24 * 10.0 ** (snr_db / 10.0))
+        for k, snr_db in enumerate(rng.uniform(0.0, 15.0, 30))
+    ]
+    plans = [optimize_plan(small_lib, _fresh(stats), ch, p) for ch, p in blocks]
+    depths = minimum_bit_allocation(small_lib, stats, 1)[0]
+    headroom = int((small_lib.b_max - depths[depths > 0]).sum())
+    on_target = [k for k, plan in enumerate(plans) if plan.eps_index == 1]
+    exact = [k for k in on_target if _residual(small_lib, stats, plans[k]) == headroom]
+    above = [k for k in on_target if _residual(small_lib, stats, plans[k]) > headroom]
+    assert exact and above and plans[exact[0]].dummy_bits == 0
+
+    calls = []
+    refine = allocator.refine_bit_allocation
+
+    def counting(*args, **kwargs):
+        calls.append(args[4] - int(np.sum(args[2])))
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(allocator, "refine_bit_allocation", counting)
+    for k in exact[:1] + above:
+        plan = optimize_plan(small_lib, stats, *blocks[k])
+        assert serialize_plan(plan) == serialize_plan(plans[k])
+    assert calls == [headroom]

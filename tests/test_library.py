@@ -420,25 +420,45 @@ def test_convexity_report(small_lib):
 
 
 def _with_distortions(lib, table):
-    """lib with cell (b, q) holding distortion table[q][b - 1], fresh warnings."""
+    """lib with cell (b, q) holding distortion table[q][b - 1], and that table's warnings."""
     cells = {
         (b, qi): dataclasses.replace(lib.quantizer(b, qi), normalized_distortion=d)
         for qi, row in enumerate(table)
         for b, d in enumerate(row, start=1)
     }
-    return dataclasses.replace(lib, cells=cells, warnings=[])
+    return dataclasses.replace(lib, cells=cells)
 
 
 def test_audit_records_each_anomaly_in_order(small_lib):
     # column 0 rises from b = 2 to b = 3, column 1 has second difference
     # -0.25, and at b = 3 the target with more flips has the lower distortion
     lib = _with_distortions(small_lib, [[0.5, 0.25, 0.375], [0.75, 0.625, 0.25]])
-    library._audit(lib)
     assert lib.warnings == [
         {"kind": "column-not-monotone", "eps_index": 0, "first_rise_b": 2},
         {"kind": "column-not-convex", "eps_index": 1, "min_second_difference": -0.25},
         {"kind": "row-not-monotone", "b": 3},
     ]
+
+
+def test_a_derived_library_audits_its_own_table(small_lib):
+    # column 0 rises from b = 2 to b = 3: the derived library records it, and
+    # the library it came from keeps its own list
+    before = list(small_lib.warnings)
+    lib = _with_distortions(small_lib, [[0.5, 0.25, 0.375], small_lib.distortion_column(1).tolist()])
+    assert {"kind": "column-not-monotone", "eps_index": 0, "first_rise_b": 2} in lib.warnings
+    assert lib.warnings == library._audit(lib.distortion_table()) != before
+    assert lib.warnings is not small_lib.warnings and small_lib.warnings == before
+
+
+@pytest.mark.parametrize("wrong", [[{"kind": "row-not-monotone", "b": 3}], [{}]])
+def test_load_refuses_warnings_other_than_its_tables_audit(tmp_path, wrong):
+    # such a file used to load, and re-serialize to other bytes than its own
+    def tamper(doc):
+        assert doc["warnings"] == []
+        doc["warnings"] = wrong
+
+    with pytest.raises(LibraryFormatError, match="warnings disagree with the audit"):
+        load_library(_tampered_fixture(tmp_path, tamper))
 
 
 def _grid_defect(defect, cells, b_max):

@@ -15,6 +15,7 @@ from quantlink.quantizer import (
     ScalarQuantizer,
     _certified_cuts,
     _expected_distortion,
+    _hull_index,
     _line_coefficients,
     _optimal_levels,
     _optimal_regions,
@@ -253,9 +254,16 @@ def test_validate_accepts_edge_cases():
 # ---------------------------------------------------------------------------
 
 
+def _index(warm, shape):
+    """_optimal_regions' index of one candidate hull per row; None if a row has none (None or empty)."""
+    if any(hull is None or not hull.size for hull in warm):
+        return None
+    return _hull_index(warm, shape)
+
+
 def _regions(a, b2, warm=None):
     """One row's region update: (thresholds, codewords)."""
-    return _optimal_regions(a[None], b2[None], [warm])[0]
+    return _optimal_regions(a[None], b2[None], _index([warm], (1, a.size)))[0]
 
 
 def regions_for_levels(levels, flips):
@@ -526,10 +534,10 @@ def test_pairwise_fallback_of_one_row_leaves_the_others(monkeypatch):
     monkeypatch.setattr(quantizer_module, "_pairwise_regions", counting)
     for warm in ([w[1] for w in want], [None] * len(lines)):
         calls.clear()
-        got = _optimal_regions(a, b2, warm)
+        got = _optimal_regions(a, b2, _index(warm, a.shape))
         assert len(calls) == 1 and calls[0].tobytes() == a[2].tobytes()
         for r, (thresholds, codewords) in enumerate(got):
-            alone = _optimal_regions(a[r : r + 1], b2[r : r + 1], [warm[r]])[0]
+            alone = _regions(a[r], b2[r], warm[r])
             assert thresholds.tobytes() == alone[0].tobytes() == want[r][0].tobytes()
             assert codewords.tobytes() == alone[1].tobytes() == want[r][1].tobytes()
 
@@ -746,7 +754,10 @@ def test_lockstep_keeps_its_hull_index_and_certifies_the_stack_pass_at_once(monk
     hull_index = quantizer_module._hull_index
     certified_cuts = quantizer_module._certified_cuts
     optimal_regions = quantizer_module._optimal_regions
-    builds, updates = [], []  # per region update: (warm hulls, index, certificate calls)
+    alternate = quantizer_module._alternate
+    # per region update: [rows, index, certificate calls, regions returned];
+    # None where a design's alternation starts
+    builds, updates = [], []
 
     def spy_index(hulls, shape, rest=None):
         builds.append(hull_index(hulls, shape, rest))
@@ -756,31 +767,48 @@ def test_lockstep_keeps_its_hull_index_and_certifies_the_stack_pass_at_once(monk
         updates[-1][2].append((len(hulls), rest is not None))
         return certified_cuts(a, b2, hulls, rest, index)
 
-    def spy_regions(a, b2, warm, index=None):
-        updates.append((list(warm), index, []))
-        return optimal_regions(a, b2, warm, index)
+    def spy_regions(a, b2, index):
+        updates.append([a.shape[0], index, [], None])
+        updates[-1][3] = optimal_regions(a, b2, index)
+        return updates[-1][3]
+
+    def spy_alternate(*args):
+        updates.append(None)
+        return alternate(*args)
 
     monkeypatch.setattr(quantizer_module, "_hull_index", spy_index)
     monkeypatch.setattr(quantizer_module, "_certified_cuts", spy_cuts)
     monkeypatch.setattr(quantizer_module, "_optimal_regions", spy_regions)
+    monkeypatch.setattr(quantizer_module, "_alternate", spy_alternate)
     cfg = DesignConfig(restarts=6, seed=11)
     for eps in (0.005, 0.05):
         quantizer_module._best_of_restarts(5, uniform_bsc(5, eps), design_lloyd_max(5, FAST).levels, ("spy",), cfg)
-    kept = stacked = 0
-    for (warm, index, calls), (last_warm, last_index, _) in zip(updates, [([], None, [])] + updates):
-        stack = [rows for rows, masked in calls if masked]
+    designs = kept = stacked = 0
+    last = None
+    for update in updates:
+        if update is None:
+            designs += 1
+            last = None
+            continue
+        rows, index, calls, regions = update
+        stack = [n for n, masked in calls if masked]
         assert len(stack) <= 1  # every stack-pass candidate in one certificate
         stacked += len(stack)
-        if warm[0] is None:  # a design's first update: every start takes the stack pass
-            assert index is None and stack == [len(warm)]
-            continue
-        assert len(index[0]) == len(warm) and all(map(operator.is_, index[0], warm))
-        if len(warm) == len(last_warm) and all(map(operator.is_, warm, last_warm)):
-            assert index is last_index  # the same hulls keep their index
-            kept += 1
+        if last is None:  # a design's first update: every start takes the stack pass
+            assert index is None and stack == [rows]
         else:
-            assert any(index is built for built in builds)
-    assert kept > 0 and stacked > 2
+            # the previous update's codewords of the starts still live, in order
+            assert index is not None and len(index[0]) == rows
+            previous = iter([codewords for _, codewords in last[3]])
+            assert all(any(hull is codewords for codewords in previous) for hull in index[0])
+            last_hulls = [] if last[1] is None else last[1][0]
+            if len(index[0]) == len(last_hulls) and all(map(operator.is_, index[0], last_hulls)):
+                assert index is last[1]  # the same hulls keep their index
+                kept += 1
+            else:
+                assert any(index is built for built in builds)
+        last = update
+    assert designs >= 2 and kept > 0 and stacked > 2
 
 
 def test_design_best_so_far_retention():

@@ -106,12 +106,12 @@ QUANTLINK_VALUES = """\
  3 cli.py simulate
  4 cli.py ber-check
  0 gaussian.py
- 4 library.py
+ 3 library.py
  0 modem.py
  8 quantizer.py
  0 rng.py
 11 simulator.py
-58 total
+57 total
 """
 
 
