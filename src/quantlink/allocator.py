@@ -171,15 +171,14 @@ class _SourceRating:
 
 
 def target_distortion(sigma2):
-    """Element distortion target sigma^2 / (sigma^2 + 1). Scalar or array.
+    """Element distortion target sigma^2 / (sigma^2 + 1), elementwise.
 
     A negative or NaN sigma^2 raises ValueError.
     """
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     if not (sigma2 >= 0).all():  # NaN fails too
         raise ValueError("sigma2 must be nonnegative")
-    out = sigma2 / (sigma2 + 1.0)
-    return out if out.ndim else float(out)
+    return sigma2 / (sigma2 + 1.0)
 
 
 def minimum_bit_allocation(

@@ -133,11 +133,14 @@ def parse_profile_ref(ref: str) -> TapProfile:
 
 @dataclass
 class ChannelRealization:
-    """One coherence block: fixed per-subcarrier gains plus the noise variance."""
+    """One coherence block: fixed per-subcarrier gains and the noise variance.
+
+    seed labels the draw. A plan records it as its channel_seed, and
+    run_trial refuses a realization whose seed differs from it.
+    """
 
     gains: np.ndarray
     noise_var: float
-    subcarrier_spacing_hz: float
     seed: int
 
     def __post_init__(self):
@@ -175,7 +178,7 @@ def realize_channel(
     )
     freqs = np.arange(n_sc) * spacing_hz
     phase = np.exp(-2j * np.pi * np.outer(freqs, profile.delays_s))
-    return ChannelRealization(phase @ g, 1.0, spacing_hz, seed)
+    return ChannelRealization(phase @ g, 1.0, seed)
 
 
 def power_budget(n_sc: int, snr_db: float) -> float:

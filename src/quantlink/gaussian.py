@@ -34,28 +34,24 @@ def _erfc(x: np.ndarray) -> np.ndarray:
 
 
 def std_normal_pdf(x):
-    """phi(x) = exp(-x^2/2) / sqrt(2 pi). Scalar or array; phi(+-inf) = 0."""
+    """phi(x) = exp(-x^2/2) / sqrt(2 pi), elementwise; phi(+-inf) = 0."""
     x = np.asarray(x, dtype=np.float64)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
-    return out if out.ndim else float(out)
+    return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
 
 
 def std_normal_cdf(x):
-    """Phi(x) = P[N(0,1) <= x], computed through erfc for tail accuracy."""
-    x = np.asarray(x, dtype=np.float64)
-    out = 0.5 * _erfc(-x / _SQRT2)
-    return out if out.ndim else float(out)
+    """Phi(x) = P[N(0,1) <= x] = Q(-x), through erfc for tail accuracy."""
+    return q_function(-np.asarray(x, dtype=np.float64))
 
 
 def q_function(x):
     """Gaussian tail probability Q(x) = 1 - Phi(x) = 0.5 erfc(x / sqrt(2))."""
     x = np.asarray(x, dtype=np.float64)
-    out = 0.5 * _erfc(x / _SQRT2)
-    return out if out.ndim else float(out)
+    return 0.5 * _erfc(x / _SQRT2)
 
 
 def inv_q_function(p):
-    """Inverse of q_function for p in (0, 0.5]; returns x >= 0. Scalar or array.
+    """Inverse of q_function for p in (0, 0.5], elementwise; returns x >= 0.
 
     Each element runs its own bisection on [0, 40], stopping when its bracket
     is within 1e-15 relative (at most 200 halvings), and p = 0.5 gives 0.0;
@@ -78,18 +74,16 @@ def inv_q_function(p):
         high = np.where(above, high, mid)
         lo[live], hi[live] = low, high
         live = live[high - low > 1e-15 * np.maximum(1.0, low)]
-    out = np.where(flat == 0.5, 0.0, 0.5 * (lo + hi)).reshape(p.shape)
-    return out if out.ndim else float(out)
+    return np.where(flat == 0.5, 0.0, 0.5 * (lo + hi)).reshape(p.shape)
 
 
 def inv_std_normal_cdf(u):
-    """Phi^{-1}(u) for u in (0, 1), via the Q-function inverse. Scalar or array."""
+    """Phi^{-1}(u) for u in (0, 1), elementwise, via the Q-function inverse."""
     u = np.asarray(u, dtype=np.float64)
     if not ((u > 0.0) & (u < 1.0)).all():
         raise ValueError(f"inv_std_normal_cdf requires u in (0, 1), got {u}")
     x = inv_q_function(np.where(u > 0.5, 1.0 - u, u))
-    out = np.where(u < 0.5, -x, x)
-    return out if out.ndim else float(out)
+    return np.where(u < 0.5, -x, x)
 
 
 def interval_moments(lo, hi):
@@ -123,6 +117,6 @@ def interval_moments(lo, hi):
 
 def _edge_terms(x: np.ndarray):
     """phi(x), Phi(x) and x phi(x) at interval endpoints."""
-    phi = np.asarray(std_normal_pdf(x))
+    phi = std_normal_pdf(x)
     # endpoint terms x*phi(x) vanish at +-inf; mask first to avoid inf*0
-    return phi, np.asarray(std_normal_cdf(x)), np.where(np.isfinite(x), x, 0.0) * phi
+    return phi, std_normal_cdf(x), np.where(np.isfinite(x), x, 0.0) * phi

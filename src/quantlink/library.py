@@ -238,13 +238,12 @@ def _check_gamma(gamma, epsilons) -> None:
 def gamma_increments_convex(gamma_steps: np.ndarray):
     """Exact float test that the steps of [0, gamma(QPSK), ..., gamma(256-QAM)] never shrink.
 
-    gamma_steps is one such vector (returns a bool) or a table holding one per
-    column, axis 0 running over the modulation steps (returns a bool per
-    column). The allocator's sorted loading equals the greedy only under this
-    test, and every library's table passes it (see _check_gamma).
+    gamma_steps is one such vector (returns a 0-d np.bool_) or a table holding
+    one per column, axis 0 running over the modulation steps (returns a bool
+    per column). The allocator's sorted loading equals the greedy only under
+    this test, and every library's table passes it (see _check_gamma).
     """
-    ok = np.all(np.diff(gamma_steps, 2, axis=0) >= 0, axis=0)
-    return bool(ok) if ok.ndim == 0 else ok
+    return np.all(np.diff(gamma_steps, 2, axis=0) >= 0, axis=0)
 
 
 _SIGMA_ULPS = 64

@@ -116,8 +116,7 @@ def modulate(word, m: int):
     w = np.asarray(word)
     if w.size and (w.min() < 0 or w.max() >= (1 << m)):
         raise ValueError(f"word out of range for {m}-bit constellation")
-    out = np.take(table.points, w)
-    return out if np.ndim(word) else complex(out)
+    return np.take(table.points, w)
 
 
 def demodulate(symbol, m: int):
@@ -130,12 +129,11 @@ def demodulate(symbol, m: int):
     for bound in table.axis_bounds.tolist():
         k -= np.less_equal(axes, bound, out=below).view(np.uint8)
     # k_i * L + k_q is at most 255 (L = 16 at m = 8), so it stays uint8
-    out = np.take(table.level_words, k[..., 0] * np.uint8(table.axis_levels.size) + k[..., 1])
-    return out if np.ndim(symbol) else int(out)
+    return np.take(table.level_words, k[..., 0] * np.uint8(table.axis_levels.size) + k[..., 1])
 
 
 def ber_approx(m: int, gamma):
-    """Analytic Gray-QAM bit error rate at symbol SNR gamma (scalar or array)."""
+    """Analytic Gray-QAM bit error rate at symbol SNR gamma, elementwise."""
     if m not in QAM_BITS:
         raise ValueError(f"modulation order must be one of {QAM_BITS}, got {m}")
     g = np.asarray(gamma, dtype=np.float64)
@@ -143,11 +141,10 @@ def ber_approx(m: int, gamma):
         raise ValueError("gamma must be nonnegative")
     big_m = 1 << m
     root = np.sqrt(3.0 * g / (big_m - 1))
-    out = (4.0 / m) * (
-        (1.0 - 1.0 / np.sqrt(big_m)) * np.asarray(q_function(root))
-        + (1.0 - 2.0 / np.sqrt(big_m)) * np.asarray(q_function(3.0 * root))
+    return (4.0 / m) * (
+        (1.0 - 1.0 / np.sqrt(big_m)) * q_function(root)
+        + (1.0 - 2.0 / np.sqrt(big_m)) * q_function(3.0 * root)
     )
-    return out if out.ndim else float(out)
 
 
 def ber_by_position(m: int, gamma):
@@ -178,7 +175,7 @@ def ber_by_position(m: int, gamma):
     np.add.at(weights, (rows, d - 1), differs)
     np.add.at(weights, (rows, d[inner]), -differs[:, inner])
     root = np.sqrt(3.0 * g / ((1 << m) - 1))
-    tails = np.asarray(q_function(root[..., None] * (2.0 * k + 1.0)))
+    tails = q_function(root[..., None] * (2.0 * k + 1.0))
     axis = tails @ (weights / levels).T
     return np.concatenate((axis, axis), axis=-1)
 
@@ -190,10 +187,11 @@ SNR_THRESHOLD_TOL = 1e-10  # largest |ber_approx(m, snr_threshold(m, t)) - t|
 def snr_threshold(m: int, target_ber: float) -> float:
     """Symbol SNR at which `m`-bit QAM hits `target_ber`, by bisection.
 
-    The returned gamma satisfies |ber_approx(m, gamma) - target_ber| <=
-    SNR_THRESHOLD_TOL. A target at or below that tolerance raises ValueError:
-    every gamma far enough up the bracket would pass, so the answer would
-    mean nothing.
+    Returns the first bisection midpoint, a Python float, with
+    |ber_approx(m, gamma) - target_ber| <= SNR_THRESHOLD_TOL, and raises
+    ArithmeticError if 200 halvings find none. A target at or below that
+    tolerance raises ValueError: every gamma far enough up the bracket would
+    pass, so the answer would mean nothing.
     """
     if not 0.0 < target_ber < 0.5:
         raise ValueError(f"target BER must be in (0, 0.5), got {target_ber}")
@@ -204,22 +202,13 @@ def snr_threshold(m: int, target_ber: float) -> float:
         raise ValueError(
             f"target BER {target_ber} not bracketed by gamma in [{lo}, {hi}] for m={m}"
         )
-    best = lo
-    best_err = abs(ber_approx(m, lo) - target_ber)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = ber_approx(m, mid)
-        err = abs(val - target_ber)
-        if err < best_err:
-            best, best_err = mid, err
-        if err <= SNR_THRESHOLD_TOL:
+        if abs(val - target_ber) <= SNR_THRESHOLD_TOL:
             return mid
         if val > target_ber:
             lo = mid
         else:
             hi = mid
-    if best_err <= SNR_THRESHOLD_TOL:
-        return best
-    raise ArithmeticError(
-        f"bisection failed to reach |ber - target| <= {SNR_THRESHOLD_TOL} (best {best_err})"
-    )
+    raise ArithmeticError(f"200 halvings did not reach |ber - target| <= {SNR_THRESHOLD_TOL}")

@@ -657,29 +657,27 @@ def quantize(y, mean: float, std: float, q: ScalarQuantizer):
     """Map samples to sent codewords through the affine-normalized quantizer.
 
     Regions are half-open on the right, so a sample exactly on a threshold
-    falls in the region to its left. Scalar in, scalar out; arrays vectorize,
-    and mean/std may be per-sample arrays broadcast against y (the trial
-    chain passes a (frames, n) batch with one mean and std per column).
-    Every std must be positive.
+    falls in the region to its left. It works elementwise, and mean/std may
+    be per-sample arrays broadcast against y (the trial chain passes a
+    (frames, n) batch with one mean and std per column). Every std must be
+    positive.
     """
     if not (np.asarray(std) > 0).all():
         raise ValueError("std must be positive")
     u = (np.asarray(y, dtype=np.float64) - mean) / std
-    out = q.region_codewords[np.searchsorted(q.thresholds, u, side="left")]
-    return out if np.ndim(y) else int(out)
+    return q.region_codewords[np.searchsorted(q.thresholds, u, side="left")]
 
 
 def dequantize(codeword, mean: float, std: float, q: ScalarQuantizer):
     """Reconstruction for received codewords: level * std + mean.
 
-    Arrays vectorize, and mean/std may be per-sample arrays broadcast against
-    the codewords, as in quantize. Every std must be positive and every
-    codeword a b-bit word.
+    It works elementwise, and mean/std may be per-sample arrays broadcast
+    against the codewords, as in quantize. Every std must be positive and
+    every codeword a b-bit word.
     """
     if not (np.asarray(std) > 0).all():
         raise ValueError("std must be positive")
     cw = np.asarray(codeword)
     if cw.size and (cw.min() < 0 or cw.max() >= (1 << q.bit_depth)):
         raise ValueError("codeword out of range for quantizer bit depth")
-    out = np.take(q.levels, cw) * std + mean
-    return out if np.ndim(codeword) else float(out)
+    return np.take(q.levels, cw) * std + mean

@@ -184,7 +184,7 @@ def test_criterion_06_greedy_loading_optimal(default_lib):
         n_sc = int(rng.integers(2, 7))
         gains = (rng.standard_normal(n_sc) + 1j * rng.standard_normal(n_sc)) / np.sqrt(2)
         gains[np.abs(gains) < 1e-3] = 0.3
-        ch = ChannelRealization(gains, 1.0, 30e3, 0)
+        ch = ChannelRealization(gains, 1.0, 0)
         qi = int(rng.integers(0, default_lib.epsilons.size))
         steps = np.concatenate(([0.0], default_lib.gamma_thresholds[:, qi]))
         p_tot = float(rng.uniform(0.5, 80.0) * n_sc)

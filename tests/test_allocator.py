@@ -201,14 +201,14 @@ def test_min_alloc_matches_first_fitting_depth(col, monotone, data):
 
 def test_loading_budget_below_cheapest_increment(small_lib):
     g = _gamma_steps(small_lib, 0)
-    ch = ChannelRealization(np.array([1.0 + 0j, 0.5 + 0j]), 1.0, 30e3, 0)
+    ch = ChannelRealization(np.array([1.0 + 0j, 0.5 + 0j]), 1.0, 0)
     m, p, r = allocate_power_modulation(ch, g[1] * 0.99, g)
     assert r == 0 and np.all(m == 0) and np.all(p == 0)
 
 
 def test_loading_symmetric_tie_both_qpsk(small_lib):
     g = _gamma_steps(small_lib, 1)
-    ch = ChannelRealization(np.array([1.0 + 0j, 1.0 + 0j]), 1.0, 30e3, 0)
+    ch = ChannelRealization(np.array([1.0 + 0j, 1.0 + 0j]), 1.0, 0)
     m, p, r = allocate_power_modulation(ch, 2.0 * g[1], g)
     assert list(m) == [2, 2] and r == 4
     assert p.sum() == pytest.approx(2 * g[1], rel=1e-12)
@@ -216,7 +216,7 @@ def test_loading_symmetric_tie_both_qpsk(small_lib):
 
 def test_loading_caps_at_highest_order(small_lib):
     g = _gamma_steps(small_lib, 1)
-    ch = ChannelRealization(np.array([1.0 + 0j]), 1.0, 30e3, 0)
+    ch = ChannelRealization(np.array([1.0 + 0j]), 1.0, 0)
     m, p, r = allocate_power_modulation(ch, g[-1] * 100, g)
     assert list(m) == [8] and r == 8
     assert p[0] == pytest.approx(g[-1], rel=1e-12)
@@ -225,7 +225,7 @@ def test_loading_caps_at_highest_order(small_lib):
 def test_loading_power_formula(small_lib):
     g = _gamma_steps(small_lib, 0)
     gains = np.array([1.2 - 0.4j, 0.3 + 0.9j, 2.0 + 0j])
-    ch = ChannelRealization(gains, 1.7, 30e3, 0)
+    ch = ChannelRealization(gains, 1.7, 0)
     m, p, _ = allocate_power_modulation(ch, 200.0, g)
     for k in range(3):
         expect = g[m[k] // 2] * 1.7 / abs(gains[k]) ** 2
@@ -236,7 +236,7 @@ def test_loading_monotone_in_budget(small_lib):
     g = _gamma_steps(small_lib, 1)
     rng = stream_rng("mono", 3)
     gains = (rng.standard_normal(16) + 1j * rng.standard_normal(16)) / np.sqrt(2)
-    ch = ChannelRealization(gains, 1.0, 30e3, 0)
+    ch = ChannelRealization(gains, 1.0, 0)
     prev = 0
     for budget in np.linspace(1.0, 3000.0, 40):
         _, _, r = allocate_power_modulation(ch, float(budget), g)
@@ -260,7 +260,7 @@ def test_loading_matches_exhaustive_on_small_instances(small_lib):
         n_sc = int(rng.integers(2, 7))
         gains = (rng.standard_normal(n_sc) + 1j * rng.standard_normal(n_sc)) / np.sqrt(2)
         gains[np.abs(gains) < 1e-3] = 0.5
-        ch = ChannelRealization(gains, 1.0, 30e3, 0)
+        ch = ChannelRealization(gains, 1.0, 0)
         qi = int(rng.integers(0, small_lib.epsilons.size))
         g = _gamma_steps(small_lib, qi)
         p_tot = float(rng.uniform(0.5, 60) * n_sc)
@@ -271,14 +271,14 @@ def test_loading_matches_exhaustive_on_small_instances(small_lib):
 def test_loading_rejects_gamma_steps_not_strictly_increasing():
     # a repeated threshold makes a zero increment, and 0 * inf is NaN on a
     # zero-gain subcarrier
-    ch = ChannelRealization(np.array([0.0 + 0j, 1.0 + 0j, 0.5 + 0j]), 1.0, 30e3, 0)
+    ch = ChannelRealization(np.array([0.0 + 0j, 1.0 + 0j, 0.5 + 0j]), 1.0, 0)
     with pytest.raises(ValueError, match="strictly increasing"):
         allocate_power_modulation(ch, 100.0, np.array([0.0, 0.0, 1.0, 3.0, 6.0]))
 
 
 def test_loading_reads_gamma_steps_as_one_vector(small_lib):
     g = _gamma_steps(small_lib, 1)
-    ch = ChannelRealization(np.array([1.0 + 0j, 0.5 + 0j, 0.25 + 0j]), 1.0, 30e3, 0)
+    ch = ChannelRealization(np.array([1.0 + 0j, 0.5 + 0j, 0.25 + 0j]), 1.0, 0)
     _assert_same_loading(allocate_power_modulation(ch, 50.0, g.tolist()), allocate_power_modulation(ch, 50.0, g))
     # a (5, 1) column used to end in a numpy broadcast error, a short list
     # in an AttributeError
@@ -291,7 +291,7 @@ def test_loading_grants_the_first_ties_at_the_last_cost_taken():
     # six costs of 1 and a budget for two: the greedy raises subcarrier 0
     # twice, as ties go to the lower subcarrier, then to the lower step
     g = np.array([0.0, 1.0, 2.0, 4.0, 8.0])
-    ch = ChannelRealization(np.ones(3, dtype=np.complex128), 1.0, 30e3, 0)
+    ch = ChannelRealization(np.ones(3, dtype=np.complex128), 1.0, 0)
     for budget, want in ((2.0, [4, 0, 0]), (3.0, [4, 2, 0]), (6.0, [4, 4, 4])):
         got = allocate_power_modulation(ch, budget, g)
         _assert_same_loading(got, _looped_loading(ch, budget, g))
@@ -347,7 +347,7 @@ _GAIN_MAGNITUDES = st.sampled_from([0.0, 0.25, 0.5, 0.8, 1.0, 1.3])
 def test_sorted_loading_equals_greedy_loop(mags, increments, noise_var, budget):
     gamma_steps = np.concatenate(([0.0], np.cumsum(increments)))
     assert gamma_increments_convex(gamma_steps)
-    ch = ChannelRealization(np.array(mags, dtype=np.complex128), noise_var, 30e3, 0)
+    ch = ChannelRealization(np.array(mags, dtype=np.complex128), noise_var, 0)
     if isinstance(budget, int):
         with np.errstate(divide="ignore"):
             inv_gain = noise_var / np.square(np.abs(ch.gains))
@@ -365,7 +365,7 @@ def test_sorted_loading_equals_greedy_loop_on_library_rows(small_lib):
     for _ in range(40):
         n_sc = int(rng.integers(1, 64))
         gains = (rng.standard_normal(n_sc) + 1j * rng.standard_normal(n_sc)) / np.sqrt(2)
-        ch = ChannelRealization(gains, 1.0, 30e3, 0)
+        ch = ChannelRealization(gains, 1.0, 0)
         g = _gamma_steps(small_lib, int(rng.integers(small_lib.epsilons.size)))
         assert gamma_increments_convex(g)
         p_tot = float(rng.uniform(0.1, 80.0) * n_sc)
@@ -378,7 +378,7 @@ def test_loading_rejects_shrinking_increments():
     # vector is refused rather than loaded
     g = np.array([0.0, 1.0, 1.5, 3.0, 6.0])
     assert not gamma_increments_convex(g)
-    ch = ChannelRealization(np.array([1.0 + 0j, np.sqrt(1 / 0.9) + 0j]), 1.0, 30e3, 0)
+    ch = ChannelRealization(np.array([1.0 + 0j, np.sqrt(1 / 0.9) + 0j]), 1.0, 0)
     assert list(_looped_loading(ch, 1.0, g)[0]) == [0, 2]
     with pytest.raises(ValueError, match="never shrink"):
         allocate_power_modulation(ch, 1.0, g)
@@ -466,7 +466,7 @@ _STEP_TABLES = st.lists(_DYADIC_INCREMENTS, min_size=1, max_size=4)
 )
 def test_rating_counts_what_the_loading_grants(rows, mags, noise_var, data):
     lib = _stub_library(rows)
-    ch = ChannelRealization(np.array(mags, dtype=np.complex128), noise_var, 30e3, 0)
+    ch = ChannelRealization(np.array(mags, dtype=np.complex128), noise_var, 0)
     # a budget on a running sum of some target's sorted costs, or next to it
     qi = data.draw(st.integers(0, len(rows) - 1))
     with np.errstate(divide="ignore"):
@@ -486,7 +486,7 @@ def test_rating_redoes_a_row_whose_prefix_fills_the_loosest_targets_width(monkey
     # last one's and its row is sorted and summed again in full
     lib = _stub_library([[0.25, 0.5, 0.5, 1.0], [1.0, 2.0, 4.0, 4.0]])
     rng = stream_rng("rating-redo", 0)
-    ch = ChannelRealization(rng.standard_normal(32) + 1j * rng.standard_normal(32), 1.0, 30e3, 0)
+    ch = ChannelRealization(rng.standard_normal(32) + 1j * rng.standard_normal(32), 1.0, 0)
     stats = LatentStats(np.zeros(1), np.ones(1))
     shapes, affordable = [], allocator._affordable
 
@@ -864,7 +864,7 @@ def test_plan_with_an_exactly_zero_gain_warns_nothing_and_keeps_its_bytes():
     # rating and the loading warned
     lib = load_library(FIXTURE_LIBRARY)
     stats = LatentStats(np.zeros(6), np.array([0.5, 2.0, 0.05, 3.0, 1.0, 0.7]))
-    ch = ChannelRealization([1, 0, 0.5j], 1.0, 30e3, 0)
+    ch = ChannelRealization([1, 0, 0.5j], 1.0, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         plan = optimize_plan(lib, stats, ch, 30.0, seed=1)
@@ -1194,7 +1194,7 @@ def _exact_fit_setup(lib):
     refined.
     """
     stats = LatentStats(np.zeros(4), np.full(4, 0.5))
-    ch = ChannelRealization(np.array([1.0 + 0j]), 1.0, 30e3, 0)
+    ch = ChannelRealization(np.array([1.0 + 0j]), 1.0, 0)
     p_tot = 0.5 * (lib.gamma_thresholds[1].max() + lib.gamma_thresholds[2].min())
     return stats, ch, p_tot
 
@@ -1251,7 +1251,7 @@ def test_plans_on_one_source_follow_any_residual_order(small_lib, variances, cha
     # the blocks come back in any order, so the residuals rise, fall, repeat,
     # hit 0 and run past saturation
     blocks = [
-        (ChannelRealization(np.array(gains, dtype=np.complex128), 1.0, 30e3, k), len(gains) * 10.0 ** (snr / 10.0))
+        (ChannelRealization(np.array(gains, dtype=np.complex128), 1.0, k), len(gains) * 10.0 ** (snr / 10.0))
         for k, (gains, snr) in enumerate(channels)
     ]
     order = data.draw(st.lists(st.integers(0, len(blocks) - 1), min_size=2, max_size=12))

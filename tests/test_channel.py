@@ -193,10 +193,10 @@ def test_end_to_end_ber_ties_channel_to_modem():
 
 def test_realization_validation():
     with pytest.raises(ValueError):
-        ChannelRealization(np.array([1 + 0j]), 0.0, 30e3, 0)
+        ChannelRealization(np.array([1 + 0j]), 0.0, 0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
-            ChannelRealization(np.array([1 + 0j, bad]), 1.0, 30e3, 0)
+            ChannelRealization(np.array([1 + 0j, bad]), 1.0, 0)
     # a float n_sc used to round up (2.5 gave 3 subcarriers) and True gave 1
     for bad in (0, -2, 2.5, True, "4"):
         with pytest.raises(ValueError, match="n_sc must be an int >= 1"):

@@ -559,7 +559,9 @@ def test_step_table_follows_replace_and_load(tmp_path, small_lib):
 def test_gamma_increments_convex_takes_a_table_column_by_column(small_lib):
     columns = [np.array([0.0, 1.0, 2.5, 4.0, 8.0]), np.array([0.0, 1.0, 1.5, 3.0, 6.0])]
     assert [gamma_increments_convex(c) for c in columns] == [True, False]
-    assert type(gamma_increments_convex(columns[0])) is bool
+    for c in columns:
+        got = gamma_increments_convex(c)
+        assert isinstance(got, np.bool_) and got.ndim == 0 and got == gamma_increments_convex(c[:, None])[0]
     assert gamma_increments_convex(np.stack(columns, axis=1)).tolist() == [True, False]
     # a library refuses the columns the table test rejects
     gamma = small_lib.gamma_thresholds.copy()
