@@ -441,10 +441,13 @@ class AllocationPlan:
     """Everything the transmitter and receiver need for one coherence block.
 
     The bit placement is not stored: build_bit_mapping derives it from
-    modulations and t_sym. A plan is immutable once it has been run: the
-    first run_trial call builds the plan's frame layout (bit-depth groups,
-    bit fields, pad bits) and every later frame reuses it. Derive
-    a changed plan with dataclasses.replace, which starts without a layout.
+    modulations and t_sym. digests holds the library and stats digests and
+    the channel seed the plan was made for; run_trial refuses a plan whose
+    digests differ from what it is run with, or that lacks one. A plan is
+    immutable once it has been run: the first run_trial call builds the
+    plan's frame layout (bit-depth groups, bit fields, pad bits) and every
+    later frame reuses it. Derive a changed plan with dataclasses.replace,
+    which starts without a layout.
     """
 
     eps_index: int
@@ -636,16 +639,24 @@ def validate_plan(
 ) -> None:
     """Check every structural invariant of the plan's fields; raises ValueError on violation.
 
-    A delta that is not a finite number >= 0 is refused first. Then every
-    subcarrier needs one modulation order in (0, *QAM_BITS) and one finite
-    power >= 0, and the powers must sum within the budget (never within a
-    NaN one).
+    A delta that is not a finite number >= 0 is refused first, then a t_sym
+    or dummy_bits that is not an int >= 0 (a bool, a float or a numpy int is
+    not one here): such a plan can fill the grid's bit accounting, yet
+    run_trial sends nothing (t_sym 0 with negative dummies) or raises a
+    TypeError. Then every subcarrier needs one modulation order in
+    (0, *QAM_BITS) and one finite power >= 0, the powers must sum within the
+    budget (never within a NaN one), and the bits plus the dummies must fill
+    the t_sym x r_sym grid exactly.
 
     The bit placement is not a field: build_bit_mapping derives it, and a
     property test of that function shows it a bijection onto the active bit
     slots.
     """
     check_nonnegative_finite("delta", delta)
+    for name in ("t_sym", "dummy_bits"):
+        value = getattr(plan, name)
+        if not is_int(value) or value < 0:
+            raise ValueError(f"{name} must be an int >= 0, got {value!r}")
     if plan.modulations.shape != plan.powers.shape:
         raise ValueError("need one modulation order and one power per subcarrier")
     if not np.isin(plan.modulations, (0, *QAM_BITS)).all():
@@ -700,4 +711,4 @@ def serialize_plan(plan: AllocationPlan) -> str:
 
 def plan_dummy_seed(plan: AllocationPlan) -> int:
     """Stream seed for the pad bits carried in otherwise unused bit slots."""
-    return stream_seed("plan-dummy", plan.seed, plan.digests.get("channel_seed", 0))
+    return stream_seed("plan-dummy", plan.seed, plan.digests["channel_seed"])

@@ -44,11 +44,12 @@ a learned codec would supply: zero means and variances log-uniform on
 [VAR_LO, sigma_max^2], so every element is feasible at every BER target of the
 library; each drawn latent is clipped to +-3 sigma. Whether an element counts
 as negligible is decided by the experiment's delta alone. The experiment then
-sweeps SNR points and channel realizations; each trial gets its transmission
-plan from the allocator. Every random stream is derived from the experiment
-seed plus structured labels, so adding trials or SNR points never perturbs
-existing ones, and the same channel realizations are reused across SNR points
-(making symbol-count trends directly comparable).
+runs its trials in order: a trial draws its channel realization once, and
+every SNR point in turn gets its transmission plan for that realization from
+the allocator and sends its frames over it, so the same realizations serve
+every SNR point (making symbol-count trends directly comparable). Every
+random stream is derived from the experiment seed plus structured labels, so
+adding trials or SNR points never perturbs existing ones.
 """
 
 from __future__ import annotations
@@ -263,18 +264,20 @@ def run_trial(
 
     rng is a sequence of Generators, one per frame; frame f's noise is drawn
     from rng[f] alone. per_element_sq_error is (frames, n), the realized
-    counts are summed over the frames, and bits_sent is per frame.
+    counts are summed over the frames, and bits_sent is per frame. A plan
+    whose library or stats digest or channel seed differs from lib, stats
+    and realization, or is missing, is refused with ValueError.
     """
     rngs = list(rng)
     if y.ndim != 2 or y.shape[1:] != stats.means.shape:
         raise ValueError("sample batch shape must be (frames, n) with n of the stats")
     if len(rngs) != y.shape[0]:
         raise ValueError(f"need one Generator per frame, got {len(rngs)} for {y.shape[0]}")
-    if plan.digests.get("library") not in (None, lib.digest()):
+    if plan.digests.get("library") != lib.digest():
         raise ValueError("plan was built for a different quantizer library")
-    if plan.digests.get("stats") not in (None, stats.digest()):
+    if plan.digests.get("stats") != stats.digest():
         raise ValueError("plan was built for different latent stats")
-    if plan.digests.get("channel_seed") not in (None, realization.seed):
+    if plan.digests.get("channel_seed") != realization.seed:
         raise ValueError("plan was built for a different channel realization")
 
     if plan.is_empty or plan.b_lat == 0:
@@ -407,56 +410,48 @@ def run_experiment(
 ) -> list[ExperimentReport]:
     """Run the sweep; one report per SNR point, deterministic in cfg.seed.
 
-    A NoFeasibleRateError from the planner is raised again with the SNR
-    point it failed at, as in "at 5.0 dB: no BER target achieves ...".
+    The loop is trial-major: each trial draws its realization once, then
+    plans and sends every SNR point on it, in the order of cfg.snr_db. Each
+    point's sums take its frames one at a time, in trial and frame order, and
+    the reports are built once every trial has run. A NoFeasibleRateError
+    from the planner is raised at the first trial where a point has no
+    feasible rate, with that point, as in "at 5.0 dB: no BER target achieves
+    ...", so the later trials of every point are not run.
     """
     profile = chan.parse_profile_ref(cfg.profile_ref)
     stats = draw_source(cfg.source, lib, cfg.seed)
     targets = target_distortion(stats.variances)
     checked = stats.variances >= cfg.delta
-    digest = cfg.digest()
-
-    reports = []
-    for si, snr in enumerate(cfg.snr_db):
-        p_tot = chan.power_budget(cfg.n_sc, snr)
-        sq_sum = np.zeros(stats.n)
-        sq_sumsq = np.zeros(stats.n)
-        t_syms = []
-        eps_stars = []
-        details = []
-        for trial in range(cfg.trials):
-            ch_seed = int(trial)
-            realization = chan.realize_channel(
-                profile,
-                cfg.n_sc,
-                cfg.spacing_hz,
-                seed=ch_seed,
-                rng=stream_rng("channel", cfg.seed, trial),
-            )
+    budgets = [chan.power_budget(cfg.n_sc, snr) for snr in cfg.snr_db]
+    sq_sum = np.zeros((len(budgets), stats.n))
+    sq_sumsq = np.zeros((len(budgets), stats.n))
+    t_syms = [[] for _ in budgets]
+    eps_stars = [[] for _ in budgets]
+    details = [[] for _ in budgets]
+    for trial in range(cfg.trials):
+        realization = chan.realize_channel(
+            profile, cfg.n_sc, cfg.spacing_hz, seed=trial, rng=stream_rng("channel", cfg.seed, trial)
+        )
+        for si, (snr, p_tot) in enumerate(zip(cfg.snr_db, budgets)):
             try:
                 plan = optimize_plan(lib, stats, realization, p_tot, cfg.delta, seed=cfg.seed)
             except NoFeasibleRateError as exc:
                 raise NoFeasibleRateError(f"at {float(snr)} dB: {exc}") from exc
-            t_syms.append(plan.t_sym)
-            eps_stars.append(plan.epsilon_star)
+            t_syms[si].append(plan.t_sym)
+            eps_stars[si].append(plan.epsilon_star)
+            acc, acc2 = sq_sum[si], sq_sumsq[si]
             size = max(1, _BATCH_ENTRIES // (stats.n + plan.t_sym * cfg.n_sc))
             for first in range(0, cfg.frames_per_realization, size):
                 frames = range(first, min(first + size, cfg.frames_per_realization))
                 y = sample_latents(stats, [stream_rng("sample", cfg.seed, si, trial, f) for f in frames])
-                res = run_trial(
-                    stats,
-                    y,
-                    plan,
-                    lib,
-                    realization,
-                    [stream_rng("noise", cfg.seed, si, trial, f) for f in frames],
-                )
+                noise = [stream_rng("noise", cfg.seed, si, trial, f) for f in frames]
+                res = run_trial(stats, y, plan, lib, realization, noise)
                 # frame by frame, in frame order, so the sums round as one frame at a time
                 for frame, sq_error in zip(frames, res.per_element_sq_error):
-                    sq_sum += sq_error
-                    sq_sumsq += np.square(sq_error)
+                    acc += sq_error
+                    acc2 += np.square(sq_error)
                     if keep_trials:
-                        details.append(
+                        details[si].append(
                             {
                                 "trial": trial,
                                 "frame": frame,
@@ -465,30 +460,30 @@ def run_experiment(
                                 "mean_sq_error": float(sq_error.mean()),
                             }
                         )
-        count = cfg.trials * cfg.frames_per_realization
-        mean = sq_sum / count
-        var = np.maximum(sq_sumsq / count - np.square(mean), 0.0)
-        se = np.sqrt(var / count)
-        viol = checked & (mean > targets + 3.0 * se)
-        reports.append(
-            ExperimentReport(
-                snr_db=float(snr),
-                trials=cfg.trials,
-                frames=count,
-                mean_distortion_per_element=mean,
-                se_distortion_per_element=se,
-                per_element_target=targets,
-                checked=checked,
-                violation_rate=float(viol.sum() / max(checked.sum(), 1)),
-                mean_t_sym=float(np.mean(t_syms)),
-                mean_eps_star=float(np.mean(eps_stars)),
-                channel_label=profile.label,
-                config_digest=digest,
-                seed=cfg.seed,
-                trial_details=details,
-            )
+    count = cfg.trials * cfg.frames_per_realization
+    mean = sq_sum / count
+    var = np.maximum(sq_sumsq / count - np.square(mean), 0.0)
+    se = np.sqrt(var / count)
+    viol = checked & (mean > targets + 3.0 * se)
+    return [
+        ExperimentReport(
+            snr_db=float(snr),
+            trials=cfg.trials,
+            frames=count,
+            mean_distortion_per_element=mean[si],
+            se_distortion_per_element=se[si],
+            per_element_target=targets,
+            checked=checked,
+            violation_rate=float(viol[si].sum() / max(checked.sum(), 1)),
+            mean_t_sym=float(np.mean(t_syms[si])),
+            mean_eps_star=float(np.mean(eps_stars[si])),
+            channel_label=profile.label,
+            config_digest=cfg.digest(),
+            seed=cfg.seed,
+            trial_details=details[si],
         )
-    return reports
+        for si, snr in enumerate(cfg.snr_db)
+    ]
 
 
 def measure_link_ber(m: int, gamma: float, n_bits: int, rng: np.random.Generator) -> float:

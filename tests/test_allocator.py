@@ -949,6 +949,30 @@ def test_validate_plan_rejects_modulations_and_powers_of_different_lengths(small
         validate_plan(bad, small_lib, stats, p_tot)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # each keeps the bit accounting exact, so that check alone passes it:
+        # run_trial sends nothing on the first and raises a TypeError on the
+        # floats and the bool; a numpy int is not a plain int, as for capacity
+        ({"t_sym": 0, "dummy_bits": -1060}, "dummy_bits must be an int >= 0, got -1060"),
+        ({"t_sym": 1.0}, "t_sym must be an int >= 0, got 1.0"),
+        ({"t_sym": True}, "t_sym must be an int >= 0, got True"),
+        ({"t_sym": np.int64(1)}, "t_sym must be an int >= 0"),
+        ({"dummy_bits": 0.0}, "dummy_bits must be an int >= 0, got 0.0"),
+    ],
+    ids=["no-symbols", "float-symbols", "bool-symbols", "numpy-symbols", "float-dummies"],
+)
+def test_validate_plan_refuses_symbol_and_dummy_counts_that_are_not_ints(change, message):
+    lib = load_library(FIXTURE_LIBRARY)
+    stats = draw_stats(SyntheticSourceConfig(n_latents=512), sigma_max(lib), stream_rng("source", 0, 0))
+    plan = optimize_plan(lib, stats, realize_channel(exponential_pdp(300.0), 512, 30e3, seed=0), 5120.0)
+    assert (plan.t_sym, plan.b_lat, plan.dummy_bits) == (1, 1060, 0)
+    validate_plan(plan, lib, stats, 5120.0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_plan(dataclasses.replace(plan, **change), lib, stats, 5120.0)
+
+
 @pytest.mark.parametrize("power", [-1e-3, np.nan, np.inf])
 def test_validate_plan_rejects_bad_powers(small_lib, power):
     rng = stream_rng("plan-bad4", 0)

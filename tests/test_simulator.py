@@ -269,12 +269,37 @@ def test_experiment_row_count_scales_with_grid(small_lib):
     assert len(run_experiment(two, small_lib)) == 2 * len(run_experiment(one, small_lib))
 
 
-def test_experiment_names_the_snr_point_without_a_rate(small_lib):
-    # the points before the failing one plan; the error says where it failed
+def test_experiment_names_the_snr_point_without_a_rate(small_lib, monkeypatch):
+    # trial 0 plans at 8 dB, then fails at -60 dB: the sweep stops at the
+    # first trial where a point has no rate, and the error says which point
+    plans = []
+    real = simulator.optimize_plan
+    monkeypatch.setattr(simulator, "optimize_plan", lambda *a, **k: plans.append(a[3]) or real(*a, **k))
     src = SyntheticSourceConfig(n_latents=12, seed=4)
-    cfg = ExperimentConfig(source=src, snr_db=(8.0, -60.0, 14.0), trials=1, n_sc=8, seed=1)
+    cfg = ExperimentConfig(source=src, snr_db=(8.0, -60.0, 14.0), trials=3, n_sc=8, seed=1)
     with pytest.raises(allocator.NoFeasibleRateError, match=r"^at -60\.0 dB: no BER target achieves "):
         run_experiment(cfg, small_lib)
+    assert plans == [channel.power_budget(8, 8.0), channel.power_budget(8, -60.0)]
+
+
+def test_experiment_draws_each_realization_once(small_lib, monkeypatch):
+    # every SNR point of a trial plans and sends on the one realization drawn for it
+    drawn, used = [], []
+    draw, plan, trial = channel.realize_channel, simulator.optimize_plan, simulator.run_trial
+    monkeypatch.setattr(channel, "realize_channel", lambda *a, **k: drawn.append(draw(*a, **k)) or drawn[-1])
+    monkeypatch.setattr(
+        simulator, "optimize_plan", lambda *a, **k: used.append(("plan", len(drawn), a[2])) or plan(*a, **k)
+    )
+    monkeypatch.setattr(
+        simulator, "run_trial", lambda *a, **k: used.append(("send", len(drawn), a[4])) or trial(*a, **k)
+    )
+    src = SyntheticSourceConfig(n_latents=12, seed=4)
+    cfg = ExperimentConfig(source=src, snr_db=(6.0, 10.0, 14.0), trials=3, n_sc=8, seed=1)
+    run_experiment(cfg, small_lib)
+    assert len(drawn) == 3
+    want = [(step, n) for n in (1, 2, 3) for _ in cfg.snr_db for step in ("plan", "send")]
+    assert [(step, n) for step, n, _ in used] == want
+    assert all(realization is drawn[n - 1] for _, n, realization in used)
 
 
 def test_experiment_csv_shape(small_lib):
@@ -374,12 +399,9 @@ def test_trial_checks_sent_std(small_lib):
     with pytest.raises(ValueError, match="std must be positive"):
         run_trial(stats, y, plan, small_lib, ch, [stream_rng("n", 5)])
 
-    # a plan without a stats digest is checked against whatever stats it is run with
-    good = LatentStats(np.zeros(4), np.array([0.5, 1.0, 2.0, 3.0]))
-    loose = dataclasses.replace(plan, digests={})
-    run_trial(good, y, loose, small_lib, ch, [stream_rng("n", 6)])
-    with pytest.raises(ValueError, match="std must be positive"):
-        run_trial(stats, y, loose, small_lib, ch, [stream_rng("n", 7)])
+    # a plan without its digests is refused, whatever it is run with
+    with pytest.raises(ValueError, match="plan was built for a different"):
+        run_trial(stats, y, dataclasses.replace(plan, digests={}), small_lib, ch, [stream_rng("n", 6)])
 
 
 # ---------------------------------------------------------------------------
