@@ -43,13 +43,16 @@ budget. The SNR-threshold steps of every library's step table never shrink
 under an exact float test, so the greedy is exactly optimal and its order is
 the sorted order of all (subcarrier, step) costs, ties by subcarrier, then
 step (Hughes-Hartogs loading is one ascending sort of its increments;
-J. Campello, "Practical bit loading for DMT", ICC 1999). The rating and the
-loading build a target's costs as four runs inc[s] * sorted(noise_var/|h|^2),
-one per step and each sorted: the same products, so the same sorted row.
-Equal costs leave the running sums alike, so r_sym needs only the sorted
-values, and the rating sorts and sums each row only as far as the loosest
-target's prefix reaches. The loading grants every cost below the last one
-taken, then the first costs equal to it in (subcarrier, step) order.
+J. Campello, "Practical bit loading for DMT", ICC 1999). A target's costs
+are four runs inc[s] * sorted(noise_var/|h|^2), one per step and each
+sorted. Equal costs leave the running sums alike, so r_sym needs only the
+sorted values, and one prefix search (_prefixes) sorts and sums each row
+only as far as the loosest target's prefix reaches. The rating runs it on
+every target and keeps, on the channel, each target's prefix length and
+last cost with the inverse gains; the winner's loading reads them there,
+and a loading on any other input runs the same search on its one row. The
+loading grants every cost below the last one taken, then the first costs
+equal to it in (subcarrier, step) order.
 
 Where each bit goes is not stored in a plan: build_bit_mapping derives the
 placement from modulations and t_sym, for the digest and the frame layout
@@ -215,6 +218,13 @@ def allocate_power_modulation(
     thresholds, strictly increasing, with steps that never shrink (as each
     library's step_table() row); other input raises ValueError. Returns
     (modulations, powers, bits/symbol).
+
+    After _rate_targets has rated this channel at this budget, a row of the
+    rated step table takes the rating's inverse gains, step count and last
+    cost taken, kept on the channel, instead of sorting and summing its costs
+    again. A call with other gains (another object), noise_var, budget or
+    step row computes them itself with the rating's prefix search; both give
+    the same bytes.
     """
     if not p_tot > 0:
         raise ValueError("p_tot must be positive")
@@ -227,14 +237,17 @@ def allocate_power_modulation(
         raise ValueError("gamma_steps must be strictly increasing")
     if not all(b - a >= 0 for a, b in zip(increments, increments[1:])):
         raise ValueError("gamma_steps increments must never shrink")
-    inv_gain = _inverse_gains(channel)
-    ascending = np.sort(inv_gain)
-    runs = np.array(increments)[:, None] * ascending  # run s: step s of each subcarrier, sorted
-    ordered = np.sort(runs, axis=None)
-    taken = int(_affordable(ordered, p_tot))
+    kept = channel._loading
+    if kept is not None and kept.serves(channel, p_tot) and g in kept.rows:
+        q = kept.rows.index(g)
+        inv_gain, ascending, taken, kth = kept.inv_gain, kept.ascending, kept.taken[q], kept.kth[q]
+    else:
+        inv_gain = _inverse_gains(channel)
+        ascending = np.sort(inv_gain)
+        (taken,), (kth,) = _prefixes(np.array([increments]), ascending, p_tot)
     steps = np.zeros(channel.n_sc, dtype=np.int64)
     if taken:
-        kth = ordered[taken - 1]
+        runs = np.array(increments)[:, None] * ascending  # run s: step s of each subcarrier, sorted
         # step s costs <= kth on the first ends[s] subcarriers of `ascending`,
         # so where inv_gain < ascending[ends[s]] (inf past the end)
         ends = [run.searchsorted(kth, "right") for run in runs]
@@ -250,6 +263,29 @@ def allocate_power_modulation(
     return modulations, powers, int(modulations.sum())
 
 
+class _LoadingRecord:
+    """What a rating of one channel at one budget found, for the winner's loading.
+
+    gains and noise_var are the rated realization's (its read-only gains
+    object itself), p_tot the budget and rows the library's step table as
+    lists. inv_gain and ascending are the inverse gains, unsorted and sorted;
+    taken[q] and kth[q] are how many of row q's sorted costs fit the budget
+    and the last one of them (see _prefixes). Every array is read-only.
+    """
+
+    __slots__ = ("gains", "noise_var", "p_tot", "rows", "inv_gain", "ascending", "taken", "kth")
+
+    def __init__(self, channel: ChannelRealization, p_tot: float, rows: list, inv_gain, ascending, taken, kth):
+        self.gains, self.noise_var, self.p_tot, self.rows = channel.gains, channel.noise_var, p_tot, rows
+        self.inv_gain, self.ascending, self.taken, self.kth = inv_gain, ascending, taken, kth
+        for arr in (inv_gain, ascending, taken, kth):
+            arr.flags.writeable = False
+
+    def serves(self, channel: ChannelRealization, p_tot: float) -> bool:
+        """Whether the record is of this realization's gains and noise_var, and this budget."""
+        return self.gains is channel.gains and self.noise_var == channel.noise_var and self.p_tot == p_tot
+
+
 def _inverse_gains(channel: ChannelRealization) -> np.ndarray:
     """noise_var / |h|^2 per subcarrier; inf, with no warning, where |h|^2 is 0.
 
@@ -259,6 +295,35 @@ def _inverse_gains(channel: ChannelRealization) -> np.ndarray:
     """
     with np.errstate(divide="ignore"):
         return channel.noise_var / np.square(np.abs(channel.gains))
+
+
+def _prefixes(increments: np.ndarray, ascending: np.ndarray, p_tot: float) -> tuple[np.ndarray, np.ndarray]:
+    """The loading's prefix per row of increments: (taken, kth).
+
+    Row q's costs are the products increments[q, s] * ascending, four
+    presorted runs (one per step). taken[q] counts the longest prefix of
+    their sorted order whose running sum fits p_tot, and kth[q] is the cost
+    at that count, its taken[q]-th smallest (any value where taken[q] is 0).
+    The last (loosest) row has the smallest steps on the default grid, so the
+    longest prefix: it is sorted and summed in full, and every other row only
+    one cost past that prefix. A row whose prefix fills that width (one that
+    ends inside it is exact) is sorted and summed again in full. A single
+    row, as the loading passes it, is sorted and summed once.
+    """
+    cost = (increments[:, :, None] * ascending).reshape(increments.shape[0], -1)
+    cost[-1].sort()
+    taken = np.full(cost.shape[0], _affordable(cost[-1], p_tot))
+    width = min(int(taken[-1]) + 1, cost.shape[1])
+    if cost.shape[0] > 1:
+        cost[:-1].partition(width - 1, axis=1)
+        head = cost[:-1, :width]  # the width smallest costs of every other row
+        head.sort(axis=1)
+        taken[:-1] = _affordable(head, p_tot)
+        if width < cost.shape[1]:
+            for q in np.flatnonzero(taken == width):
+                cost[q].sort()
+                taken[q] = _affordable(cost[q], p_tot)
+    return taken, cost[np.arange(taken.size), np.maximum(taken, 1) - 1]
 
 
 def _affordable(ordered: np.ndarray, p_tot: float) -> np.ndarray:
@@ -582,7 +647,10 @@ def _rate_targets(
 
     Both are what the per-target functions give, r_sym[q] on the library's
     step table row q. The rating is the one kept on the stats when it was
-    made for this library and delta, else a new one (_rate_source). Raises
+    made for this library and delta, else a new one (_rate_source). On a
+    channel with read-only gains (every realization's own copy) it keeps a
+    _LoadingRecord of the loading's prefix of every target, which the
+    winner's allocate_power_modulation reads in place of its own. Raises
     what the per-target calls in order (per target, the depths before the
     loading) would raise first: the InfeasibleTargetError of target 0 if it
     has an infeasible element, else ValueError("p_tot must be positive") for
@@ -598,22 +666,12 @@ def _rate_targets(
     if not p_tot > 0:
         raise ValueError("p_tot must be positive")
 
-    increments = lib.step_table()[1]
-    inv_gain = np.sort(_inverse_gains(channel))
-    # row q: the loading's products, as four presorted runs (one per step)
-    cost = (increments[:, :, None] * inv_gain).reshape(increments.shape[0], -1)
-    # the last (loosest) target has the smallest steps on the default grid, so
-    # the longest prefix; sort and sum the rows one cost past it, and redo a
-    # row whose prefix fills that width (one that ends inside it is exact)
-    cost[-1].sort()
-    width = min(int(_affordable(cost[-1], p_tot)) + 1, cost.shape[1])
-    cost.partition(width - 1, axis=1)
-    head = cost[:, :width]  # the width smallest costs of each row
-    head.sort(axis=1)
-    taken = _affordable(head, p_tot)
-    if width < cost.shape[1]:
-        for q in np.flatnonzero(taken == width):
-            taken[q] = _affordable(np.sort(cost[q]), p_tot)
+    steps, increments = lib.step_table()
+    inv_gain = _inverse_gains(channel)
+    ascending = np.sort(inv_gain)
+    taken, kth = _prefixes(increments, ascending, p_tot)
+    if not channel.gains.flags.writeable:  # a gains array assigned in place of the copy could change
+        channel._loading = _LoadingRecord(channel, p_tot, steps.tolist(), inv_gain, ascending, taken, kth)
     return rating, 2 * taken  # each step adds 2 bits
 
 

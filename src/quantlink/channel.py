@@ -18,7 +18,7 @@ import importlib.resources
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,8 +112,12 @@ def load_tap_profile(path) -> TapProfile:
 
 
 def tdl_c_profile() -> TapProfile:
-    """Bundled 3GPP TDL-C profile scaled to 300 ns RMS delay spread."""
-    ref = importlib.resources.files("quantlink").joinpath("data/tdl_c_300ns.json")
+    """Bundled 3GPP TDL-C profile scaled to 300 ns RMS delay spread.
+
+    The table is read from this package's own data, under whatever name the
+    package was imported.
+    """
+    ref = importlib.resources.files(__package__).joinpath("data/tdl_c_300ns.json")
     with importlib.resources.as_file(ref) as path:
         return load_tap_profile(path)
 
@@ -137,20 +141,30 @@ class ChannelRealization:
 
     seed labels the draw. A plan records it as its channel_seed, and
     run_trial refuses a realization whose seed differs from it.
+
+    gains is a read-only copy of the vector given, so one gains object always
+    holds the same values. The planner's rating keeps on the realization what
+    the winner's loading would compute again, and the loading reads it only
+    for the same gains object, noise_var, budget and step row (see
+    allocator.allocate_power_modulation). dataclasses.replace starts without
+    it.
     """
 
     gains: np.ndarray
     noise_var: float
     seed: int
+    # allocator._LoadingRecord, filled by the planner's rating
+    _loading: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.gains = np.asarray(self.gains, dtype=np.complex128)
+        self.gains = np.array(self.gains, dtype=np.complex128)
         if self.gains.ndim != 1 or self.gains.size < 1:
             raise ValueError("gains must be a nonempty vector")
         if not np.all(np.isfinite(self.gains)):
             raise ValueError("gains must be finite")
         if not self.noise_var > 0:
             raise ValueError("noise_var must be positive")
+        self.gains.flags.writeable = False
 
     @property
     def n_sc(self) -> int:

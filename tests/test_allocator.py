@@ -445,12 +445,22 @@ def _stub_library(increments):
     )
 
 
+def _loading_bytes(loading):
+    """A loading's three outputs, the arrays as dtype and bytes."""
+    modulations, powers, bits = loading
+    return modulations.dtype.str, modulations.tobytes(), powers.dtype.str, powers.tobytes(), type(bits), bits
+
+
 def _assert_rating_loads_every_target(lib, ch, budget):
     stats = LatentStats(np.zeros(1), np.ones(1))
     with np.errstate(divide="ignore", invalid="ignore"):
         _, r_sym = allocator._rate_targets(lib, stats, ch, budget, 0.4)
+        assert ch._loading is not None
+        unrated = dataclasses.replace(ch)  # the same channel, with no record of the rating
         for qi, steps in enumerate(lib.step_table()[0]):
-            assert r_sym[qi] == allocate_power_modulation(ch, budget, steps)[2], (qi, budget)
+            rated = allocate_power_modulation(ch, budget, steps)
+            assert r_sym[qi] == rated[2], (qi, budget)
+            assert _loading_bytes(rated) == _loading_bytes(allocate_power_modulation(unrated, budget, steps))
 
 
 # rows in any order, so the last target is not always the cheapest
@@ -498,9 +508,68 @@ def test_rating_redoes_a_row_whose_prefix_fills_the_loosest_targets_width(monkey
     for budget in (0.5, 5.0, 40.0, 400.0):
         shapes.clear()
         allocator._rate_targets(lib, stats, ch, budget, 0.4)
-        # the loosest row, the heads of both rows, the first row in full
-        assert len(shapes) == 3 and shapes[0] == shapes[2] == (128,) and shapes[1][0] == 2
+        # the loosest row, the head of the other row, the other row in full
+        assert len(shapes) == 3 and shapes[0] == shapes[2] == (128,) and shapes[1][0] == 1
         _assert_rating_loads_every_target(lib, ch, budget)
+
+
+def test_a_loading_reads_the_rating_only_for_the_call_it_rated(small_lib, monkeypatch):
+    stats, drawn, p_tot = _random_setup(small_lib, stream_rng("loading-record", 0), snr_db=15.0)
+    own = drawn.gains.copy()
+    steps = small_lib.step_table()[0]
+    computed = []
+    prefixes = allocator._prefixes
+
+    def counting(*args):
+        computed.append(args)
+        return prefixes(*args)
+
+    def planned():
+        ch = ChannelRealization(own, drawn.noise_var, drawn.seed)
+        row = steps[optimize_plan(small_lib, stats, ch, p_tot).eps_index]
+        computed.clear()
+        return ch, row, _loading_bytes(allocate_power_modulation(ch, p_tot, row))
+
+    monkeypatch.setattr(allocator, "_prefixes", counting)
+    ch, row, kept = planned()
+    assert computed == []  # the plan's own call reads the rating's record
+    assert kept == _loading_bytes(allocate_power_modulation(dataclasses.replace(ch), p_tot, row))
+    # the gains are a read-only copy, and the caller's array stays its own
+    with pytest.raises(ValueError, match="read-only"):
+        ch.gains[0] = 1.0
+    own[0] += 1.0
+    assert ch.gains[0] == drawn.gains[0]
+    own[0] = drawn.gains[0]
+
+    def another_budget(ch, row):
+        return ch, 2.0 * p_tot, row
+
+    def another_row(ch, row):
+        assert (2.0 * row).tolist() not in steps.tolist()
+        return ch, p_tot, 2.0 * row
+
+    def another_noise_var(ch, row):
+        ch.noise_var *= 2.0
+        return ch, p_tot, row
+
+    def other_gains(ch, row):
+        ch.gains = 0.5 * ch.gains
+        return ch, p_tot, row
+
+    def gains_changed_after_a_plan(ch, row):
+        # writable gains assigned in place of the copy keep no record of a plan
+        ch.gains = ch.gains.copy()
+        optimize_plan(small_lib, stats, ch, p_tot)
+        ch.gains *= 0.5
+        return ch, p_tot, row
+
+    for change in (another_budget, another_row, another_noise_var, other_gains, gains_changed_after_a_plan):
+        ch, p, r = change(*planned()[:2])
+        computed.clear()
+        got = _loading_bytes(allocate_power_modulation(ch, p, r))
+        assert len(computed) == 1, change.__name__  # computed, not read
+        assert got == _loading_bytes(allocate_power_modulation(dataclasses.replace(ch), p, r)), change.__name__
+        assert got != kept, change.__name__  # the record's answer would be wrong here
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
+import importlib
+import json
+import shutil
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from quantlink import channel
 from quantlink.channel import (
     ChannelRealization,
     TapProfile,
@@ -51,6 +58,25 @@ def test_tdl_c_profile_loads_and_scales():
     assert prof.powers.sum() == pytest.approx(1.0, abs=1e-12)
     # table is specified as normalized delays times 300 ns
     assert prof.rms_delay_spread_s() == pytest.approx(300e-9, rel=0.05)
+
+
+def test_tdl_c_profile_reads_the_table_of_its_own_package(tmp_path, monkeypatch):
+    # a copy of the package imported under another name (as tools/sweep_ab.py
+    # imports each tree) reads its own table, not the one of `quantlink`
+    copy = tmp_path / "quantlink_copy"
+    shutil.copytree(Path(channel.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    table = copy / "data" / "tdl_c_300ns.json"
+    doc = json.loads(table.read_text(encoding="utf-8"))
+    doc["taps"][1]["delay_ns"] = 123.25
+    table.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        prof = importlib.import_module("quantlink_copy.channel").parse_profile_ref("tdl-c")
+    finally:
+        for key in [k for k in sys.modules if k == "quantlink_copy" or k.startswith("quantlink_copy.")]:
+            del sys.modules[key]
+    assert prof.delays_s[1] == 123.25 * 1e-9
+    assert np.array_equal(np.delete(prof.delays_s, 1), np.delete(tdl_c_profile().delays_s, 1))
 
 
 def test_parse_profile_ref(tmp_path):

@@ -33,7 +33,7 @@ SIDES = ("parent", "change")
 
 
 def load_package(tree: Path, name: str) -> dict:
-    """Import tree/src/quantlink as the package `name`; its simulator and library modules."""
+    """Import tree/src/quantlink as the package `name`; its modules by short name ("simulator", ...)."""
     for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
         del sys.modules[key]
     root = tree / "src" / "quantlink"
@@ -43,7 +43,7 @@ def load_package(tree: Path, name: str) -> dict:
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return {"simulator": sys.modules[f"{name}.simulator"], "library": sys.modules[f"{name}.library"]}
+    return {key[len(name) + 1:]: module for key, module in sys.modules.items() if key.startswith(name + ".")}
 
 
 def readme_config(tree: Path) -> dict:
