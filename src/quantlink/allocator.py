@@ -17,14 +17,15 @@ A plan runs in three steps.
     modulations and powers are built, by the per-target functions
     (minimum_bit_allocation, allocate_power_modulation) that define b_lat and
     r_sym. b_lat and the depths depend only on the source, the library and
-    the negligibility threshold, so the stats keep them (see optimize_plan).
+    the negligibility threshold, so they are kept per source (see
+    optimize_plan).
 
   * Grant leftover symbol capacity bit by bit to the element with the largest
     marginal weighted-distortion reduction, and pad what is left once every
     element saturates with pseudo-random dummy bits. Only the residual
-    t_sym * r_sym - b_lat in [0, r_sym) depends on the channel, so the stats
-    keep, per winning target, one record: its depths, the grant order of its
-    largest refinement so far and how far the depths can grow (see
+    t_sym * r_sym - b_lat in [0, r_sym) depends on the channel, so one record
+    is kept per source and winning target: its depths, the grant order of
+    its largest refinement so far and how far the depths can grow (see
     _refined_bits).
 
 The greedy loops have closed forms. The first depth whose distortion meets a
@@ -48,11 +49,11 @@ are four runs inc[s] * sorted(noise_var/|h|^2), one per step and each
 sorted. Equal costs leave the running sums alike, so r_sym needs only the
 sorted values, and one prefix search (_prefixes) sorts and sums each row
 only as far as the loosest target's prefix reaches. The rating runs it on
-every target and keeps, on the channel, each target's prefix length and
-last cost with the inverse gains; the winner's loading reads them there,
-and a loading on any other input runs the same search on its one row. The
-loading grants every cost below the last one taken, then the first costs
-equal to it in (subcarrier, step) order.
+every target and keeps, per channel, each target's prefix length and last
+cost with the inverse gains; the winner's loading reads them there, and a
+loading at any other budget or step row runs the same search on its one
+row. The loading grants every cost below the last one taken, then the first
+costs equal to it in (subcarrier, step) order.
 
 Where each bit goes is not stored in a plan: build_bit_mapping derives the
 placement from modulations and t_sym, for the digest and the frame layout
@@ -64,6 +65,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,51 +104,42 @@ class NoFeasibleRateError(Exception):
     """No BER target on the grid supports a positive per-symbol rate."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LatentStats:
     """Per-element Gaussian parameters driving allocation and synthesis.
 
     means and variances are equal-length 1-D vectors of ints or floats, kept
-    as float64: finite means, finite nonnegative variances. A string or bool
-    entry is refused, not converted.
-
-    The object is immutable once digest() has hashed it (on its first call),
-    and from then on optimize_plan keeps on it what a plan needs of the source
-    whatever the channel, for the last library and delta (see _SourceRating).
-    Derive changed stats with dataclasses.replace, which starts without
-    either.
+    as read-only float64 copies: finite means, finite nonnegative variances.
+    A string or bool entry is refused, not converted. The stats are frozen
+    and their digest is taken on construction, so what optimize_plan keeps
+    per stats object (see _SourceRating) stays true of them;
+    dataclasses.replace makes new stats.
     """
 
     means: np.ndarray
     variances: np.ndarray
-    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
-    # _SourceRating, filled by optimize_plan once the digest has been read
-    _rating: object = field(default=None, init=False, repr=False, compare=False)
+    _digest: str = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("means", "variances"):
             kind = np.asarray(getattr(self, name)).dtype.kind
             if kind not in "iuf":
                 raise ValueError(f"{name} must hold only ints and floats, got array kind {kind!r}")
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.variances = np.asarray(self.variances, dtype=np.float64)
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
+            getattr(self, name).setflags(write=False)
         if self.means.shape != self.variances.shape or self.means.ndim != 1:
             raise ValueError("means and variances must be 1-D vectors of equal length")
         if not np.all(np.isfinite(self.means)):
             raise ValueError("means must be finite")
         if not np.all(np.isfinite(self.variances) & (self.variances >= 0)):
             raise ValueError("variances must be finite and nonnegative")
+        object.__setattr__(self, "_digest", hashlib.sha256(np.append(self.means, self.variances)).hexdigest())
 
     @property
     def n(self) -> int:
         return int(self.means.size)
 
     def digest(self) -> str:
-        if self._digest is None:
-            h = hashlib.sha256()
-            h.update(self.means.tobytes())
-            h.update(self.variances.tobytes())
-            self._digest = h.hexdigest()
         return self._digest
 
 
@@ -158,19 +151,27 @@ class _SourceRating:
     record per target that has won a plan, (depths, order, headroom): the
     minimum_bit_allocation depths, the grant order of the largest refinement
     made so far, and the number of bits the depths can still grow; see
-    _refined_bits. Every array is read-only. key is (library digest, delta),
-    set when a plan that completes keeps the rating on the stats, so a kept
-    rating has no infeasible target. A plain class: a dataclass costs each
-    import about 0.6 ms to generate its methods.
+    _refined_bits. Every array is read-only. key is the (library digest,
+    delta) it was made for. Only a plan that completes keeps its rating, so a
+    kept rating has no infeasible target. A plain class: a dataclass costs
+    each import about 0.6 ms to generate its methods.
     """
 
     __slots__ = ("infeasible", "b_lat", "winners", "key")
 
-    def __init__(self, infeasible: int | None, b_lat: np.ndarray):
+    def __init__(self, infeasible: int | None, b_lat: np.ndarray, key: tuple):
         self.infeasible = infeasible
         self.b_lat = b_lat
         self.winners: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-        self.key: tuple | None = None
+        self.key = key
+
+
+# what the planner keeps per input object, keyed by identity (the inputs are
+# frozen, so an entry stays true of its key): the source's last rating
+# (optimize_plan) and the channel's last loading record (_rate_targets); an
+# entry goes with its key
+_RATINGS: weakref.WeakKeyDictionary[LatentStats, _SourceRating] = weakref.WeakKeyDictionary()
+_LOADINGS: weakref.WeakKeyDictionary[ChannelRealization, _LoadingRecord] = weakref.WeakKeyDictionary()
 
 
 def target_distortion(sigma2):
@@ -221,10 +222,9 @@ def allocate_power_modulation(
 
     After _rate_targets has rated this channel at this budget, a row of the
     rated step table takes the rating's inverse gains, step count and last
-    cost taken, kept on the channel, instead of sorting and summing its costs
-    again. A call with other gains (another object), noise_var, budget or
-    step row computes them itself with the rating's prefix search; both give
-    the same bytes.
+    cost taken (its _LoadingRecord) instead of sorting and summing its costs
+    again. A call at another budget or step row computes them itself with
+    the rating's prefix search; both give the same bytes.
     """
     if not p_tot > 0:
         raise ValueError("p_tot must be positive")
@@ -237,8 +237,8 @@ def allocate_power_modulation(
         raise ValueError("gamma_steps must be strictly increasing")
     if not all(b - a >= 0 for a, b in zip(increments, increments[1:])):
         raise ValueError("gamma_steps increments must never shrink")
-    kept = channel._loading
-    if kept is not None and kept.serves(channel, p_tot) and g in kept.rows:
+    kept = _LOADINGS.get(channel)
+    if kept is not None and kept.p_tot == p_tot and g in kept.rows:
         q = kept.rows.index(g)
         inv_gain, ascending, taken, kth = kept.inv_gain, kept.ascending, kept.taken[q], kept.kth[q]
     else:
@@ -266,24 +266,19 @@ def allocate_power_modulation(
 class _LoadingRecord:
     """What a rating of one channel at one budget found, for the winner's loading.
 
-    gains and noise_var are the rated realization's (its read-only gains
-    object itself), p_tot the budget and rows the library's step table as
-    lists. inv_gain and ascending are the inverse gains, unsorted and sorted;
-    taken[q] and kth[q] are how many of row q's sorted costs fit the budget
-    and the last one of them (see _prefixes). Every array is read-only.
+    p_tot is the budget and rows the library's step table as lists. inv_gain
+    and ascending are the inverse gains, unsorted and sorted; taken[q] and
+    kth[q] are how many of row q's sorted costs fit the budget and the last
+    one of them (see _prefixes). Every array is read-only.
     """
 
-    __slots__ = ("gains", "noise_var", "p_tot", "rows", "inv_gain", "ascending", "taken", "kth")
+    __slots__ = ("p_tot", "rows", "inv_gain", "ascending", "taken", "kth")
 
-    def __init__(self, channel: ChannelRealization, p_tot: float, rows: list, inv_gain, ascending, taken, kth):
-        self.gains, self.noise_var, self.p_tot, self.rows = channel.gains, channel.noise_var, p_tot, rows
-        self.inv_gain, self.ascending, self.taken, self.kth = inv_gain, ascending, taken, kth
+    def __init__(self, p_tot: float, rows: list, inv_gain, ascending, taken, kth):
+        self.p_tot, self.rows, self.inv_gain = p_tot, rows, inv_gain
+        self.ascending, self.taken, self.kth = ascending, taken, kth
         for arr in (inv_gain, ascending, taken, kth):
-            arr.flags.writeable = False
-
-    def serves(self, channel: ChannelRealization, p_tot: float) -> bool:
-        """Whether the record is of this realization's gains and noise_var, and this budget."""
-        return self.gains is channel.gains and self.noise_var == channel.noise_var and self.p_tot == p_tot
+            arr.setflags(write=False)
 
 
 def _inverse_gains(channel: ChannelRealization) -> np.ndarray:
@@ -501,18 +496,19 @@ def build_bit_mapping(
     return symbol, np.tile(sc_once, t_sym), np.tile(pos_once, t_sym)
 
 
-@dataclass
+@dataclass(eq=False)
 class AllocationPlan:
     """Everything the transmitter and receiver need for one coherence block.
 
     The bit placement is not stored: build_bit_mapping derives it from
     modulations and t_sym. digests holds the library and stats digests and
     the channel seed the plan was made for; run_trial refuses a plan whose
-    digests differ from what it is run with, or that lacks one. A plan is
-    immutable once it has been run: the first run_trial call builds the
-    plan's frame layout (bit-depth groups, bit fields, pad bits) and every
-    later frame reuses it. Derive a changed plan with dataclasses.replace,
-    which starts without a layout.
+    digests differ from what it is run with, or that lacks one. bits,
+    modulations and powers are made read-only on construction. run_trial
+    keeps each plan's frame layout, keyed by the plan, so do not reassign a
+    field of a plan that has run: derive a changed plan with
+    dataclasses.replace. The fields stay assignable until the benchmark's
+    tests, which reassign them, move to dataclasses.replace.
     """
 
     eps_index: int
@@ -524,8 +520,10 @@ class AllocationPlan:
     dummy_bits: int
     seed: int
     digests: dict
-    # simulator._FrameLayout, filled by the plan's first run_trial call
-    _frame_layout: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for arr in (self.bits, self.modulations, self.powers):
+            arr.setflags(write=False)
 
     @property
     def b_lat(self) -> int:
@@ -557,13 +555,13 @@ def optimize_plan(
     each stage. A zero-bit source (t_sym = 0) gets the smallest target and
     zero bits, modulations and powers; no stage after the selection runs.
 
-    The source's share of the work is kept on the stats once their digest
-    has been read, for this library and delta: every target's b_lat, and one
-    record per winning target of its depths, refinement order and headroom
-    (see _SourceRating). A later plan on them calls minimum_bit_allocation
-    only for a target that has not won before, and refine_bit_allocation
-    only for a residual that the kept record does not cover (see
-    _refined_bits). A plan's bits are always its own array.
+    The source's share of the work is kept per stats object, for this
+    library and delta: every target's b_lat, and one record per winning
+    target of its depths, refinement order and headroom (see _SourceRating).
+    A later plan on them calls minimum_bit_allocation only for a target that
+    has not won before, and refine_bit_allocation only for a residual that
+    the kept record does not cover (see _refined_bits). A plan's bits are
+    always its own array.
     """
     check_nonnegative_finite("delta", delta)
     rating, r_sym = _rate_targets(lib, stats, channel, p_tot, delta)
@@ -574,7 +572,7 @@ def optimize_plan(
     else:
         if eps_index not in rating.winners:
             depths = minimum_bit_allocation(lib, stats, eps_index, delta)[0]
-            depths.flags.writeable = False
+            depths.setflags(write=False)
             headroom = int((lib.b_max - depths[depths > 0]).sum())  # elements at zero bits never grow
             rating.winners[eps_index] = (depths, np.zeros(0, dtype=np.intp), headroom)
         steps = lib.step_table()[0][eps_index]
@@ -582,9 +580,7 @@ def optimize_plan(
         bits, dummy = _refined_bits(lib, stats, rating, eps_index, t_sym * r_sym)
 
     digests = {"library": lib.digest(), "stats": stats.digest(), "channel_seed": channel.seed}
-    if rating.key is None:  # the digest is read, so the stats no longer change
-        rating.key = (digests["library"], delta)
-        stats._rating = rating
+    _RATINGS[stats] = rating
     return AllocationPlan(
         eps_index=eps_index,
         epsilon_star=float(lib.epsilons[eps_index]),
@@ -620,7 +616,7 @@ def _refined_bits(
         return depths + np.bincount(granted, minlength=depths.size), residual - granted.size
     bits, dummy = refine_bit_allocation(lib, stats, depths, eps_index, capacity)
     order = _grant_order(lib, stats, eps_index, depths, bits)
-    order.flags.writeable = False
+    order.setflags(write=False)
     rating.winners[eps_index] = (depths, order, headroom)
     return bits, dummy
 
@@ -646,19 +642,18 @@ def _rate_targets(
     """The source's rating (with b_lat of every grid target) and r_sym of every target.
 
     Both are what the per-target functions give, r_sym[q] on the library's
-    step table row q. The rating is the one kept on the stats when it was
-    made for this library and delta, else a new one (_rate_source). On a
-    channel with read-only gains (every realization's own copy) it keeps a
-    _LoadingRecord of the loading's prefix of every target, which the
-    winner's allocate_power_modulation reads in place of its own. Raises
-    what the per-target calls in order (per target, the depths before the
-    loading) would raise first: the InfeasibleTargetError of target 0 if it
-    has an infeasible element, else ValueError("p_tot must be positive") for
-    a budget that is not positive (the loading's first check, so NaN too),
-    else the InfeasibleTargetError of the first target with an infeasible
-    element, each raised by minimum_bit_allocation on that target.
+    step table row q. The rating is the one kept for the stats when it was
+    made for this library and delta, else a new one (_rate_source). It keeps
+    for the channel a _LoadingRecord of the loading's prefix of every target,
+    which the winner's allocate_power_modulation reads in place of its own.
+    Raises what the per-target calls in order (per target, the depths before
+    the loading) would raise first: the InfeasibleTargetError of target 0 if
+    it has an infeasible element, else ValueError("p_tot must be positive")
+    for a budget that is not positive (the loading's first check, so NaN
+    too), else the InfeasibleTargetError of the first target with an
+    infeasible element, each raised by minimum_bit_allocation on that target.
     """
-    rating = stats._rating
+    rating = _RATINGS.get(stats)
     if rating is None or rating.key != (lib.digest(), delta):
         rating = _rate_source(lib, stats, delta)
     if rating.infeasible is not None and (rating.infeasible == 0 or p_tot > 0):
@@ -670,8 +665,7 @@ def _rate_targets(
     inv_gain = _inverse_gains(channel)
     ascending = np.sort(inv_gain)
     taken, kth = _prefixes(increments, ascending, p_tot)
-    if not channel.gains.flags.writeable:  # a gains array assigned in place of the copy could change
-        channel._loading = _LoadingRecord(channel, p_tot, steps.tolist(), inv_gain, ascending, taken, kth)
+    _LOADINGS[channel] = _LoadingRecord(p_tot, steps.tolist(), inv_gain, ascending, taken, kth)
     return rating, 2 * taken  # each step adds 2 bits
 
 
@@ -684,8 +678,8 @@ def _rate_source(lib: QuantizerLibrary, stats: LatentStats, delta: float) -> _So
     infeasible = np.flatnonzero(np.searchsorted(bounds, floor[:, -1], "left") > 0)
     # depth - 1 counts the running minima above the bound (see minimum_bit_allocation)
     b_lat = bounds.size + np.searchsorted(bounds, floor, "left").sum(axis=1)
-    b_lat.flags.writeable = False
-    return _SourceRating(int(infeasible[0]) if infeasible.size else None, b_lat)
+    b_lat.setflags(write=False)
+    return _SourceRating(int(infeasible[0]) if infeasible.size else None, b_lat, (lib.digest(), delta))
 
 
 def validate_plan(

@@ -18,7 +18,7 @@ import importlib.resources
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,36 +135,30 @@ def parse_profile_ref(ref: str) -> TapProfile:
     return load_tap_profile(ref)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One coherence block: fixed per-subcarrier gains and the noise variance.
 
     seed labels the draw. A plan records it as its channel_seed, and
-    run_trial refuses a realization whose seed differs from it.
-
-    gains is a read-only copy of the vector given, so one gains object always
-    holds the same values. The planner's rating keeps on the realization what
-    the winner's loading would compute again, and the loading reads it only
-    for the same gains object, noise_var, budget and step row (see
-    allocator.allocate_power_modulation). dataclasses.replace starts without
-    it.
+    run_trial refuses a realization whose seed differs from it. The
+    realization is frozen and gains is a read-only copy of the vector given,
+    so what a module keeps per realization (keyed by the object) stays true
+    of it; dataclasses.replace makes a new one.
     """
 
     gains: np.ndarray
     noise_var: float
     seed: int
-    # allocator._LoadingRecord, filled by the planner's rating
-    _loading: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.gains = np.array(self.gains, dtype=np.complex128)
+        object.__setattr__(self, "gains", np.array(self.gains, dtype=np.complex128))
         if self.gains.ndim != 1 or self.gains.size < 1:
             raise ValueError("gains must be a nonempty vector")
         if not np.all(np.isfinite(self.gains)):
             raise ValueError("gains must be finite")
         if not self.noise_var > 0:
             raise ValueError("noise_var must be positive")
-        self.gains.flags.writeable = False
+        self.gains.setflags(write=False)
 
     @property
     def n_sc(self) -> int:

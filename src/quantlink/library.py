@@ -72,7 +72,7 @@ def _validated_grid(epsilons) -> np.ndarray:
 
 @dataclass
 class QuantizerLibrary:
-    """Immutable-by-convention container for the designed grid.
+    """The designed grid of quantizers and its SNR-threshold table.
 
     cells maps (bit depth, epsilon index) to a ScalarQuantizer, exactly the
     grid b = 1..b_max x every target. gamma_thresholds[s, q] is the SNR at
@@ -85,16 +85,16 @@ class QuantizerLibrary:
     is not a field: FORMAT_VERSION is the one version serialize_library
     writes and load_library accepts.
 
-    Construction also builds two read-only tables, and the audit of the
-    first: row q of the distortion table holds D(1; b, eps_q) for
-    b = 1..b_max, row q of the step table target q's steps (with their
-    increments, step_table()), and warnings is _audit(distortion table),
-    the table's anomalies (informational, not failures). The object is
-    immutable once built: the tables and warnings are not rebuilt when a
-    field changes in place, and digest() hashes the serialized library on
-    its first call and keeps that hash. Derive a changed library with
-    dataclasses.replace, which checks the new grid and builds new tables
-    and warnings, without a digest.
+    Construction keeps read-only copies of epsilons and gamma_thresholds,
+    marks every cell's arrays read-only, and builds two read-only tables and
+    the audit of the first: row q of the distortion table holds
+    D(1; b, eps_q) for b = 1..b_max, row q of the step table target q's
+    steps (with their increments, step_table()), and warnings is
+    _audit(distortion table), the table's anomalies (informational, not
+    failures). digest() hashes the serialized library on its first call and
+    keeps that hash, so derive a changed library with dataclasses.replace,
+    which checks the new grid and builds new tables and warnings, without a
+    digest.
     """
 
     b_max: int
@@ -110,6 +110,7 @@ class QuantizerLibrary:
 
     def __post_init__(self):
         _check_gamma(self.gamma_thresholds, self.epsilons)
+        self.epsilons, self.gamma_thresholds = np.array(self.epsilons, float), np.array(self.gamma_thresholds, float)
         targets, depths = range(self.epsilons.size), range(1, self.b_max + 1)
         grid = {(b, qi) for b in depths for qi in targets}
         if self.cells.keys() != grid:
@@ -122,8 +123,11 @@ class QuantizerLibrary:
         steps = np.zeros((self.epsilons.size, len(modem.QAM_BITS) + 1))
         steps[:, 1:] = np.transpose(self.gamma_thresholds)
         increments = np.diff(steps, axis=1)
-        for arr in (table, steps, increments):
-            arr.flags.writeable = False
+        for arr in (self.epsilons, self.gamma_thresholds, table, steps, increments):
+            arr.setflags(write=False)
+        for q in self.cells.values():
+            for arr in (q.thresholds, q.levels, q.region_codewords, q.designed_for):
+                arr.setflags(write=False)
         self._table, self._steps, self._increments = table, steps, increments
         self.warnings = _audit(table)
 

@@ -71,13 +71,14 @@ def _gray_decode(g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Constellation:
-    """Unit-energy square QAM table indexed by bit word."""
+    """Unit-energy square QAM table indexed by bit word; every array is read-only."""
 
     m: int
     points: np.ndarray  # complex, points[word] is the symbol for that word
     axis_levels: np.ndarray  # per-axis PAM coordinates by level index
     axis_bounds: np.ndarray  # decision boundaries between adjacent levels
     level_words: np.ndarray  # level_words[k_i * L + k_q]: the word at PAM levels (k_i, k_q)
+    position_weights: np.ndarray  # [j, i]: w[j, i] / L, multiplying Q((2i + 1) r) in position j's BER
 
 
 def _build(m: int) -> Constellation:
@@ -96,7 +97,20 @@ def _build(m: int) -> Constellation:
     points = coords[ki] + 1j * coords[kq]
     gray = _gray_encode(k)
     level_words = ((gray[:, None] << half) | gray).ravel()
-    return Constellation(m, points, coords, bounds, level_words)
+    sent, got = np.nonzero(k[:, None] != k)  # every (sent, decided) pair of distinct levels
+    d = np.abs(got - sent)
+    # bit j (MSB first) of the two levels' Gray labels differs
+    label = _gray_encode(sent) ^ _gray_encode(got)
+    differs = (label[None, :] >> (half - 1 - np.arange(half))[:, None]) & 1  # [j, pair]
+    inner = (got > 0) & (got < levels_per_axis - 1)  # a decision region bounded on both sides
+    rows = np.arange(half)[:, None]
+    weights = np.zeros((half, levels_per_axis))  # weights[j, i] multiplies Q((2i + 1) r)
+    np.add.at(weights, (rows, d - 1), differs)
+    np.add.at(weights, (rows, d[inner]), -differs[:, inner])
+    table = Constellation(m, points, coords, bounds, level_words, weights / levels_per_axis)
+    for arr in (points, coords, bounds, level_words, table.position_weights):
+        arr.setflags(write=False)
+    return table
 
 
 _TABLES: dict[int, Constellation] = {}
@@ -160,23 +174,9 @@ def ber_by_position(m: int, gamma):
     g = np.asarray(gamma, dtype=np.float64)
     if np.any(g < 0):
         raise ValueError("gamma must be nonnegative")
-    half, levels = m // 2, table.axis_levels.size
-    k = np.arange(levels)
-    sent, got = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
-    away = sent != got
-    sent, got = sent[away], got[away]
-    d = np.abs(got - sent)
-    # bit j (MSB first) of the two levels' Gray labels differs
-    label = _gray_encode(sent) ^ _gray_encode(got)
-    differs = (label[None, :] >> (half - 1 - np.arange(half))[:, None]) & 1  # [j, pair]
-    inner = (got > 0) & (got < levels - 1)  # a decision region bounded on both sides
-    rows = np.arange(half)[:, None]
-    weights = np.zeros((half, levels))  # weights[j, i] multiplies Q((2i + 1) r)
-    np.add.at(weights, (rows, d - 1), differs)
-    np.add.at(weights, (rows, d[inner]), -differs[:, inner])
     root = np.sqrt(3.0 * g / ((1 << m) - 1))
-    tails = q_function(root[..., None] * (2.0 * k + 1.0))
-    axis = tails @ (weights / levels).T
+    tails = q_function(root[..., None] * (2.0 * np.arange(table.axis_levels.size) + 1.0))
+    axis = tails @ table.position_weights.T
     return np.concatenate((axis, axis), axis=-1)
 
 

@@ -6,16 +6,17 @@ demodulation, inverse mapping and dequantization, and records per-element
 squared errors alongside realized per-subcarrier bit error rates.
 
 A plan serves every frame of its coherence block, so what depends on the plan
-alone is built once, on the plan's first trial, and kept on the plan: the
-sent elements in bit-depth order (each depth a slice), the payload bit ->
-(element, shift) map that expands codewords into the bit stream, the pad
-bits, and the bit fields of the stream. The stream is symbol-major (see
-allocator.build_bit_mapping): each subcarrier's word of an OFDM symbol is m
-consecutive bits, and each codeword b consecutive bits. So both directions
-pack a bit stream into bytes and read fixed fields out of it, each through a
-window of at most 3 bytes (b <= 12 bits at a bit offset <= 7): the sender
-reads the symbol words out of the packed payload and pad, and the receiver
-expands the received words into a stream, packs it and reads the codewords.
+alone is built once, on the plan's first trial, and kept in this module,
+keyed by the plan: the sent elements in bit-depth order (each depth a
+slice), the payload bit -> (element, shift) map that expands codewords into
+the bit stream, the pad bits, and the bit fields of the stream. The stream
+is symbol-major (see allocator.build_bit_mapping): each subcarrier's word of
+an OFDM symbol is m consecutive bits, and each codeword b consecutive bits.
+So both directions pack a bit stream into bytes and read fixed fields out of
+it, each through a window of at most 3 bytes (b <= 12 bits at a bit offset
+<= 7): the sender reads the symbol words out of the packed payload and pad,
+and the receiver expands the received words into a stream, packs it and
+reads the codewords.
 Nothing of the channel realization is kept; its gains and noise variance
 are read on every call.
 
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +188,10 @@ class _FrameLayout:
     orders: tuple
 
 
+# each run plan's frame layout, built by its first run_trial call; an entry goes with its plan
+_LAYOUTS: weakref.WeakKeyDictionary[AllocationPlan, _FrameLayout] = weakref.WeakKeyDictionary()
+
+
 def _field(start, width) -> tuple:
     """(index, shift, mask) of the bits [start, start + width) of a packed stream."""
     return start >> 3, (24 - (start & 7) - width).astype(np.uint8), np.uint32((1 << width) - 1)
@@ -295,9 +301,9 @@ def _send_frames(stats, y, plan, lib, realization, rngs):
     Returns the reconstructions, then the bit errors and the bits sent per
     subcarrier, summed over the frames.
     """
-    layout = plan._frame_layout
+    layout = _LAYOUTS.get(plan)
     if layout is None:
-        layout = plan._frame_layout = _build_frame_layout(plan)
+        layout = _LAYOUTS[plan] = _build_frame_layout(plan)
 
     frames, b_lat = y.shape[0], plan.b_lat
     err_per_sc = np.zeros(realization.n_sc)

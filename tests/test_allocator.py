@@ -94,6 +94,23 @@ def test_latent_stats_takes_ints_as_floats():
     assert stats.variances.tolist() == [2.0, 0.0]
 
 
+def test_latent_stats_are_frozen_with_read_only_copies(small_lib):
+    means, variances = np.zeros(3), np.array([0.5, 1.0, 2.0])
+    stats = LatentStats(means, variances)
+    variances[0] = 3.0  # the caller's arrays stay writable and their own
+    assert means.flags.writeable and stats.variances[0] == 0.5
+    ch = realize_channel(exponential_pdp(300.0), 8, 30e3, seed=1)
+    optimize_plan(small_lib, stats, ch, 80.0)
+    assert stats in allocator._RATINGS
+    # an edit in place would leave the kept rating and the digest stale
+    with pytest.raises(ValueError, match="read-only"):
+        stats.variances[:] = stats.variances * 0.7
+    for name in ("means", "variances"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(stats, name, getattr(stats, name) * 0.7)
+    assert dataclasses.replace(stats) not in allocator._RATINGS
+
+
 def test_stats_digest_is_computed_once_per_object(monkeypatch):
     calls = []
 
@@ -455,7 +472,7 @@ def _assert_rating_loads_every_target(lib, ch, budget):
     stats = LatentStats(np.zeros(1), np.ones(1))
     with np.errstate(divide="ignore", invalid="ignore"):
         _, r_sym = allocator._rate_targets(lib, stats, ch, budget, 0.4)
-        assert ch._loading is not None
+        assert ch in allocator._LOADINGS
         unrated = dataclasses.replace(ch)  # the same channel, with no record of the rating
         for qi, steps in enumerate(lib.step_table()[0]):
             rated = allocate_power_modulation(ch, budget, steps)
@@ -548,28 +565,24 @@ def test_a_loading_reads_the_rating_only_for_the_call_it_rated(small_lib, monkey
         assert (2.0 * row).tolist() not in steps.tolist()
         return ch, p_tot, 2.0 * row
 
-    def another_noise_var(ch, row):
-        ch.noise_var *= 2.0
-        return ch, p_tot, row
-
-    def other_gains(ch, row):
-        ch.gains = 0.5 * ch.gains
-        return ch, p_tot, row
-
-    def gains_changed_after_a_plan(ch, row):
-        # writable gains assigned in place of the copy keep no record of a plan
-        ch.gains = ch.gains.copy()
-        optimize_plan(small_lib, stats, ch, p_tot)
-        ch.gains *= 0.5
-        return ch, p_tot, row
-
-    for change in (another_budget, another_row, another_noise_var, other_gains, gains_changed_after_a_plan):
+    for change in (another_budget, another_row):
         ch, p, r = change(*planned()[:2])
         computed.clear()
         got = _loading_bytes(allocate_power_modulation(ch, p, r))
         assert len(computed) == 1, change.__name__  # computed, not read
         assert got == _loading_bytes(allocate_power_modulation(dataclasses.replace(ch), p, r)), change.__name__
         assert got != kept, change.__name__  # the record's answer would be wrong here
+
+    # the record cannot outlive the noise_var or gains it was made for: a
+    # planned realization's noise_var and gains can be neither assigned nor
+    # written in place
+    ch = planned()[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ch.noise_var *= 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ch.gains = 0.5 * ch.gains
+    with pytest.raises(ValueError, match="read-only"):
+        ch.gains *= 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -962,6 +975,16 @@ def test_validate_plan_catches_power_violation(small_lib):
         validate_plan(plan, small_lib, stats, p_tot)
 
 
+def test_plan_arrays_are_read_only(small_lib):
+    stats, ch, p_tot = _random_setup(small_lib, stream_rng("plan-read-only", 0))
+    plan = optimize_plan(small_lib, stats, ch, p_tot)
+    for name in ("bits", "modulations", "powers"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(plan, name)[0] = 1
+    # identity-keyed, so a kept frame layout is never another plan's
+    assert plan != dataclasses.replace(plan)
+
+
 def test_validate_plan_catches_bit_shortfall(small_lib):
     rng = stream_rng("plan-bad2", 0)
     stats, ch, p_tot = _random_setup(small_lib, rng)
@@ -984,9 +1007,10 @@ def test_validate_plan_rejects_out_of_range_bit_depths(small_lib):
     plan = optimize_plan(small_lib, stats, ch, p_tot)
     i = int(np.flatnonzero(stats.variances >= 0.4)[0])
     for depth in (-1, small_lib.b_max + 1):
-        bad = dataclasses.replace(plan, bits=plan.bits.copy())
-        bad.bits[i] = depth
-        bad.dummy_bits += int(plan.bits[i]) - depth  # keep the grid accounting exact
+        bits = plan.bits.copy()
+        bits[i] = depth
+        # keep the grid accounting exact
+        bad = dataclasses.replace(plan, bits=bits, dummy_bits=plan.dummy_bits + int(plan.bits[i]) - depth)
         with pytest.raises(ValueError, match="bit depth outside"):
             validate_plan(bad, small_lib, stats, p_tot)
 
@@ -996,9 +1020,11 @@ def test_validate_plan_rejects_modulation_orders_off_the_qam_set(small_lib, orde
     stats, ch, p_tot = _random_setup(small_lib, stream_rng("plan-bad5", 0))
     plan = optimize_plan(small_lib, stats, ch, p_tot)
     i = int(np.flatnonzero(plan.modulations)[0])
-    bad = dataclasses.replace(plan, modulations=plan.modulations.copy())
-    bad.modulations[i] = order
-    bad.dummy_bits += plan.t_sym * (order - int(plan.modulations[i]))  # keep the grid accounting exact
+    modulations = plan.modulations.copy()
+    modulations[i] = order
+    # keep the grid accounting exact
+    dummy_bits = plan.dummy_bits + plan.t_sym * (order - int(plan.modulations[i]))
+    bad = dataclasses.replace(plan, modulations=modulations, dummy_bits=dummy_bits)
     with pytest.raises(ValueError, match="modulation order outside"):
         validate_plan(bad, small_lib, stats, p_tot)
 
@@ -1047,8 +1073,9 @@ def test_validate_plan_rejects_bad_powers(small_lib, power):
     rng = stream_rng("plan-bad4", 0)
     stats, ch, p_tot = _random_setup(small_lib, rng)
     plan = optimize_plan(small_lib, stats, ch, p_tot)
-    bad = dataclasses.replace(plan, powers=plan.powers.copy())
-    bad.powers[int(np.argmin(plan.powers))] = power
+    powers = plan.powers.copy()
+    powers[int(np.argmin(plan.powers))] = power
+    bad = dataclasses.replace(plan, powers=powers)
     with pytest.raises(ValueError, match="powers must be finite and nonnegative"):
         validate_plan(bad, small_lib, stats, p_tot)
 
@@ -1229,7 +1256,7 @@ def test_optimize_plan_calls_each_stage_once(small_lib, monkeypatch):
 
 
 def _fresh(stats):
-    """The same source as a new object, which keeps no digest or rating."""
+    """The same source as a new object, which has no kept rating."""
     return LatentStats(stats.means.copy(), stats.variances.copy())
 
 
@@ -1247,7 +1274,7 @@ def test_plans_on_a_known_source_raise_and_plan_as_on_a_fresh_one(small_lib, p_t
     ch = realize_channel(exponential_pdp(300.0), 8, 30e3, seed=2)
     # a plan that completes keeps the rating; one that raises keeps nothing
     first = _outcome(optimize_plan, small_lib, stats, ch, 100.0)
-    assert (stats._rating is not None) == isinstance(first, str)
+    assert (stats in allocator._RATINGS) == isinstance(first, str)
     for _ in range(2):
         want = _outcome(optimize_plan, small_lib, _fresh(stats), ch, p_tot)
         assert _outcome(optimize_plan, small_lib, stats, ch, p_tot) == want
@@ -1299,7 +1326,8 @@ def test_plans_never_share_bits_with_the_kept_rating(small_lib):
         for _ in range(3):
             plan = optimize_plan(small_lib, stats, ch, p_tot)
             assert serialize_plan(plan) == want
-            plan.bits[:] = 99  # the next plan on the source stays as it was
+            with pytest.raises(ValueError, match="read-only"):
+                plan.bits[:] = 99  # so the next plan on the source stays as it was
     exact = optimize_plan(small_lib, *_exact_fit_setup(small_lib))
     assert exact.t_sym == 1 and exact.dummy_bits == 0 and exact.bits.tolist() == [1] * 4
 
@@ -1311,9 +1339,9 @@ def test_kept_rating_follows_the_library_and_delta(small_lib):
     for lib, delta in ((small_lib, 0.4), (other, 0.4), (small_lib, 0.1), (small_lib, 0.4), (other, 0.1)):
         want = _outcome(optimize_plan, lib, _fresh(stats), ch, p_tot, delta)
         assert _outcome(optimize_plan, lib, stats, ch, p_tot, delta) == want
-        assert stats._rating.key == (lib.digest(), delta)
+        assert allocator._RATINGS[stats].key == (lib.digest(), delta)
     # derived stats start without the rating
-    assert dataclasses.replace(stats, variances=stats.variances)._rating is None
+    assert dataclasses.replace(stats, variances=stats.variances) not in allocator._RATINGS
 
 
 # ---------------------------------------------------------------------------
@@ -1353,7 +1381,8 @@ def test_plans_on_one_source_follow_any_residual_order(small_lib, variances, cha
         ch, p_tot = blocks[k]
         plan = optimize_plan(small_lib, stats, ch, p_tot)
         assert serialize_plan(plan) == serialize_plan(optimize_plan(small_lib, _fresh(stats), ch, p_tot))
-        plan.bits[:] = 99  # the next plan on the source stays as it was
+        with pytest.raises(ValueError, match="read-only"):
+            plan.bits[:] = 99  # so the next plan on the source stays as it was
 
 
 def test_a_plan_refines_only_past_the_largest_residual_refined(small_lib, monkeypatch):
@@ -1387,7 +1416,8 @@ def test_a_plan_refines_only_past_the_largest_residual_refined(small_lib, monkey
         k = by_residual[i]
         plan = optimize_plan(small_lib, stats, *blocks[k])
         assert serialize_plan(plan) == serialize_plan(plans[k])
-        plan.bits[:] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.bits[:] = 0
     assert calls == [residuals[middle], residuals[-1]]
 
 
@@ -1422,7 +1452,8 @@ def test_a_saturated_refinement_covers_every_residual(small_lib, monkeypatch):
         k = by_residual[i]
         plan = optimize_plan(small_lib, stats, *blocks[k])
         assert serialize_plan(plan) == serialize_plan(plans[k])
-        plan.bits[:] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.bits[:] = 0
     assert calls == [residuals[first - 1], residuals[first]]
 
 

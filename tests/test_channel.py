@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import shutil
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quantlink import channel
+from quantlink import allocator, channel
+from quantlink.allocator import LatentStats, optimize_plan
 from quantlink.channel import (
     ChannelRealization,
     TapProfile,
@@ -231,6 +233,25 @@ def test_realization_validation():
     for bad in (0.0, -30e3, np.nan, np.inf, True, "30e3"):
         with pytest.raises(ValueError, match="spacing_hz must be a positive finite number"):
             realize_channel(flat_profile(), n_sc=4, spacing_hz=bad)
+
+
+def test_a_realization_is_frozen_with_a_read_only_copy_of_its_gains(small_lib):
+    gains = np.array([1.0 + 0j, 0.5j, 2.0])
+    ch = ChannelRealization(gains, 1.0, 0)
+    gains[0] = 0.0  # the caller's array stays writable and its own
+    assert gains.flags.writeable and ch.gains[0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ch.gains[0] = 0.0
+    # a noise_var set to 0 after construction planned 256-QAM on every
+    # subcarrier at a total power of 0, and -1 planned negative powers
+    for name, value in (("noise_var", 0.0), ("noise_var", -1.0), ("gains", 0.5 * ch.gains), ("seed", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ch, name, value)
+    with pytest.raises(ValueError, match="noise_var must be positive"):
+        dataclasses.replace(ch, noise_var=0.0)
+    optimize_plan(small_lib, LatentStats(np.zeros(4), np.ones(4)), ch, 30.0)
+    assert ch in allocator._LOADINGS
+    assert dataclasses.replace(ch) not in allocator._LOADINGS
 
 
 def test_seeded_realizations_are_deterministic():

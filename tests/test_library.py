@@ -143,6 +143,22 @@ def test_sigma_max_algebra():
     assert np.isclose(np.sqrt(1 / 0.01 - 1), np.sqrt(99))
 
 
+def test_library_arrays_are_read_only_copies(small_lib):
+    # an edit in place would leave step_table() and the kept digest stale
+    with pytest.raises(ValueError, match="read-only"):
+        small_lib.gamma_thresholds[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        small_lib.epsilons[0] = 0.02
+    for q in small_lib.cells.values():
+        for arr in (q.thresholds, q.levels, q.region_codewords, q.designed_for):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+    epsilons, gamma = small_lib.epsilons.copy(), small_lib.gamma_thresholds.copy()
+    derived = dataclasses.replace(small_lib, epsilons=epsilons, gamma_thresholds=gamma)
+    assert epsilons.flags.writeable and gamma.flags.writeable  # the caller's arrays stay its own
+    assert derived.gamma_thresholds is not gamma and derived.digest() == small_lib.digest()
+
+
 def test_save_load_round_trip(tmp_path, small_lib):
     path = tmp_path / "lib.json"
     save_library(small_lib, path)

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,18 @@ def test_ber_by_position_multiples_of_the_target():
     for row, m in enumerate(QAM_BITS):
         multiples = ber_by_position(m, lib.gamma_thresholds[row, 3]) / lib.epsilons[3]
         assert multiples[: m // 2] == pytest.approx(want[m], abs=5e-4)
+
+
+@pytest.mark.parametrize("m", QAM_BITS)
+def test_constellation_tables_are_read_only(m):
+    # modulate and demodulate share each order's table for the whole process
+    table = constellation(m)
+    for arr in (table.points, table.axis_levels, table.axis_bounds, table.level_words, table.position_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.points = table.points.copy()
+    assert constellation(m) is table
 
 
 def test_ber_by_position_shapes_and_domain():

@@ -93,7 +93,7 @@ def _setup_plan(lib, n=40, n_sc=24, snr_db=12.0, seed=9):
 
 def test_trial_noiseless_equals_pure_quantization(small_lib):
     stats, ch, plan = _setup_plan(small_lib)
-    ch.noise_var = 1e-30
+    ch = dataclasses.replace(ch, noise_var=1e-30)
     y = sample_latents(stats, [stream_rng("y", 1)])[0]
     res = run_trial(stats, y[None], plan, small_lib, ch, [stream_rng("n", 1)])
     assert res.realized_errors_per_subcarrier.sum() == 0
@@ -120,7 +120,7 @@ def test_trial_noiseless_multi_symbol_round_trip(small_lib):
     p_tot = 8 * 10 ** 0.6
     plan = optimize_plan(small_lib, stats, ch, p_tot)
     assert plan.t_sym >= 3  # the point of this instance
-    ch.noise_var = 1e-30
+    ch = dataclasses.replace(ch, noise_var=1e-30)
     y = sample_latents(stats, [stream_rng("ym", 1)])[0]
     res = run_trial(stats, y[None], plan, small_lib, ch, [stream_rng("nm", 1)])
     assert res.realized_errors_per_subcarrier.sum() == 0
@@ -189,14 +189,14 @@ def test_frame_layout_is_built_once_per_plan(small_lib, monkeypatch):
     assert errors > 0
 
     # the layout holds nothing of the realization: the noise is read per frame
-    ch.noise_var = 1e-30
+    ch = dataclasses.replace(ch, noise_var=1e-30)
     res = run_trial(stats, y, plan, small_lib, ch, [stream_rng("nl", 3)])
     assert res.realized_errors_per_subcarrier.sum() == 0
     assert len(calls) == 1
 
     # a derived plan starts without a layout
     derived = dataclasses.replace(plan, seed=plan.seed + 1)
-    assert derived._frame_layout is None and plan._frame_layout is not None
+    assert derived not in simulator._LAYOUTS and plan in simulator._LAYOUTS
     run_trial(stats, y, derived, small_lib, ch, [stream_rng("nl", 4)])
     assert len(calls) == 2 and calls[1] is derived
     assert len(placements) == 2

@@ -9,7 +9,7 @@ fixture library, the two sources and one channel per block. A round plans
 every block once per side; the side that goes first alternates from round
 to round, so a slow phase of a shared host hits both alike. A round's figure
 is the median wall time of one `optimize_plan` call over its blocks. Round 0
-is not timed: it keeps each source's rating on its stats, as a benchmark
+is not timed: it leaves each source's rating kept, as a benchmark
 run's first round does.
 
     python3 tools/plan_ab.py --parent ../parent --change . --seed 7 --rounds 12
