@@ -48,9 +48,13 @@ J. Campello, "Practical bit loading for DMT", ICC 1999). A target's costs
 are four runs inc[s] * sorted(noise_var/|h|^2), one per step and each
 sorted. Equal costs leave the running sums alike, so r_sym needs only the
 sorted values, and one prefix search (_prefixes) sorts and sums each row
-only as far as the loosest target's prefix reaches. The rating runs it on
-every target and keeps, per channel, each target's prefix length and last
-cost with the inverse gains; the winner's loading reads them there, and a
+only as far as the loosest target's prefix reaches. r_sym follows the
+channel, the budget and the step table alone, not the source, so the rating
+keeps per channel a record of every target's prefix length and last cost
+with the inverse gains (_LoadingRecord). A later rating at that budget and
+step table, on any source, reads r_sym there and searches nothing; the
+winner's loading reads its row's prefix there, and the record keeps the
+loading it places, which a later call at that row returns as copies. A
 loading at any other budget or step row runs the same search on its one
 row. The loading grants every cost below the last one taken, then the first
 costs equal to it in (subcarrier, step) order.
@@ -221,10 +225,13 @@ def allocate_power_modulation(
     (modulations, powers, bits/symbol).
 
     After _rate_targets has rated this channel at this budget, a row of the
-    rated step table takes the rating's inverse gains, step count and last
-    cost taken (its _LoadingRecord) instead of sorting and summing its costs
-    again. A call at another budget or step row computes them itself with
-    the rating's prefix search; both give the same bytes.
+    rated step table reads the channel's _LoadingRecord: the first call at
+    that row places the steps from the rating's inverse gains, step count
+    and last cost taken, without sorting or summing its costs again, and
+    keeps the loading there; every later call returns copies of it. A call
+    at another budget or step row computes the prefix itself with the
+    rating's prefix search. All three give the same bytes, and the returned
+    arrays are always the caller's own.
     """
     if not p_tot > 0:
         raise ValueError("p_tot must be positive")
@@ -238,13 +245,16 @@ def allocate_power_modulation(
     if not all(b - a >= 0 for a, b in zip(increments, increments[1:])):
         raise ValueError("gamma_steps increments must never shrink")
     kept = _LOADINGS.get(channel)
-    if kept is not None and kept.p_tot == p_tot and g in kept.rows:
-        q = kept.rows.index(g)
-        inv_gain, ascending, taken, kth = kept.inv_gain, kept.ascending, kept.taken[q], kept.kth[q]
-    else:
+    q = None if kept is None else kept.row(p_tot, g)
+    if q is None:
         inv_gain = _inverse_gains(channel)
         ascending = np.sort(inv_gain)
         (taken,), (kth,) = _prefixes(np.array([increments]), ascending, p_tot)
+    elif q in kept.placed:
+        modulations, powers, bits = kept.placed[q]
+        return modulations.copy(), powers.copy(), bits
+    else:
+        inv_gain, ascending, taken, kth = kept.inv_gain, kept.ascending, kept.taken[q], kept.kth[q]
     steps = np.zeros(channel.n_sc, dtype=np.int64)
     if taken:
         runs = np.array(increments)[:, None] * ascending  # run s: step s of each subcarrier, sorted
@@ -260,25 +270,48 @@ def allocate_power_modulation(
     modulations = steps * 2
     # silent subcarriers carry zero power even when their gain is exactly zero
     powers = np.multiply(gamma_steps[steps], inv_gain, out=np.zeros(channel.n_sc), where=steps > 0)
-    return modulations, powers, int(modulations.sum())
+    bits = int(modulations.sum())
+    if q is not None:
+        kept.place(q, modulations, powers, bits)
+    return modulations, powers, bits
 
 
 class _LoadingRecord:
-    """What a rating of one channel at one budget found, for the winner's loading.
+    """What a rating of one channel at one budget found, for later plans on it.
 
     p_tot is the budget and rows the library's step table as lists. inv_gain
     and ascending are the inverse gains, unsorted and sorted; taken[q] and
     kth[q] are how many of row q's sorted costs fit the budget and the last
-    one of them (see _prefixes). Every array is read-only.
+    one of them (see _prefixes). placed[q] is row q's loading (modulations,
+    powers, bits/symbol) once allocate_power_modulation has placed it. Every
+    array is read-only.
+
+    A rating of the channel at this p_tot and these rows, on any source or
+    library, reads r_sym = 2 * taken here (_rate_targets); a loading at this
+    p_tot and one of the rows reads taken[q] and kth[q], or placed[q] once
+    it is there (allocate_power_modulation). A rating at another budget or
+    step table replaces the record.
     """
 
-    __slots__ = ("p_tot", "rows", "inv_gain", "ascending", "taken", "kth")
+    __slots__ = ("p_tot", "rows", "inv_gain", "ascending", "taken", "kth", "placed")
 
     def __init__(self, p_tot: float, rows: list, inv_gain, ascending, taken, kth):
         self.p_tot, self.rows, self.inv_gain = p_tot, rows, inv_gain
         self.ascending, self.taken, self.kth = ascending, taken, kth
+        self.placed: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
         for arr in (inv_gain, ascending, taken, kth):
             arr.setflags(write=False)
+
+    def row(self, p_tot: float, g: list) -> int | None:
+        """The index of the step row g (a list) if this record rated it at p_tot, else None."""
+        return self.rows.index(g) if self.p_tot == p_tot and g in self.rows else None
+
+    def place(self, q: int, modulations: np.ndarray, powers: np.ndarray, bits: int) -> None:
+        """Keep read-only copies of row q's loading; the arrays given stay the caller's."""
+        modulations, powers = modulations.copy(), powers.copy()
+        modulations.setflags(write=False)
+        powers.setflags(write=False)
+        self.placed[q] = (modulations, powers, bits)
 
 
 def _inverse_gains(channel: ChannelRealization) -> np.ndarray:
@@ -560,8 +593,10 @@ def optimize_plan(
     target of its depths, refinement order and headroom (see _SourceRating).
     A later plan on them calls minimum_bit_allocation only for a target that
     has not won before, and refine_bit_allocation only for a residual that
-    the kept record does not cover (see _refined_bits). A plan's bits are
-    always its own array.
+    the kept record does not cover (see _refined_bits). The channel's share,
+    every target's r_sym and the winner's loading, is kept per realization
+    for one budget and step table (see _LoadingRecord). A plan's arrays are
+    always its own.
     """
     check_nonnegative_finite("delta", delta)
     rating, r_sym = _rate_targets(lib, stats, channel, p_tot, delta)
@@ -643,9 +678,12 @@ def _rate_targets(
 
     Both are what the per-target functions give, r_sym[q] on the library's
     step table row q. The rating is the one kept for the stats when it was
-    made for this library and delta, else a new one (_rate_source). It keeps
-    for the channel a _LoadingRecord of the loading's prefix of every target,
-    which the winner's allocate_power_modulation reads in place of its own.
+    made for this library and delta, else a new one (_rate_source). r_sym
+    is read from the channel's _LoadingRecord when that was made at this
+    p_tot for the same step table rows, whatever the source; else it is
+    computed and a new record of the loading's prefix of every target is
+    kept for the channel, which the winner's allocate_power_modulation reads
+    in place of its own. r_sym is always a new array.
     Raises what the per-target calls in order (per target, the depths before
     the loading) would raise first: the InfeasibleTargetError of target 0 if
     it has an infeasible element, else ValueError("p_tot must be positive")
@@ -662,11 +700,14 @@ def _rate_targets(
         raise ValueError("p_tot must be positive")
 
     steps, increments = lib.step_table()
-    inv_gain = _inverse_gains(channel)
-    ascending = np.sort(inv_gain)
-    taken, kth = _prefixes(increments, ascending, p_tot)
-    _LOADINGS[channel] = _LoadingRecord(p_tot, steps.tolist(), inv_gain, ascending, taken, kth)
-    return rating, 2 * taken  # each step adds 2 bits
+    rows = steps.tolist()
+    kept = _LOADINGS.get(channel)
+    if kept is None or kept.p_tot != p_tot or kept.rows != rows:
+        inv_gain = _inverse_gains(channel)
+        ascending = np.sort(inv_gain)
+        kept = _LoadingRecord(p_tot, rows, inv_gain, ascending, *_prefixes(increments, ascending, p_tot))
+        _LOADINGS[channel] = kept
+    return rating, 2 * kept.taken  # each step adds 2 bits
 
 
 def _rate_source(lib: QuantizerLibrary, stats: LatentStats, delta: float) -> _SourceRating:

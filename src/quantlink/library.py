@@ -70,7 +70,7 @@ def _validated_grid(epsilons) -> np.ndarray:
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantizerLibrary:
     """The designed grid of quantizers and its SNR-threshold table.
 
@@ -92,9 +92,11 @@ class QuantizerLibrary:
     steps (with their increments, step_table()), and warnings is
     _audit(distortion table), the table's anomalies (informational, not
     failures). digest() hashes the serialized library on its first call and
-    keeps that hash, so derive a changed library with dataclasses.replace,
-    which checks the new grid and builds new tables and warnings, without a
-    digest.
+    keeps that hash. The library is frozen, so its tables, warnings and
+    digest stay true of its fields, and so does what the planner keeps per
+    step table (see allocator._LoadingRecord); dataclasses.replace derives a
+    changed library, checks its grid and builds new tables and warnings,
+    without a digest.
     """
 
     b_max: int
@@ -110,7 +112,8 @@ class QuantizerLibrary:
 
     def __post_init__(self):
         _check_gamma(self.gamma_thresholds, self.epsilons)
-        self.epsilons, self.gamma_thresholds = np.array(self.epsilons, float), np.array(self.gamma_thresholds, float)
+        object.__setattr__(self, "epsilons", np.array(self.epsilons, float))
+        object.__setattr__(self, "gamma_thresholds", np.array(self.gamma_thresholds, float))
         targets, depths = range(self.epsilons.size), range(1, self.b_max + 1)
         grid = {(b, qi) for b in depths for qi in targets}
         if self.cells.keys() != grid:
@@ -128,8 +131,9 @@ class QuantizerLibrary:
         for q in self.cells.values():
             for arr in (q.thresholds, q.levels, q.region_codewords, q.designed_for):
                 arr.setflags(write=False)
-        self._table, self._steps, self._increments = table, steps, increments
-        self.warnings = _audit(table)
+        for name, value in (("_table", table), ("_steps", steps), ("_increments", increments)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "warnings", _audit(table))
 
     def quantizer(self, bit_depth: int, eps_index: int) -> ScalarQuantizer:
         return self.cells[(bit_depth, self._check_index(eps_index))]
@@ -148,7 +152,7 @@ class QuantizerLibrary:
 
     def digest(self) -> str:
         if self._digest is None:
-            self._digest = hashlib.sha256(serialize_library(self).encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_digest", hashlib.sha256(serialize_library(self).encode("utf-8")).hexdigest())
         return self._digest
 
     def _check_index(self, eps_index: int) -> int:

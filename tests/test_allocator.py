@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -468,6 +469,20 @@ def _loading_bytes(loading):
     return modulations.dtype.str, modulations.tobytes(), powers.dtype.str, powers.tobytes(), type(bits), bits
 
 
+@contextlib.contextmanager
+def _prefix_calls():
+    """The list of the _prefixes calls made inside the block, one argument tuple per call."""
+    calls, prefixes = [], allocator._prefixes
+
+    def counting(*args):
+        calls.append(args)
+        return prefixes(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocator, "_prefixes", counting)
+        yield calls
+
+
 def _assert_rating_loads_every_target(lib, ch, budget):
     stats = LatentStats(np.zeros(1), np.ones(1))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -477,7 +492,24 @@ def _assert_rating_loads_every_target(lib, ch, budget):
         for qi, steps in enumerate(lib.step_table()[0]):
             rated = allocate_power_modulation(ch, budget, steps)
             assert r_sym[qi] == rated[2], (qi, budget)
-            assert _loading_bytes(rated) == _loading_bytes(allocate_power_modulation(unrated, budget, steps))
+            want = _loading_bytes(allocate_power_modulation(unrated, budget, steps))
+            assert _loading_bytes(rated) == want
+            # the row's loading is kept now: a later call returns copies of it
+            rated[0][:], rated[1][:] = 2, 1.0
+            with _prefix_calls() as computed:
+                assert _loading_bytes(allocate_power_modulation(ch, budget, steps)) == want
+            assert computed == []
+        # a rating on other stats at this budget and step table reads r_sym
+        with _prefix_calls() as computed:
+            again = allocator._rate_targets(lib, LatentStats(np.zeros(2), np.ones(2)), ch, budget, 0.4)[1]
+        assert computed == [] and again.tolist() == r_sym.tolist()
+        # another step table searches again, and its record replaces this one
+        other = _stub_library(2.0 * lib.step_table()[1])
+        with _prefix_calls() as computed:
+            doubled = allocator._rate_targets(other, stats, ch, budget, 0.4)[1]
+            assert allocator._rate_targets(lib, stats, ch, budget, 0.4)[1].tolist() == r_sym.tolist()
+        assert len(computed) == 2
+        assert doubled.tolist() == allocator._rate_targets(other, stats, unrated, budget, 0.4)[1].tolist()
 
 
 # rows in any order, so the last target is not always the cheapest
@@ -530,26 +562,20 @@ def test_rating_redoes_a_row_whose_prefix_fills_the_loosest_targets_width(monkey
         _assert_rating_loads_every_target(lib, ch, budget)
 
 
-def test_a_loading_reads_the_rating_only_for_the_call_it_rated(small_lib, monkeypatch):
+def test_a_loading_reads_the_rating_only_for_the_call_it_rated(small_lib):
     stats, drawn, p_tot = _random_setup(small_lib, stream_rng("loading-record", 0), snr_db=15.0)
     own = drawn.gains.copy()
     steps = small_lib.step_table()[0]
-    computed = []
-    prefixes = allocator._prefixes
-
-    def counting(*args):
-        computed.append(args)
-        return prefixes(*args)
 
     def planned():
         ch = ChannelRealization(own, drawn.noise_var, drawn.seed)
         row = steps[optimize_plan(small_lib, stats, ch, p_tot).eps_index]
-        computed.clear()
-        return ch, row, _loading_bytes(allocate_power_modulation(ch, p_tot, row))
+        with _prefix_calls() as computed:
+            kept = _loading_bytes(allocate_power_modulation(ch, p_tot, row))
+        assert computed == []  # the plan's own call reads the rating's record
+        return ch, row, kept
 
-    monkeypatch.setattr(allocator, "_prefixes", counting)
     ch, row, kept = planned()
-    assert computed == []  # the plan's own call reads the rating's record
     assert kept == _loading_bytes(allocate_power_modulation(dataclasses.replace(ch), p_tot, row))
     # the gains are a read-only copy, and the caller's array stays its own
     with pytest.raises(ValueError, match="read-only"):
@@ -557,6 +583,31 @@ def test_a_loading_reads_the_rating_only_for_the_call_it_rated(small_lib, monkey
     own[0] += 1.0
     assert ch.gains[0] == drawn.gains[0]
     own[0] = drawn.gains[0]
+
+    # r_sym follows the channel, budget and step table alone: a re-plan on
+    # the rated channel, on these stats or new ones, searches no prefix and
+    # gives the bytes of a plan on an unrated copy of the channel
+    for source in (stats, LatentStats(stats.means, 0.5 * stats.variances)):
+        with _prefix_calls() as computed:
+            got = serialize_plan(optimize_plan(small_lib, source, ch, p_tot))
+        assert computed == []
+        assert got == serialize_plan(optimize_plan(small_lib, source, dataclasses.replace(ch), p_tot))
+    # the arrays a kept loading is returned in are the caller's own
+    want = serialize_plan(optimize_plan(small_lib, stats, dataclasses.replace(ch), p_tot))
+    modulations, powers, _ = allocate_power_modulation(ch, p_tot, row)
+    modulations[:], powers[:] = 8, 0.0
+    assert _loading_bytes(allocate_power_modulation(ch, p_tot, row)) == kept
+    assert serialize_plan(optimize_plan(small_lib, stats, ch, p_tot)) == want
+    # another budget, or a library with another step table (its one target
+    # is small_lib's second), rates the channel again
+    epsilons, gamma = small_lib.epsilons[1:], small_lib.gamma_thresholds[:, 1:]
+    cells = {(b, 0): small_lib.cells[(b, 1)] for b in range(1, small_lib.b_max + 1)}
+    second = dataclasses.replace(small_lib, epsilons=epsilons, cells=cells, gamma_thresholds=gamma)
+    for lib, budget in ((small_lib, 2.0 * p_tot), (second, p_tot)):
+        with _prefix_calls() as computed:
+            got = serialize_plan(optimize_plan(lib, stats, ch, budget))
+        assert len(computed) == 1, budget
+        assert got == serialize_plan(optimize_plan(lib, stats, dataclasses.replace(ch), budget))
 
     def another_budget(ch, row):
         return ch, 2.0 * p_tot, row
@@ -567,8 +618,8 @@ def test_a_loading_reads_the_rating_only_for_the_call_it_rated(small_lib, monkey
 
     for change in (another_budget, another_row):
         ch, p, r = change(*planned()[:2])
-        computed.clear()
-        got = _loading_bytes(allocate_power_modulation(ch, p, r))
+        with _prefix_calls() as computed:
+            got = _loading_bytes(allocate_power_modulation(ch, p, r))
         assert len(computed) == 1, change.__name__  # computed, not read
         assert got == _loading_bytes(allocate_power_modulation(dataclasses.replace(ch), p, r)), change.__name__
         assert got != kept, change.__name__  # the record's answer would be wrong here

@@ -159,6 +159,26 @@ def test_library_arrays_are_read_only_copies(small_lib):
     assert derived.gamma_thresholds is not gamma and derived.digest() == small_lib.digest()
 
 
+def test_library_is_frozen_and_replace_rebuilds_its_tables(small_lib):
+    # a reassigned field would leave step_table(), the audit and the kept digest stale
+    digest = small_lib.digest()
+    for f in dataclasses.fields(small_lib):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(small_lib, f.name, getattr(small_lib, f.name))
+    assert small_lib.digest() == digest
+    # one target and two depths of the grid: replace checks them and builds their own tables
+    cells = {(b, 0): small_lib.cells[(b, 0)] for b in (1, 2)}
+    epsilons, gamma = small_lib.epsilons[:1], small_lib.gamma_thresholds[:, :1]
+    derived = dataclasses.replace(small_lib, b_max=2, epsilons=epsilons, cells=cells, gamma_thresholds=gamma)
+    assert np.array_equal(derived.step_table()[0], small_lib.step_table()[0][:1])
+    assert np.array_equal(derived.step_table()[1], small_lib.step_table()[1][:1])
+    assert np.array_equal(derived.distortion_table(), small_lib.distortion_table()[:1, :2])
+    assert derived.warnings == library._audit(derived.distortion_table())
+    assert derived.digest() != digest and small_lib.digest() == digest
+    with pytest.raises(ValueError, match="not the grid"):
+        dataclasses.replace(small_lib, epsilons=epsilons, gamma_thresholds=gamma)
+
+
 def test_save_load_round_trip(tmp_path, small_lib):
     path = tmp_path / "lib.json"
     save_library(small_lib, path)

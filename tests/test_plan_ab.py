@@ -17,9 +17,15 @@ def test_plan_ab_runs_this_checkout_as_both_sides(capsys):
     code = _tool().main(["--parent", str(ROOT), "--change", str(ROOT), "--rounds", "1", "--seed", "3"])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert len(out) == 5
+    assert len(out) == 9
     assert [line.split(":")[0] for line in out[:4]] == ["round 1 change", "round 1 parent", "parent", "change"]
-    assert out[4].startswith("change faster in ") and out[4].endswith("/1 rounds; plans the same on both sides")
+    assert all(line.endswith(" us on fresh channels") for line in out[:2])
+    assert out[4].startswith("change faster in ") and out[4].endswith("/1 rounds")
+    # the plans on fresh copies of the channels, timed apart
+    assert [line.split(":")[0] for line in out[5:7]] == ["parent on fresh channels", "change on fresh channels"]
+    assert all(" median " in line and " quartiles " in line for line in out[2:4] + out[5:7])
+    assert out[7].startswith("change faster on fresh channels in ") and out[7].endswith("/1 rounds")
+    assert out[8] == "plans the same on both sides and both kinds of channel"
 
 
 def test_plan_ab_exits_1_when_a_plan_differs(tmp_path, capsys):

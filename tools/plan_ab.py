@@ -6,17 +6,23 @@ Each tree's `src/quantlink` is imported as a package of its own
 each side builds the 48 blocks of one `plan-blocks` seed with its own
 modules, as `benchmarks/workloads.py` of the change tree builds them: the
 fixture library, the two sources and one channel per block. A round plans
-every block once per side; the side that goes first alternates from round
-to round, so a slow phase of a shared host hits both alike. A round's figure
-is the median wall time of one `optimize_plan` call over its blocks. Round 0
-is not timed: it leaves each source's rating kept, as a benchmark
-run's first round does.
+every block twice per side: once on the block's own channel, and once on a
+fresh `dataclasses.replace` copy of it, made before the timing starts. The
+side that goes first alternates from round to round, so a slow phase of a
+shared host hits both alike. A round's figure is the median wall time of
+one `optimize_plan` call over its blocks, one figure per kind of channel.
+Round 0 is not timed: it leaves each source's rating and each channel's
+rating kept, as a benchmark run's first round does. So the own channels
+time plans that read what is kept of both, and the fresh copies time plans
+whose channel has to be rated again.
 
     python3 tools/plan_ab.py --parent ../parent --change . --seed 7 --rounds 12
 
-The script prints every round, each side's median and quartiles, and the
-rounds the change wins. It exits 1 when a plan's `serialize_plan` text
-differs from the parent's plan of the same block, and 0 otherwise. It only
+The script prints every round, then each side's median and quartiles and
+the rounds the change wins, first on the own channels and then on the
+fresh ones. It exits 1 when a plan's `serialize_plan` text, on either kind
+of channel, differs from the parent's plan of the same block, and 0
+otherwise. It only
 reads the two trees. A parent tree whose `channel.tdl_c_profile` reads its
 data as the package `quantlink` finds it only with that tree's `src` on
 PYTHONPATH.
@@ -25,6 +31,7 @@ PYTHONPATH.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import statistics
 import sys
@@ -45,17 +52,31 @@ def side_state(workloads, tree: Path, name: str, seed: int) -> dict:
     return {"ql": ql, "lib": state["lib"], "blocks": workloads.plan_batch(ql, state, sizes)}
 
 
-def run_round(side: dict) -> tuple[float, list[str]]:
-    """The median seconds of one optimize_plan call over the blocks, and every plan's text."""
+def run_round(side: dict, fresh: bool) -> tuple[float, list[str]]:
+    """The median seconds of one optimize_plan call over the blocks, and every plan's text.
+
+    With `fresh`, each block is planned on a new copy of its channel, which no plan has rated.
+    """
     allocator = side["ql"]["allocator"]
+    blocks = [(s, dataclasses.replace(ch) if fresh else ch, p) for s, ch, p in side["blocks"]]
     seconds, plans = [], []
     gc.collect()
-    for stats, realization, p_tot in side["blocks"]:
+    for stats, realization, p_tot in blocks:
         start = time.perf_counter()
         plan = allocator.optimize_plan(side["lib"], stats, realization, p_tot)
         seconds.append(time.perf_counter() - start)
         plans.append(plan)
     return statistics.median(seconds), [allocator.serialize_plan(plan) for plan in plans]
+
+
+def summary(seconds: dict, rounds: int, label: str) -> list[str]:
+    """Each side's median and quartiles in microseconds, and the rounds the change wins."""
+    lines = []
+    for name in SIDES:
+        q1, median, q3 = np.percentile(seconds[name], [25, 50, 75]) * 1e6
+        lines.append(f"{name}{label}: median {median:.1f} us, quartiles {q1:.1f} .. {q3:.1f} us")
+    wins = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
+    return lines + [f"change faster{label} in {wins}/{rounds} rounds"]
 
 
 def main(argv=None) -> int:
@@ -72,24 +93,27 @@ def main(argv=None) -> int:
     import workloads
 
     sides = {name: side_state(workloads, getattr(args, name), name, args.seed) for name in SIDES}
-    seconds = {name: [] for name in SIDES}
+    seconds = {fresh: {name: [] for name in SIDES} for fresh in (False, True)}
     reference = None  # the parent's plans: round 0 runs the parent first
     for r in range(args.rounds + 1):  # round 0 is untimed
         for name in SIDES if r % 2 == 0 else SIDES[::-1]:
-            s, texts = run_round(sides[name])
-            reference = texts if reference is None else reference
-            differ = [k for k, (a, b) in enumerate(zip(reference, texts)) if a != b]
-            if differ:
-                print(f"round {r} {name}: the plans of blocks {differ} differ from the parent's", file=sys.stderr)
-                return 1
+            for fresh in (False, True):
+                s, texts = run_round(sides[name], fresh)
+                reference = texts if reference is None else reference
+                differ = [k for k, (a, b) in enumerate(zip(reference, texts)) if a != b]
+                if differ:
+                    kind = "fresh" if fresh else "own"
+                    print(f"round {r} {name}: the plans of blocks {differ} on {kind} channels "
+                          "differ from the parent's", file=sys.stderr)
+                    return 1
+                if r:
+                    seconds[fresh][name].append(s)
             if r:
-                seconds[name].append(s)
-                print(f"round {r} {name}: {s * 1e6:.1f} us per plan", flush=True)
-    for name in SIDES:
-        q1, median, q3 = np.percentile(seconds[name], [25, 50, 75]) * 1e6
-        print(f"{name}: median {median:.1f} us, quartiles {q1:.1f} .. {q3:.1f} us")
-    wins = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
-    print(f"change faster in {wins}/{args.rounds} rounds; plans the same on both sides")
+                own_s, fresh_s = seconds[False][name][-1] * 1e6, seconds[True][name][-1] * 1e6
+                print(f"round {r} {name}: {own_s:.1f} us per plan, {fresh_s:.1f} us on fresh channels", flush=True)
+    print("\n".join(summary(seconds[False], args.rounds, "")))
+    print("\n".join(summary(seconds[True], args.rounds, " on fresh channels")))
+    print("plans the same on both sides and both kinds of channel")
     return 0
 
 
