@@ -52,12 +52,12 @@ only as far as the loosest target's prefix reaches. r_sym follows the
 channel, the budget and the step table alone, not the source, so the rating
 keeps per channel a record of every target's prefix length and last cost
 with the inverse gains (_LoadingRecord). A later rating at that budget and
-step table, on any source, reads r_sym there and searches nothing; the
-winner's loading reads its row's prefix there, and the record keeps the
-loading it places, which a later call at that row returns as copies. A
-loading at any other budget or step row runs the same search on its one
-row. The loading grants every cost below the last one taken, then the first
-costs equal to it in (subcarrier, step) order.
+step table, on any source, reads r_sym there and searches nothing. A
+loading takes one path: it finds its row in the kept record, or else makes
+a one-row record of its own with the same search, places the row's steps
+once (every cost below the last one taken, then the first costs equal to
+it in (subcarrier, step) order) and returns copies of what the record
+keeps.
 
 Where each bit goes is not stored in a plan: build_bit_mapping derives the
 placement from modulations and t_sym, for the digest and the frame layout
@@ -224,14 +224,12 @@ def allocate_power_modulation(
     library's step_table() row); other input raises ValueError. Returns
     (modulations, powers, bits/symbol).
 
-    After _rate_targets has rated this channel at this budget, a row of the
-    rated step table reads the channel's _LoadingRecord: the first call at
-    that row places the steps from the rating's inverse gains, step count
-    and last cost taken, without sorting or summing its costs again, and
-    keeps the loading there; every later call returns copies of it. A call
-    at another budget or step row computes the prefix itself with the
-    rating's prefix search. All three give the same bytes, and the returned
-    arrays are always the caller's own.
+    The loading is a row of a _LoadingRecord: of the channel's kept record
+    when _rate_targets has rated the channel at this budget and the row is
+    in its step table, else of a one-row record made for this call alone
+    and not kept. The row is placed once per record, and the call returns
+    copies of the placed arrays, so they are always the caller's own and
+    every path gives the same bytes.
     """
     if not p_tot > 0:
         raise ValueError("p_tot must be positive")
@@ -244,74 +242,76 @@ def allocate_power_modulation(
         raise ValueError("gamma_steps must be strictly increasing")
     if not all(b - a >= 0 for a, b in zip(increments, increments[1:])):
         raise ValueError("gamma_steps increments must never shrink")
-    kept = _LOADINGS.get(channel)
-    q = None if kept is None else kept.row(p_tot, g)
-    if q is None:
-        inv_gain = _inverse_gains(channel)
-        ascending = np.sort(inv_gain)
-        (taken,), (kth,) = _prefixes(np.array([increments]), ascending, p_tot)
-    elif q in kept.placed:
-        modulations, powers, bits = kept.placed[q]
-        return modulations.copy(), powers.copy(), bits
-    else:
-        inv_gain, ascending, taken, kth = kept.inv_gain, kept.ascending, kept.taken[q], kept.kth[q]
-    steps = np.zeros(channel.n_sc, dtype=np.int64)
-    if taken:
-        runs = np.array(increments)[:, None] * ascending  # run s: step s of each subcarrier, sorted
-        # step s costs <= kth on the first ends[s] subcarriers of `ascending`,
-        # so where inv_gain < ascending[ends[s]] (inf past the end)
-        ends = [run.searchsorted(kth, "right") for run in runs]
-        if sum(ends) == taken:  # no cost equal to kth is left out
-            bound = np.append(ascending, np.inf)[ends[::-1]]
-            steps = len(ends) - bound.searchsorted(inv_gain, "right")
-        else:  # the first ties at kth in (subcarrier, step) order
-            cost = (inv_gain[:, None] * increments).ravel()
-            steps = np.bincount(_smallest(cost, taken, kth) // len(ends), minlength=channel.n_sc)
-    modulations = steps * 2
-    # silent subcarriers carry zero power even when their gain is exactly zero
-    powers = np.multiply(gamma_steps[steps], inv_gain, out=np.zeros(channel.n_sc), where=steps > 0)
-    bits = int(modulations.sum())
-    if q is not None:
-        kept.place(q, modulations, powers, bits)
-    return modulations, powers, bits
+    record = _LOADINGS.get(channel)
+    q = None if record is None else record.row(p_tot, g)
+    if q is None:  # a one-row record of this call's own, not kept
+        record, q = _LoadingRecord(channel, p_tot, [g], np.array([increments])), 0
+    if q not in record.placed:
+        record.place(q, gamma_steps, increments)
+    modulations, powers, bits = record.placed[q]
+    return modulations.copy(), powers.copy(), bits
 
 
 class _LoadingRecord:
-    """What a rating of one channel at one budget found, for later plans on it.
+    """The loading's prefix search on one channel at one budget, and the loadings placed from it.
 
-    p_tot is the budget and rows the library's step table as lists. inv_gain
-    and ascending are the inverse gains, unsorted and sorted; taken[q] and
-    kth[q] are how many of row q's sorted costs fit the budget and the last
-    one of them (see _prefixes). placed[q] is row q's loading (modulations,
-    powers, bits/symbol) once allocate_power_modulation has placed it. Every
-    array is read-only.
+    p_tot is the budget and rows the step rows searched, as lists; the
+    constructor takes their increments, one row each. It computes the
+    inverse gains, unsorted and sorted (inv_gain, ascending), and each row's
+    prefix: taken[q] and kth[q] are how many of row q's sorted costs fit the
+    budget and the last one of them (see _prefixes). placed[q] is row q's
+    loading (modulations, powers, bits/symbol) once place() has placed it.
+    Every array is read-only.
 
-    A rating of the channel at this p_tot and these rows, on any source or
-    library, reads r_sym = 2 * taken here (_rate_targets); a loading at this
-    p_tot and one of the rows reads taken[q] and kth[q], or placed[q] once
-    it is there (allocate_power_modulation). A rating at another budget or
-    step table replaces the record.
+    _rate_targets keeps the record of the library's step table per channel:
+    a rating at this p_tot and these rows, on any source or library, reads
+    r_sym = 2 * taken here, and a rating at another budget or step table
+    replaces the record. allocate_power_modulation places a row of the kept
+    record once, or of a one-row record of its own at any other budget or
+    step row.
     """
 
     __slots__ = ("p_tot", "rows", "inv_gain", "ascending", "taken", "kth", "placed")
 
-    def __init__(self, p_tot: float, rows: list, inv_gain, ascending, taken, kth):
-        self.p_tot, self.rows, self.inv_gain = p_tot, rows, inv_gain
-        self.ascending, self.taken, self.kth = ascending, taken, kth
+    def __init__(self, channel: ChannelRealization, p_tot: float, rows: list, increments: np.ndarray):
+        self.p_tot, self.rows = p_tot, rows
+        self.inv_gain = _inverse_gains(channel)
+        self.ascending = np.sort(self.inv_gain)
+        self.taken, self.kth = _prefixes(increments, self.ascending, p_tot)
         self.placed: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-        for arr in (inv_gain, ascending, taken, kth):
+        for arr in (self.inv_gain, self.ascending, self.taken, self.kth):
             arr.setflags(write=False)
 
     def row(self, p_tot: float, g: list) -> int | None:
         """The index of the step row g (a list) if this record rated it at p_tot, else None."""
         return self.rows.index(g) if self.p_tot == p_tot and g in self.rows else None
 
-    def place(self, q: int, modulations: np.ndarray, powers: np.ndarray, bits: int) -> None:
-        """Keep read-only copies of row q's loading; the arrays given stay the caller's."""
-        modulations, powers = modulations.copy(), powers.copy()
+    def place(self, q: int, gamma_steps: np.ndarray, increments: list) -> None:
+        """Place row q's steps from its prefix and keep the loading, read-only, in placed[q].
+
+        gamma_steps and increments are row q's steps and their increments.
+        The loading grants every cost below kth[q], then the first costs
+        equal to it in (subcarrier, step) order.
+        """
+        inv_gain, ascending, taken, kth = self.inv_gain, self.ascending, self.taken[q], self.kth[q]
+        steps = np.zeros(inv_gain.size, dtype=np.int64)
+        if taken:
+            runs = np.array(increments)[:, None] * ascending  # run s: step s of each subcarrier, sorted
+            # step s costs <= kth on the first ends[s] subcarriers of `ascending`,
+            # so where inv_gain < ascending[ends[s]] (inf past the end)
+            ends = [run.searchsorted(kth, "right") for run in runs]
+            if sum(ends) == taken:  # no cost equal to kth is left out
+                bound = np.append(ascending, np.inf)[ends[::-1]]
+                steps = len(ends) - bound.searchsorted(inv_gain, "right")
+            else:  # the first ties at kth in (subcarrier, step) order
+                cost = (inv_gain[:, None] * increments).ravel()
+                steps = np.bincount(_smallest(cost, taken, kth) // len(ends), minlength=inv_gain.size)
+        modulations = steps * 2
+        # silent subcarriers carry zero power even when their gain is exactly zero
+        powers = np.multiply(gamma_steps[steps], inv_gain, out=np.zeros(inv_gain.size), where=steps > 0)
         modulations.setflags(write=False)
         powers.setflags(write=False)
-        self.placed[q] = (modulations, powers, bits)
+        self.placed[q] = (modulations, powers, int(modulations.sum()))
 
 
 def _inverse_gains(channel: ChannelRealization) -> np.ndarray:
@@ -703,10 +703,7 @@ def _rate_targets(
     rows = steps.tolist()
     kept = _LOADINGS.get(channel)
     if kept is None or kept.p_tot != p_tot or kept.rows != rows:
-        inv_gain = _inverse_gains(channel)
-        ascending = np.sort(inv_gain)
-        kept = _LoadingRecord(p_tot, rows, inv_gain, ascending, *_prefixes(increments, ascending, p_tot))
-        _LOADINGS[channel] = kept
+        kept = _LOADINGS[channel] = _LoadingRecord(channel, p_tot, rows, increments)
     return rating, 2 * kept.taken  # each step adds 2 bits
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,9 +87,10 @@ class QuantizerLibrary:
     is not a field: FORMAT_VERSION is the one version serialize_library
     writes and load_library accepts.
 
-    Construction keeps read-only copies of epsilons and gamma_thresholds,
-    marks every cell's arrays read-only, and builds two read-only tables and
-    the audit of the first: row q of the distortion table holds
+    Construction keeps read-only copies of cells (a mapping proxy of a dict
+    copy), epsilons and gamma_thresholds, marks every cell's arrays
+    read-only, and builds two read-only tables and the audit of the first:
+    row q of the distortion table holds
     D(1; b, eps_q) for b = 1..b_max, row q of the step table target q's
     steps (with their increments, step_table()), and warnings is
     _audit(distortion table), the table's anomalies (informational, not
@@ -101,7 +104,7 @@ class QuantizerLibrary:
 
     b_max: int
     epsilons: np.ndarray
-    cells: dict[tuple[int, int], ScalarQuantizer]
+    cells: Mapping[tuple[int, int], ScalarQuantizer]
     design: DesignConfig
     gamma_thresholds: np.ndarray
     warnings: list[dict] = field(init=False, compare=False)
@@ -112,6 +115,7 @@ class QuantizerLibrary:
 
     def __post_init__(self):
         _check_gamma(self.gamma_thresholds, self.epsilons)
+        object.__setattr__(self, "cells", types.MappingProxyType(dict(self.cells)))
         object.__setattr__(self, "epsilons", np.array(self.epsilons, float))
         object.__setattr__(self, "gamma_thresholds", np.array(self.gamma_thresholds, float))
         targets, depths = range(self.epsilons.size), range(1, self.b_max + 1)

@@ -618,9 +618,11 @@ def test_a_loading_reads_the_rating_only_for_the_call_it_rated(small_lib):
 
     for change in (another_budget, another_row):
         ch, p, r = change(*planned()[:2])
+        record = allocator._LOADINGS[ch]
         with _prefix_calls() as computed:
             got = _loading_bytes(allocate_power_modulation(ch, p, r))
         assert len(computed) == 1, change.__name__  # computed, not read
+        assert allocator._LOADINGS[ch] is record, change.__name__  # the call's own record is not kept
         assert got == _loading_bytes(allocate_power_modulation(dataclasses.replace(ch), p, r)), change.__name__
         assert got != kept, change.__name__  # the record's answer would be wrong here
 

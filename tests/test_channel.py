@@ -63,7 +63,7 @@ def test_tdl_c_profile_loads_and_scales():
 
 
 def test_tdl_c_profile_reads_the_table_of_its_own_package(tmp_path, monkeypatch):
-    # a copy of the package imported under another name (as tools/sweep_ab.py
+    # a copy of the package imported under another name (as tools/ab.py
     # imports each tree) reads its own table, not the one of `quantlink`
     copy = tmp_path / "quantlink_copy"
     shutil.copytree(Path(channel.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))

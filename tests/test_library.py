@@ -166,10 +166,20 @@ def test_library_is_frozen_and_replace_rebuilds_its_tables(small_lib):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(small_lib, f.name, getattr(small_lib, f.name))
     assert small_lib.digest() == digest
+    # nor can a cell be swapped in place under the distortion table
+    with pytest.raises(TypeError):
+        small_lib.cells[(1, 0)] = small_lib.cells[(1, 1)]
     # one target and two depths of the grid: replace checks them and builds their own tables
     cells = {(b, 0): small_lib.cells[(b, 0)] for b in (1, 2)}
     epsilons, gamma = small_lib.epsilons[:1], small_lib.gamma_thresholds[:, :1]
     derived = dataclasses.replace(small_lib, b_max=2, epsilons=epsilons, cells=cells, gamma_thresholds=gamma)
+    # the library keeps its own copy of the cells: the caller's dict stays the caller's
+    column, derived_digest = derived.distortion_column(0).copy(), derived.digest()
+    cells[(1, 0)] = small_lib.cells[(1, 1)]
+    assert derived.cells[(1, 0)] is small_lib.cells[(1, 0)]
+    assert np.array_equal(derived.distortion_column(0), column) and derived.digest() == derived_digest
+    swapped = dataclasses.replace(derived, cells=cells)
+    assert swapped.distortion_column(0)[0] == small_lib.cells[(1, 1)].normalized_distortion != column[0]
     assert np.array_equal(derived.step_table()[0], small_lib.step_table()[0][:1])
     assert np.array_equal(derived.step_table()[1], small_lib.step_table()[1][:1])
     assert np.array_equal(derived.distortion_table(), small_lib.distortion_table()[:1, :2])
