@@ -43,30 +43,44 @@ DEFAULT_SPACING_HZ = 30e3
 _EXP_PDP_TAPS = 13
 
 
-@dataclass
+@dataclass(frozen=True)
 class TapProfile:
-    """Multipath power-delay profile; powers are normalized to sum to 1."""
+    """Multipath power-delay profile; powers are normalized to sum to 1.
+
+    The profile is frozen and keeps read-only float64 copies of its delays
+    and normalized powers. Construction raises ValueError unless they are
+    matching nonempty vectors of finite nonnegative numbers with a positive
+    total power.
+    """
 
     delays_s: np.ndarray
     powers: np.ndarray
     label: str
 
     def __post_init__(self):
-        self.delays_s = np.asarray(self.delays_s, dtype=np.float64)
-        self.powers = np.asarray(self.powers, dtype=np.float64)
-        if self.delays_s.size == 0 or self.delays_s.shape != self.powers.shape:
+        delays, powers = np.array(self.delays_s, dtype=np.float64), np.array(self.powers, dtype=np.float64)
+        if delays.size == 0 or delays.shape != powers.shape:
             raise ValueError("profile needs matching, nonempty delay and power vectors")
-        if np.any(self.delays_s < 0) or np.any(self.powers < 0):
+        if np.any(delays < 0) or np.any(powers < 0):
             raise ValueError("delays and powers must be nonnegative")
-        total = self.powers.sum()
+        if not (np.isfinite(delays).all() and np.isfinite(powers).all()):
+            raise ValueError("delays and powers must be finite")
+        total = powers.sum()
         if not total > 0:
             raise ValueError("total tap power must be positive")
-        self.powers = self.powers / total
+        for name, arr in (("delays_s", delays), ("powers", powers / total)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def rms_delay_spread_s(self) -> float:
-        mean = float(self.powers @ self.delays_s)
-        second = float(self.powers @ np.square(self.delays_s))
-        return float(np.sqrt(max(second - mean**2, 0.0)))
+        return _rms_delay_spread(self.powers, self.delays_s)
+
+
+def _rms_delay_spread(powers: np.ndarray, delays: np.ndarray) -> float:
+    """The RMS delay spread of delays under normalized powers."""
+    mean = float(powers @ delays)
+    second = float(powers @ np.square(delays))
+    return float(np.sqrt(max(second - mean**2, 0.0)))
 
 
 def exponential_pdp(rms_ns: float) -> TapProfile:
@@ -80,11 +94,9 @@ def exponential_pdp(rms_ns: float) -> TapProfile:
         raise ValueError("rms_ns must be positive")
     raw = np.linspace(0.0, 6.0 * rms_ns, _EXP_PDP_TAPS)
     powers = np.exp(-raw / rms_ns)
-    prof = TapProfile(raw * 1e-9, powers, label="")
-    actual = prof.rms_delay_spread_s()
-    prof.delays_s = prof.delays_s * (rms_ns * 1e-9 / actual)
-    prof.label = f"exp-pdp({rms_ns:g})"
-    return prof
+    delays = raw * 1e-9
+    actual = _rms_delay_spread(powers / powers.sum(), delays)
+    return TapProfile(delays * (rms_ns * 1e-9 / actual), powers, label=f"exp-pdp({rms_ns:g})")
 
 
 def load_tap_profile(path) -> TapProfile:

@@ -77,10 +77,13 @@ class QuantizerLibrary:
     """The designed grid of quantizers and its SNR-threshold table.
 
     cells maps (bit depth, epsilon index) to a ScalarQuantizer, exactly the
-    grid b = 1..b_max x every target. gamma_thresholds[s, q] is the SNR at
-    which QAM_BITS[s] hits target q. Construction checks both, the table
-    first (see _check_gamma), so every build, load and dataclasses.replace
-    does. The allocator's sorted loading is the greedy only because the
+    grid b = 1..b_max x every target, and cell (b, q) must be a b-bit
+    quantizer designed for the flips np.full(b, epsilons[q]).
+    gamma_thresholds[s, q] is the SNR at which QAM_BITS[s] hits target q.
+    Construction checks the table first (see _check_gamma), then the grid,
+    then each cell's slot, so every build, load and dataclasses.replace
+    refuses the same libraries; each cell has checked itself when it was
+    made. The allocator's sorted loading is the greedy only because the
     steps [0, gamma(QPSK), ..., gamma(256-QAM)] never shrink, which holds for
     every target below 0.34476 and fails above it. design is the
     configuration the cells were designed with. The file's format_version
@@ -88,17 +91,17 @@ class QuantizerLibrary:
     writes and load_library accepts.
 
     Construction keeps read-only copies of cells (a mapping proxy of a dict
-    copy), epsilons and gamma_thresholds, marks every cell's arrays
-    read-only, and builds two read-only tables and the audit of the first:
-    row q of the distortion table holds
-    D(1; b, eps_q) for b = 1..b_max, row q of the step table target q's
-    steps (with their increments, step_table()), and warnings is
-    _audit(distortion table), the table's anomalies (informational, not
-    failures). digest() hashes the serialized library on its first call and
-    keeps that hash. The library is frozen, so its tables, warnings and
-    digest stay true of its fields, and so does what the planner keeps per
-    step table (see allocator._LoadingRecord); dataclasses.replace derives a
-    changed library, checks its grid and builds new tables and warnings,
+    copy; each cell is frozen and its arrays read-only already), epsilons
+    and gamma_thresholds, and builds two read-only tables and the audit of
+    the first: row q of the distortion table holds D(1; b, eps_q) for
+    b = 1..b_max, row q of the step table target q's steps (with their
+    increments, step_table()), and warnings is _audit(distortion table),
+    the table's anomalies (informational, not failures). digest() hashes
+    the serialized library on its first call and keeps that hash. The
+    library is frozen, so its tables, warnings and digest stay true of its
+    fields, and so does what the planner keeps per step table (see
+    allocator._LoadingRecord); dataclasses.replace derives a changed
+    library, checks its grid and slots and builds new tables and warnings,
     without a digest.
     """
 
@@ -126,15 +129,16 @@ class QuantizerLibrary:
                 f"library cells are not the grid b = 1..{self.b_max} x {len(targets)} targets: "
                 f"missing cells {missing}, extra cells {extra}"
             )
+        for (b, qi), q in self.cells.items():
+            # a b-bit cell has b flips, so this checks the depth too
+            if not np.array_equal(q.designed_for, np.full(b, self.epsilons[qi])):
+                raise ValueError(f"cell ({b},{qi}): flips disagree with the epsilon grid")
         table = np.array([[self.cells[(b, qi)].normalized_distortion for b in depths] for qi in targets])
         steps = np.zeros((self.epsilons.size, len(modem.QAM_BITS) + 1))
         steps[:, 1:] = np.transpose(self.gamma_thresholds)
         increments = np.diff(steps, axis=1)
         for arr in (self.epsilons, self.gamma_thresholds, table, steps, increments):
             arr.setflags(write=False)
-        for q in self.cells.values():
-            for arr in (q.thresholds, q.levels, q.region_codewords, q.designed_for):
-                arr.setflags(write=False)
         for name, value in (("_table", table), ("_steps", steps), ("_increments", increments)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "warnings", _audit(table))
@@ -339,10 +343,12 @@ def save_library(lib: QuantizerLibrary, path) -> None:
 def load_library(path) -> QuantizerLibrary:
     """Read and check a library file; raises LibraryFormatError for any file it refuses.
 
-    Every cell is validated and its stored distortion checked against its
-    parameters, the grid and threshold table are checked on construction,
-    and warnings must be a list of JSON objects equal to the audit of the
-    loaded distortion table, which the library derives itself.
+    Each cell checks itself when it is made, and the threshold table, the
+    grid and each cell's slot (its depth and flips) are checked when the
+    library is made; then each cell's stored distortion is checked against
+    its parameters, and warnings must be a list of JSON objects equal to
+    the audit of the loaded distortion table, which the library derives
+    itself.
     """
     # an int would open a file descriptor (0 reads stdin)
     if not isinstance(path, (str, os.PathLike)):
@@ -388,26 +394,18 @@ def load_library(path) -> QuantizerLibrary:
                 designed_for=_unhex_array(rec["flips"]),
                 normalized_distortion=float.fromhex(rec["distortion"]),
             )
-            # validate() checks the flip vector, once: the grid's uniform
-            # vector is made of a checked target, and the distortion check
-            # below reads flips that validate() has passed
-            q.validate()
-            if not np.array_equal(q.designed_for, np.full(b, float(epsilons[rec["eps_index"]]))):
-                raise LibraryFormatError(
-                    f"cell ({b},{rec['eps_index']}): flips disagree with the epsilon grid"
-                )
             if rec["active_count"] != q.active_count:
                 raise LibraryFormatError(f"cell ({b},{rec['eps_index']}): active_count mismatch")
-            # written as `not <=` so that a NaN distortion fails too
-            if not abs(_analytic_distortion(q, q.designed_for) - q.normalized_distortion) <= 1e-10:
-                raise LibraryFormatError(
-                    f"cell ({b},{rec['eps_index']}): stored distortion disagrees with parameters"
-                )
             cells[(b, rec["eps_index"])] = q
         # refused before the audit, with a message that names the shape
         if not isinstance(doc["warnings"], list) or not all(isinstance(w, dict) for w in doc["warnings"]):
             raise LibraryFormatError("warnings must be a list of JSON objects")
         lib = QuantizerLibrary(b_max=b_max, epsilons=epsilons, cells=cells, design=design, gamma_thresholds=gamma)
+        # the slot check has passed: each cell's flips are a checked target's
+        for (b, qi), q in lib.cells.items():
+            # written as `not <=` so that a NaN distortion fails too
+            if not abs(_analytic_distortion(q, q.designed_for) - q.normalized_distortion) <= 1e-10:
+                raise LibraryFormatError(f"cell ({b},{qi}): stored distortion disagrees with parameters")
         # compared as written, so that the library re-serializes to the file's bytes
         if json.dumps(doc["warnings"], sort_keys=True) != json.dumps(lib.warnings, sort_keys=True):
             raise LibraryFormatError("warnings disagree with the audit of the distortion table")

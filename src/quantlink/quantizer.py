@@ -150,7 +150,7 @@ def bsc_corrupt(words: np.ndarray, flips, rng: np.random.Generator) -> np.ndarra
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarQuantizer:
     """A designed quantizer for the unit Gaussian source.
 
@@ -160,6 +160,14 @@ class ScalarQuantizer:
     designed_for:    per-bit flip probabilities assumed at design time
     normalized_distortion: expected squared error on the unit Gaussian under
                      designed_for (cached from the design)
+
+    The quantizer is frozen and keeps read-only copies of its arrays, so a
+    cell shared by a library, its distortion table and design_lloyd_max's
+    cache stays what it was made as. Construction raises ValueError unless
+    the levels are finite, one per codeword; there is one more region than
+    thresholds; the thresholds strictly increase; the region codewords are
+    distinct b-bit words; and designed_for is a flip vector of length
+    bit_depth (checked in that order). The distortion is not checked.
     """
 
     bit_depth: int
@@ -169,11 +177,11 @@ class ScalarQuantizer:
     designed_for: np.ndarray
     normalized_distortion: float
 
-    @property
-    def active_count(self) -> int:
-        return int(self.region_codewords.shape[0])
-
-    def validate(self) -> None:
+    def __post_init__(self):
+        for name in ("thresholds", "levels", "region_codewords", "designed_for"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         n = 1 << self.bit_depth
         if self.levels.shape != (n,) or not np.isfinite(self.levels).all():
             raise ValueError("levels must be a finite vector with one entry per codeword")
@@ -190,6 +198,10 @@ class ScalarQuantizer:
         as_bsc_vector(self.designed_for)
         if self.designed_for.shape[0] != self.bit_depth:
             raise ValueError("designed_for length must equal bit_depth")
+
+    @property
+    def active_count(self) -> int:
+        return int(self.region_codewords.shape[0])
 
 
 def _region_edges(thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -590,18 +602,17 @@ def _best_of_restarts(
     for cand in _alternate(np.array(inits), trans, cfg, trace):
         if best is None or cand[3] < best[3]:
             best = cand
-    q = ScalarQuantizer(
+    return ScalarQuantizer(
         bit_depth=bit_depth,
         thresholds=best[0],
         levels=best[2],
         region_codewords=best[1],
-        designed_for=flips.copy(),
+        designed_for=flips,
         normalized_distortion=best[3],
     )
-    q.validate()
-    return q
 
 
+# every caller gets the same frozen quantizer, whose arrays are read-only
 _LM_CACHE: dict[tuple[int, DesignConfig], ScalarQuantizer] = {}
 
 

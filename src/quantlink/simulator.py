@@ -99,7 +99,7 @@ _LINK_BER_CHUNK = 1 << 19  # symbols measure_link_ber sends per transmit call
 VAR_LO = 0.01  # smallest variance the synthetic source draws
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSourceConfig:
     """Synthetic Gaussian latent source standing in for a learned codec.
 
@@ -140,7 +140,7 @@ def sample_latents(stats: LatentStats, rng) -> np.ndarray:
     return np.clip(y, stats.means - 3.0 * std, stats.means + 3.0 * std)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialResult:
     per_element_sq_error: np.ndarray
     bits_sent: int
@@ -352,7 +352,7 @@ def _link(words, m, p, h, noise_var, rngs):
     return modem.demodulate(chan.equalize(r, p, h), m)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep definition: source, channel profile, SNR grid, trial counts."""
 
@@ -391,7 +391,7 @@ class ExperimentConfig:
         ).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentReport:
     """Aggregates for one SNR point of a sweep."""
 

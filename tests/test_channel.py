@@ -48,6 +48,31 @@ def test_profile_rejects_empty_and_negative():
         TapProfile(np.array([0.0]), np.array([-1.0]), "x")
 
 
+def test_profile_rejects_non_finite_delays_and_powers():
+    # a NaN delay used to surface only in realize_channel, as non-finite gains
+    for delays, powers in (
+        ([0.0, np.nan], [1.0, 1.0]),
+        ([0.0, np.inf], [1.0, 1.0]),
+        ([0.0, 1e-7], [1.0, np.nan]),
+        ([0.0, 1e-7], [1.0, np.inf]),
+    ):
+        with pytest.raises(ValueError, match="delays and powers must be finite"):
+            TapProfile(delays, powers, "x")
+
+
+def test_profile_is_frozen_and_keeps_read_only_copies():
+    delays, powers = np.array([0.0, 1e-7]), np.array([2.0, 6.0])
+    p = TapProfile(delays, powers, "x")
+    for f in dataclasses.fields(p):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, f.name, getattr(p, f.name))
+    for arr in (p.delays_s, p.powers):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    delays[1] = 1.0  # the caller's arrays stay its own
+    assert powers.flags.writeable and p.delays_s[1] == 1e-7
+
+
 def test_exponential_pdp_hits_requested_rms():
     for rms in (30.0, 100.0, 300.0):
         prof = exponential_pdp(rms)

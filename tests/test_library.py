@@ -175,11 +175,12 @@ def test_library_is_frozen_and_replace_rebuilds_its_tables(small_lib):
     derived = dataclasses.replace(small_lib, b_max=2, epsilons=epsilons, cells=cells, gamma_thresholds=gamma)
     # the library keeps its own copy of the cells: the caller's dict stays the caller's
     column, derived_digest = derived.distortion_column(0).copy(), derived.digest()
-    cells[(1, 0)] = small_lib.cells[(1, 1)]
+    other = dataclasses.replace(cells[(1, 0)], normalized_distortion=small_lib.cells[(1, 1)].normalized_distortion)
+    cells[(1, 0)] = other
     assert derived.cells[(1, 0)] is small_lib.cells[(1, 0)]
     assert np.array_equal(derived.distortion_column(0), column) and derived.digest() == derived_digest
     swapped = dataclasses.replace(derived, cells=cells)
-    assert swapped.distortion_column(0)[0] == small_lib.cells[(1, 1)].normalized_distortion != column[0]
+    assert swapped.distortion_column(0)[0] == other.normalized_distortion != column[0]
     assert np.array_equal(derived.step_table()[0], small_lib.step_table()[0][:1])
     assert np.array_equal(derived.step_table()[1], small_lib.step_table()[1][:1])
     assert np.array_equal(derived.distortion_table(), small_lib.distortion_table()[:1, :2])
@@ -433,7 +434,7 @@ def test_digest_is_computed_once_per_object(small_lib, monkeypatch):
 
     # a derived library starts without the cached digest
     cells = dict(lib.cells)
-    cells[(1, 0)], cells[(1, 1)] = cells[(1, 1)], cells[(1, 0)]
+    cells[(1, 0)] = dataclasses.replace(cells[(1, 0)], normalized_distortion=cells[(1, 1)].normalized_distortion)
     swapped = dataclasses.replace(lib, cells=cells)
     assert swapped.digest() == hashlib.sha256(real(swapped).encode("utf-8")).hexdigest()
     assert swapped.digest() != want
@@ -545,6 +546,18 @@ def test_library_refuses_an_incomplete_grid(tmp_path, small_lib, defect):
         load_library(_tampered(tmp_path, small_lib, edit))
 
 
+@pytest.mark.parametrize("misfit", ["two bits", "another target"])
+def test_library_refuses_a_cell_outside_its_slot(small_lib, misfit):
+    # the planner reads the slot's distortion, the trial chain the cell itself
+    wrong = small_lib.cells[(2, 0)] if misfit == "two bits" else small_lib.cells[(1, 1)]
+    cells = dict(small_lib.cells)
+    cells[(1, 0)] = wrong
+    with pytest.raises(ValueError, match=r"cell \(1,0\): flips disagree with the epsilon grid"):
+        dataclasses.replace(small_lib, cells=cells)
+    with pytest.raises(ValueError, match=r"cell \(1,0\)"):
+        QuantizerLibrary(small_lib.b_max, small_lib.epsilons, cells, small_lib.design, small_lib.gamma_thresholds)
+
+
 def test_distortion_table_is_read_only(small_lib):
     for view in (small_lib.distortion_table(), small_lib.distortion_column(0)):
         with pytest.raises(ValueError, match="read-only"):
@@ -555,7 +568,9 @@ def test_distortion_table_is_read_only(small_lib):
 def test_replace_builds_a_new_table(small_lib):
     before = small_lib.distortion_table().copy()
     cells = dict(small_lib.cells)
-    cells[(1, 0)], cells[(1, 1)] = cells[(1, 1)], cells[(1, 0)]
+    # each cell takes the other target's distortion, and stays in its slot
+    cells[(1, 0)] = dataclasses.replace(cells[(1, 0)], normalized_distortion=before[1, 0])
+    cells[(1, 1)] = dataclasses.replace(cells[(1, 1)], normalized_distortion=before[0, 0])
     swapped = dataclasses.replace(small_lib, cells=cells)
     assert swapped.distortion_table()[0, 0] == before[1, 0]
     assert swapped.distortion_table()[1, 0] == before[0, 0]
@@ -591,7 +606,13 @@ def test_step_table_is_read_only_and_holds_each_targets_steps(small_lib, default
 
 def test_step_table_follows_replace_and_load(tmp_path, small_lib):
     grid = np.array([0.02, 0.04])
-    moved = dataclasses.replace(small_lib, epsilons=grid, gamma_thresholds=_threshold_table(grid, snr_threshold))
+    # cells that fit the moved grid's slots
+    cells = {
+        (b, qi): dataclasses.replace(q, designed_for=np.full(b, grid[qi])) for (b, qi), q in small_lib.cells.items()
+    }
+    moved = dataclasses.replace(
+        small_lib, epsilons=grid, cells=cells, gamma_thresholds=_threshold_table(grid, snr_threshold)
+    )
     _assert_step_table_of(moved)
     assert not np.array_equal(moved.step_table()[1], small_lib.step_table()[1])
     path = tmp_path / "lib.json"

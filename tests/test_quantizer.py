@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 import re
 import tracemalloc
@@ -156,7 +157,7 @@ def test_noiseless_distortion_equals_per_region_second_moments():
 
 
 # ---------------------------------------------------------------------------
-# validate
+# construction checks
 # ---------------------------------------------------------------------------
 
 
@@ -199,7 +200,7 @@ def _two_bit_fields(**changed):
 )
 def test_validate_rejects_each_broken_field(field, bad, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        ScalarQuantizer(**_two_bit_fields(**{field: bad})).validate()
+        ScalarQuantizer(**_two_bit_fields(**{field: bad}))
 
 
 def test_validate_checks_in_a_fixed_order():
@@ -231,9 +232,9 @@ def test_validate_checks_in_a_fixed_order():
     fields = _two_bit_fields(**broken)
     for message, fix in zip(messages, fixes):
         with pytest.raises(ValueError, match=re.escape(message)):
-            ScalarQuantizer(**fields).validate()
+            ScalarQuantizer(**fields)
         fields.update(fix)
-    ScalarQuantizer(**fields).validate()
+    ScalarQuantizer(**fields)
 
 
 def test_validate_accepts_edge_cases():
@@ -246,7 +247,39 @@ def test_validate_accepts_edge_cases():
         {"bit_depth": 1, "levels": np.array([-1.0, 1.0]), "thresholds": np.array([0.0]),
          "region_codewords": np.array([1, 0]), "designed_for": np.array([0.5])},
     ):
-        ScalarQuantizer(**_two_bit_fields(**changed)).validate()
+        ScalarQuantizer(**_two_bit_fields(**changed))
+
+
+def test_quantizer_is_frozen_and_keeps_read_only_copies():
+    # a reassigned or edited cell would leave a library's distortion table stale
+    fields = _two_bit_fields()
+    q = ScalarQuantizer(**fields)
+    for f in dataclasses.fields(q):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(q, f.name, getattr(q, f.name))
+    for name in ("thresholds", "levels", "region_codewords", "designed_for"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(q, name)[0] = 0
+        assert fields[name].flags.writeable  # the caller's arrays stay its own
+        fields[name][0] = 7
+        assert getattr(q, name)[0] != 7
+
+
+def test_a_cached_lloyd_max_design_cannot_be_edited():
+    # the cache hands every caller one object, which seeds every later
+    # channel-optimized design at that depth and config
+    cfg = DesignConfig(restarts=3, seed=35)
+    flips = uniform_bsc(3, 0.02)
+    before = design_channel_optimized(3, flips, cfg)
+    lm = design_lloyd_max(3, cfg)
+    with pytest.raises(ValueError, match="read-only"):
+        lm.levels[0] += 0.01
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lm.levels = lm.levels + 0.01
+    assert design_lloyd_max(3, cfg) is lm
+    after = design_channel_optimized(3, flips, cfg)
+    assert after.normalized_distortion == before.normalized_distortion
+    assert np.array_equal(after.levels, before.levels)
 
 
 # ---------------------------------------------------------------------------

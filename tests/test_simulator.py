@@ -38,6 +38,18 @@ def test_source_fields_are_n_latents_and_seed():
     assert [f.name for f in dataclasses.fields(SyntheticSourceConfig)] == ["n_latents", "seed"]
 
 
+def test_sweep_configs_are_frozen():
+    # a count set after construction would skip its check: 0 trials report a NaN mean
+    cfg = ExperimentConfig(source=SyntheticSourceConfig(n_latents=4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.trials = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.source.n_latents = 0
+    assert cfg.trials == 200 and cfg.source.n_latents == 4
+    with pytest.raises(ValueError, match="trials must be an int >= 1"):
+        dataclasses.replace(cfg, trials=0)
+
+
 def test_unknown_laws_rejected():
     # one law remains, so the law selectors are no longer fields
     for key, law in (("variance_law", "log-uniform"), ("mean_law", "zero")):
@@ -155,7 +167,7 @@ def test_trial_rejects_mismatched_channel(small_lib):
 def test_trial_rejects_mismatched_library(small_lib):
     stats, ch, plan = _setup_plan(small_lib)
     cells = dict(small_lib.cells)
-    cells[(1, 0)], cells[(1, 1)] = cells[(1, 1)], cells[(1, 0)]
+    cells[(1, 0)] = dataclasses.replace(cells[(1, 0)], normalized_distortion=cells[(1, 1)].normalized_distortion)
     other = dataclasses.replace(small_lib, cells=cells)
     y = sample_latents(stats, [stream_rng("y", 3)])
     with pytest.raises(ValueError, match="library"):
