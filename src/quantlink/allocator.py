@@ -53,8 +53,9 @@ channel, the budget and the step table alone, not the source, so the rating
 keeps per channel a record of every target's prefix length and last cost
 with the inverse gains (_LoadingRecord). A later rating at that budget and
 step table, on any source, reads r_sym there and searches nothing. A
-loading takes one path: it finds its row in the kept record, or else makes
-a one-row record of its own with the same search, places the row's steps
+loading takes one path: it finds its row in the kept record (a library row,
+checked when the library was made), or else checks the row and makes a
+one-row record of its own with the same search, places the row's steps
 once (every cost below the last one taken, then the first costs equal to
 it in (subcarrier, step) order) and returns copies of what the record
 keeps.
@@ -157,17 +158,19 @@ class _SourceRating:
     made so far, and the number of bits the depths can still grow; see
     _refined_bits. Every array is read-only. key is the (library digest,
     delta) it was made for. Only a plan that completes keeps its rating, so a
-    kept rating has no infeasible target. A plain class: a dataclass costs
-    each import about 0.6 ms to generate its methods.
+    kept rating has no infeasible target; kept says whether one has, so the
+    rating is stored once. A plain class: a dataclass costs each import
+    about 0.6 ms to generate its methods.
     """
 
-    __slots__ = ("infeasible", "b_lat", "winners", "key")
+    __slots__ = ("infeasible", "b_lat", "winners", "key", "kept")
 
     def __init__(self, infeasible: int | None, b_lat: np.ndarray, key: tuple):
         self.infeasible = infeasible
         self.b_lat = b_lat
         self.winners: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
         self.key = key
+        self.kept = False
 
 
 # what the planner keeps per input object, keyed by identity (the inputs are
@@ -225,14 +228,29 @@ def allocate_power_modulation(
     (modulations, powers, bits/symbol).
 
     The loading is a row of a _LoadingRecord: of the channel's kept record
-    when _rate_targets has rated the channel at this budget and the row is
-    in its step table, else of a one-row record made for this call alone
-    and not kept. The row is placed once per record, and the call returns
-    copies of the placed arrays, so they are always the caller's own and
-    every path gives the same bytes.
+    when _rate_targets has rated the channel at this budget and gamma_steps
+    is a float64 array equal to a row of its step table, else of a one-row
+    record made for this call alone and not kept. A row of the kept record
+    came from a library's step table, which passed these checks when the
+    library was made, so only a row the kept record lacks is checked here.
+    The row is placed once per record, and the call returns copies of the
+    placed arrays, so they are always the caller's own and every path gives
+    the same bytes.
     """
     if not p_tot > 0:
         raise ValueError("p_tot must be positive")
+    record = _LOADINGS.get(channel)
+    q = None if record is None else record.row(p_tot, gamma_steps)
+    if q is None:  # a one-row record of this call's own, not kept
+        record, q = _LoadingRecord(channel, p_tot, *_checked_steps(gamma_steps)), 0
+    if q not in record.placed:
+        record.place(q)
+    modulations, powers, bits = record.placed[q]
+    return modulations.copy(), powers.copy(), bits
+
+
+def _checked_steps(gamma_steps) -> tuple[np.ndarray, np.ndarray]:
+    """One step row as a (1, 5) table and its (1, 4) increments; ValueError unless a library could hold it."""
     gamma_steps = np.asarray(gamma_steps, dtype=np.float64)
     if gamma_steps.shape != (len(QAM_BITS) + 1,) or gamma_steps[0] != 0.0:
         raise ValueError("gamma_steps must be [0, gamma(QPSK), ..., gamma(256-QAM)]")
@@ -242,21 +260,15 @@ def allocate_power_modulation(
         raise ValueError("gamma_steps must be strictly increasing")
     if not all(b - a >= 0 for a, b in zip(increments, increments[1:])):
         raise ValueError("gamma_steps increments must never shrink")
-    record = _LOADINGS.get(channel)
-    q = None if record is None else record.row(p_tot, g)
-    if q is None:  # a one-row record of this call's own, not kept
-        record, q = _LoadingRecord(channel, p_tot, [g], np.array([increments])), 0
-    if q not in record.placed:
-        record.place(q, gamma_steps, increments)
-    modulations, powers, bits = record.placed[q]
-    return modulations.copy(), powers.copy(), bits
+    return gamma_steps[None, :], np.array([increments])
 
 
 class _LoadingRecord:
     """The loading's prefix search on one channel at one budget, and the loadings placed from it.
 
-    p_tot is the budget and rows the step rows searched, as lists; the
-    constructor takes their increments, one row each. It computes the
+    p_tot is the budget, steps the (rows, 5) step table searched and
+    increments its (rows, 4) increments, both read-only; index maps each
+    row, as a tuple, to its first index. The constructor computes the
     inverse gains, unsorted and sorted (inv_gain, ascending), and each row's
     prefix: taken[q] and kth[q] are how many of row q's sorted costs fit the
     budget and the last one of them (see _prefixes). placed[q] is row q's
@@ -264,39 +276,50 @@ class _LoadingRecord:
     Every array is read-only.
 
     _rate_targets keeps the record of the library's step table per channel:
-    a rating at this p_tot and these rows, on any source or library, reads
-    r_sym = 2 * taken here, and a rating at another budget or step table
-    replaces the record. allocate_power_modulation places a row of the kept
-    record once, or of a one-row record of its own at any other budget or
-    step row.
+    a rating at this p_tot and this step table (the same array, or equal
+    rows), on any source or library, reads r_sym = 2 * taken here, and a
+    rating at another budget or step table replaces the record.
+    allocate_power_modulation places a row of the kept record once, or of a
+    one-row record of its own at any other budget or step row.
     """
 
-    __slots__ = ("p_tot", "rows", "inv_gain", "ascending", "taken", "kth", "placed")
+    __slots__ = ("p_tot", "steps", "increments", "index", "inv_gain", "ascending", "taken", "kth", "placed")
 
-    def __init__(self, channel: ChannelRealization, p_tot: float, rows: list, increments: np.ndarray):
-        self.p_tot, self.rows = p_tot, rows
+    def __init__(self, channel: ChannelRealization, p_tot: float, steps: np.ndarray, increments: np.ndarray):
+        # keep no array that can change; a library's tables are read-only already
+        steps, increments = (a.copy() if a.flags.writeable else a for a in (steps, increments))
+        self.p_tot, self.steps, self.increments = p_tot, steps, increments
+        self.index: dict[tuple, int] = {}
+        for q, row in enumerate(steps.tolist()):
+            self.index.setdefault(tuple(row), q)
         self.inv_gain = _inverse_gains(channel)
         self.ascending = np.sort(self.inv_gain)
         self.taken, self.kth = _prefixes(increments, self.ascending, p_tot)
         self.placed: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-        for arr in (self.inv_gain, self.ascending, self.taken, self.kth):
+        for arr in (self.steps, self.increments, self.inv_gain, self.ascending, self.taken, self.kth):
             arr.setflags(write=False)
 
-    def row(self, p_tot: float, g: list) -> int | None:
-        """The index of the step row g (a list) if this record rated it at p_tot, else None."""
-        return self.rows.index(g) if self.p_tot == p_tot and g in self.rows else None
+    def rated(self, p_tot: float, steps: np.ndarray) -> bool:
+        """Whether this record searched the step table `steps` at p_tot: the same array, or equal rows."""
+        return self.p_tot == p_tot and (self.steps is steps or np.array_equal(self.steps, steps))
 
-    def place(self, q: int, gamma_steps: np.ndarray, increments: list) -> None:
+    def row(self, p_tot: float, gamma_steps) -> int | None:
+        """The index of gamma_steps, a float64 (5,) array, if this record rated it at p_tot, else None."""
+        row = isinstance(gamma_steps, np.ndarray) and gamma_steps.dtype == np.float64
+        row = row and gamma_steps.shape == (len(QAM_BITS) + 1,) and self.p_tot == p_tot
+        return self.index.get(tuple(gamma_steps.tolist())) if row else None
+
+    def place(self, q: int) -> None:
         """Place row q's steps from its prefix and keep the loading, read-only, in placed[q].
 
-        gamma_steps and increments are row q's steps and their increments.
         The loading grants every cost below kth[q], then the first costs
         equal to it in (subcarrier, step) order.
         """
         inv_gain, ascending, taken, kth = self.inv_gain, self.ascending, self.taken[q], self.kth[q]
+        gamma_steps, increments = self.steps[q], self.increments[q]
         steps = np.zeros(inv_gain.size, dtype=np.int64)
         if taken:
-            runs = np.array(increments)[:, None] * ascending  # run s: step s of each subcarrier, sorted
+            runs = increments[:, None] * ascending  # run s: step s of each subcarrier, sorted
             # step s costs <= kth on the first ends[s] subcarriers of `ascending`,
             # so where inv_gain < ascending[ends[s]] (inf past the end)
             ends = [run.searchsorted(kth, "right") for run in runs]
@@ -412,9 +435,14 @@ def select_ber_target(b_lat, r_sym) -> tuple[int, int]:
 
 
 def _counts(name: str, values) -> list:
-    """values as a list of ints >= 0 (not bools), else ValueError."""
-    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    if not all(is_int(v) and v >= 0 for v in values):
+    """values, a nonempty sequence, as a list of ints >= 0 (not bools), else ValueError."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        values = values.tolist()  # Python ints, so only the sign is left to check
+        counts = min(values) >= 0
+    else:
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        counts = all(is_int(v) and v >= 0 for v in values)
+    if not counts:
         raise ValueError(f"{name} must hold only ints >= 0, got {values!r}")
     return values
 
@@ -615,7 +643,8 @@ def optimize_plan(
         bits, dummy = _refined_bits(lib, stats, rating, eps_index, t_sym * r_sym)
 
     digests = {"library": lib.digest(), "stats": stats.digest(), "channel_seed": channel.seed}
-    _RATINGS[stats] = rating
+    if not rating.kept:  # the plan completes: keep the rating it made
+        _RATINGS[stats], rating.kept = rating, True
     return AllocationPlan(
         eps_index=eps_index,
         epsilon_star=float(lib.epsilons[eps_index]),
@@ -680,7 +709,8 @@ def _rate_targets(
     step table row q. The rating is the one kept for the stats when it was
     made for this library and delta, else a new one (_rate_source). r_sym
     is read from the channel's _LoadingRecord when that was made at this
-    p_tot for the same step table rows, whatever the source; else it is
+    p_tot for the same step table (the library's own array, or equal rows),
+    whatever the source; else it is
     computed and a new record of the loading's prefix of every target is
     kept for the channel, which the winner's allocate_power_modulation reads
     in place of its own. r_sym is always a new array.
@@ -700,10 +730,9 @@ def _rate_targets(
         raise ValueError("p_tot must be positive")
 
     steps, increments = lib.step_table()
-    rows = steps.tolist()
     kept = _LOADINGS.get(channel)
-    if kept is None or kept.p_tot != p_tot or kept.rows != rows:
-        kept = _LOADINGS[channel] = _LoadingRecord(channel, p_tot, rows, increments)
+    if kept is None or not kept.rated(p_tot, steps):
+        kept = _LOADINGS[channel] = _LoadingRecord(channel, p_tot, steps, increments)
     return rating, 2 * kept.taken  # each step adds 2 bits
 
 

@@ -49,8 +49,8 @@ class TapProfile:
 
     The profile is frozen and keeps read-only float64 copies of its delays
     and normalized powers. Construction raises ValueError unless they are
-    matching nonempty vectors of finite nonnegative numbers with a positive
-    total power.
+    matching nonempty vectors of finite nonnegative numbers with a positive,
+    finite total power.
     """
 
     delays_s: np.ndarray
@@ -65,9 +65,12 @@ class TapProfile:
             raise ValueError("delays and powers must be nonnegative")
         if not (np.isfinite(delays).all() and np.isfinite(powers).all()):
             raise ValueError("delays and powers must be finite")
-        total = powers.sum()
+        with np.errstate(over="ignore"):
+            total = powers.sum()
         if not total > 0:
             raise ValueError("total tap power must be positive")
+        if not np.isfinite(total):  # the normalized powers would all be 0
+            raise ValueError("total tap power overflows")
         for name, arr in (("delays_s", delays), ("powers", powers / total)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -166,8 +166,9 @@ class ScalarQuantizer:
     cache stays what it was made as. Construction raises ValueError unless
     the levels are finite, one per codeword; there is one more region than
     thresholds; the thresholds strictly increase; the region codewords are
-    distinct b-bit words; and designed_for is a flip vector of length
-    bit_depth (checked in that order). The distortion is not checked.
+    an int array of distinct b-bit words; and designed_for is a flip vector
+    of length bit_depth (checked in that order). The distortion is not
+    checked.
     """
 
     bit_depth: int
@@ -190,6 +191,8 @@ class ScalarQuantizer:
             raise ValueError("need exactly one more region than thresholds")
         if not (t[..., 1:] > t[..., :-1]).all():
             raise ValueError("thresholds must be strictly increasing")
+        if cw.dtype.kind not in "iu":  # quantize would send float codewords
+            raise ValueError(f"region codewords must be ints, got array kind {cw.dtype.kind!r}")
         s = np.sort(cw)
         if (s[1:] == s[:-1]).any():
             raise ValueError("region codewords must be distinct")

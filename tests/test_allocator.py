@@ -305,6 +305,37 @@ def test_loading_reads_gamma_steps_as_one_vector(small_lib):
             allocate_power_modulation(ch, 50.0, bad)
 
 
+def test_loading_on_a_rated_channel_refuses_what_an_unrated_one_does(small_lib):
+    # a row of the kept record skips the row checks; any other input is checked
+    stats, ch, p_tot = _random_setup(small_lib, stream_rng("rated-refusals", 0), snr_db=15.0)
+    optimize_plan(small_lib, stats, ch, p_tot)
+    assert allocator._LOADINGS[ch].p_tot == p_tot
+    g = _gamma_steps(small_lib, 1)
+    shrinking = np.array([0.0, g[1], 1.5 * g[1], g[3], g[4]])  # a second step half the first
+    bad_rows = [
+        ("never shrink", shrinking),
+        ("strictly increasing", np.array([0.0, g[1], g[1], g[3], g[4]])),
+        ("strictly increasing", g[::-1] - g[-1]),
+        (re.escape("gamma_steps must be [0, gamma(QPSK)"), g[:4]),
+        (re.escape("gamma_steps must be [0, gamma(QPSK)"), g[None, :]),
+        (re.escape("gamma_steps must be [0, gamma(QPSK)"), np.append(g, 2 * g[-1])),
+        (re.escape("gamma_steps must be [0, gamma(QPSK)"), g + 1.0),
+    ]
+    for unrated in (False, True):
+        on = dataclasses.replace(ch) if unrated else ch
+        for message, bad in bad_rows:
+            for row in (bad, bad.tolist()):
+                with pytest.raises(ValueError, match=message):
+                    allocate_power_modulation(on, p_tot, row)
+        for budget in (np.nan, 0.0, -p_tot):
+            with pytest.raises(ValueError, match="p_tot must be positive"):
+                allocate_power_modulation(on, budget, g)
+    # a library row as a list or another dtype is checked and loads as the row does
+    want = allocate_power_modulation(dataclasses.replace(ch), p_tot, g)
+    for row in (g, g.tolist(), g.astype(np.longdouble), tuple(g)):
+        _assert_same_loading(allocate_power_modulation(ch, p_tot, row), want)
+
+
 def test_loading_grants_the_first_ties_at_the_last_cost_taken():
     # six costs of 1 and a budget for two: the greedy raises subcarrier 0
     # twice, as ties go to the lower subcarrier, then to the lower step
@@ -540,6 +571,26 @@ def test_rating_counts_what_the_loading_grants(rows, mags, noise_var, data):
     _assert_rating_loads_every_target(lib, ch, budget)
 
 
+def test_rating_reads_the_record_of_an_equal_step_table_and_not_of_a_changed_one(small_lib):
+    stats, ch, p_tot = _random_setup(small_lib, stream_rng("equal-steps", 0), snr_db=15.0)
+    r_sym = allocator._rate_targets(small_lib, stats, ch, p_tot, 0.4)[1]
+    # a derived library has its own step table array, with equal rows
+    twin = dataclasses.replace(small_lib)
+    assert twin.step_table()[0] is not small_lib.step_table()[0]
+    with _prefix_calls() as computed:
+        assert allocator._rate_targets(twin, stats, ch, p_tot, 0.4)[1].tolist() == r_sym.tolist()
+    assert computed == []
+    # the record keeps a copy of a writable table, so an edit to it is a new table
+    lib, stats = _stub_library(small_lib.step_table()[1]), LatentStats(np.zeros(1), np.ones(1))
+    ch = dataclasses.replace(ch)
+    allocator._rate_targets(lib, stats, ch, p_tot, 0.4)
+    lib.step_table()[0][:, 1:] *= 2.0
+    with _prefix_calls() as computed:
+        got = allocator._rate_targets(lib, stats, ch, p_tot, 0.4)[1]
+    assert len(computed) == 1
+    assert got.tolist() == allocator._rate_targets(lib, stats, dataclasses.replace(ch), p_tot, 0.4)[1].tolist()
+
+
 def test_rating_redoes_a_row_whose_prefix_fills_the_loosest_targets_width(monkeypatch):
     # the last target costs the most, so the first one's prefix runs past the
     # last one's and its row is sorted and summed again in full
@@ -689,6 +740,32 @@ def test_select_takes_int_arrays_and_lists_alike():
     for b_lat, r_sym in (([], []), ([1, 2], [1]), (5, 2), ([[2, 3]], [[2, 2]])):
         with pytest.raises(ValueError, match="one \\(b_lat, r_sym\\) pair per target"):
             select_ber_target(b_lat, r_sym)
+
+
+@pytest.mark.parametrize(
+    "b_lat, r_sym",
+    [
+        (np.array([True, True]), np.array([2, 2])),
+        (np.array([2, 3]), np.array([True, False])),
+        (np.array([2.0, 3.0]), np.array([2, 2])),
+        (np.array([2, 3]), np.array([2.0, 2.0])),
+        (np.array([2, "3"], dtype=object), np.array([2, 2])),
+        (np.array([2, 3]), np.array([2, 2.5], dtype=object)),
+        (np.array([-1, 4]), np.array([2, 2])),
+        (np.array([2, 3], dtype=np.int8), np.array([2, -2], dtype=np.int8)),
+    ],
+)
+def test_select_refuses_bool_float_object_and_negative_int_arrays(b_lat, r_sym):
+    # an int array is checked by its dtype and one minimum, any other array entry by entry
+    with pytest.raises(ValueError, match="must hold only ints >= 0"):
+        select_ber_target(b_lat, r_sym)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
+def test_select_takes_int_and_uint_arrays_of_any_width(dtype):
+    b_lat, r_sym = np.array([100, 120, 90], dtype=dtype), np.array([40, 60, 0], dtype=dtype)
+    assert select_ber_target(b_lat, r_sym) == select_ber_target([100, 120, 90], [40, 60, 0]) == (1, 2)
+    assert select_ber_target(np.zeros(2, dtype=dtype), np.zeros(2, dtype=dtype)) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,14 @@ def test_profile_rejects_non_finite_delays_and_powers():
             TapProfile(delays, powers, "x")
 
 
+def test_profile_rejects_powers_whose_total_overflows():
+    # the total used to overflow to inf and normalize every power to 0
+    with pytest.raises(ValueError, match="total tap power overflows"):
+        TapProfile([0.0, 1e-7], [1e308, 1e308], "x")
+    p = TapProfile([0.0, 1e-7], [1e307, 3e307], "x")
+    assert p.powers.tolist() == [0.25, 0.75]
+
+
 def test_profile_is_frozen_and_keeps_read_only_copies():
     delays, powers = np.array([0.0, 1e-7]), np.array([2.0, 6.0])
     p = TapProfile(delays, powers, "x")

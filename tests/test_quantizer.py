@@ -203,6 +203,16 @@ def test_validate_rejects_each_broken_field(field, bad, message):
         ScalarQuantizer(**_two_bit_fields(**{field: bad}))
 
 
+def test_validate_refuses_region_codewords_that_are_not_ints():
+    # float codewords used to pass, and quantize then sent float words
+    codewords = np.array([0.0, 1.0, 3.0, 2.0])
+    with pytest.raises(ValueError, match="region codewords must be ints"):
+        ScalarQuantizer(**_two_bit_fields(region_codewords=codewords))
+    for ints in (codewords.astype(np.int32), codewords.astype(np.uint8)):
+        q = ScalarQuantizer(**_two_bit_fields(region_codewords=ints))
+        assert q.region_codewords.dtype == ints.dtype
+
+
 def test_validate_checks_in_a_fixed_order():
     # every field broken: fixing them one at a time moves to the next message
     broken = dict(
