@@ -54,11 +54,11 @@ keeps per channel a record of every target's prefix length and last cost
 with the inverse gains (_LoadingRecord). A later rating at that budget and
 step table, on any source, reads r_sym there and searches nothing. A
 loading takes one path: it finds its row in the kept record (a library row,
-checked when the library was made), or else checks the row and makes a
-one-row record of its own with the same search, places the row's steps
-once (every cost below the last one taken, then the first costs equal to
-it in (subcarrier, step) order) and returns copies of what the record
-keeps.
+checked when the library was made), or else checks the row with the
+library's own test (gamma_increments_convex) and makes a one-row record of
+its own with the same search. It places the row once, as the prefix's count
+of smallest (subcarrier, step) costs, ties in that order (_smallest), and
+returns copies of what the record keeps.
 
 Where each bit goes is not stored in a plan: build_bit_mapping derives the
 placement from modulations and t_sym, for the digest and the frame layout
@@ -78,7 +78,7 @@ import numpy as np
 from ._checks import check_int, check_nonnegative_finite, is_int
 from ._version import __version__
 from .channel import ChannelRealization
-from .library import DEFAULT_DELTA, QuantizerLibrary
+from .library import DEFAULT_DELTA, QuantizerLibrary, gamma_increments_convex
 from .modem import QAM_BITS
 from .rng import stream_seed
 
@@ -232,10 +232,11 @@ def allocate_power_modulation(
     is a float64 array equal to a row of its step table, else of a one-row
     record made for this call alone and not kept. A row of the kept record
     came from a library's step table, which passed these checks when the
-    library was made, so only a row the kept record lacks is checked here.
-    The row is placed once per record, and the call returns copies of the
-    placed arrays, so they are always the caller's own and every path gives
-    the same bytes.
+    library was made, so only a row the kept record lacks is checked here,
+    by the library's test of its steps (gamma_increments_convex). Either
+    record places the row once, by the one tie-ordered selection
+    (_LoadingRecord.place), and the call returns copies of the placed
+    arrays, so they are always the caller's own.
     """
     if not p_tot > 0:
         raise ValueError("p_tot must be positive")
@@ -254,13 +255,13 @@ def _checked_steps(gamma_steps) -> tuple[np.ndarray, np.ndarray]:
     gamma_steps = np.asarray(gamma_steps, dtype=np.float64)
     if gamma_steps.shape != (len(QAM_BITS) + 1,) or gamma_steps[0] != 0.0:
         raise ValueError("gamma_steps must be [0, gamma(QPSK), ..., gamma(256-QAM)]")
-    g = gamma_steps.tolist()
-    increments = [b - a for a, b in zip(g, g[1:])]  # np.diff's and gamma_increments_convex's floats
-    if not all(d > 0 for d in increments):
-        raise ValueError("gamma_steps must be strictly increasing")
-    if not all(b - a >= 0 for a, b in zip(increments, increments[1:])):
-        raise ValueError("gamma_steps increments must never shrink")
-    return gamma_steps[None, :], np.array([increments])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, which fails both tests
+        increments = np.diff(gamma_steps)
+        if not np.all(increments > 0):
+            raise ValueError("gamma_steps must be strictly increasing")
+        if not gamma_increments_convex(gamma_steps):
+            raise ValueError("gamma_steps increments must never shrink")
+    return gamma_steps[None, :], increments[None, :]
 
 
 class _LoadingRecord:
@@ -269,11 +270,10 @@ class _LoadingRecord:
     p_tot is the budget, steps the (rows, 5) step table searched and
     increments its (rows, 4) increments, both read-only; index maps each
     row, as a tuple, to its first index. The constructor computes the
-    inverse gains, unsorted and sorted (inv_gain, ascending), and each row's
-    prefix: taken[q] and kth[q] are how many of row q's sorted costs fit the
-    budget and the last one of them (see _prefixes). placed[q] is row q's
-    loading (modulations, powers, bits/symbol) once place() has placed it.
-    Every array is read-only.
+    inverse gains (inv_gain) and each row's prefix: taken[q] and kth[q] are
+    how many of row q's sorted costs fit the budget and the last one of them
+    (see _prefixes). placed[q] is row q's loading (modulations, powers,
+    bits/symbol) once place() has placed it. Every array is read-only.
 
     _rate_targets keeps the record of the library's step table per channel:
     a rating at this p_tot and this step table (the same array, or equal
@@ -283,7 +283,7 @@ class _LoadingRecord:
     one-row record of its own at any other budget or step row.
     """
 
-    __slots__ = ("p_tot", "steps", "increments", "index", "inv_gain", "ascending", "taken", "kth", "placed")
+    __slots__ = ("p_tot", "steps", "increments", "index", "inv_gain", "taken", "kth", "placed")
 
     def __init__(self, channel: ChannelRealization, p_tot: float, steps: np.ndarray, increments: np.ndarray):
         # keep no array that can change; a library's tables are read-only already
@@ -293,10 +293,9 @@ class _LoadingRecord:
         for q, row in enumerate(steps.tolist()):
             self.index.setdefault(tuple(row), q)
         self.inv_gain = _inverse_gains(channel)
-        self.ascending = np.sort(self.inv_gain)
-        self.taken, self.kth = _prefixes(increments, self.ascending, p_tot)
+        self.taken, self.kth = _prefixes(increments, np.sort(self.inv_gain), p_tot)
         self.placed: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-        for arr in (self.steps, self.increments, self.inv_gain, self.ascending, self.taken, self.kth):
+        for arr in (self.steps, self.increments, self.inv_gain, self.taken, self.kth):
             arr.setflags(write=False)
 
     def rated(self, p_tot: float, steps: np.ndarray) -> bool:
@@ -312,26 +311,16 @@ class _LoadingRecord:
     def place(self, q: int) -> None:
         """Place row q's steps from its prefix and keep the loading, read-only, in placed[q].
 
-        The loading grants every cost below kth[q], then the first costs
-        equal to it in (subcarrier, step) order.
+        The loading grants the taken[q] smallest of the (subcarrier, step)
+        costs, ties in that order: every cost below kth[q], then the first
+        costs equal to it (_smallest).
         """
-        inv_gain, ascending, taken, kth = self.inv_gain, self.ascending, self.taken[q], self.kth[q]
-        gamma_steps, increments = self.steps[q], self.increments[q]
-        steps = np.zeros(inv_gain.size, dtype=np.int64)
-        if taken:
-            runs = increments[:, None] * ascending  # run s: step s of each subcarrier, sorted
-            # step s costs <= kth on the first ends[s] subcarriers of `ascending`,
-            # so where inv_gain < ascending[ends[s]] (inf past the end)
-            ends = [run.searchsorted(kth, "right") for run in runs]
-            if sum(ends) == taken:  # no cost equal to kth is left out
-                bound = np.append(ascending, np.inf)[ends[::-1]]
-                steps = len(ends) - bound.searchsorted(inv_gain, "right")
-            else:  # the first ties at kth in (subcarrier, step) order
-                cost = (inv_gain[:, None] * increments).ravel()
-                steps = np.bincount(_smallest(cost, taken, kth) // len(ends), minlength=inv_gain.size)
+        inv_gain, increments = self.inv_gain, self.increments[q]
+        cost = (inv_gain[:, None] * increments).ravel()  # subcarrier-major, the greedy's tie order
+        steps = np.bincount(_smallest(cost, self.taken[q], self.kth[q]) // increments.size, minlength=inv_gain.size)
         modulations = steps * 2
         # silent subcarriers carry zero power even when their gain is exactly zero
-        powers = np.multiply(gamma_steps[steps], inv_gain, out=np.zeros(inv_gain.size), where=steps > 0)
+        powers = np.multiply(self.steps[q][steps], inv_gain, out=np.zeros(inv_gain.size), where=steps > 0)
         modulations.setflags(write=False)
         powers.setflags(write=False)
         self.placed[q] = (modulations, powers, int(modulations.sum()))
@@ -359,21 +348,21 @@ def _prefixes(increments: np.ndarray, ascending: np.ndarray, p_tot: float) -> tu
     longest prefix: it is sorted and summed in full, and every other row only
     one cost past that prefix. A row whose prefix fills that width (one that
     ends inside it is exact) is sorted and summed again in full. A single
-    row, as the loading passes it, is sorted and summed once.
+    row, as the loading passes it, takes the same steps: it is sorted and
+    summed once, and the other rows' partition and sort find none.
     """
     cost = (increments[:, :, None] * ascending).reshape(increments.shape[0], -1)
     cost[-1].sort()
     taken = np.full(cost.shape[0], _affordable(cost[-1], p_tot))
     width = min(int(taken[-1]) + 1, cost.shape[1])
-    if cost.shape[0] > 1:
-        cost[:-1].partition(width - 1, axis=1)
-        head = cost[:-1, :width]  # the width smallest costs of every other row
-        head.sort(axis=1)
-        taken[:-1] = _affordable(head, p_tot)
-        if width < cost.shape[1]:
-            for q in np.flatnonzero(taken == width):
-                cost[q].sort()
-                taken[q] = _affordable(cost[q], p_tot)
+    cost[:-1].partition(width - 1, axis=1)
+    head = cost[:-1, :width]  # the width smallest costs of every other row
+    head.sort(axis=1)
+    taken[:-1] = _affordable(head, p_tot)
+    if width < cost.shape[1]:
+        for q in np.flatnonzero(taken == width):
+            cost[q].sort()
+            taken[q] = _affordable(cost[q], p_tot)
     return taken, cost[np.arange(taken.size), np.maximum(taken, 1) - 1]
 
 

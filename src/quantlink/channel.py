@@ -18,6 +18,7 @@ import importlib.resources
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,10 +92,16 @@ def exponential_pdp(rms_ns: float) -> TapProfile:
 
     _EXP_PDP_TAPS taps sit on a uniform grid spanning six decay constants;
     delays are then rescaled so the discrete RMS delay spread equals rms_ns
-    exactly.
+    exactly. The spread is taken from the squared delays, so an rms_ns whose
+    nonzero delays do not all square to normal floats (one outside about
+    3e-145 .. 2e162, inf included) raises ValueError: their squares would
+    overflow or lose their precision.
     """
     if not rms_ns > 0:
         raise ValueError("rms_ns must be positive")
+    first, last = 0.5e-9 * rms_ns, 6e-9 * rms_ns  # the smallest and largest nonzero delays, in s
+    if not (first * first >= sys.float_info.min and last * last < math.inf):
+        raise ValueError(f"rms_ns {rms_ns!r} is out of range: the squares of its tap delays must be normal floats")
     raw = np.linspace(0.0, 6.0 * rms_ns, _EXP_PDP_TAPS)
     powers = np.exp(-raw / rms_ns)
     delays = raw * 1e-9

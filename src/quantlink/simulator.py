@@ -378,7 +378,7 @@ class ExperimentConfig:
             raise ValueError(f"profile_ref must be a string, got {self.profile_ref!r}")
         for name in ("spacing_hz", "delta"):
             check_positive_finite(name, getattr(self, name))
-        finite = [is_finite(s) for s in self.snr_db]
+        finite = [is_finite(s) for s in self.snr_db] if np.iterable(self.snr_db) else []  # a scalar is refused too
         if not finite or not all(finite):
             raise ValueError(f"snr_db must be a nonempty list of finite numbers, got {self.snr_db!r}")
         # an SNR whose budget overflows or underflows would fail mid-sweep

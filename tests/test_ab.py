@@ -1,9 +1,13 @@
 import functools
 import importlib.util
+import json
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from quantlink import cli, simulator
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "ab.py"
@@ -51,6 +55,43 @@ def test_sweep_runs_this_checkout_as_both_sides(capsys):
     assert all(line.endswith(" s") for line in out[:4])
     assert out[4].startswith("change faster in ") and out[4].endswith("/1 rounds")
     assert out[5] == "sweep bytes the same on both sides in every round"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {},  # the README's block, every value a default
+        {  # every value off its default, so a key the tool dropped or misread shows
+            "source": {"n_latents": 16, "seed": 2},
+            "profile": "tdl-c",
+            "snr_db": [7.0],
+            "trials": 3,
+            "frames_per_realization": 2,
+            "n_sc": 64,
+            "spacing_hz": 15000.0,
+            "delta": 0.3,
+            "seed": 5,
+        },
+    ],
+)
+def test_sweep_builds_the_config_that_simulate_builds(edit, tmp_path, monkeypatch, capsys):
+    # the tool maps the README's `simulate` config itself (`profile` sets
+    # profile_ref, `library` and `source` are read apart), so check it against the CLI's
+    ab = _tool()
+    doc = {**ab.readme_config(ROOT), **edit}
+    readme = f"`simulate` expects a JSON config:\n\n```json\n{json.dumps(doc, indent=2)}\n```\n"
+    (tmp_path / "README.md").write_text(readme, encoding="utf-8")
+    args = SimpleNamespace(change=tmp_path, trials=doc["trials"])
+    side = ab.sweep_side({"simulator": simulator}, SimpleNamespace(load_fixture=lambda ql: None), args)
+
+    seen = []
+    monkeypatch.setattr(cli.sim, "run_experiment", lambda cfg, lib, keep_trials: seen.append(cfg) or [])
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**doc, "library": str(ROOT / "benchmarks" / "default_library.json")}))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
+    (cfg,) = seen
+    assert side["cfg"].digest() == cfg.digest()
+    assert side["cfg"].profile_ref == doc["profile"]
 
 
 def test_sweep_exits_1_when_the_reports_differ(tmp_path, capsys):

@@ -421,6 +421,32 @@ def test_sorted_loading_equals_greedy_loop_on_library_rows(small_lib):
         _assert_same_loading(allocate_power_modulation(ch, p_tot, g), _looped_loading(ch, p_tot, g))
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([np.nan, 1.0, 2.0, 3.0, 4.0], "must be \\[0, gamma"),
+        ([-np.inf, 1.0, 2.0, 3.0, 4.0], "must be \\[0, gamma"),
+        ([0.0, np.nan, 2.0, 3.0, 4.0], "strictly increasing"),
+        ([0.0, 1.0, 2.0, 3.0, np.nan], "strictly increasing"),
+        ([0.0, 1.0, np.inf, np.inf, np.inf], "strictly increasing"),  # inf - inf is NaN
+        ([0.0, -1e308, 1e308, 1.5e308, 1.7e308], "strictly increasing"),  # an increment overflows
+        ([0.0, 1.0, 3.0, 4.0, np.inf], "never shrink"),
+        ([0.0, 1e308, 1.5e308, 1.7e308, 1.75e308], "never shrink"),
+        ([0.0, 1.0, 2.0, 3.0, np.inf], None),  # an infinite last step is never taken
+    ],
+)
+def test_loading_checks_nan_and_inf_steps_in_order_and_silently(row, message):
+    ch = ChannelRealization(np.array([1.0 + 0j, 0.5 + 0j, 0j]), 1.0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            modulations, powers, r = allocate_power_modulation(ch, 1e6, np.array(row))
+            assert modulations.tolist() == [6, 6, 0] and r == 12 and np.isfinite(powers).all()
+        else:
+            with pytest.raises(ValueError, match=message):
+                allocate_power_modulation(ch, 1e6, np.array(row))
+
+
 def test_loading_rejects_shrinking_increments():
     # increments (1, 0.5, 1.5, 3): the sorted prefix would grant both cheap
     # second steps where the greedy must first buy a first step, so such a

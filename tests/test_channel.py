@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import importlib
 import json
+import math
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +88,21 @@ def test_exponential_pdp_hits_requested_rms():
     for rms in (30.0, 100.0, 300.0):
         prof = exponential_pdp(rms)
         assert prof.rms_delay_spread_s() == pytest.approx(rms * 1e-9, rel=1e-12)
+
+
+def test_exponential_pdp_refuses_an_rms_it_cannot_scale():
+    # these used to end in an OverflowError, a ZeroDivisionError or numpy
+    # warnings, or, at 1e-150, in a spread 3.6e-6 off the one asked for
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rms in (1e-320, 1e-160, 1e-150, 1e200, 1e300, 1e308, math.inf):
+            with pytest.raises(ValueError, match="rms_ns .* is out of range"):
+                exponential_pdp(rms)
+        for rms in (3e-145, 2e162):  # the ends of the range still hit the spread
+            assert exponential_pdp(rms).rms_delay_spread_s() == pytest.approx(rms * 1e-9, rel=1e-12)
+    prof = exponential_pdp(300.0)  # the same bytes as before the range check
+    digest = hashlib.sha256(prof.delays_s.tobytes() + prof.powers.tobytes()).hexdigest()
+    assert digest == "2999c359b9748273efe0ebb4c1a1927251397d9ce401ceadfe855fb2db48115d"
 
 
 def test_tdl_c_profile_loads_and_scales():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,12 @@ def test_allocate_rejects_zero_latents(no_library_load, capsys):
         ({"taps": [{"delay_ns": 0}]}, "tap 0 needs a finite number 'power_db', got None"),
         ({"taps": [{"delay_ns": 0, "power_db": 0}, 1]}, "tap 1 is not an object, got 1"),
         ({"taps": [{"delay_ns": "0", "power_db": 0}]}, "tap 0 needs a finite number 'delay_ns', got '0'"),
+        # an RMS whose delays' squares overflow or underflow used to end in an
+        # OverflowError or ZeroDivisionError traceback with exit 1 (a failed
+        # check), or in numpy warnings before the profile's own error
+        ("exp-pdp(1e300)", "rms_ns 1e+300 is out of range"),
+        ("exp-pdp(1e-320)", "rms_ns 1e-320 is out of range"),
+        ("exp-pdp(1e400)", "rms_ns inf is out of range"),
     ],
 )
 def test_allocate_rejects_a_bad_profile_before_loading(profile, message, no_library_load, tmp_path, capsys):
@@ -326,9 +333,11 @@ def test_allocate_rejects_a_bad_profile_before_loading(profile, message, no_libr
     if not isinstance(profile, str):
         profile = _json_file(tmp_path / "profile.json", profile)
         message = f"profile file {profile}: {message}"
-    code, out, err = _run(capsys, "allocate", "--library", "lib.json", "--profile", profile)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "allocate", "--library", "lib.json", "--profile", profile)
     assert code == 2 and out == ""
-    assert message in err
+    assert message in err and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_parser_defaults_come_from_the_configs():
@@ -385,6 +394,7 @@ def test_simulate_bad_config_exit_2(tiny_lib_dir, tmp_path, capsys):
         {"trials": True},
         {"frames_per_realization": 0},
         {"snr_db": []},
+        {"snr_db": 10},
         {"snr_db": [10.0, float("nan")]},
         {"snr_db": [float("inf")]},
         {"snr_db": [4000]},
