@@ -14,8 +14,13 @@ def is_int(value) -> bool:
 
 
 def is_finite(value) -> bool:
-    """A finite real number."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite real number: an int or float that converts to a finite float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def check_int(name: str, value) -> None:

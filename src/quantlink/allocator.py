@@ -58,7 +58,11 @@ checked when the library was made), or else checks the row with the
 library's own test (gamma_increments_convex) and makes a one-row record of
 its own with the same search. It places the row once, as the prefix's count
 of smallest (subcarrier, step) costs, ties in that order (_smallest), and
-returns copies of what the record keeps.
+returns copies of what the record keeps. What a plan chooses (the target,
+t_sym and the refined bits) follows the source's rating and the channel's
+record alone, so the record also keeps the last such choice: a plan from the
+same rating on the same record repeats it, and of the stages only the
+loading runs.
 
 Where each bit goes is not stored in a plan: build_bit_mapping derives the
 placement from modulations and t_sym, for the digest and the frame layout
@@ -281,9 +285,16 @@ class _LoadingRecord:
     rating at another budget or step table replaces the record.
     allocate_power_modulation places a row of the kept record once, or of a
     one-row record of its own at any other budget or step row.
+
+    choice is what the last plan with t_sym > 0 that completed on the kept
+    record chose, or None: (rating, eps_index, t_sym, dummy bits, refined
+    bits), the rating being the source's _SourceRating it was planned from
+    and the bits a read-only uint8 row (no depth exceeds MAX_BIT_DEPTH).
+    That plan followed from the rating and this record alone, so
+    optimize_plan repeats it for the same rating object (see there).
     """
 
-    __slots__ = ("p_tot", "steps", "increments", "index", "inv_gain", "taken", "kth", "placed")
+    __slots__ = ("p_tot", "steps", "increments", "index", "inv_gain", "taken", "kth", "placed", "choice")
 
     def __init__(self, channel: ChannelRealization, p_tot: float, steps: np.ndarray, increments: np.ndarray):
         # keep no array that can change; a library's tables are read-only already
@@ -295,6 +306,7 @@ class _LoadingRecord:
         self.inv_gain = _inverse_gains(channel)
         self.taken, self.kth = _prefixes(increments, np.sort(self.inv_gain), p_tot)
         self.placed: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+        self.choice: tuple[_SourceRating, int, int, int, np.ndarray] | None = None
         for arr in (self.steps, self.increments, self.inv_gain, self.taken, self.kth):
             arr.setflags(write=False)
 
@@ -612,24 +624,37 @@ def optimize_plan(
     has not won before, and refine_bit_allocation only for a residual that
     the kept record does not cover (see _refined_bits). The channel's share,
     every target's r_sym and the winner's loading, is kept per realization
-    for one budget and step table (see _LoadingRecord). A plan's arrays are
-    always its own.
+    for one budget and step table (see _LoadingRecord), with the choice of
+    the last plan with t_sym > 0 made on it. A plan whose rating is that
+    choice's (the same object) repeats it: it takes the choice's target,
+    t_sym, dummy count and bits, and calls allocate_power_modulation alone
+    of the stages. Every other plan runs the stages and keeps its choice in
+    place of the last. A plan's arrays are always its own.
     """
     check_nonnegative_finite("delta", delta)
     rating, r_sym = _rate_targets(lib, stats, channel, p_tot, delta)
-    eps_index, t_sym = select_ber_target(rating.b_lat, r_sym)
-    if t_sym == 0:
-        bits, dummy = np.zeros(stats.n, dtype=np.int64), 0
-        modulations, powers = np.zeros(channel.n_sc, dtype=np.int64), np.zeros(channel.n_sc)
+    record = _LOADINGS[channel]
+    if record.choice is not None and record.choice[0] is rating:  # a repeat of the record's last plan
+        _, eps_index, t_sym, dummy, kept_bits = record.choice
+        bits = kept_bits.astype(np.int64)
+        modulations, powers, _ = allocate_power_modulation(channel, p_tot, lib.step_table()[0][eps_index])
     else:
-        if eps_index not in rating.winners:
-            depths = minimum_bit_allocation(lib, stats, eps_index, delta)[0]
-            depths.setflags(write=False)
-            headroom = int((lib.b_max - depths[depths > 0]).sum())  # elements at zero bits never grow
-            rating.winners[eps_index] = (depths, np.zeros(0, dtype=np.intp), headroom)
-        steps = lib.step_table()[0][eps_index]
-        modulations, powers, r_sym = allocate_power_modulation(channel, p_tot, steps)
-        bits, dummy = _refined_bits(lib, stats, rating, eps_index, t_sym * r_sym)
+        eps_index, t_sym = select_ber_target(rating.b_lat, r_sym)
+        if t_sym == 0:
+            bits, dummy = np.zeros(stats.n, dtype=np.int64), 0
+            modulations, powers = np.zeros(channel.n_sc, dtype=np.int64), np.zeros(channel.n_sc)
+        else:
+            if eps_index not in rating.winners:
+                depths = minimum_bit_allocation(lib, stats, eps_index, delta)[0]
+                depths.setflags(write=False)
+                headroom = int((lib.b_max - depths[depths > 0]).sum())  # elements at zero bits never grow
+                rating.winners[eps_index] = (depths, np.zeros(0, dtype=np.intp), headroom)
+            steps = lib.step_table()[0][eps_index]
+            modulations, powers, r_sym = allocate_power_modulation(channel, p_tot, steps)
+            bits, dummy = _refined_bits(lib, stats, rating, eps_index, t_sym * r_sym)
+            kept_bits = bits.astype(np.uint8)
+            kept_bits.setflags(write=False)
+            record.choice = (rating, eps_index, t_sym, dummy, kept_bits)
 
     digests = {"library": lib.digest(), "stats": stats.digest(), "channel_seed": channel.seed}
     if not rating.kept:  # the plan completes: keep the rating it made

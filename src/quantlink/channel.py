@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_count, check_positive_finite, is_finite
+from ._checks import check_count, check_positive_finite, is_finite, is_int
 from .rng import standard_normal_rows, stream_rng
 
 __all__ = [
@@ -99,6 +99,8 @@ def exponential_pdp(rms_ns: float) -> TapProfile:
     """
     if not rms_ns > 0:
         raise ValueError("rms_ns must be positive")
+    if is_int(rms_ns) and not is_finite(rms_ns):  # named by size: such an int's repr can be too long to print
+        raise ValueError(f"rms_ns of {rms_ns.bit_length()} bits is out of range: it exceeds the float range")
     first, last = 0.5e-9 * rms_ns, 6e-9 * rms_ns  # the smallest and largest nonzero delays, in s
     if not (first * first >= sys.float_info.min and last * last < math.inf):
         raise ValueError(f"rms_ns {rms_ns!r} is out of range: the squares of its tap delays must be normal floats")

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import math
 import re
@@ -1642,3 +1643,89 @@ def test_a_refinement_that_meets_the_headroom_exactly_covers_every_residual(smal
         plan = optimize_plan(small_lib, stats, *blocks[k])
         assert serialize_plan(plan) == serialize_plan(plans[k])
     assert calls == [headroom]
+
+
+# ---------------------------------------------------------------------------
+# the choice a plan keeps on the channel's record
+# ---------------------------------------------------------------------------
+
+_STAGES = ("minimum_bit_allocation", "allocate_power_modulation", "select_ber_target", "refine_bit_allocation")
+
+
+def _count_stages(monkeypatch):
+    """Count the calls of every planner stage through its module attribute."""
+    calls = dict.fromkeys(_STAGES, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in _STAGES:
+        monkeypatch.setattr(allocator, name, counting(name, getattr(allocator, name)))
+    return calls
+
+
+def test_a_repeat_plan_keeps_the_bytes_of_the_first_and_of_a_fresh_one(monkeypatch):
+    monkeypatch.syspath_prepend(str(FIXTURE_LIBRARY.parent))
+    import workloads
+
+    ql = {name: importlib.import_module(f"quantlink.{name}") for name in workloads.MODULES}
+    state = workloads.setup_plan(ql, 1, workloads.Sizes(), None)
+    blocks = workloads.plan_batch(ql, state, workloads.Sizes())
+    lib = state["lib"]
+    assert len(blocks) == 48
+    for scale in (0.02, 1.0, 30.0):
+        first = [serialize_plan(optimize_plan(lib, s, ch, p * scale)) for s, ch, p in blocks]
+        with pytest.MonkeyPatch.context() as counted:
+            calls = _count_stages(counted)
+            # every block again, after the sources' ratings have served all the others
+            second = [serialize_plan(optimize_plan(lib, s, ch, p * scale)) for s, ch, p in blocks]
+        assert calls == {**dict.fromkeys(_STAGES, 0), "allocate_power_modulation": len(blocks)}
+        fresh = [
+            serialize_plan(optimize_plan(lib, _fresh(s), dataclasses.replace(ch), p * scale)) for s, ch, p in blocks
+        ]
+        assert second == first == fresh, scale
+
+
+def test_a_repeat_plan_runs_only_the_loading(small_lib, monkeypatch):
+    stats, ch, p_tot = _random_setup(small_lib, stream_rng("repeat-stages", 0), snr_db=15.0)
+    want = serialize_plan(optimize_plan(small_lib, stats, ch, p_tot))
+    calls = _count_stages(monkeypatch)
+    plan = optimize_plan(small_lib, stats, ch, p_tot)
+    assert serialize_plan(plan) == want and plan.dummy_bits >= 0
+    assert calls == {**dict.fromkeys(_STAGES, 0), "allocate_power_modulation": 1}
+
+
+def test_the_kept_choice_follows_the_rating_and_the_budget(small_lib, monkeypatch):
+    stats, ch, p_tot = _random_setup(small_lib, stream_rng("repeat-key", 0), snr_db=15.0)
+    optimize_plan(small_lib, stats, ch, p_tot)
+    calls = _count_stages(monkeypatch)
+    # (delta, budget) of each plan, and whether it repeats the one before
+    steps = (
+        (0.4, p_tot, True),
+        (0.1, p_tot, False),  # another delta rates the stats anew
+        (0.1, p_tot, True),
+        (0.4, p_tot, False),  # and so does the first delta again
+        (0.4, 2 * p_tot, False),  # another budget rates the channel anew
+        (0.4, 2 * p_tot, True),
+        (0.4, p_tot, False),
+    )
+    for delta, budget, repeat in steps:
+        before = calls["select_ber_target"]
+        got = serialize_plan(optimize_plan(small_lib, stats, ch, budget, delta))
+        assert got == serialize_plan(optimize_plan(small_lib, _fresh(stats), dataclasses.replace(ch), budget, delta))
+        assert calls["select_ber_target"] - before == 2 - repeat, (delta, budget)  # the fresh plan selects too
+
+
+def test_a_repeat_plans_bits_are_its_own(small_lib):
+    stats, ch, p_tot = _random_setup(small_lib, stream_rng("repeat-bits", 0), snr_db=15.0)
+    first = optimize_plan(small_lib, stats, ch, p_tot)
+    repeat = optimize_plan(small_lib, stats, ch, p_tot)
+    kept = allocator._LOADINGS[ch].choice[4]
+    assert kept.dtype == np.uint8 and not kept.flags.writeable
+    assert repeat.bits.dtype == np.int64 and repeat.bits.tolist() == first.bits.tolist() == kept.tolist()
+    assert not np.shares_memory(repeat.bits, first.bits) and not np.shares_memory(repeat.bits, kept)
+    assert not np.shares_memory(first.bits, kept)

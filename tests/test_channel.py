@@ -105,6 +105,18 @@ def test_exponential_pdp_refuses_an_rms_it_cannot_scale():
     assert digest == "2999c359b9748273efe0ebb4c1a1927251397d9ce401ceadfe855fb2db48115d"
 
 
+def test_exponential_pdp_refuses_an_int_beyond_the_float_range():
+    # its delays used to overflow before the range check
+    for rms in (10**400, 2**1024):
+        with pytest.raises(ValueError, match="rms_ns .* is out of range"):
+            exponential_pdp(rms)
+    with pytest.raises(ValueError, match="rms_ns must be positive"):
+        exponential_pdp(-(10**400))
+    prof = exponential_pdp(300.0)
+    digest = hashlib.sha256(prof.delays_s.tobytes() + prof.powers.tobytes()).hexdigest()
+    assert digest == "2999c359b9748273efe0ebb4c1a1927251397d9ce401ceadfe855fb2db48115d"
+
+
 def test_tdl_c_profile_loads_and_scales():
     prof = tdl_c_profile()
     assert prof.powers.size == 24

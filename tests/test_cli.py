@@ -420,6 +420,17 @@ def test_simulate_bad_config_exit_2(tiny_lib_dir, tmp_path, capsys):
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("key", ["spacing_hz", "delta"])
+def test_simulate_refuses_an_int_beyond_the_float_range(key, no_library_load, tmp_path, capsys):
+    # a 401-digit spacing used to end in an OverflowError traceback
+    cfg_path = _json_file(tmp_path / "exp.json", {"library": "lib.json", "trials": 1, key: 10**400})
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "simulate", "--config", cfg_path, "--out-dir", str(out_dir))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad experiment config: {key} must be") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_simulate_rejects_misspelled_key(tiny_lib_dir, tmp_path, capsys):
     # profile_ref is the field's name, but the config calls it profile
     for key in ("trails", "profile_ref"):
