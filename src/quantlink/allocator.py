@@ -276,12 +276,13 @@ class _LoadingRecord:
     row, as a tuple, to its first index. The constructor computes the
     inverse gains (inv_gain) and each row's prefix: taken[q] and kth[q] are
     how many of row q's sorted costs fit the budget and the last one of them
-    (see _prefixes). placed[q] is row q's loading (modulations, powers,
+    (see _prefixes), and r_sym = 2 * taken their bits per OFDM symbol (each
+    step adds 2 bits). placed[q] is row q's loading (modulations, powers,
     bits/symbol) once place() has placed it. Every array is read-only.
 
     _rate_targets keeps the record of the library's step table per channel:
     a rating at this p_tot and this step table (the same array, or equal
-    rows), on any source or library, reads r_sym = 2 * taken here, and a
+    rows), on any source or library, reads r_sym here, and a
     rating at another budget or step table replaces the record.
     allocate_power_modulation places a row of the kept record once, or of a
     one-row record of its own at any other budget or step row.
@@ -294,7 +295,7 @@ class _LoadingRecord:
     optimize_plan repeats it for the same rating object (see there).
     """
 
-    __slots__ = ("p_tot", "steps", "increments", "index", "inv_gain", "taken", "kth", "placed", "choice")
+    __slots__ = ("p_tot", "steps", "increments", "index", "inv_gain", "taken", "kth", "r_sym", "placed", "choice")
 
     def __init__(self, channel: ChannelRealization, p_tot: float, steps: np.ndarray, increments: np.ndarray):
         # keep no array that can change; a library's tables are read-only already
@@ -305,9 +306,10 @@ class _LoadingRecord:
             self.index.setdefault(tuple(row), q)
         self.inv_gain = _inverse_gains(channel)
         self.taken, self.kth = _prefixes(increments, np.sort(self.inv_gain), p_tot)
+        self.r_sym = 2 * self.taken
         self.placed: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
         self.choice: tuple[_SourceRating, int, int, int, np.ndarray] | None = None
-        for arr in (self.steps, self.increments, self.inv_gain, self.taken, self.kth):
+        for arr in (self.steps, self.increments, self.inv_gain, self.taken, self.kth, self.r_sym):
             arr.setflags(write=False)
 
     def rated(self, p_tot: float, steps: np.ndarray) -> bool:
@@ -727,7 +729,7 @@ def _rate_targets(
     whatever the source; else it is
     computed and a new record of the loading's prefix of every target is
     kept for the channel, which the winner's allocate_power_modulation reads
-    in place of its own. r_sym is always a new array.
+    in place of its own. r_sym is that record's read-only row, made once.
     Raises what the per-target calls in order (per target, the depths before
     the loading) would raise first: the InfeasibleTargetError of target 0 if
     it has an infeasible element, else ValueError("p_tot must be positive")
@@ -747,7 +749,7 @@ def _rate_targets(
     kept = _LOADINGS.get(channel)
     if kept is None or not kept.rated(p_tot, steps):
         kept = _LOADINGS[channel] = _LoadingRecord(channel, p_tot, steps, increments)
-    return rating, 2 * kept.taken  # each step adds 2 bits
+    return rating, kept.r_sym
 
 
 def _rate_source(lib: QuantizerLibrary, stats: LatentStats, delta: float) -> _SourceRating:

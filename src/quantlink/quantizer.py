@@ -36,7 +36,10 @@ iteration takes:
   * one region certificate over every live start's previous regions, as a
     batch padded to the widest hull. The padded index is kept while those
     regions stay the same arrays, and the stack-pass candidates of the
-    starts that fail it share one more certificate;
+    starts that fail it share one more certificate. A certificate finds each
+    line's vertex with one searchsorted per row (_vertex_index) and reduces
+    its checks once per family: one all() over the hull pairs, one over the
+    other lines;
   * one moments pass over every live start's regions, back to back;
   * per start, the level update, on the same operands as a start run alone;
   * one stacked product np.matmul(trans, X[..., None]) for every live
@@ -139,10 +142,18 @@ def _transition_matrix(flips: np.ndarray) -> np.ndarray:
 
 
 def bsc_corrupt(words: np.ndarray, flips, rng: np.random.Generator) -> np.ndarray:
-    """Sample the bit-flip channel on an array of codeword ints."""
+    """Sample the bit-flip channel on an array of codeword ints.
+
+    Every word must be an int in [0, 2^b), b the length of the flip vector;
+    anything else raises ValueError before any draw.
+    """
     flips = as_bsc_vector(flips)
     b = flips.shape[0]
     words = np.asarray(words)
+    if words.dtype.kind not in "iu":
+        raise ValueError(f"codewords must be ints, got array kind {words.dtype.kind!r}")
+    if words.size and (words.min() < 0 or words.max() >= (1 << b)):
+        raise ValueError(f"codeword out of range for {b}-bit words")
     out = words.copy()
     for j in range(b):
         mask = rng.random(words.shape) < flips[j]
@@ -222,13 +233,13 @@ def _line_coefficients(levels: np.ndarray, trans: np.ndarray | None):
     """(a, b) with E[(y - yhat)^2 | sent l] = y^2 - 2 a_l y + b_l, per row of levels; trans None: identity."""
     if trans is None:
         return levels + 0.0, np.square(levels)
-    ab = np.matmul(trans, np.stack((levels, np.square(levels)))[..., None])[..., 0]
+    ab = np.matmul(trans, np.array((levels, np.square(levels)))[..., None])[..., 0]
     return ab[0], ab[1]
 
 
 def _expected_distortion(moments, region_codewords, a, b2) -> float:
     mass, m1, m2 = moments
-    return float(m2.sum() - 2.0 * (m1 @ a[region_codewords]) + mass @ b2[region_codewords])
+    return float(m2.sum() - 2.0 * (m1 @ a.take(region_codewords)) + mass @ b2.take(region_codewords))
 
 
 def analytic_distortion(q: ScalarQuantizer, flips) -> float:
@@ -343,7 +354,8 @@ def _optimal_regions(a: np.ndarray, b2: np.ndarray, index) -> list:
     rows = [r for r, regions in enumerate(out) if regions is None]
     if rows:
         hulls, rest = zip(*[_stack_candidate(a[r], b2[r]) for r in rows])
-        _accept(out, rows, hulls, _certified_cuts(a[rows], b2[rows], hulls, np.array(rest)))
+        certified = _certified_cuts(a.take(rows, axis=0), b2.take(rows, axis=0), hulls, np.array(rest))
+        _accept(out, rows, hulls, certified)
         for r in rows:
             if out[r] is None:
                 out[r] = _pairwise_regions(a[r], b2[r])
@@ -360,11 +372,13 @@ def _accept(out: list, rows, hulls, certified) -> None:
 def _stack_candidate(a: np.ndarray, b2: np.ndarray):
     """One row's stack-pass hull, and the mask of the other lines that can be active."""
     by_a = np.argsort(a, kind="stable")
-    if not np.all(np.diff(a[by_a]) > 0.0):
+    slopes = a.take(by_a)
+    if not np.all(np.diff(slopes) > 0.0):
         # exact ties: keep each group's winner, by lowest b and then index
         by_a = np.lexsort((b2, a))
-        by_a = by_a[np.concatenate(([True], np.diff(a[by_a]) != 0.0))]
-    hull = by_a[_stack_hull(a[by_a].tolist(), b2[by_a].tolist())]
+        by_a = by_a[np.concatenate(([True], np.diff(a.take(by_a)) != 0.0))]
+        slopes = a.take(by_a)
+    hull = by_a[_stack_hull(slopes.tolist(), b2.take(by_a).tolist())]
     rest = np.zeros(a.size, dtype=bool)
     rest[by_a] = True
     rest[hull] = False
@@ -434,26 +448,24 @@ def _certified_cuts(a: np.ndarray, b2: np.ndarray, hulls, rest: np.ndarray | Non
     ah = a.take(flat)
     bh = b2.take(flat)
     beta = ah[:, 1:] - ah[:, :-1]
-    ok = (~pair | (beta > _TIE_MARGIN * (np.abs(ah[:, :-1]) + np.abs(ah[:, 1:])))).all(axis=1)
-    ok &= (~rest | ((a > ah[:, :1]) & (a < ah[:, -1:]))).all(axis=1)
+    lines = (a > ah[:, :1]) & (a < ah[:, -1:])
     # a padded pair divides 0 by 0; its cut is never read
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cut = (bh[:, 1:] - bh[:, :-1]) / (2.0 * beta)
         abs_cut = np.abs(cut)
-        normal = np.isfinite(cut) & ((abs_cut >= _SMALLEST_NORMAL) | (cut == 0.0))
-        separated = (
+        pairs = (beta > _TIE_MARGIN * (np.abs(ah[:, :-1]) + np.abs(ah[:, 1:]))) & np.isfinite(cut)
+        pairs &= (abs_cut >= _SMALLEST_NORMAL) | (cut == 0.0)
+        # separation of vertices i and i + 1 is checked with pair i + 1
+        pairs[:, 1:] &= (
             beta[:, 1:] * (cut[:, 1:] - cut[:, :-1])
             > _CUT_MARGIN * (abs_cut[:, :-1] + abs_cut[:, 1:]) * (beta[:, :-1] + beta[:, 1:])
         )
-        ok &= (~pair | normal).all(axis=1) & (~pair[:, 1:] | separated).all(axis=1)
+        ok = (~pair | pairs).all(axis=1)
         if width > 1 and rest.any():
-            # Each row's vertex lookup in one searchsorted: the keys row + i slope
-            # sort by row and then by slope, so a line's key lands among its own
-            # row's hull, and v is the flat index of its vertex in ah (v - row
-            # in cut). A lookup off the row's pairs, clipped, comes only from a
-            # row that already failed or from a line outside `rest`.
-            keys = (row + 1j * ah).ravel()
-            v = np.searchsorted(keys, (row + 1j * a).ravel()).reshape(a.shape) - 1
+            # v: the flat index in ah of each line's vertex (v - row in cut).
+            # A lookup off the row's pairs, clipped, comes only from a row
+            # that already failed or from a line outside `rest`.
+            v = _vertex_index(ah, a)
             vc = v - row
             cut_v = cut.take(vc, mode="clip")
             abs_cut_v = abs_cut.take(vc, mode="clip")
@@ -461,9 +473,26 @@ def _certified_cuts(a: np.ndarray, b2: np.ndarray, hulls, rest: np.ndarray | Non
             db = b2 - bh.take(v, mode="clip")
             gap = db - 2.0 * da * cut_v
             reach = np.maximum.accumulate(beta * abs_cut, axis=1).take(vc, mode="clip")
-            clear = gap > _CUT_MARGIN * (reach + np.abs(db) + 2.0 * np.abs(da) * abs_cut_v)
-            ok &= (~rest | clear).all(axis=1)
+            lines &= gap > _CUT_MARGIN * (reach + np.abs(db) + 2.0 * np.abs(da) * abs_cut_v)
+    ok &= (~rest | lines).all(axis=1)
     return ok, cut
+
+
+def _vertex_index(ah: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Flat index in ah (m, width) of each line's vertex in a (m, n): per row, the last hull slope below its own.
+
+    One search per row, offset by the row's base index: in a row whose hull
+    slopes increase, line j's vertex is the hull line h_v with a(h_v) <
+    a_j <= a(h_{v+1}). Within the row, v is -1 where a_j <= a(h_0) and
+    width - 1 where a_j exceeds the last slope; only lines outside the slope
+    range get either.
+    """
+    m, width = ah.shape
+    v = np.empty(a.shape, dtype=np.intp)
+    for r in range(m):
+        v[r] = ah[r].searchsorted(a[r])
+    v += np.arange(-1, m * width - 1, width)[:, None]
+    return v
 
 
 def _optimal_levels(moments, region_codewords, trans, n: int) -> np.ndarray:
@@ -480,7 +509,7 @@ def _optimal_levels(moments, region_codewords, trans, n: int) -> np.ndarray:
         num[region_codewords] = m1
         den[region_codewords] = mass
     else:
-        p = trans[region_codewords, :]  # [region, received]
+        p = trans.take(region_codewords, axis=0)  # [region, received]
         num = p.T @ m1
         den = p.T @ mass
     out = np.zeros(n)
@@ -517,8 +546,9 @@ def _alternate(inits: np.ndarray, trans, cfg: DesignConfig, trace) -> list:
     A start leaves the live set when it meets the stop rule or reaches
     max_iters, and its iterates are exactly those of a run on its own: one
     region update serves the live starts, whose levels stay a row apart.
-    `trace` receives every start's distortions, start after start. trans
-    None is the noiseless channel. The live starts' previous region
+    A list `trace` receives every start's distortions, start after start
+    (they are kept only then). trans None is the noiseless channel. The
+    live starts' previous region
     codewords are their candidate hulls, kept only in their _hull_index
     (none on the first pass), which is rebuilt only when a hull changed or
     a start left.
@@ -527,7 +557,7 @@ def _alternate(inits: np.ndarray, trans, cfg: DesignConfig, trace) -> list:
     a, b2 = _line_coefficients(inits, trans)  # rows: the live starts
     best = [None] * starts
     prev = [np.inf] * starts
-    dists: list[list[float]] = [[] for _ in range(starts)]
+    dists = None if trace is None else [[] for _ in range(starts)]
     live = list(range(starts))
     index = None
     for _ in range(cfg.max_iters):
@@ -549,7 +579,8 @@ def _alternate(inits: np.ndarray, trans, cfg: DesignConfig, trace) -> list:
         for i, r in enumerate(live):
             thresholds, codewords = regions[i]
             dist = _expected_distortion(moments[i], codewords, a[i], b2[i])
-            dists[r].append(dist)
+            if dists is not None:
+                dists[r].append(dist)
             if best[r] is None or dist < best[r][3]:
                 # fresh arrays every iteration, never written to
                 best[r] = (thresholds, codewords, levels[i], dist)
@@ -565,7 +596,7 @@ def _alternate(inits: np.ndarray, trans, cfg: DesignConfig, trace) -> list:
         warm = [regions[i][1] for i in keep]
         if index is None or len(warm) != len(index[0]) or not all(map(operator.is_, warm, index[0])):
             index = _hull_index(warm, a.shape)
-    if trace is not None:
+    if dists is not None:
         for d in dists:
             trace.extend(d)
     return best

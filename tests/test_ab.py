@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import json
+import re
 import shutil
 from pathlib import Path
 from types import SimpleNamespace
@@ -130,10 +131,27 @@ def test_plan_exits_1_when_a_plan_differs(tmp_path, capsys):
 def test_design_runs_this_checkout_as_both_sides(small_design, capsys):
     assert _run("design", ROOT, ROOT, "--rounds", "1", "--seed", "3") == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 6
+    assert len(out) == 9
     assert [line.split(":")[0] for line in out[:4]] == ["round 0 parent", "round 0 change", "parent", "change"]
+    # each round shows its total and its median column, which op_ms_p50 reads
+    assert all(re.fullmatch(r"round 0 \w+: \d+\.\d{3} s, \d+\.\d ms median column", line) for line in out[:2])
     assert out[4].startswith("change faster in ") and out[4].endswith("/1 rounds")
-    assert out[5] == "design bytes the same on both sides in every round"
+    assert [line.split(":")[0] for line in out[5:7]] == ["parent median column", "change median column"]
+    assert all(" median " in line and line.endswith(" ms") for line in out[5:7])
+    assert out[7].startswith("change faster median column in ") and out[7].endswith("/1 rounds")
+    assert out[8] == "design bytes the same on both sides in every round"
+
+
+def test_design_round_gives_the_total_and_the_median_column(monkeypatch):
+    # three columns that take 0.5, 0.125 and 0.25 s on a fake clock
+    clock = iter([0.0, 0.5, 1.0, 1.125, 2.0, 2.25])
+    library = SimpleNamespace(build_library=lambda b_max, grid: grid[0], serialize_library=str)
+    ab = _tool()
+    monkeypatch.setattr(ab.time, "perf_counter", lambda: next(clock))
+    side = {"ql": {"library": library}, "b_max": 8, "columns": [(0, 0.001), (3, 0.01), (9, 0.05)]}
+    figures, texts = ab.design_round(side)
+    assert figures == [0.875, 0.25]
+    assert texts == {"column 0": "0.001", "column 3": "0.01", "column 9": "0.05"}
 
 
 def test_design_exits_1_when_a_column_differs(small_design, tmp_path, capsys):

@@ -22,6 +22,7 @@ from quantlink.quantizer import (
     _optimal_regions,
     _pairwise_regions,
     _region_moments,
+    _vertex_index,
     analytic_distortion,
     bsc_corrupt,
     bsc_transition_matrix,
@@ -556,6 +557,41 @@ def test_batched_certificate_equals_one_row_calls(b):
     assert 0 < accepted < 2 * len(hulls)
 
 
+@st.composite
+def vertex_batches(draw):
+    """(a, hulls): m rows of n lines, and per row a ragged hull of lines with distinct slopes, in increasing slope.
+
+    Slopes come from a few exact values (so that off-hull lines tie hull
+    lines exactly, -0.0 against 0.0 too) or from an interval.
+    """
+    m, n = draw(st.integers(1, 5)), draw(st.integers(2, 12))
+    slope = st.one_of(st.sampled_from((-1.0, -0.0, 0.0, 0.5, 1.0)), st.floats(-2.0, 2.0))
+    a = np.array([[draw(slope) for _ in range(n)] for _ in range(m)])
+    hulls = []
+    for r in range(m):
+        by_slope = {}  # -0.0 and 0.0 are one key: one slope
+        for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)):
+            by_slope.setdefault(a[r, j], j)
+        hulls.append(np.array(sorted(by_slope.values(), key=lambda j: a[r, j])))
+    return a, hulls
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_batches())
+@example((np.array([[-0.0, 0.0, 1.0, -1.0]]), [np.array([0, 2])]))
+@example((np.array([[0.0, -0.0, 0.5, 0.5], [1.0, -1.0, -0.0, 2.0]]), [np.array([1, 2]), np.array([1])]))
+def test_vertex_index_equals_the_complex_key_search(batch):
+    # the reference: one searchsorted over keys row + i slope, which sort by
+    # row and then by slope (-0.0 == 0.0 in either form)
+    a, hulls = batch
+    _, row, flat, _, rest = _hull_index(hulls, a.shape)
+    ah = a.take(flat)
+    want = np.searchsorted((row + 1j * ah).ravel(), (row + 1j * a).ravel()).reshape(a.shape) - 1
+    got = _vertex_index(ah, a)
+    assert got.dtype == np.intp
+    assert got[rest].tolist() == want[rest].tolist()
+
+
 def test_pairwise_fallback_of_one_row_leaves_the_others(monkeypatch):
     # row 2 has two slopes one ulp apart (as in the test above), so neither
     # its warm hull nor its stack pass is certified
@@ -953,6 +989,21 @@ def test_scaling_law_monte_carlo():
         err = np.square(y - dequantize(rx, mu, sigma, q))
         se = err.std(ddof=1) / np.sqrt(n)
         assert abs(err.mean() - sigma**2 * q.normalized_distortion) < 3.0 * se
+
+
+@pytest.mark.parametrize(
+    "words, b, message",
+    [
+        ([300, -1, 5], 8, "codeword out of range for 8-bit words"),
+        ([300], 2, "codeword out of range for 2-bit words"),
+        ([0, -1], 2, "codeword out of range"),
+        ([1.0, 2.0], 2, "codewords must be ints, got array kind 'f'"),
+        ([True, False], 2, "codewords must be ints, got array kind 'b'"),
+    ],
+)
+def test_bsc_corrupt_refuses_words_that_are_not_b_bit_ints(words, b, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bsc_corrupt(np.array(words), uniform_bsc(b, 0.5), stream_rng("bsc-words", b))
 
 
 def test_quantize_rejects_nonpositive_std():
