@@ -59,10 +59,12 @@ library's own test (gamma_increments_convex) and makes a one-row record of
 its own with the same search. It places the row once, as the prefix's count
 of smallest (subcarrier, step) costs, ties in that order (_smallest), and
 returns copies of what the record keeps. What a plan chooses (the target,
-t_sym and the refined bits) follows the source's rating and the channel's
-record alone, so the record also keeps the last such choice: a plan from the
-same rating on the same record repeats it, and of the stages only the
-loading runs.
+t_sym, the dummy count and the refined bits) follows the source's rating and
+the channel's record alone, so every plan is built from the choice the record
+keeps. The first plan of a rating on a record makes it (the selection, the
+winner's depths and its refinement), a zero-bit one included, in place of
+the last. Every plan then reads its target, t_sym, dummy count and bits
+there, and runs the loading when t_sym > 0.
 
 Where each bit goes is not stored in a plan: build_bit_mapping derives the
 placement from modulations and t_sym, for the digest and the frame layout
@@ -287,12 +289,13 @@ class _LoadingRecord:
     allocate_power_modulation places a row of the kept record once, or of a
     one-row record of its own at any other budget or step row.
 
-    choice is what the last plan with t_sym > 0 that completed on the kept
-    record chose, or None: (rating, eps_index, t_sym, dummy bits, refined
-    bits), the rating being the source's _SourceRating it was planned from
-    and the bits a read-only uint8 row (no depth exceeds MAX_BIT_DEPTH).
-    That plan followed from the rating and this record alone, so
-    optimize_plan repeats it for the same rating object (see there).
+    choice is what the last rating planned on the kept record chose, or
+    None: (rating, eps_index, t_sym, dummy bits, refined bits), the rating
+    being the source's _SourceRating it was made from and the bits a
+    read-only uint8 row (no depth exceeds MAX_BIT_DEPTH). A zero-bit plan
+    keeps one too, with t_sym = 0 and a row of zeros. Every plan follows
+    from its rating and this record alone, so optimize_plan builds each plan
+    from the choice of its rating object (see there).
     """
 
     __slots__ = ("p_tot", "steps", "increments", "index", "inv_gain", "taken", "kth", "r_sym", "placed", "choice")
@@ -439,13 +442,8 @@ def select_ber_target(b_lat, r_sym) -> tuple[int, int]:
 
 def _counts(name: str, values) -> list:
     """values, a nonempty sequence, as a list of ints >= 0 (not bools), else ValueError."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        values = values.tolist()  # Python ints, so only the sign is left to check
-        counts = min(values) >= 0
-    else:
-        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
-        counts = all(is_int(v) and v >= 0 for v in values)
-    if not counts:
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if not all(is_int(v) and v >= 0 for v in values):
         raise ValueError(f"{name} must hold only ints >= 0, got {values!r}")
     return values
 
@@ -627,36 +625,36 @@ def optimize_plan(
     the kept record does not cover (see _refined_bits). The channel's share,
     every target's r_sym and the winner's loading, is kept per realization
     for one budget and step table (see _LoadingRecord), with the choice of
-    the last plan with t_sym > 0 made on it. A plan whose rating is that
-    choice's (the same object) repeats it: it takes the choice's target,
-    t_sym, dummy count and bits, and calls allocate_power_modulation alone
-    of the stages. Every other plan runs the stages and keeps its choice in
-    place of the last. A plan's arrays are always its own.
+    the last rating planned on it. Every plan is built from the record's
+    choice. When the choice is not of this rating (the same object), the
+    plan makes one first, in place of the last: select_ber_target, then for
+    t_sym > 0 the winner's depths and its refinement at t_sym * r_sym; a
+    zero-bit choice keeps a row of zeros. The plan then takes the choice's
+    target, t_sym, dummy count and bits, and calls
+    allocate_power_modulation when t_sym > 0, else has zero modulations and
+    powers. A plan's arrays are always its own.
     """
     check_nonnegative_finite("delta", delta)
     rating, r_sym = _rate_targets(lib, stats, channel, p_tot, delta)
     record = _LOADINGS[channel]
-    if record.choice is not None and record.choice[0] is rating:  # a repeat of the record's last plan
-        _, eps_index, t_sym, dummy, kept_bits = record.choice
-        bits = kept_bits.astype(np.int64)
-        modulations, powers, _ = allocate_power_modulation(channel, p_tot, lib.step_table()[0][eps_index])
-    else:
+    if record.choice is None or record.choice[0] is not rating:  # this rating's first plan on the record
         eps_index, t_sym = select_ber_target(rating.b_lat, r_sym)
-        if t_sym == 0:
-            bits, dummy = np.zeros(stats.n, dtype=np.int64), 0
-            modulations, powers = np.zeros(channel.n_sc, dtype=np.int64), np.zeros(channel.n_sc)
-        else:
+        kept_bits, dummy = np.zeros(stats.n, dtype=np.uint8), 0
+        if t_sym > 0:
             if eps_index not in rating.winners:
                 depths = minimum_bit_allocation(lib, stats, eps_index, delta)[0]
                 depths.setflags(write=False)
                 headroom = int((lib.b_max - depths[depths > 0]).sum())  # elements at zero bits never grow
                 rating.winners[eps_index] = (depths, np.zeros(0, dtype=np.intp), headroom)
-            steps = lib.step_table()[0][eps_index]
-            modulations, powers, r_sym = allocate_power_modulation(channel, p_tot, steps)
-            bits, dummy = _refined_bits(lib, stats, rating, eps_index, t_sym * r_sym)
-            kept_bits = bits.astype(np.uint8)
-            kept_bits.setflags(write=False)
-            record.choice = (rating, eps_index, t_sym, dummy, kept_bits)
+            refined, dummy = _refined_bits(lib, stats, rating, eps_index, t_sym * int(r_sym[eps_index]))
+            kept_bits = refined.astype(np.uint8)
+        kept_bits.setflags(write=False)
+        record.choice = (rating, eps_index, t_sym, dummy, kept_bits)
+    _, eps_index, t_sym, dummy, kept_bits = record.choice
+    if t_sym > 0:
+        modulations, powers, _ = allocate_power_modulation(channel, p_tot, lib.step_table()[0][eps_index])
+    else:
+        modulations, powers = np.zeros(channel.n_sc, dtype=np.int64), np.zeros(channel.n_sc)
 
     digests = {"library": lib.digest(), "stats": stats.digest(), "channel_seed": channel.seed}
     if not rating.kept:  # the plan completes: keep the rating it made
@@ -664,7 +662,7 @@ def optimize_plan(
     return AllocationPlan(
         eps_index=eps_index,
         epsilon_star=float(lib.epsilons[eps_index]),
-        bits=bits,
+        bits=kept_bits.astype(np.int64),
         modulations=modulations,
         powers=powers,
         t_sym=t_sym,

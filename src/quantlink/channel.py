@@ -115,14 +115,18 @@ def load_tap_profile(path) -> TapProfile:
     """Read a {label, taps: [{delay_ns, power_db}]} JSON profile.
 
     Raises ValueError naming the file and the entry when the document is not
-    an object with a taps list, or a tap is not an object with finite
-    numbers delay_ns and power_db.
+    an object with a taps list, the label is not a string or holds a comma,
+    a double quote, CR or LF (it goes into report.csv unquoted), or a tap is
+    not an object with finite numbers delay_ns and power_db.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     taps = doc.get("taps") if isinstance(doc, dict) else None
     if not isinstance(taps, list):
         raise ValueError(f"profile file {path}: need a JSON object with a 'taps' list")
+    label = doc.get("label", "unnamed")
+    if not isinstance(label, str) or any(c in label for c in ',"\r\n'):
+        raise ValueError(f"profile file {path}: label must be a string without ',', '\"', CR or LF, got {label!r}")
     for k, tap in enumerate(taps):
         if not isinstance(tap, dict):
             raise ValueError(f"profile file {path}: tap {k} is not an object, got {tap!r}")
@@ -132,7 +136,7 @@ def load_tap_profile(path) -> TapProfile:
                 raise ValueError(f"profile file {path}: tap {k} needs a finite number {key!r}, got {value!r}")
     delays = np.array([t["delay_ns"] for t in taps], dtype=np.float64) * 1e-9
     powers = 10.0 ** (np.array([t["power_db"] for t in taps], dtype=np.float64) / 10.0)
-    return TapProfile(delays, powers, doc.get("label", "unnamed"))
+    return TapProfile(delays, powers, label)
 
 
 def tdl_c_profile() -> TapProfile:

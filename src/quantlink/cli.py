@@ -64,7 +64,7 @@ def cmd_build_library(args) -> int:
             lm = analytic_distortion(design_lloyd_max(b, cfg), uniform_bsc(b, float(eps)))
             cell = lib.quantizer(b, qi)
             lines.append(
-                f"{b},{qi},{eps!r},{cell.active_count},{lm!r},{cell.normalized_distortion!r}"
+                f"{b},{qi},{float(eps)!r},{cell.active_count},{lm!r},{cell.normalized_distortion!r}"
             )
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(

@@ -3,12 +3,15 @@
 Constellations are axis-separable: an m-bit word splits into an I half and a
 Q half (I first, most significant bit first), each half is a reflected-binary
 Gray label of a PAM coordinate, and the whole constellation is scaled to unit
-average symbol energy. Demodulation is a per-axis nearest-level hard decision,
-with boundary ties going to the lower PAM level: both axes of the input, seen
-as one (..., 2) float array, count the decision bounds at or above them, so
-level k = L-1 - #(x <= bound) equals searchsorted(bounds, x, side="left")
-for every float (NaN goes to the top level), and one gather through the
-L x L Gray word table turns the two levels into the word.
+average symbol energy. One L x L table, level_words, holds the word at each
+pair of PAM levels, and both directions read it. Modulation looks words up in
+points, which is the level grid scattered through that table. Demodulation is
+a per-axis nearest-level hard decision, with boundary ties going to the lower
+PAM level: both axes of the input, seen as one (..., 2) float array, count the
+decision bounds at or above them, so level k = L-1 - #(x <= bound) equals
+searchsorted(bounds, x, side="left") for every float (NaN goes to the top
+level), and one gather through the same table turns the two levels into the
+word.
 
 The analytic bit error rate for symbol SNR gamma is the standard two-term
 Gray-QAM approximation
@@ -60,15 +63,6 @@ def _gray_encode(k: np.ndarray) -> np.ndarray:
     return k ^ (k >> 1)
 
 
-def _gray_decode(g: np.ndarray) -> np.ndarray:
-    out = np.array(g, copy=True)
-    shift = 1
-    while np.any(out >> shift):
-        out = out ^ (g >> shift)
-        shift += 1
-    return out
-
-
 @dataclass(frozen=True)
 class Constellation:
     """Unit-energy square QAM table indexed by bit word; every array is read-only."""
@@ -89,14 +83,10 @@ def _build(m: int) -> Constellation:
     k = np.arange(levels_per_axis)
     coords = (2.0 * k - (levels_per_axis - 1)) * scale
     bounds = 0.5 * (coords[:-1] + coords[1:])
-    words = np.arange(1 << m)
-    gi = words >> half
-    gq = words & (levels_per_axis - 1)
-    ki = _gray_decode(gi)
-    kq = _gray_decode(gq)
-    points = coords[ki] + 1j * coords[kq]
     gray = _gray_encode(k)
     level_words = ((gray[:, None] << half) | gray).ravel()
+    points = np.empty(1 << m, dtype=np.complex128)
+    points[level_words] = (coords[:, None] + 1j * coords).ravel()  # levels (k_i, k_q) go to their word
     sent, got = np.nonzero(k[:, None] != k)  # every (sent, decided) pair of distinct levels
     d = np.abs(got - sent)
     # bit j (MSB first) of the two levels' Gray labels differs

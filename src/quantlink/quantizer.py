@@ -218,15 +218,14 @@ class ScalarQuantizer:
         return int(self.region_codewords.shape[0])
 
 
-def _region_edges(thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.concatenate(([-np.inf], thresholds))
-    hi = np.concatenate((thresholds, [np.inf]))
-    return lo, hi
+_LEFT_EDGE = np.array([-np.inf])
+_RIGHT_EDGE = np.array([np.inf])
 
 
 def _region_moments(thresholds: np.ndarray):
-    """(mass, m1, m2) of the unit Gaussian over each region, left to right."""
-    return interval_moments(*_region_edges(thresholds))
+    """(mass, m1, m2) of the unit Gaussian over each region, left to right: over the edges [-inf, thresholds, inf]."""
+    edges = np.concatenate((_LEFT_EDGE, thresholds, _RIGHT_EDGE))
+    return interval_moments(edges[:-1], edges[1:])
 
 
 def _line_coefficients(levels: np.ndarray, trans: np.ndarray | None):
@@ -298,8 +297,9 @@ def _optimal_regions(a: np.ndarray, b2: np.ndarray, index) -> list:
     T_i = (b_j - b_l) / (2 (a_j - a_l)) for l = h_i, j = h_{i+1}. The result
     must equal _pairwise_regions bit for bit, whose threshold i is the
     minimum over every rival j of the same formula, so a candidate is
-    accepted only with a certificate (_certified_cuts). Three candidates are
-    tried in turn:
+    accepted only with a certificate (_certified_cuts), which reads the
+    candidates of its rows in one form, their _hull_index. Three candidates
+    are tried in turn:
 
       * warm: the caller's hull, the previous iteration's region codewords of
         the same design run. The designer mostly keeps its codeword set from
@@ -309,7 +309,8 @@ def _optimal_regions(a: np.ndarray, b2: np.ndarray, index) -> list:
       * for each row without a warm hull or whose hull fails: the stack
         pass over its lines sorted by a (the convex hull trick), O(n) after
         an O(n log n) sort, with the losers of exact slope ties left out;
-        one certificate serves all these rows;
+        one certificate serves all these rows, on an index built for them
+        with _hull_index and the mask of each row's tie winners off its hull;
       * _pairwise_regions, whose tie rules hold by construction.
 
     Exact slope ties: the pairwise rule makes every line of a tie group but
@@ -350,12 +351,12 @@ def _optimal_regions(a: np.ndarray, b2: np.ndarray, index) -> list:
     """
     out = [None] * a.shape[0]
     if index is not None:
-        _accept(out, range(len(out)), index[0], _certified_cuts(a, b2, index[0], index=index))
+        _accept(out, range(len(out)), index[0], _certified_cuts(a, b2, index))
     rows = [r for r, regions in enumerate(out) if regions is None]
     if rows:
         hulls, rest = zip(*[_stack_candidate(a[r], b2[r]) for r in rows])
-        certified = _certified_cuts(a.take(rows, axis=0), b2.take(rows, axis=0), hulls, np.array(rest))
-        _accept(out, rows, hulls, certified)
+        index = _hull_index(hulls, (len(rows), a.shape[1]), np.array(rest))
+        _accept(out, rows, hulls, _certified_cuts(a.take(rows, axis=0), b2.take(rows, axis=0), index))
         for r in rows:
             if out[r] is None:
                 out[r] = _pairwise_regions(a[r], b2[r])
@@ -430,20 +431,19 @@ def _hull_index(hulls, shape: tuple, rest: np.ndarray | None = None) -> tuple:
     return tuple(hulls), row, flat, pair, rest
 
 
-def _certified_cuts(a: np.ndarray, b2: np.ndarray, hulls, rest: np.ndarray | None = None, index=None):
+def _certified_cuts(a: np.ndarray, b2: np.ndarray, index: tuple):
     """Cuts between neighbouring hull lines, row by row, and whether they are the pairwise thresholds.
 
-    a, b2: (m, n) lines, one row per region update; hulls: one candidate
-    envelope per row, meant in increasing slope; rest: (m, n) mask of the
-    other lines that can be active, by default every line off the hull;
-    index: their _hull_index, if the caller kept it. Returns (ok, cut): row
-    r is certified iff ok[r] (see _optimal_regions for the checks), and then
-    its thresholds are cut[r, :hulls[r].size - 1].
+    a, b2: (m, n) lines, one row per region update; index: the _hull_index
+    of one candidate envelope per row, meant in increasing slope, with its
+    mask of the other lines that can be active. Returns (ok, cut): row r is
+    certified iff ok[r] (see _optimal_regions for the checks), and then its
+    thresholds are cut[r, :hulls[r].size - 1], hulls = index[0].
 
     The padded pairs are masked out, so every row is checked on its own
     lines only, with the same operations on the same operands as alone.
     """
-    _, row, flat, pair, rest = _hull_index(hulls, a.shape, rest) if index is None else index
+    _, row, flat, pair, rest = index
     width = flat.shape[1]
     ah = a.take(flat)
     bh = b2.take(flat)
@@ -534,10 +534,6 @@ class DesignConfig:
         check_int("seed", self.seed)
         # an infinite tolerance would stop every design after two iterations
         check_positive_finite("rel_tol", self.rel_tol)
-
-
-_LEFT_EDGE = np.array([-np.inf])
-_RIGHT_EDGE = np.array([np.inf])
 
 
 def _alternate(inits: np.ndarray, trans, cfg: DesignConfig, trace) -> list:

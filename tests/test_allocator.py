@@ -1729,3 +1729,16 @@ def test_a_repeat_plans_bits_are_its_own(small_lib):
     assert repeat.bits.dtype == np.int64 and repeat.bits.tolist() == first.bits.tolist() == kept.tolist()
     assert not np.shares_memory(repeat.bits, first.bits) and not np.shares_memory(repeat.bits, kept)
     assert not np.shares_memory(first.bits, kept)
+
+
+def test_a_zero_bit_plan_repeats_from_the_record_too(small_lib, monkeypatch):
+    # every variance below delta: nothing to send, yet the record keeps the choice
+    stats = LatentStats(np.ones(6), np.full(6, 0.3))
+    ch = realize_channel(exponential_pdp(300.0), 16, 30e3, seed=3)
+    first = optimize_plan(small_lib, stats, ch, 100.0)
+    assert first.is_empty
+    calls = _count_stages(monkeypatch)
+    second = optimize_plan(small_lib, stats, ch, 100.0)
+    assert calls == dict.fromkeys(_STAGES, 0)
+    assert serialize_plan(second) == serialize_plan(first)
+    assert second.bits.dtype == np.int64 and not np.shares_memory(second.bits, first.bits)

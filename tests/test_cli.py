@@ -56,6 +56,13 @@ def test_build_library_outputs(tiny_lib_dir):
     assert len(rows) == 1 + 2 * 2
 
 
+def test_build_library_writes_each_rows_target_as_a_plain_float(tiny_lib_dir):
+    # the eps field used to be the repr of a numpy scalar: np.float64(0.01)
+    rows = [row.split(",") for row in (tiny_lib_dir / "distortions.csv").read_text().splitlines()[1:]]
+    assert [(int(r[1]), float(r[2])) for r in rows] == [(0, 0.01), (0, 0.01), (1, 0.05), (1, 0.05)]
+    assert all(float(r[4]) > 0 and float(r[5]) > 0 for r in rows)
+
+
 def test_build_library_writes_the_fixed_design_settings(tiny_lib_dir):
     # only --seed is settable; the rest of the design block is DesignConfig's defaults
     doc = json.loads((tiny_lib_dir / "library.json").read_text())
@@ -463,6 +470,20 @@ def test_simulate_rejects_a_bad_profile_before_loading(profile, message, no_libr
     assert code == 2 and out == ""
     assert err.startswith("error: bad experiment config: ") and message in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("label", ["TDL, 300 ns", "two\nlines", "carriage\rreturn", 'say "tdl"', 7, None])
+def test_a_profile_label_that_would_break_report_csv_exits_2_before_loading(label, no_library_load, tmp_path, capsys):
+    # the label goes into report.csv unquoted: a comma added a field, a line
+    # break split the row, and a number loaded as an int
+    profile = _json_file(tmp_path / "profile.json", {"label": label, "taps": [{"delay_ns": 0, "power_db": 0}]})
+    message = f"profile file {profile}: label must be a string without ',', '\"', CR or LF, got {label!r}"
+    code, out, err = _run(capsys, "allocate", "--library", "lib.json", "--profile", profile)
+    assert code == 2 and out == "" and message in err
+    cfg_path = _json_file(tmp_path / "exp.json", {"library": "lib.json", "profile": profile, "trials": 1})
+    code, out, err = _run(capsys, "simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "out"))
+    assert code == 2 and out == "" and message in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -546,10 +546,10 @@ def test_batched_certificate_equals_one_row_calls(b):
         rest[r, hull] = False
     accepted = 0
     for mask in (None, rest):
-        ok, cut = _certified_cuts(a, b2, hulls, mask)
+        ok, cut = _certified_cuts(a, b2, _hull_index(hulls, a.shape, mask))
         for r, hull in enumerate(hulls):
             one = None if mask is None else mask[r : r + 1]
-            ok_r, cut_r = _certified_cuts(a[r : r + 1], b2[r : r + 1], [hull], one)
+            ok_r, cut_r = _certified_cuts(a[r : r + 1], b2[r : r + 1], _hull_index([hull], (1, a.shape[1]), one))
             assert ok[r] == ok_r[0]
             if ok_r[0]:
                 assert cut[r, : hull.size - 1].tobytes() == cut_r[0].tobytes()
@@ -842,9 +842,10 @@ def test_lockstep_keeps_its_hull_index_and_certifies_the_stack_pass_at_once(monk
         builds.append(hull_index(hulls, shape, rest))
         return builds[-1]
 
-    def spy_cuts(a, b2, hulls, rest=None, index=None):
-        updates[-1][2].append((len(hulls), rest is not None))
-        return certified_cuts(a, b2, hulls, rest, index)
+    def spy_cuts(a, b2, index):
+        # a stack-pass certificate is the one on an index other than the update's own
+        updates[-1][2].append((len(index[0]), index is not updates[-1][1]))
+        return certified_cuts(a, b2, index)
 
     def spy_regions(a, b2, index):
         updates.append([a.shape[0], index, [], None])

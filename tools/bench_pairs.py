@@ -5,7 +5,11 @@ Each pair runs `benchmarks/run.py` once in the parent tree and once in the
 change tree, on the same seed. The parent goes first on even pairs and second
 on odd ones, so a slow phase of a shared host hits both sides alike. Every
 run, each side's median and quartiles of every end-to-end metric, and the
-number of pairs the change wins per metric go to BENCH_<workload>.json.
+number of pairs the change wins per metric go to BENCH_<workload>.json, under
+`summary`. The same figures of the run block's wall-clock timings
+(wall_op_ms_p50, wall_ops_per_s, wall_setup_s) go under `wall_summary`, so a
+pair whose metric moved with its probe pass alone, and not with the wall
+clock, can be told from a real change.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload design-grid --seeds 101 102 103 --seconds 24
@@ -34,6 +38,8 @@ import tempfile
 from pathlib import Path
 
 COPIED = ("src", "benchmarks", "BENCHMARK.json")
+# the run block's wall-clock figures and their directions
+WALL = {"wall_op_ms_p50": "lower", "wall_ops_per_s": "higher", "wall_setup_s": "lower"}
 
 
 def fresh_copy(tree: Path, dest: Path) -> Path:
@@ -78,12 +84,12 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
-    """Per metric: each side's quartiles, the change's wins and its median gain."""
+def summarize(pairs: list[dict], directions: dict[str, str], block: str = "metrics") -> dict:
+    """Per figure of each run's `block`: each side's quartiles, the change's wins and its median gain."""
     out = {}
     for name, better in directions.items():
-        parent = [p["parent"]["metrics"][name] for p in pairs]
-        change = [p["change"]["metrics"][name] for p in pairs]
+        parent = [p["parent"][block][name] for p in pairs]
+        change = [p["change"][block][name] for p in pairs]
         sign = 1.0 if better == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         side = {"parent": quartiles(parent), "change": quartiles(change)}
@@ -133,14 +139,21 @@ def main(argv=None) -> int:
         "bounds": bounds,
         "failed_operations": {side: sum(p[side]["failed"] for p in pairs) for side in trees},
         "summary": summarize(pairs, directions),
+        "wall_summary": wall_summary(pairs),
         "pairs": pairs,
     }
     out = args.out or Path(f"BENCH_{args.workload}.json")
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    for name, s in doc["summary"].items():
+    for name, s in {**doc["summary"], **(doc["wall_summary"] or {})}.items():
         print(f"{name}: parent {s['parent']['median']:.4g} -> change {s['change']['median']:.4g} "
               f"({s['relative_change']:+.1%}), change wins {s['change_wins']}/{s['pairs']}")
     return 0
+
+
+def wall_summary(pairs: list[dict]) -> dict | None:
+    """summarize() of the run block's wall figures, over the pairs whose two runs both printed one; None if under two."""
+    described = [p for p in pairs if p["parent"]["run"] and p["change"]["run"]]
+    return summarize(described, WALL, "run") if len(described) >= 2 else None
 
 
 def run_pairs(trees: dict[str, Path], args) -> list[dict]:
