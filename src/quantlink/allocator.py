@@ -632,22 +632,25 @@ def optimize_plan(
     zero-bit choice keeps a row of zeros. The plan then takes the choice's
     target, t_sym, dummy count and bits, and calls
     allocate_power_modulation when t_sym > 0, else has zero modulations and
-    powers. A plan's arrays are always its own.
+    powers. A plan's arrays are always its own: the plan that makes a choice
+    takes the refined row itself and the record keeps a uint8 copy.
     """
     check_nonnegative_finite("delta", delta)
     rating, r_sym = _rate_targets(lib, stats, channel, p_tot, delta)
     record = _LOADINGS[channel]
+    bits = None  # a first plan's refined bits, already its own int64 row
     if record.choice is None or record.choice[0] is not rating:  # this rating's first plan on the record
         eps_index, t_sym = select_ber_target(rating.b_lat, r_sym)
-        kept_bits, dummy = np.zeros(stats.n, dtype=np.uint8), 0
         if t_sym > 0:
             if eps_index not in rating.winners:
                 depths = minimum_bit_allocation(lib, stats, eps_index, delta)[0]
                 depths.setflags(write=False)
                 headroom = int((lib.b_max - depths[depths > 0]).sum())  # elements at zero bits never grow
                 rating.winners[eps_index] = (depths, np.zeros(0, dtype=np.intp), headroom)
-            refined, dummy = _refined_bits(lib, stats, rating, eps_index, t_sym * int(r_sym[eps_index]))
-            kept_bits = refined.astype(np.uint8)
+            bits, dummy = _refined_bits(lib, stats, rating, eps_index, t_sym * int(r_sym[eps_index]))
+            kept_bits = bits.astype(np.uint8)
+        else:
+            kept_bits, dummy = np.zeros(stats.n, dtype=np.uint8), 0
         kept_bits.setflags(write=False)
         record.choice = (rating, eps_index, t_sym, dummy, kept_bits)
     _, eps_index, t_sym, dummy, kept_bits = record.choice
@@ -662,7 +665,7 @@ def optimize_plan(
     return AllocationPlan(
         eps_index=eps_index,
         epsilon_star=float(lib.epsilons[eps_index]),
-        bits=kept_bits.astype(np.int64),
+        bits=kept_bits.astype(np.int64) if bits is None else bits,
         modulations=modulations,
         powers=powers,
         t_sym=t_sym,

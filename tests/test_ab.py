@@ -131,26 +131,36 @@ def test_plan_exits_1_when_a_plan_differs(tmp_path, capsys):
 def test_design_runs_this_checkout_as_both_sides(small_design, capsys):
     assert _run("design", ROOT, ROOT, "--rounds", "1", "--seed", "3") == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 9
+    assert len(out) == 12
     assert [line.split(":")[0] for line in out[:4]] == ["round 0 parent", "round 0 change", "parent", "change"]
-    # each round shows its total and its median column, which op_ms_p50 reads
-    assert all(re.fullmatch(r"round 0 \w+: \d+\.\d{3} s, \d+\.\d ms median column", line) for line in out[:2])
+    # each round shows its total, its median column, which op_ms_p50 reads,
+    # and this process's CPU time, which a helper process's work is not in
+    assert all(
+        re.fullmatch(r"round 0 \w+: \d+\.\d{3} s, \d+\.\d ms median column, \d+\.\d{3} s main-process CPU", line)
+        for line in out[:2]
+    )
     assert out[4].startswith("change faster in ") and out[4].endswith("/1 rounds")
     assert [line.split(":")[0] for line in out[5:7]] == ["parent median column", "change median column"]
     assert all(" median " in line and line.endswith(" ms") for line in out[5:7])
     assert out[7].startswith("change faster median column in ") and out[7].endswith("/1 rounds")
-    assert out[8] == "design bytes the same on both sides in every round"
+    assert [line.split(":")[0] for line in out[8:10]] == ["parent main-process CPU", "change main-process CPU"]
+    assert all(" median " in line and line.endswith(" s") for line in out[8:10])
+    assert out[10].startswith("change faster main-process CPU in ") and out[10].endswith("/1 rounds")
+    assert out[11] == "design bytes the same on both sides in every round"
 
 
 def test_design_round_gives_the_total_and_the_median_column(monkeypatch):
-    # three columns that take 0.5, 0.125 and 0.25 s on a fake clock
+    # three columns that take 0.5, 0.125 and 0.25 s on a fake clock, and 0.25,
+    # 0.0625 and 0.125 s of this process's CPU
     clock = iter([0.0, 0.5, 1.0, 1.125, 2.0, 2.25])
+    cpu = iter([0.0, 0.25, 1.0, 1.0625, 2.0, 2.125])
     library = SimpleNamespace(build_library=lambda b_max, grid: grid[0], serialize_library=str)
     ab = _tool()
     monkeypatch.setattr(ab.time, "perf_counter", lambda: next(clock))
+    monkeypatch.setattr(ab.time, "process_time", lambda: next(cpu))
     side = {"ql": {"library": library}, "b_max": 8, "columns": [(0, 0.001), (3, 0.01), (9, 0.05)]}
     figures, texts = ab.design_round(side)
-    assert figures == [0.875, 0.25]
+    assert figures == [0.875, 0.25, 0.4375]
     assert texts == {"column 0": "0.001", "column 3": "0.01", "column 9": "0.05"}
 
 

@@ -1731,6 +1731,16 @@ def test_a_repeat_plans_bits_are_its_own(small_lib):
     assert not np.shares_memory(first.bits, kept)
 
 
+def test_writing_into_a_first_plans_bits_leaves_the_next_plan(small_lib):
+    stats, ch, p_tot = _random_setup(small_lib, stream_rng("repeat-bits", 1), snr_db=15.0)
+    first = optimize_plan(small_lib, stats, ch, p_tot)
+    want = serialize_plan(first)
+    # the first plan's row is its own array, so its owner may unlock it
+    first.bits.setflags(write=True)
+    first.bits[:] = small_lib.b_max
+    assert serialize_plan(optimize_plan(small_lib, stats, ch, p_tot)) == want
+
+
 def test_a_zero_bit_plan_repeats_from_the_record_too(small_lib, monkeypatch):
     # every variance below delta: nothing to send, yet the record keeps the choice
     stats = LatentStats(np.ones(6), np.full(6, 0.3))

@@ -23,8 +23,10 @@ with its own modules from the change tree's inputs, its
   design  the design-grid columns of --seed (setup_design, design_batch); a
           round times build_library(b_max, [grid[qi]]) for every column; its
           figures are the round's total and its median column (what the
-          benchmark's op_ms_p50 reads), its bytes each column's
-          serialize_library text
+          benchmark's op_ms_p50 reads), and the CPU time of this process
+          over the round (time.process_time, which counts no child process),
+          so that a wall gain can be told apart from less work; its bytes
+          are each column's serialize_library text
 
 A round runs once per side: the parent first on even rounds, the change
 first on odd ones, so a slow phase of a shared host hits both alike. The
@@ -128,12 +130,14 @@ def design_side(ql: dict, workloads, args) -> dict:
 def design_round(side: dict) -> tuple[list, dict]:
     library = side["ql"]["library"]
     seconds, texts = [], {}
+    cpu = 0.0
     for qi, eps in side["columns"]:
-        start = time.perf_counter()
+        cpu_start, start = time.process_time(), time.perf_counter()
         lib = library.build_library(side["b_max"], [eps])
         seconds.append(time.perf_counter() - start)
+        cpu += time.process_time() - cpu_start
         texts[f"column {qi}"] = library.serialize_library(lib)
-    return [sum(seconds), statistics.median(seconds)], texts
+    return [sum(seconds), statistics.median(seconds), cpu], texts
 
 
 # per workload: how a side is built, how one round runs (its figures and its
@@ -141,7 +145,11 @@ def design_round(side: dict) -> tuple[list, dict]:
 WORKLOADS = {
     "sweep": (sweep_side, sweep_round, [("", "s", 1.0, 4)]),
     "plan": (plan_side, plan_round, [("", "us", 1e6, 1), (" on fresh channels", "us", 1e6, 1)]),
-    "design": (design_side, design_round, [("", "s", 1.0, 3), (" median column", "ms", 1e3, 1)]),
+    "design": (
+        design_side,
+        design_round,
+        [("", "s", 1.0, 3), (" median column", "ms", 1e3, 1), (" main-process CPU", "s", 1.0, 3)],
+    ),
 }
 
 
