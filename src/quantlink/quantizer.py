@@ -57,21 +57,25 @@ ratio of its region's moments.
 The level update and the expected distortion share the moments, and the
 distortion and the next region update share (a, b).
 
-A design of at least _SPLIT_CODEWORDS (32) codewords, b >= 5, runs on two
+A design of at least _SPLIT_CODEWORDS (64) codewords, b >= 6, runs on two
 CPUs: this process runs the first half of its starts in lockstep, and a
 helper process, forked at the first such design, runs the second half with
 the same _alternate and sends back each start's best iterate and, when
-traced, its distortions. From b = 5 on, every start runs to the iteration
-cap and per-start work dominates, so the halves take about half the time;
-below it, the slowest start sets the iteration count and per-iteration work
-dominates, so a half saves nothing (see _SPLIT_CODEWORDS). Since a start's
-iterates are those of a run on its own, and the halves are joined in start
-order, the best-of-restarts choice and the trace are those of one process,
-bit for bit. The helper runs only where this process may use more than one
-CPU, runs one thread and can fork; elsewhere, or while another thread's
-design holds it, a design runs every start itself. A process forked later
-starts a helper of its own. If the helper dies, the design runs its half in
-this process; if the helper raises, the design raises the same exception.
+traced, its distortions. From b = 6 on, per-start work dominates, so the
+halves take about 60 to 70 % of the time for 10 to 30 % more CPU in all; at
+b = 5 and below, each half pays the lockstep's per-iteration work in full,
+and a split saves nothing (see _SPLIT_CODEWORDS, measured on an idle 2-core
+host). Since a start's iterates are those of a run on its own, and the
+halves are joined in start order, the best-of-restarts choice and the trace
+are those of one process, bit for bit. The helper runs only where this
+process may use two CPUs (by its affinity and any cgroup CPU quota), runs
+one thread, can fork and is not a daemonic multiprocessing worker;
+elsewhere, or while another thread's design holds it, a design runs every
+start itself. A CPU that other work keeps busy is not seen, and there the
+split costs its extra CPU for no gain. A process forked later starts a
+helper of its own, and a process stops its helper at exit. If the helper
+dies, the design runs its half in this process; if the helper raises, the
+design raises the same exception.
 
 Codewords are plain ints in [0, 2^b); bit j of a codeword (1-indexed, as seen
 by the per-bit flip vector) is the j-th most significant of its b bits.
@@ -79,10 +83,14 @@ by the per-bit flip vector) is the j-th most significant of its b bits.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import functools
 import math
 import operator
 import os
+import signal
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -617,13 +625,15 @@ def _alternate(inits: np.ndarray, trans, cfg: DesignConfig, trace) -> list:
     return best
 
 
-# A design with at least this many codewords (b >= 5) sends half its starts
-# to the helper. At b >= 5 every start runs to the iteration cap and per-start
-# work dominates: at b = 8, 11 starts took 166.7 ms in one process, halves of
-# 6 and 5 took 97.2 and 88.6 ms. At b <= 4 the slowest start sets the
-# iteration count and per-iteration work dominates: at b = 4, 5 starts took
-# 24.7 ms against 24.3 ms for all 10.
-_SPLIT_CODEWORDS = 32
+# A design with at least this many codewords (b >= 6) sends half its starts
+# to the helper. One cell's design, split against in process, alternating,
+# 18 runs per b at eps 1e-4, 1e-3 and 1e-2 (median wall; main process plus
+# helper CPU), on an idle 2-core host: b = 5, 65.9 against 63.2 ms (split
+# faster in 9 of 18) for 108 against 63 ms of CPU; b = 6, 71.3 against
+# 102.9 ms; b = 7, 89.4 against 125.1 ms; b = 8, 177.6 against 290.5 ms
+# (split faster in 15, 18 and 18 of 18). Each half pays the lockstep's
+# per-iteration work in full, which at b = 5 is as large as the per-start work.
+_SPLIT_CODEWORDS = 64
 
 # Per process id, the helper it started (None once one failed to start), so
 # that a process forked after it starts its own. The lock is held from a
@@ -636,54 +646,101 @@ _HELPER_LOCK = threading.Lock()
 def _helper_can_run() -> bool:
     """Whether a forked helper can run beside this process.
 
-    It needs more than one CPU that this process may use, the fork start
-    method, and one thread here: a fork copies only the calling thread, so a
-    lock another thread holds would stay held in the helper.
+    It needs two CPUs that this process may use (its affinity and any cgroup
+    CPU quota; a CPU that is busy with other work is not seen), fork, and one
+    thread here: a fork copies only the calling thread, so a lock another
+    thread holds would stay held in the helper. A daemonic multiprocessing
+    worker, one of a pool that already shares out the CPUs, runs in process.
     """
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+    if not hasattr(os, "sched_getaffinity") or min(len(os.sched_getaffinity(0)), _cgroup_cpus()) < 2:
         return False
     if threading.active_count() != 1:
         return False
-    import multiprocessing  # here, so that no import of this module pays for it
+    multiprocessing = sys.modules.get("multiprocessing")  # a worker has imported it
+    return multiprocessing is None or not multiprocessing.current_process().daemon
 
-    return "fork" in multiprocessing.get_all_start_methods()
+
+@functools.cache
+def _cgroup_cpus(proc: str = "/proc/self/cgroup", mount: str = "/sys/fs/cgroup") -> float:
+    """The CPUs that the cgroup CPU quotas leave this process: the least over its cgroups and their ancestors.
+
+    cgroup v2 reads "<quota> <period>" from cpu.max ("max" for none), v1
+    cpu.cfs_quota_us (-1 for none) and cpu.cfs_period_us under <mount>/cpu.
+    inf when no quota is set or none can be read.
+    """
+    cpus = math.inf
+    try:
+        with open(proc) as fh:
+            entries = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
+        return cpus
+    for _, controllers, path in entries:
+        if controllers == "":
+            root, names = mount, ("cpu.max",)
+        elif "cpu" in controllers.split(","):
+            root, names = os.path.join(mount, "cpu"), ("cpu.cfs_quota_us", "cpu.cfs_period_us")
+        else:
+            continue
+        folder = root + path.rstrip("/")
+        while True:
+            try:
+                words = []
+                for name in names:
+                    with open(os.path.join(folder, name)) as fh:
+                        words += fh.read().split()
+                quota, period = words
+                if quota not in ("max", "-1"):
+                    cpus = min(cpus, int(quota) / int(period))
+            except (OSError, ValueError):  # no such file, or not of this form
+                pass
+            if len(folder) <= len(root):
+                break
+            folder = os.path.dirname(folder)
+    return cpus
 
 
 class _Helper:
     """A forked process that runs _alternate on each batch of starts it receives (see _serve)."""
 
     def __init__(self):
-        import multiprocessing
+        from multiprocessing.connection import Pipe  # here, so that no import of this module pays for it
 
-        context = multiprocessing.get_context("fork")
-        self.conn, helper_end = context.Pipe()
-        self.process = context.Process(target=_serve, args=(helper_end, self.conn), daemon=True)
-        self.process.start()
+        self.conn, helper_end = Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:  # the helper: never returns to the caller
+            try:
+                self.conn.close()
+                _serve(helper_end)
+            finally:
+                os._exit(0)
         helper_end.close()
-        # A child that os.fork makes later inherits multiprocessing's list of
-        # this process's children, and at its exit would stop this helper
-        # and fail to join it; in the child, the helper is not its own.
-        os.register_at_fork(after_in_child=functools.partial(multiprocessing.process._children.discard, self.process))
 
     def discard(self) -> None:
-        """Stop the helper; the next split in this process starts a new one."""
+        """Stop the helper and wait for it; the next split in this process starts a new one."""
         _HELPERS.pop(os.getpid(), None)
         self.conn.close()
-        self.process.terminate()
-        self.process.join()
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(self.pid, signal.SIGTERM)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(self.pid, 0)
 
 
-def _serve(conn, main_end) -> None:
+@atexit.register
+def _discard_own_helper() -> None:
+    """At exit, stop this process's helper, not one that the process it was forked from started."""
+    helper = _HELPERS.get(os.getpid())
+    if helper is not None:
+        helper.discard()
+
+
+def _serve(conn) -> None:
     """The helper's loop: reply to each (inits, trans, cfg fields, traced) with (error, best, trace).
 
     The config comes as its fields, so that a class pickled by reference
     cannot resolve to another import of this module.
     """
-    import signal
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is for the main process to handle
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # discard() and exit end it, whatever the main process set
-    main_end.close()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # discard() ends it, whatever the main process set
     while True:
         try:
             inits, trans, fields, traced = conn.recv()

@@ -860,7 +860,6 @@ def test_lockstep_keeps_its_hull_index_and_certifies_the_stack_pass_at_once(monk
     monkeypatch.setattr(quantizer_module, "_certified_cuts", spy_cuts)
     monkeypatch.setattr(quantizer_module, "_optimal_regions", spy_regions)
     monkeypatch.setattr(quantizer_module, "_alternate", spy_alternate)
-    monkeypatch.setattr(quantizer_module, "_helper_can_run", lambda: False)  # every start's updates here
     cfg = DesignConfig(restarts=6, seed=11)
     for eps in (0.005, 0.05):
         quantizer_module._best_of_restarts(5, uniform_bsc(5, eps), design_lloyd_max(5, FAST).levels, ("spy",), cfg)
